@@ -62,12 +62,6 @@ pub struct PipelineConfig {
     /// Debug builds cross-check this many parse-cache hits per worker
     /// against a full parse (0 disables the self-check).
     pub parse_cache_crosscheck: usize,
-    /// Enable the dedup shape prefilter: records whose allocation-free shape
-    /// key is new for their user are kept without normalization or
-    /// fingerprinting. Output is byte-identical on or off (equal normalized
-    /// text implies an equal shape key); `--no-dedup-prefilter` disables it
-    /// for A/B runs.
-    pub dedup_prefilter: bool,
     /// Enable batched solver rewrites: synthesize each template's rewrite
     /// AST once and substitute literals per instance instead of re-parsing
     /// every record. Output is byte-identical on or off;
@@ -121,7 +115,6 @@ impl Default for PipelineConfig {
             max_parse_tokens: sqlog_sql::ParseLimits::default().max_tokens,
             parse_cache: true,
             parse_cache_crosscheck: 64,
-            dedup_prefilter: true,
             solve_batching: true,
             recorder: sqlog_obs::Recorder::disabled(),
         }

@@ -20,7 +20,7 @@ use crate::shard::{
 };
 use sqlog_log::{LogView, QueryLog};
 use sqlog_obs::{Recorder, SpanId};
-use sqlog_skeleton::{dedup_shape_scan, text_fingerprint, Fingerprint, FnvHashMap, RawKey};
+use sqlog_skeleton::{text_fingerprint, Fingerprint, FnvHashMap};
 
 /// Outcome statistics of duplicate removal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,104 +38,18 @@ pub struct DedupStats {
     pub degraded_shards: usize,
 }
 
-/// First-occurrence state of one `(user, shape)` prefilter bucket.
-enum Slot {
-    /// Exactly one entry with this shape so far — its view position. Its
-    /// fingerprint has not been computed yet (it cannot have duplicated
-    /// anything, and nothing has duplicated it).
-    Pending(u32),
-    /// The shape repeated at least once; the bucket's fingerprints live in
-    /// `last_seen` from here on.
-    Materialized,
-}
-
 /// Per-shard result of a dedup scan.
 struct ShardScan {
     /// Kept view positions, in log order within the shard's users.
     kept: Vec<u32>,
     /// Poison records skipped (degraded re-runs only).
     poison: usize,
-    /// Records that were kept on shape novelty alone, with no
-    /// normalization/fingerprint work at all.
-    prefilter_hits: u64,
-    /// Records whose shape had been seen before and that therefore took the
-    /// full fingerprint path.
-    prefilter_misses: u64,
-    /// 1 when this shard's probe found too few fresh shapes and retired its
-    /// prefilter mid-scan.
-    prefilter_bailout: u64,
 }
 
-/// Prefilter-path records examined before a shard decides whether its
-/// prefilter pays for itself.
-const PREFILTER_PROBE: u64 = 4096;
-
-/// True when the probe window says to retire the prefilter: a miss costs a
-/// second normalization pass (shape scan *and* fingerprint), so the filter
-/// only breaks even when nearly every record opens a fresh bucket. More
-/// than 1/16 repeats caps the possible saving below the scan overhead.
-fn probe_failed(hits: u64, misses: u64) -> bool {
-    hits + misses >= PREFILTER_PROBE && misses * 16 > hits + misses
-}
-
-/// Retires a shard's prefilter mid-scan: every [`Slot::Pending`] bucket gets
-/// the fingerprint stamp it had deferred (in view order, each with its own
-/// timestamp — exactly what lazy materialization would have produced), and
-/// the bucket map is dropped. From here on the scan *is* the exact path.
-fn bail_out(view: &LogView<'_>, uids: &[u32], st: &mut ScanState) {
-    let mut pending: Vec<u32> = st
-        .shapes
-        .values()
-        .filter_map(|s| match s {
-            Slot::Pending(j) => Some(*j),
-            Slot::Materialized => None,
-        })
-        .collect();
-    pending.sort_unstable();
-    for j in pending {
-        let e = view.entry(j as usize);
-        st.last_seen.insert(
-            (uids[j as usize], text_fingerprint(&e.statement)),
-            e.timestamp.millis(),
-        );
-    }
-    st.shapes = FnvHashMap::default();
-}
-
-/// [`bail_out`] for degraded re-runs: each deferred fingerprint runs inside
-/// its own panic guard; a poison record simply keeps its stamp missing, as
-/// the lazy path would have.
-fn bail_out_isolated(view: &LogView<'_>, uids: &[u32], st: &mut ScanState) {
-    let mut pending: Vec<u32> = st
-        .shapes
-        .values()
-        .filter_map(|s| match s {
-            Slot::Pending(j) => Some(*j),
-            Slot::Materialized => None,
-        })
-        .collect();
-    pending.sort_unstable();
-    for j in pending {
-        let e = view.entry(j as usize);
-        if let Some(fp) = guarded(|| text_fingerprint(&e.statement)) {
-            st.last_seen
-                .insert((uids[j as usize], fp), e.timestamp.millis());
-        }
-    }
-    st.shapes = FnvHashMap::default();
-}
-
-/// Shared dedup state for one scan: the shape prefilter buckets plus the
-/// fingerprint timestamps of every materialized bucket.
-#[derive(Default)]
-struct ScanState {
-    shapes: FnvHashMap<(u32, RawKey), Slot>,
-    last_seen: FnvHashMap<(u32, Fingerprint), i64>,
-}
-
-/// Full-path duplicate decision for one record whose fingerprint is known.
-/// Always records the latest occurrence — kept *or* removed — so a burst of
-/// reloads collapses to its first statement (chain collapse).
+/// Duplicate decision for one record: the user's previous statement with
+/// the same fingerprint ran at most `threshold_ms` earlier. Always records
+/// the latest occurrence — kept *or* removed — so a burst of reloads
+/// collapses to its first statement (chain collapse).
 fn is_dup(
     last_seen: &mut FnvHashMap<(u32, Fingerprint), i64>,
     uid: u32,
@@ -158,174 +72,61 @@ fn is_dup(
 /// entry repeats the user's previous identical statement within the
 /// threshold are duplicates. `uids[i]` identifies the user of position `i`;
 /// only positions with `uid_range.contains(uids[i])` are examined.
-///
-/// With `prefilter` on, each record's allocation-free shape key
-/// ([`dedup_shape_scan`]) is consulted first. Equal normalized text implies
-/// an equal shape key, so a never-before-seen shape proves the record
-/// duplicates nothing and is kept without normalization or fingerprinting.
-/// The first record of a bucket stays [`Slot::Pending`] until the shape
-/// repeats; only then is its fingerprint computed (lazily, with its own
-/// timestamp — valid because no same-shape record ran in between) and the
-/// bucket falls back to the exact fingerprint path. Shape collisions between
-/// *different* normalized texts (literals collapse into placeholders) only
-/// cost that fallback — they can never remove a non-duplicate.
-///
-/// Because a repeated shape pays *two* normalization passes, the prefilter is
-/// adaptive: after [`PREFILTER_PROBE`] records, a shard whose fresh-bucket
-/// rate is too low to pay for the extra scans retires it ([`bail_out`]) and
-/// finishes on the exact path — the outputs are identical either way, only
-/// the cost moves.
 fn scan_partition(
     view: &LogView<'_>,
     uids: &[u32],
     uid_range: std::ops::Range<u32>,
     threshold_ms: Option<u64>,
-    prefilter: bool,
 ) -> ShardScan {
     let fault = fault::armed("dedup");
-    let mut st = ScanState::default();
+    let mut last_seen = FnvHashMap::default();
     let mut kept = Vec::new();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut prefilter = prefilter;
-    let mut bailout = 0u64;
     for (i, &uid) in uids.iter().enumerate() {
         if !uid_range.contains(&uid) {
             continue;
         }
         let e = view.entry(i);
         fault::trip(&fault, &e.statement);
-        if prefilter && probe_failed(hits, misses) {
-            bail_out(view, uids, &mut st);
-            prefilter = false;
-            bailout = 1;
-        }
-        if prefilter {
-            match st.shapes.entry((uid, dedup_shape_scan(&e.statement))) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(Slot::Pending(i as u32));
-                    kept.push(i as u32);
-                    hits += 1;
-                    continue;
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if let Slot::Pending(j) = *slot.get() {
-                        let first = view.entry(j as usize);
-                        st.last_seen.insert(
-                            (uid, text_fingerprint(&first.statement)),
-                            first.timestamp.millis(),
-                        );
-                        slot.insert(Slot::Materialized);
-                    }
-                    misses += 1;
-                }
-            }
-        }
         let fp = text_fingerprint(&e.statement);
-        let now = e.timestamp.millis();
-        if !is_dup(&mut st.last_seen, uid, fp, now, threshold_ms) {
+        if !is_dup(&mut last_seen, uid, fp, e.timestamp.millis(), threshold_ms) {
             kept.push(i as u32);
         }
     }
-    ShardScan {
-        kept,
-        poison: 0,
-        prefilter_hits: hits,
-        prefilter_misses: misses,
-        prefilter_bailout: bailout,
-    }
+    ShardScan { kept, poison: 0 }
 }
 
-/// Degraded re-run of [`scan_partition`] after its worker panicked: every
-/// step that runs untrusted statement text (the injected trip, the shape
-/// scan, each fingerprint) is wrapped in its own panic guard, so exactly the
-/// poison records are skipped (they contribute neither a kept position, nor
-/// a shape bucket, nor a `last_seen` stamp) and everything around them
-/// dedups normally. Map updates happen only between guards, so a panic
-/// never leaves partial state behind.
+/// Degraded re-run of [`scan_partition`] after its worker panicked: the
+/// steps that run untrusted statement text (the injected trip and the
+/// fingerprint) are wrapped in a per-record panic guard, so exactly the
+/// poison records are skipped (they contribute neither a kept position nor
+/// a `last_seen` stamp) and everything around them dedups normally.
 fn scan_partition_isolated(
     view: &LogView<'_>,
     uids: &[u32],
     uid_range: std::ops::Range<u32>,
     threshold_ms: Option<u64>,
-    prefilter: bool,
 ) -> ShardScan {
     let fault = fault::armed("dedup");
-    let mut st = ScanState::default();
+    let mut last_seen = FnvHashMap::default();
     let mut kept = Vec::new();
     let mut poison = 0usize;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut prefilter = prefilter;
-    let mut bailout = 0u64;
     for (i, &uid) in uids.iter().enumerate() {
         if !uid_range.contains(&uid) {
             continue;
         }
         let e = view.entry(i);
-        if prefilter && probe_failed(hits, misses) {
-            bail_out_isolated(view, uids, &mut st);
-            prefilter = false;
-            bailout = 1;
-        }
-        if prefilter {
-            let Some(shape) = guarded(|| {
-                fault::trip(&fault, &e.statement);
-                dedup_shape_scan(&e.statement)
-            }) else {
-                poison += 1;
-                continue;
-            };
-            match st.shapes.entry((uid, shape)) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(Slot::Pending(i as u32));
-                    kept.push(i as u32);
-                    hits += 1;
-                    continue;
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if let Slot::Pending(j) = *slot.get() {
-                        // The bucket's first entry already passed its own
-                        // guard; its fingerprint is pure, but guard it anyway
-                        // so a panic here poisons neither record's state.
-                        let first = view.entry(j as usize);
-                        if let Some(fp0) = guarded(|| text_fingerprint(&first.statement)) {
-                            st.last_seen.insert((uid, fp0), first.timestamp.millis());
-                        }
-                        slot.insert(Slot::Materialized);
-                    }
-                    misses += 1;
-                }
-            }
-            let Some(fp) = guarded(|| text_fingerprint(&e.statement)) else {
-                poison += 1;
-                continue;
-            };
-            let now = e.timestamp.millis();
-            if !is_dup(&mut st.last_seen, uid, fp, now, threshold_ms) {
-                kept.push(i as u32);
-            }
-        } else {
-            let Some(fp) = guarded(|| {
-                fault::trip(&fault, &e.statement);
-                text_fingerprint(&e.statement)
-            }) else {
-                poison += 1;
-                continue;
-            };
-            let now = e.timestamp.millis();
-            if !is_dup(&mut st.last_seen, uid, fp, now, threshold_ms) {
-                kept.push(i as u32);
-            }
+        let Some(fp) = guarded(|| {
+            fault::trip(&fault, &e.statement);
+            text_fingerprint(&e.statement)
+        }) else {
+            poison += 1;
+            continue;
+        };
+        if !is_dup(&mut last_seen, uid, fp, e.timestamp.millis(), threshold_ms) {
+            kept.push(i as u32);
         }
     }
-    ShardScan {
-        kept,
-        poison,
-        prefilter_hits: hits,
-        prefilter_misses: misses,
-        prefilter_bailout: bailout,
-    }
+    ShardScan { kept, poison }
 }
 
 /// Removes duplicates from a log view, returning the surviving entries as a
@@ -346,27 +147,17 @@ pub fn dedup_view<'a>(
     threshold_ms: Option<u64>,
     threads: usize,
 ) -> (LogView<'a>, DedupStats) {
-    dedup_view_traced(
-        view,
-        threshold_ms,
-        threads,
-        true,
-        &Recorder::disabled(),
-        None,
-    )
+    dedup_view_traced(view, threshold_ms, threads, &Recorder::disabled(), None)
 }
 
 /// [`dedup_view`] with observability: per-shard spans (`"dedup.shard"`,
 /// parented under `parent`), a shard-latency histogram and outcome counters
 /// land in `rec`. The deduplicated view and statistics are identical to the
-/// untraced call. `prefilter` toggles the shape-key prefilter (see
-/// [`scan_partition`]); the output is byte-identical either way — the knob
-/// exists for A/B timing runs.
+/// untraced call.
 pub fn dedup_view_traced<'a>(
     view: &LogView<'a>,
     threshold_ms: Option<u64>,
     threads: usize,
-    prefilter: bool,
     rec: &Recorder,
     parent: Option<SpanId>,
 ) -> (LogView<'a>, DedupStats) {
@@ -406,38 +197,16 @@ pub fn dedup_view_traced<'a>(
         },
         // Work units = entries belonging to the shard's user range.
         |r| counts[r.clone()].iter().sum(),
-        |r| {
-            scan_partition(
-                view,
-                uids,
-                r.start as u32..r.end as u32,
-                threshold_ms,
-                prefilter,
-            )
-        },
-        |r| {
-            scan_partition_isolated(
-                view,
-                uids,
-                r.start as u32..r.end as u32,
-                threshold_ms,
-                prefilter,
-            )
-        },
+        |r| scan_partition(view, uids, r.start as u32..r.end as u32, threshold_ms),
+        |r| scan_partition_isolated(view, uids, r.start as u32..r.end as u32, threshold_ms),
     );
     let mut poison = 0usize;
-    let mut prefilter_hits = 0u64;
-    let mut prefilter_misses = 0u64;
-    let mut prefilter_bailouts = 0u64;
     // Per-shard survivors are disjoint view positions; sorting restores
     // global log order, making the merge independent of sharding.
     let mut kept: Vec<u32> = Vec::new();
     for shard in shards {
         kept.extend(shard.kept);
         poison += shard.poison;
-        prefilter_hits += shard.prefilter_hits;
-        prefilter_misses += shard.prefilter_misses;
-        prefilter_bailouts += shard.prefilter_bailout;
     }
     kept.sort_unstable();
 
@@ -453,9 +222,6 @@ pub fn dedup_view_traced<'a>(
     rec.counter("dedup.kept", stats.kept as u64);
     rec.counter("dedup.poison_records", stats.poison as u64);
     rec.counter("dedup.degraded_shards", stats.degraded_shards as u64);
-    rec.counter("dedup.prefilter_hits", prefilter_hits);
-    rec.counter("dedup.prefilter_misses", prefilter_misses);
-    rec.counter("dedup.prefilter_bailouts", prefilter_bailouts);
     (view.select(kept), stats)
 }
 
@@ -595,119 +361,48 @@ mod tests {
     }
 
     #[test]
-    fn prefilter_and_exact_path_agree_on_hostile_text() {
-        // Statements picked so that shapes collide across different texts
-        // (literals collapse) and normalize-equal pairs differ in raw bytes
-        // (trailing semicolons, comments, case) — the prefilter must neither
-        // split true duplicates nor merge distinct statements.
+    fn exact_path_handles_hostile_text() {
+        // Normalize-equal pairs that differ in raw bytes (trailing `;`,
+        // comments, case, whitespace) must collapse; texts that differ after
+        // normalization (comment-glued tokens, constants, literal case, `''`
+        // escapes, unterminated `'oops` vs. a terminated literal) must not.
         let stmts = [
-            "SELECT a FROM t WHERE x = 1",
-            "SELECT a FROM t WHERE x = 1;",
-            "select A from T where X = 1 -- c",
-            "SELECT a FROM t WHERE x = 2",
-            "SELECT a/*gap*/FROM t WHERE x = 1",
-            "SELECT 'it''s' FROM t",
-            "SELECT 'its' FROM t",
-            "SELECT 'oops",
-            "INSERT INTO t VALUES (1)",
+            ("a", "SELECT a FROM t WHERE x = 1"),       // 0 kept
+            ("a", "SELECT a FROM t WHERE x = 1;"),      // 1 dup of 0
+            ("a", "select A from T where X = 1 -- c"),  // 2 dup of 1
+            ("a", "SELECT a/*gap*/FROM t WHERE x = 1"), // 3 kept: `afrom`
+            ("a", "SELECT a FROM t WHERE x = 2"),       // 4 kept
+            ("b", "SELECT a FROM t WHERE x = 1"),       // 5 kept: other user
+            ("a", "SELECT 'it''s' FROM t"),             // 6 kept
+            ("a", "SELECT 'its' FROM t"),               // 7 kept
+            ("a", "select 'it''s' from T ;"),           // 8 dup of 6
+            ("a", "SELECT 'IT''S' FROM t"),             // 9 kept: literal case
+            ("a", "SELECT 'oops"),                      // 10 kept
+            ("a", "SELECT  'oops"),                     // 11 dup of 10
+            ("a", "SELECT 'oops'"),                     // 12 kept: terminated
+            ("a", "INSERT INTO t VALUES (1)"),          // 13 kept
         ];
-        let mut entries = Vec::new();
-        for (i, chunk) in (0..400u64).map(|i| (i, i % 3)).collect::<Vec<_>>().iter() {
-            let user = format!("u{chunk}");
-            let stmt = stmts[(*i as usize * 7) % stmts.len()];
-            entries.push(entry(*i, (*i as i64) * 137, &user, stmt));
-        }
-        let mut log = QueryLog::from_entries(entries);
-        log.sort_by_time();
+        let mut entries: Vec<LogEntry> = stmts
+            .iter()
+            .enumerate()
+            .map(|(i, (user, stmt))| entry(i as u64, i as i64 * 100, user, stmt))
+            .collect();
+        // 14: statement 0 again, long after its last occurrence (2).
+        entries.push(entry(14, 10_000, "a", stmts[0].1));
+        let log = QueryLog::from_entries(entries);
         let view = LogView::identity(&log);
-        for threshold in [Some(0u64), Some(500), Some(10_000), None] {
+        let expected: [(Option<u64>, &[u64]); 2] = [
+            (Some(1_000), &[0, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14]),
+            (None, &[0, 3, 4, 5, 6, 7, 9, 10, 12, 13]),
+        ];
+        for (threshold, survivors) in expected {
             for threads in [1usize, 4] {
-                let rec = Recorder::disabled();
-                let (on, on_stats) = dedup_view_traced(&view, threshold, threads, true, &rec, None);
-                let (off, off_stats) =
-                    dedup_view_traced(&view, threshold, threads, false, &rec, None);
-                assert_eq!(on_stats, off_stats, "threshold {threshold:?}");
-                let a: Vec<u64> = on.iter().map(|e| e.id).collect();
-                let b: Vec<u64> = off.iter().map(|e| e.id).collect();
-                assert_eq!(a, b, "threshold {threshold:?} threads {threads}");
+                let (clean, stats) = dedup_view(&view, threshold, threads);
+                let ids: Vec<u64> = clean.iter().map(|e| e.id).collect();
+                assert_eq!(ids, survivors, "threshold {threshold:?} threads {threads}");
+                assert_eq!(stats.removed, 15 - survivors.len());
             }
         }
-    }
-
-    #[test]
-    fn prefilter_counters_partition_the_input() {
-        let log = QueryLog::from_entries(vec![
-            entry(0, 0, "a", "SELECT 1"),   // fresh shape: hit
-            entry(1, 100, "a", "SELECT 1"), // repeat shape: miss (dup)
-            entry(2, 200, "a", "SELECT 2"), // same shape (literal): miss
-            entry(3, 300, "a", "SELECT x"), // fresh shape: hit
-            entry(4, 400, "b", "SELECT 1"), // other user, fresh: hit
-        ]);
-        let rec = Recorder::new();
-        let view = LogView::identity(&log);
-        let (_, stats) = dedup_view_traced(&view, Some(1_000), 1, true, &rec, None);
-        assert_eq!(stats.removed, 1);
-        let counters = rec.counters();
-        assert_eq!(counters.get("dedup.prefilter_hits"), Some(&3));
-        assert_eq!(counters.get("dedup.prefilter_misses"), Some(&2));
-    }
-
-    #[test]
-    fn low_diversity_scans_bail_out_and_still_match_the_exact_path() {
-        // Three shapes cycling over literal values: past the probe window
-        // almost every record repeats a shape, so the shard must retire its
-        // prefilter — and produce the exact path's output to the byte.
-        let n = super::PREFILTER_PROBE as usize + 500;
-        let mut entries = Vec::new();
-        for i in 0..n {
-            let stmt = match i % 3 {
-                0 => format!("SELECT a FROM t WHERE x = {}", i % 97),
-                1 => format!("SELECT b FROM u WHERE s = '{}'", i % 89),
-                _ => format!("SELECT c FROM v WHERE y = {} AND z = 0", i % 83),
-            };
-            entries.push(entry(i as u64, (i as i64) * 211, "a", &stmt));
-        }
-        let log = QueryLog::from_entries(entries);
-        let view = LogView::identity(&log);
-        let rec = Recorder::new();
-        let (on, on_stats) = dedup_view_traced(&view, Some(1_000), 1, true, &rec, None);
-        let (off, off_stats) =
-            dedup_view_traced(&view, Some(1_000), 1, false, &Recorder::disabled(), None);
-        assert_eq!(on_stats, off_stats);
-        let a: Vec<u64> = on.iter().map(|e| e.id).collect();
-        let b: Vec<u64> = off.iter().map(|e| e.id).collect();
-        assert_eq!(a, b);
-        let counters = rec.counters();
-        assert_eq!(counters.get("dedup.prefilter_bailouts"), Some(&1));
-        // Post-bailout records are exact-path, so hits + misses stay at the
-        // probe window.
-        let probed = counters["dedup.prefilter_hits"] + counters["dedup.prefilter_misses"];
-        assert_eq!(probed, super::PREFILTER_PROBE);
-    }
-
-    #[test]
-    fn diverse_scans_keep_the_prefilter_past_the_probe() {
-        // Every statement is a fresh shape — the probe must not bail out.
-        let n = super::PREFILTER_PROBE as usize + 500;
-        let mut entries = Vec::new();
-        for i in 0..n {
-            let stmt = format!("SELECT c{i} FROM t{i} WHERE x = 1");
-            entries.push(entry(i as u64, (i as i64) * 211, "a", &stmt));
-        }
-        let log = QueryLog::from_entries(entries);
-        let view = LogView::identity(&log);
-        let rec = Recorder::new();
-        let (_, stats) = dedup_view_traced(&view, Some(1_000), 1, true, &rec, None);
-        assert_eq!(stats.removed, 0);
-        let counters = rec.counters();
-        assert_eq!(
-            counters
-                .get("dedup.prefilter_bailouts")
-                .copied()
-                .unwrap_or(0),
-            0
-        );
-        assert_eq!(counters["dedup.prefilter_hits"], n as u64);
     }
 
     #[test]

@@ -203,7 +203,6 @@ impl<'a> Pipeline<'a> {
             input,
             self.config.duplicate_threshold_ms,
             resolve_threads(self.config.parallelism),
-            self.config.dedup_prefilter,
             rec,
             span.id(),
         )

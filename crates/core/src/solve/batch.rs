@@ -5,14 +5,15 @@
 //! from scratch ([`sqlog_sql::parse_statement`] per record); at paper scale
 //! that full parse dominates the solve stage. [`QueryCache`] removes it:
 //!
-//! 1. each statement is scanned allocation-free into its literal spans and a
-//!    **masked key** — an FNV-1a hash of the raw bytes with every literal
-//!    span replaced by a kind marker. Two statements share a masked key iff
-//!    they are byte-identical outside their literal spans (case, whitespace
-//!    and comments included) with the same literal kinds in the same places,
-//!    so they lex to the same token sequence modulo literal *values* and the
-//!    parser — which never branches on literal values — builds the same tree
-//!    shape with the literals in the same slots;
+//! 1. each statement is scanned by [`raw_shape_scan`] into its literal spans
+//!    and hashed into a **masked key** — an FNV-1a hash of the raw bytes with
+//!    every literal span replaced by a kind marker. Two statements share a
+//!    masked key iff they are byte-identical outside their literal spans
+//!    (case, whitespace and comments included) with the same literal kinds
+//!    in the same places, so they lex to the same token sequence modulo
+//!    literal *values* and the parser — which never branches on literal
+//!    values — builds the same tree shape with the literals in the same
+//!    slots;
 //! 2. the first statement of a shape is parsed in full and **certified**:
 //!    its own span texts are substituted back into a clone of its AST (in
 //!    [`walk_query`] order) and the result must equal the original. With
@@ -31,24 +32,23 @@
 //! escape to `'`.
 
 use sqlog_obs::Recorder;
-use sqlog_skeleton::{Fnv1a, FnvHashMap, RawLiteral, RawLiteralKind};
+use sqlog_skeleton::{
+    raw_shape_scan, Fnv1a, FnvHashMap, RawLiteral, RawLiteralKind, RAW_NUM, RAW_STR,
+};
 use sqlog_sql::ast::{Expr, Literal, Query, Select, SelectItem, Statement, TableRef};
 use sqlog_sql::parse_statement;
 use std::sync::Mutex;
 
-/// Marker byte hashed in place of a numeric literal span.
-const MASK_NUM: u8 = 0xF8;
-/// Marker byte hashed in place of a string literal span.
-const MASK_STR: u8 = 0xF9;
-
-/// Cache key: FNV-1a over the statement bytes with literal spans masked,
-/// plus the masked length and the span count (collision backstop, mirroring
-/// [`sqlog_skeleton::RawKey`]). Unlike `RawKey` this key is case- and
-/// whitespace-*sensitive*: the certified template is re-rendered with the
-/// original identifier spelling, so shapes that differ anywhere outside
-/// their literals must not share a template. Being finer than token
-/// equivalence costs at most an extra certification per spelling variant —
-/// and buys a single-pass scan ([`masked_scan`]).
+/// Cache key: FNV-1a over the statement's raw bytes with each literal span
+/// found by [`raw_shape_scan`] replaced by its kind marker ([`RAW_NUM`] /
+/// [`RAW_STR`]), plus the masked length and the span count (collision
+/// backstop, mirroring [`sqlog_skeleton::RawKey`]). Unlike `RawKey` this key
+/// is case- and whitespace-*sensitive*: the certified template is
+/// re-rendered with the original identifier spelling, so shapes that differ
+/// anywhere outside their literals must not share a template. Being finer
+/// than token equivalence costs at most an extra certification per spelling
+/// variant. The markers cannot occur in valid UTF-8, so the masked stream
+/// determines where the spans sit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MaskedKey {
     hash: u64,
@@ -56,249 +56,31 @@ struct MaskedKey {
     literals: u32,
 }
 
-/// Single-pass scanner behind [`masked_scan`]: hashes the statement bytes
-/// verbatim while detecting literal token boundaries the same way
-/// [`sqlog_skeleton::raw_shape_scan`] does.
-struct MaskScan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    hash: Fnv1a,
-    len: u32,
-}
-
-impl MaskScan<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.bytes.get(self.pos + 1).copied()
-    }
-
-    /// Hashes the current byte verbatim and advances.
-    fn take(&mut self) {
-        self.hash.update(&self.bytes[self.pos..self.pos + 1]);
-        self.len += 1;
-        self.pos += 1;
-    }
-
-    /// Hashes `[pos, end)` verbatim and advances to `end`.
-    fn take_to(&mut self, end: usize) {
-        self.hash.update(&self.bytes[self.pos..end]);
-        self.len += (end - self.pos) as u32;
-        self.pos = end;
-    }
-
-    /// Hashes a literal's marker byte (the span itself is skipped).
-    fn mask(&mut self, marker: u8) {
-        self.hash.update(&[marker]);
-        self.len += 1;
-    }
-
-    /// `'...'` string literal; records the inner span. `false` = unterminated.
-    fn scan_string(&mut self, literals: &mut Vec<RawLiteral>) -> bool {
-        self.take(); // opening quote
-        let content_start = self.pos;
-        let mut has_escape = false;
-        loop {
-            match self.peek() {
-                Some(b'\'') => {
-                    if self.peek2() == Some(b'\'') {
-                        has_escape = true;
-                        self.pos += 2;
-                    } else {
-                        literals.push(RawLiteral {
-                            start: content_start as u32,
-                            end: self.pos as u32,
-                            kind: RawLiteralKind::String { has_escape },
-                        });
-                        self.mask(MASK_STR);
-                        self.take(); // closing quote
-                        return true;
-                    }
-                }
-                Some(_) => self.pos += 1,
-                None => return false,
-            }
+impl MaskedKey {
+    /// Scans `sql` into its key, leaving its literal spans in `spans`.
+    /// `None` exactly when [`raw_shape_scan`] cannot key the statement.
+    fn of(sql: &str, spans: &mut Vec<RawLiteral>) -> Option<MaskedKey> {
+        raw_shape_scan(sql, spans)?;
+        let bytes = sql.as_bytes();
+        let mut h = Fnv1a::new();
+        let mut at = 0usize;
+        let mut masked = 0usize;
+        for span in spans.iter() {
+            h.update(&bytes[at..span.start as usize]);
+            h.update(&[match span.kind {
+                RawLiteralKind::Number => RAW_NUM,
+                RawLiteralKind::String { .. } => RAW_STR,
+            }]);
+            at = span.end as usize;
+            masked += (span.end - span.start) as usize;
         }
+        h.update(&bytes[at..]);
+        Some(MaskedKey {
+            hash: h.finish().0,
+            len: (bytes.len() - masked + spans.len()) as u32,
+            literals: spans.len() as u32,
+        })
     }
-
-    /// `"x"` / `[x]` quoted identifier: hashed verbatim, its content opens
-    /// no literal. `false` = unterminated.
-    fn scan_quoted_ident(&mut self, close: u8) -> bool {
-        self.take(); // opening quote
-        loop {
-            match self.peek() {
-                Some(b) if b == close => {
-                    self.take();
-                    return true;
-                }
-                Some(_) => self.take(),
-                None => return false,
-            }
-        }
-    }
-
-    /// `@name` / `@@global`: hashed verbatim; digits in the name are part of
-    /// the identifier, not number literals. `false` = a bare `@`.
-    fn scan_variable(&mut self) -> bool {
-        self.take(); // @
-        if self.peek() == Some(b'@') {
-            self.take();
-        }
-        let name_start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'_' || b.is_ascii_alphanumeric() {
-                self.take();
-            } else {
-                break;
-            }
-        }
-        self.pos != name_start
-    }
-
-    /// Number token (hex, decimal, trailing-dot, exponent forms — the same
-    /// boundaries as the lexer); records the span, hashes the marker.
-    fn scan_number(&mut self, literals: &mut Vec<RawLiteral>) {
-        let start = self.pos;
-        if self.peek() == Some(b'0')
-            && matches!(self.peek2(), Some(b'x') | Some(b'X'))
-            && self
-                .bytes
-                .get(self.pos + 2)
-                .is_some_and(|b| b.is_ascii_hexdigit())
-        {
-            self.pos += 2;
-            while self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
-                self.pos += 1;
-            }
-        } else {
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.peek() == Some(b'.') && self.peek2().is_none_or(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-                let mut look = self.pos + 1;
-                if matches!(self.bytes.get(look), Some(b'+') | Some(b'-')) {
-                    look += 1;
-                }
-                if self.bytes.get(look).is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos = look;
-                    while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                        self.pos += 1;
-                    }
-                }
-            }
-        }
-        literals.push(RawLiteral {
-            start: start as u32,
-            end: self.pos as u32,
-            kind: RawLiteralKind::Number,
-        });
-        self.mask(MASK_NUM);
-    }
-
-    /// Word token: consumed whole so its digits never open a number.
-    fn scan_word(&mut self) {
-        let mut end = self.pos;
-        while let Some(&b) = self.bytes.get(end) {
-            if b == b'_' || b == b'#' || b == b'$' || b.is_ascii_alphanumeric() || b >= 0x80 {
-                end += 1;
-            } else {
-                break;
-            }
-        }
-        self.take_to(end);
-    }
-}
-
-/// Scans `sql` in one pass into its [`MaskedKey`], recording literal spans
-/// into `literals` (cleared first, filled in statement order).
-///
-/// Unlike [`sqlog_skeleton::raw_shape_scan`] the stream is *not* normalized
-/// — every non-literal byte (whitespace, comments, identifier case) is
-/// hashed verbatim. The literal token boundaries are detected exactly the
-/// same way, which is the only part the cache's soundness needs; hashing
-/// finer than token equivalence merely splits spelling variants into their
-/// own shapes. Returns `None` when literal spans cannot be determined
-/// soundly (unterminated strings / block comments / quoted identifiers,
-/// a bare `@`) — those statements take the full-parse path.
-fn masked_scan(sql: &str, literals: &mut Vec<RawLiteral>) -> Option<MaskedKey> {
-    literals.clear();
-    let mut s = MaskScan {
-        bytes: sql.as_bytes(),
-        pos: 0,
-        hash: Fnv1a::new(),
-        len: 0,
-    };
-    while let Some(b) = s.peek() {
-        match b {
-            b'-' if s.peek2() == Some(b'-') => {
-                // Line comment: hashed verbatim; its bytes open no literal.
-                let nl = s.bytes[s.pos..]
-                    .iter()
-                    .position(|&c| c == b'\n')
-                    .map_or(s.bytes.len(), |i| s.pos + i + 1);
-                s.take_to(nl);
-            }
-            b'/' if s.peek2() == Some(b'*') => {
-                // Nested block comment, hashed verbatim.
-                let mut depth = 0usize;
-                loop {
-                    match s.peek() {
-                        Some(b'/') if s.peek2() == Some(b'*') => {
-                            s.take_to(s.pos + 2);
-                            depth += 1;
-                        }
-                        Some(b'*') if s.peek2() == Some(b'/') => {
-                            s.take_to(s.pos + 2);
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        Some(_) => s.take(),
-                        None => return None,
-                    }
-                }
-            }
-            b'\'' => {
-                if !s.scan_string(literals) {
-                    return None;
-                }
-            }
-            b'"' => {
-                if !s.scan_quoted_ident(b'"') {
-                    return None;
-                }
-            }
-            b'[' => {
-                if !s.scan_quoted_ident(b']') {
-                    return None;
-                }
-            }
-            b'@' => {
-                if !s.scan_variable() {
-                    return None;
-                }
-            }
-            b'0'..=b'9' => s.scan_number(literals),
-            b'.' if s.peek2().is_some_and(|c| c.is_ascii_digit()) => s.scan_number(literals),
-            b'_' | b'a'..=b'z' | b'A'..=b'Z' | b'#' => s.scan_word(),
-            _ if b >= 0x80 => s.scan_word(),
-            _ => s.take(),
-        }
-    }
-    Some(MaskedKey {
-        hash: s.hash.finish().0,
-        len: s.len,
-        literals: literals.len() as u32,
-    })
 }
 
 /// What the cache knows about one statement shape.
@@ -328,7 +110,7 @@ impl QueryCache {
     /// counter on `rec`.
     pub fn query(&self, sql: &str, rec: &Recorder) -> Option<Query> {
         let mut spans = Vec::new();
-        let Some(key) = masked_scan(sql, &mut spans) else {
+        let Some(key) = MaskedKey::of(sql, &mut spans) else {
             return parse_select(sql);
         };
         {

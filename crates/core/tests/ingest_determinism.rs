@@ -123,39 +123,35 @@ fn pipeline_outputs_from_segmented_ingest_are_byte_identical() {
 }
 
 #[test]
-fn dedup_prefilter_and_solve_batching_are_invisible_in_the_output() {
-    // The two new fast paths are pure optimizations: toggling them must not
-    // change any pipeline output.
+fn solve_batching_is_invisible_in_the_output() {
+    // Batched solving is a pure optimization: toggling it must not change
+    // any pipeline output, at any thread count.
     let log = generate(&GenConfig::with_scale(4_000, 4242));
     let catalog = skyserver_catalog();
-    let run = |prefilter: bool, batching: bool, threads: usize| {
+    let run = |batching: bool, threads: usize| {
         let cfg = PipelineConfig {
             parallelism: threads,
-            dedup_prefilter: prefilter,
             solve_batching: batching,
             ..PipelineConfig::default()
         };
         Pipeline::new(&catalog).with_config(cfg).run(&log)
     };
-    let reference = run(false, false, 1);
+    let reference = run(false, 1);
     for threads in [1usize, 8] {
-        for prefilter in [false, true] {
-            for batching in [false, true] {
-                let result = run(prefilter, batching, threads);
-                let label =
-                    format!("threads={threads}, prefilter={prefilter}, batching={batching}");
-                assert_eq!(
-                    result.stats.with_zeroed_timings(),
-                    reference.stats.with_zeroed_timings(),
-                    "stats differ: {label}"
-                );
-                assert_eq!(result.clean_log, reference.clean_log, "clean: {label}");
-                assert_eq!(
-                    result.removal_log, reference.removal_log,
-                    "removal: {label}"
-                );
-                assert_eq!(result.instances, reference.instances, "instances: {label}");
-            }
+        for batching in [false, true] {
+            let result = run(batching, threads);
+            let label = format!("threads={threads}, batching={batching}");
+            assert_eq!(
+                result.stats.with_zeroed_timings(),
+                reference.stats.with_zeroed_timings(),
+                "stats differ: {label}"
+            );
+            assert_eq!(result.clean_log, reference.clean_log, "clean: {label}");
+            assert_eq!(
+                result.removal_log, reference.removal_log,
+                "removal: {label}"
+            );
+            assert_eq!(result.instances, reference.instances, "instances: {label}");
         }
     }
 }

@@ -288,17 +288,23 @@ pub struct SegmentOutcome {
     pub physical_lines: usize,
 }
 
-/// Estimated entry capacity for a byte slice: lines counted in the first
-/// 64 KiB, extrapolated by length. Pre-sizing the entry vector this way
+/// Estimated entry capacity for a byte slice: non-blank lines counted in the
+/// first 64 KiB, extrapolated by length. Pre-sizing the entry vector this way
 /// avoids the log-scale reallocation cascade (a 1 M-entry log otherwise
-/// re-copies its entry vector ~20 times while growing).
+/// re-copies its entry vector ~20 times while growing). Blank lines produce
+/// no entries, so they do not count; and since `0\t0\t\t\t\t\t` (8 bytes)
+/// is the shortest valid entry, the estimate never exceeds
+/// `data.len() / 8 + 1` whatever the probe saw.
 fn estimate_entry_capacity(data: &[u8]) -> usize {
     let probe = &data[..data.len().min(64 * 1024)];
-    let newlines = probe.iter().filter(|&&b| b == b'\n').count();
-    if newlines == 0 {
+    let lines = probe
+        .split(|&b| b == b'\n')
+        .filter(|line| line.iter().any(|&b| b != b'\r'))
+        .count();
+    if lines == 0 {
         return usize::from(!data.is_empty());
     }
-    data.len() / (probe.len() / newlines).max(1) + 1
+    (data.len() / (probe.len() / lines).max(1) + 1).min(data.len() / 8 + 1)
 }
 
 /// Scans one in-memory segment of TSV log bytes, mirroring [`LogReader`] +
@@ -600,6 +606,36 @@ mod tests {
             read_log("0\t0\t\t\t\tbadtruth\tSELECT 1\n".as_bytes()),
             Err(IoFormatError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn entry_capacity_estimate_skips_blank_lines_and_is_bounded() {
+        // The bound's premise: the shortest valid entry is 8 bytes.
+        assert!(parse_line("0\t0\t\t\t\t\t", 1).is_ok());
+        let entries = b"0\t0\tu\t\t\t\tSELECT 1\n".repeat(10_000);
+        // A blank-line prefix filling the probe predicts no entries.
+        let mut blank_prefixed = b"\n".repeat(64 * 1024);
+        blank_prefixed.extend_from_slice(&entries);
+        assert_eq!(estimate_entry_capacity(&blank_prefixed), 1);
+        // Blank and CR-only lines inside the probe are not counted: the
+        // estimate tracks the 10k entries (rounding inflates it a little),
+        // not the 30k physical lines.
+        let mut mixed = Vec::new();
+        for _ in 0..10_000 {
+            mixed.extend_from_slice(b"\n\r\n0\t0\tu\t\t\t\tSELECT 1\r\n");
+        }
+        let estimate = estimate_entry_capacity(&mixed);
+        assert!((10_000..=11_000).contains(&estimate), "{estimate}");
+        // Tiny non-entry lines cannot push the estimate past the bound.
+        for data in [
+            b"x\n".repeat(100_000),
+            b"\r\n".repeat(5),
+            entries,
+            Vec::new(),
+        ] {
+            assert!(estimate_entry_capacity(&data) <= data.len() / 8 + 1);
+        }
+        assert_eq!(estimate_entry_capacity(&b"x\n".repeat(100_000)), 25_001);
     }
 
     #[test]

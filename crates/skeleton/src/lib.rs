@@ -30,11 +30,11 @@ pub mod skeleton;
 pub mod template;
 
 pub use fingerprint::{Fingerprint, Fnv1a, FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
-pub use normalize::{dedup_shape_scan, normalize_sql_text, text_fingerprint};
+pub use normalize::{normalize_sql_text, text_fingerprint};
 pub use predicate::{
     base_tables, primary_table, OutputColumns, PredicateKind, PredicateProfile, Theta, ValueKind,
 };
-pub use rawkey::{raw_shape_scan, RawKey, RawLiteral, RawLiteralKind};
+pub use rawkey::{raw_shape_scan, RawKey, RawLiteral, RawLiteralKind, RAW_NUM, RAW_STR};
 pub use skeleton::{
     render_from_clause, render_query, render_select_clause, render_tail, render_where_clause, Mode,
 };

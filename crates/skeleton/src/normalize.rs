@@ -8,50 +8,34 @@
 //! change to a constant does not.
 //!
 //! The normalization pass is written once, as a streaming scanner
-//! ([`normalize_scan`]) that feeds a [`NormSink`], and every consumer is a
-//! sink over the same byte stream:
+//! ([`normalize_scan`]) that feeds a [`NormSink`]; it is the *definition* of
+//! the duplicate identity and nothing else scans statements this way:
 //!
-//! * [`normalize_sql_text`] collects the stream into a `String` (the
-//!   historical API, still the reference semantics),
-//! * [`text_fingerprint`] hashes the stream directly — no intermediate
-//!   `String`, which matters when dedup fingerprints millions of entries,
-//! * [`dedup_shape_scan`] collapses literals to placeholders while hashing,
-//!   producing the shape key the dedup prefilter buckets on.
+//! * [`normalize_sql_text`] collects the stream into a `String` — the
+//!   reference semantics, which the property tests hold the fingerprint
+//!   to;
+//! * [`text_fingerprint`] hashes the stream directly, with no intermediate
+//!   `String`; its caller is the §5.2 dedup scan in `sqlog-core`, which
+//!   fingerprints every entry.
 //!
-//! Because the shape sink consumes only the *normalized* stream, the shape
-//! key factors through `normalize_sql_text` by construction: two statements
-//! with equal normalized text always get equal shape keys, so bucketing by
-//! shape can never separate true duplicates. (The lexer-mirroring
-//! [`crate::rawkey::raw_shape_scan`] key does *not* have this property — it
-//! keeps trailing semicolons, treats comments as token separators and block
-//! comments as nested, all places where the lexer and the duplicate
-//! definition disagree — which is why dedup buckets on this scan instead.)
+//! The one lexer-mirroring literal scanner is
+//! [`crate::rawkey::raw_shape_scan`] (parse cache and solver batching). It
+//! is deliberately *not* used for dedup: it keeps trailing semicolons,
+//! treats comments as token separators and block comments as nested — all
+//! places where the lexer and the duplicate definition disagree.
 
 use crate::fingerprint::{Fingerprint, Fnv1a};
-use crate::rawkey::RawKey;
-
-/// Byte emitted in place of a number literal in the dedup shape stream
-/// (same placeholder value as the rawkey scanner uses; both are outside the
-/// UTF-8 continuation range so they cannot collide with real text).
-const SHAPE_NUM: u8 = 0xF8;
-/// Byte emitted in place of a string literal in the dedup shape stream.
-const SHAPE_STR: u8 = 0xF9;
 
 /// Receives the normalized byte stream from [`normalize_scan`].
 ///
 /// `byte` is called once per normalized output byte, in order, with the
 /// trailing `;`/space run already trimmed. `str_lit` is called once per
 /// single-quoted literal with its verbatim text (including quotes; an
-/// unterminated literal arrives without its trailing trimmed run); the
-/// default forwards it byte-by-byte, which reproduces the plain text stream.
+/// unterminated literal arrives without its trailing trimmed run).
 trait NormSink {
     fn byte(&mut self, b: u8);
 
-    fn str_lit(&mut self, raw: &str) {
-        for &b in raw.as_bytes() {
-            self.byte(b);
-        }
-    }
+    fn str_lit(&mut self, raw: &str);
 }
 
 /// Deferred run of trailing-trimmable bytes (only ever `' '` and `';'`).
@@ -87,10 +71,6 @@ impl Tail {
         }
         self.len = 0;
         self.spill.clear();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0 && self.spill.is_empty()
     }
 }
 
@@ -226,8 +206,8 @@ fn normalize_scan(sql: &str, sink: &mut impl NormSink) {
             }
         }
     }
-    // Whatever is still deferred is the trailing `;`/space run: dropped.
-    let _ = tail.is_empty();
+    // Whatever is still deferred in `tail` is the trailing `;`/space run:
+    // dropped.
 }
 
 struct StringSink {
@@ -285,155 +265,6 @@ pub fn text_fingerprint(sql: &str) -> Fingerprint {
     let mut sink = FnvSink { h: Fnv1a::new() };
     normalize_scan(sql, &mut sink);
     sink.h.finish()
-}
-
-/// Shape sink: hashes the normalized stream with literals collapsed.
-///
-/// The sink re-tokenizes literals from the normalized *byte stream* itself —
-/// including its own string-literal state machine — rather than reusing the
-/// scanner's tokenization events. That distinction is load-bearing: the
-/// normalized text of `''/*x*/''` is `''''`, which re-tokenizes as a single
-/// string literal even though the raw text held two, so any shape computed
-/// from raw-text token boundaries would split that normalize-equal pair.
-/// Consuming only normalized bytes makes the key a pure function of the
-/// normalized text, which (with text-level idempotence of normalization)
-/// gives the soundness property the dedup prefilter needs.
-///
-/// Number tokens are recognized the same way (a digit not continuing a word
-/// opens a number; digits, hex letters, `.`/`x`/`e` continuations and
-/// exponent signs extend it) and collapse to [`SHAPE_NUM`]; string literals
-/// collapse to [`SHAPE_STR`].
-struct ShapeSink {
-    h: u64,
-    len: u32,
-    literals: u32,
-    /// Previous hashed byte continued a word (identifier characters and
-    /// multi-byte text), so a following digit does not open a number token.
-    word: bool,
-    /// Inside a number token; holds the previous swallowed byte so exponent
-    /// signs (`1e+5`) are only consumed right after `e`/`E`.
-    num_last: Option<u8>,
-    /// String-literal state over the normalized stream.
-    str_mode: StrMode,
-}
-
-#[derive(PartialEq)]
-enum StrMode {
-    /// Outside any string literal.
-    Plain,
-    /// Inside a string literal (its placeholder already hashed).
-    InStr,
-    /// Saw a quote inside a literal; the next byte decides `''` escape
-    /// (stay inside) vs. close (re-process the byte as plain text).
-    Quote,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl ShapeSink {
-    fn new() -> Self {
-        ShapeSink {
-            h: FNV_OFFSET,
-            len: 0,
-            literals: 0,
-            word: false,
-            num_last: None,
-            str_mode: StrMode::Plain,
-        }
-    }
-
-    fn hash(&mut self, b: u8) {
-        self.h ^= u64::from(b);
-        self.h = self.h.wrapping_mul(FNV_PRIME);
-        self.len = self.len.saturating_add(1);
-    }
-
-    fn key(&self) -> RawKey {
-        RawKey {
-            hash: self.h,
-            len: self.len,
-            literals: self.literals,
-        }
-    }
-
-    fn continues_number(last: u8, b: u8) -> bool {
-        match b {
-            b'0'..=b'9' | b'.' => true,
-            b'a'..=b'f' | b'A'..=b'F' | b'x' | b'X' => true,
-            b'+' | b'-' => matches!(last, b'e' | b'E'),
-            _ => false,
-        }
-    }
-}
-
-impl NormSink for ShapeSink {
-    fn byte(&mut self, b: u8) {
-        match self.str_mode {
-            StrMode::InStr => {
-                if b == b'\'' {
-                    self.str_mode = StrMode::Quote;
-                }
-                return;
-            }
-            StrMode::Quote => {
-                if b == b'\'' {
-                    // '' escape: still inside the literal.
-                    self.str_mode = StrMode::InStr;
-                    return;
-                }
-                // The previous quote closed the literal; fall through and
-                // process this byte as plain text.
-                self.str_mode = StrMode::Plain;
-            }
-            StrMode::Plain => {}
-        }
-        if let Some(last) = self.num_last {
-            if Self::continues_number(last, b) {
-                self.num_last = Some(b);
-                return;
-            }
-            self.num_last = None;
-        }
-        if b == b'\'' {
-            self.literals = self.literals.saturating_add(1);
-            self.hash(SHAPE_STR);
-            self.word = false;
-            self.str_mode = StrMode::InStr;
-            return;
-        }
-        if b.is_ascii_digit() && !self.word {
-            self.num_last = Some(b);
-            self.literals = self.literals.saturating_add(1);
-            self.hash(SHAPE_NUM);
-            self.word = true;
-            return;
-        }
-        self.hash(b);
-        self.word = b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80;
-    }
-}
-
-/// The dedup prefilter's shape key: the normalized text with literals
-/// collapsed to placeholders, hashed allocation-free in one pass.
-///
-/// Guarantee (the prefilter's soundness argument): the scan is a
-/// deterministic function of the [`normalize_sql_text`] output stream, and
-/// normalization is idempotent, so
-///
-/// ```text
-/// normalize(a) == normalize(b)  ⇒  dedup_shape_scan(a) == dedup_shape_scan(b)
-/// ```
-///
-/// for *all* inputs — including trailing semicolons, comment-glued tokens,
-/// unterminated strings/comments and other hostile shapes. The converse does
-/// not hold (two statements differing only in literal values share a key);
-/// the prefilter resolves such collisions with full fingerprints, so a
-/// coarser key costs time, never correctness.
-pub fn dedup_shape_scan(sql: &str) -> RawKey {
-    let mut sink = ShapeSink::new();
-    normalize_scan(sql, &mut sink);
-    sink.key()
 }
 
 #[cfg(test)]
@@ -532,84 +363,5 @@ mod tests {
                 "fingerprint mismatch for {sql:?}"
             );
         }
-    }
-
-    /// Equal normalized text must imply equal shape keys (the prefilter
-    /// soundness direction), exercised on the adversarial pairs where the
-    /// lexer-mirroring rawkey scan would disagree.
-    #[test]
-    fn shape_key_is_sound_on_normalize_equal_pairs() {
-        let pairs = [
-            ("SELECT 1;", "SELECT 1"),
-            ("SELECT 1;--comment", "SELECT 1"),
-            ("SELECT 1 ; ; ", "SELECT 1"),
-            ("a/*c*/b", "ab"),
-            ("a--c\nb", "a b"),
-            ("SELECT 1 /* x /* y */ z */", "SELECT 1 z */"),
-            ("[A  B]", "[a b]"),
-            ("SELECT A FROM T", "select a from t"),
-            ("/* unterminated", ""),
-            ("x 'abc ", "x 'abc"),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(
-                normalize_sql_text(a),
-                normalize_sql_text(b),
-                "test pair is not normalize-equal: {a:?} vs {b:?}"
-            );
-            assert_eq!(
-                dedup_shape_scan(a),
-                dedup_shape_scan(b),
-                "shape key split a normalize-equal pair: {a:?} vs {b:?}"
-            );
-        }
-    }
-
-    /// The shape scan factors through normalization (idempotence makes the
-    /// general soundness property testable one input at a time).
-    #[test]
-    fn shape_key_is_invariant_under_normalization() {
-        let cases = [
-            "SELECT name FROM Employee WHERE empId = 8;",
-            "select COUNT(*) from t where x = 0x1F and y = 1.5e-3",
-            "SELECT 'It''s  HERE' FROM t /* c */ ;",
-            "INSERT INTO t VALUES (1, 'a'), (2, 'b')",
-            "'unterminated with ; inside",
-            "@x = @y",
-            "¡SELECT α FROM t! WHERE n = 42",
-        ];
-        for sql in cases {
-            assert_eq!(
-                dedup_shape_scan(sql),
-                dedup_shape_scan(&normalize_sql_text(sql)),
-                "shape not normalize-invariant for {sql:?}"
-            );
-        }
-    }
-
-    /// Literal values must not reach the shape hash (that selectivity is
-    /// resolved by full fingerprints inside a bucket), while shape-changing
-    /// edits must change the key.
-    #[test]
-    fn shape_key_collapses_literals_only() {
-        let k = |s| dedup_shape_scan(s);
-        assert_eq!(
-            k("SELECT a FROM t WHERE x = 1"),
-            k("SELECT a FROM t WHERE x = 29941")
-        );
-        assert_eq!(
-            k("SELECT a FROM t WHERE s = 'abc'"),
-            k("SELECT a FROM t WHERE s = 'zzzzzz'")
-        );
-        assert_ne!(
-            k("SELECT a FROM t WHERE x = 1"),
-            k("SELECT b FROM t WHERE x = 1")
-        );
-        assert_ne!(
-            k("SELECT a FROM t WHERE x = 1"),
-            k("SELECT a FROM t WHERE x = 'one'")
-        );
-        // Word-glued digits are part of the identifier, not a literal.
-        assert_ne!(k("SELECT a1 FROM t"), k("SELECT a2 FROM t"));
     }
 }

@@ -1,4 +1,17 @@
-//! Raw shape keys: the Level-1 parse-cache key.
+//! Raw shape keys: the one lexer-mirroring literal scanner.
+//!
+//! [`raw_shape_scan`] has two callers in `sqlog-core`, and both trust its
+//! literal spans:
+//!
+//! * the parse cache (`parse_cache::ShapeCache`) uses the [`RawKey`] as its
+//!   Level-1 key and re-extracts literal-dependent facts from the spans;
+//! * solver batching (`solve::batch::QueryCache`) hashes the raw bytes
+//!   *between* the spans into a case- and whitespace-sensitive key and
+//!   substitutes the span texts into a certified template.
+//!
+//! The conformance harness's metamorphic checks use it to find literals to
+//! perturb. Dedup does not: duplicate identity is defined by
+//! [`crate::normalize`], whose scan differs from the lexer on purpose.
 //!
 //! [`raw_shape_scan`] makes one allocation-free pass over a statement's raw
 //! bytes and produces a [`RawKey`]: an FNV-1a hash of the *normalized byte
