@@ -16,9 +16,14 @@
 //! Each checkpoint file is written atomically (temp file + fsync + rename,
 //! see [`sqlog_log::atomic`]) and carries a header line with the payload's
 //! byte length and FNV-1a hash — a torn or tampered write is always
-//! detectable, never silently half-loaded. The payload is explicit JSON
-//! (the vendored serde is a no-op stand-in), with the ingested/clean/
-//! removal logs embedded in their TSV wire form.
+//! detectable, never silently half-loaded. The header is one JSON line;
+//! the payload (schema 2) is binary, encoded straight from the stage's
+//! structs and decoded straight from the file bytes: LEB128 varints,
+//! length-prefixed UTF-8 strings, one-byte tags for the enums, and the
+//! ingested/clean/removal logs embedded as length-prefixed TSV wire bytes
+//! (read back by the one log parser, `read_log`). The decoder never panics
+//! on any bytes: it bounds every length by the bytes left, rejects unknown
+//! tags and trailing bytes, and checks every index against its target.
 //!
 //! `sqlog-clean --resume DIR` validates the manifest against the current
 //! config and input — refusing with a precise diagnostic on mismatch —
@@ -50,7 +55,6 @@ use sqlog_skeleton::{
     ValueKind,
 };
 use sqlog_sql::StatementKind;
-use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -58,7 +62,7 @@ use std::time::Instant;
 /// Version written into every manifest.
 pub const MANIFEST_SCHEMA: u64 = 1;
 /// Version written into every checkpoint header.
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// The checkpointable pipeline stages, in execution order.
 ///
@@ -389,18 +393,12 @@ pub fn hash_file(path: &Path) -> Result<(u64, u64), String> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON helpers (the vendored serde is a no-op; serialization is explicit,
-// in the style of `run_report`).
+// JSON helpers for the manifest and the checkpoint header (the vendored
+// serde is a no-op; serialization is explicit, in the style of `run_report`).
 
 fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn get_usize(v: &Json, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Json::as_usize)
         .ok_or_else(|| format!("missing or non-integer {key:?}"))
 }
 
@@ -416,73 +414,223 @@ fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("missing or non-boolean {key:?}"))
 }
 
-fn get_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array {key:?}"))
+// ---------------------------------------------------------------------------
+// Binary payload codec: LEB128 varints, length-prefixed byte strings and
+// UTF-8 strings, one-byte enum tags. Stage outputs are encoded straight
+// into one buffer and decoded straight from the file bytes.
+
+/// Payload writer.
+#[derive(Default)]
+struct Enc(Vec<u8>);
+
+impl Enc {
+    fn u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.0.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.0.push(v as u8);
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    fn tag(&mut self, t: u8) {
+        self.0.push(t);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.tag(u8::from(b));
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        self.usize(b.len());
+        self.0.extend_from_slice(b);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+
+    fn seq<I: IntoIterator>(&mut self, items: I, mut f: impl FnMut(&mut Enc, I::Item))
+    where
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.usize(items.len());
+        for x in items {
+            f(self, x);
+        }
+    }
+
+    fn ids(&mut self, ids: &[TemplateId]) {
+        self.seq(ids, |e, t| e.u64(t.0.into()));
+    }
+
+    /// A log in its TSV wire form, length-prefixed.
+    fn log(&mut self, log: &QueryLog) {
+        let mut tsv = Vec::new();
+        write_log(log, &mut tsv).expect("serialize log to memory");
+        self.bytes(&tsv);
+    }
 }
 
-fn u(v: usize) -> Json {
-    Json::U64(v as u64)
+/// Payload reader over the unread rest of the buffer. Never panics: every
+/// read is bounds-checked, every sequence length is bounded by the bytes
+/// left (each element takes at least one) before anything is allocated.
+struct Dec<'a>(&'a [u8]);
+
+impl<'a> Dec<'a> {
+    fn byte(&mut self) -> Result<u8, String> {
+        let (&b, rest) = self.0.split_first().ok_or("payload truncated")?;
+        self.0 = rest;
+        Ok(b)
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            let bits = u64::from(b & 0x7f);
+            if shift == 63 && bits > 1 {
+                return Err("varint overflows u64".to_string());
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err("varint longer than 10 bytes".to_string())
+    }
+
+    fn usize(&mut self) -> Result<usize, String> {
+        usize::try_from(self.u64()?).map_err(|_| "count exceeds usize".to_string())
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        u32::try_from(self.u64()?).map_err(|_| "non-u32 value".to_string())
+    }
+
+    /// An index that must be below `bound`.
+    fn index<T: TryFrom<u64>>(&mut self, bound: usize, what: &str) -> Result<T, String> {
+        let i = self.u64()?;
+        if i >= bound as u64 {
+            return Err(format!("{what} index {i} out of bounds (< {bound})"));
+        }
+        T::try_from(i).map_err(|_| format!("{what} index {i} out of range"))
+    }
+
+    fn ids(&mut self, n_templates: usize, what: &str) -> Result<Vec<TemplateId>, String> {
+        self.seq(|d| d.index(n_templates, what).map(TemplateId))
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        match self.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(format!("unknown boolean tag {t}")),
+        }
+    }
+
+    /// A sequence length, bounded by the bytes left.
+    fn len(&mut self) -> Result<usize, String> {
+        let n = self.u64()?;
+        if n > self.0.len() as u64 {
+            return Err(format!(
+                "length {n} exceeds the {} payload bytes left",
+                self.0.len()
+            ));
+        }
+        Ok(n as usize)
+    }
+
+    fn bytes(&mut self) -> Result<&'a [u8], String> {
+        let n = self.len()?;
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        std::str::from_utf8(self.bytes()?)
+            .map(str::to_string)
+            .map_err(|_| "string is not UTF-8".to_string())
+    }
+
+    fn seq<T>(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let n = self.len()?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(f(self)?);
+        }
+        Ok(v)
+    }
+
+    fn log(&mut self, what: &str) -> Result<QueryLog, String> {
+        read_log(self.bytes()?).map_err(|e| format!("{what}: embedded log: {e}"))
+    }
 }
 
-fn u32s(v: &[Json], what: &str) -> Result<Vec<u32>, String> {
-    v.iter()
-        .map(|x| {
-            x.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("{what}: non-u32 element"))
-        })
-        .collect()
+/// Wire tags of the fieldless enums: a variant's tag is its table index.
+const THETAS: [Theta; 6] = [
+    Theta::Eq,
+    Theta::NotEq,
+    Theta::Lt,
+    Theta::LtEq,
+    Theta::Gt,
+    Theta::GtEq,
+];
+const KINDS: [StatementKind; 6] = [
+    StatementKind::Insert,
+    StatementKind::Update,
+    StatementKind::Delete,
+    StatementKind::Ddl,
+    StatementKind::Exec,
+    StatementKind::Other,
+];
+
+fn tag_of<T: PartialEq>(table: &[T], v: &T) -> u8 {
+    table
+        .iter()
+        .position(|x| x == v)
+        .expect("every variant has a tag") as u8
 }
 
-fn usizes(v: &[Json], what: &str) -> Result<Vec<usize>, String> {
-    v.iter()
-        .map(|x| {
-            x.as_usize()
-                .ok_or_else(|| format!("{what}: non-integer element"))
-        })
-        .collect()
-}
-
-fn log_to_json(log: &QueryLog) -> Json {
-    let mut bytes = Vec::new();
-    write_log(log, &mut bytes).expect("serialize log to memory");
-    Json::Str(String::from_utf8(bytes).expect("TSV log text is UTF-8"))
-}
-
-fn log_from_json(v: &Json, key: &str) -> Result<QueryLog, String> {
-    let text = get_str(v, key)?;
-    read_log(text.as_bytes()).map_err(|e| format!("{key}: embedded log: {e}"))
+fn from_tag<T: Copy>(table: &[T], d: &mut Dec<'_>, what: &str) -> Result<T, String> {
+    let t = d.byte()?;
+    table
+        .get(usize::from(t))
+        .copied()
+        .ok_or_else(|| format!("unknown {what} tag {t}"))
 }
 
 // --- stage payloads --------------------------------------------------------
 
-fn ingest_to_json(log: &QueryLog, stats: &IngestStats) -> Json {
-    Json::obj(vec![
-        ("log", log_to_json(log)),
-        (
-            "stats",
-            Json::obj(vec![
-                ("lines", u(stats.lines)),
-                ("entries", u(stats.entries)),
-                ("quarantined", u(stats.quarantined)),
-                ("malformed", u(stats.malformed)),
-                ("invalid_utf8", u(stats.invalid_utf8)),
-            ]),
-        ),
-    ])
+fn encode_ingest(e: &mut Enc, (log, stats): &(QueryLog, IngestStats)) {
+    e.log(log);
+    for n in [
+        stats.lines,
+        stats.entries,
+        stats.quarantined,
+        stats.malformed,
+        stats.invalid_utf8,
+    ] {
+        e.usize(n);
+    }
 }
 
-fn ingest_from_json(v: &Json) -> Result<(QueryLog, IngestStats), String> {
-    let log = log_from_json(v, "log")?;
-    let s = v.get("stats").ok_or("missing \"stats\"")?;
+fn decode_ingest(d: &mut Dec<'_>) -> Result<(QueryLog, IngestStats), String> {
+    let log = d.log("log")?;
     let stats = IngestStats {
-        lines: get_usize(s, "lines")?,
-        entries: get_usize(s, "entries")?,
-        quarantined: get_usize(s, "quarantined")?,
-        malformed: get_usize(s, "malformed")?,
-        invalid_utf8: get_usize(s, "invalid_utf8")?,
+        lines: d.usize()?,
+        entries: d.usize()?,
+        quarantined: d.usize()?,
+        malformed: d.usize()?,
+        invalid_utf8: d.usize()?,
     };
     if stats.entries != log.len() {
         return Err(format!(
@@ -494,39 +642,27 @@ fn ingest_from_json(v: &Json) -> Result<(QueryLog, IngestStats), String> {
     Ok((log, stats))
 }
 
-fn dedup_to_json(kept: &[u32], stats: &DedupStats) -> Json {
-    Json::obj(vec![
-        (
-            "kept",
-            Json::Arr(kept.iter().map(|&i| Json::U64(i as u64)).collect()),
-        ),
-        (
-            "stats",
-            Json::obj(vec![
-                ("input", u(stats.input)),
-                ("removed", u(stats.removed)),
-                ("kept", u(stats.kept)),
-                ("poison", u(stats.poison)),
-                ("degraded_shards", u(stats.degraded_shards)),
-            ]),
-        ),
-    ])
+fn encode_dedup(e: &mut Enc, (kept, stats): &(Vec<u32>, DedupStats)) {
+    e.seq(kept, |e, &i| e.u64(i.into()));
+    for n in [
+        stats.input,
+        stats.removed,
+        stats.kept,
+        stats.poison,
+        stats.degraded_shards,
+    ] {
+        e.usize(n);
+    }
 }
 
-fn dedup_from_json(v: &Json, log_len: usize) -> Result<(Vec<u32>, DedupStats), String> {
-    let kept = u32s(get_arr(v, "kept")?, "kept")?;
-    if let Some(&bad) = kept.iter().find(|&&i| i as usize >= log_len) {
-        return Err(format!(
-            "kept index {bad} out of bounds for a {log_len}-entry log"
-        ));
-    }
-    let s = v.get("stats").ok_or("missing \"stats\"")?;
+fn decode_dedup(d: &mut Dec<'_>, log_len: usize) -> Result<(Vec<u32>, DedupStats), String> {
+    let kept = d.seq(|d| d.index(log_len, "kept"))?;
     let stats = DedupStats {
-        input: get_usize(s, "input")?,
-        removed: get_usize(s, "removed")?,
-        kept: get_usize(s, "kept")?,
-        poison: get_usize(s, "poison")?,
-        degraded_shards: get_usize(s, "degraded_shards")?,
+        input: d.usize()?,
+        removed: d.usize()?,
+        kept: d.usize()?,
+        poison: d.usize()?,
+        degraded_shards: d.usize()?,
     };
     if stats.kept != kept.len() {
         return Err("kept count disagrees with index vector".to_string());
@@ -534,298 +670,208 @@ fn dedup_from_json(v: &Json, log_len: usize) -> Result<(Vec<u32>, DedupStats), S
     Ok((kept, stats))
 }
 
-fn theta_name(t: Theta) -> &'static str {
-    match t {
-        Theta::Eq => "eq",
-        Theta::NotEq => "ne",
-        Theta::Lt => "lt",
-        Theta::LtEq => "le",
-        Theta::Gt => "gt",
-        Theta::GtEq => "ge",
+fn encode_value(e: &mut Enc, v: &ValueKind) {
+    match v {
+        ValueKind::Number(s) => {
+            e.tag(0);
+            e.str(s);
+        }
+        ValueKind::String(s) => {
+            e.tag(1);
+            e.str(s);
+        }
+        ValueKind::Null => e.tag(2),
+        ValueKind::Bool(b) => {
+            e.tag(3);
+            e.bool(*b);
+        }
+        ValueKind::Variable(s) => {
+            e.tag(4);
+            e.str(s);
+        }
+        ValueKind::Column(s) => {
+            e.tag(5);
+            e.str(s);
+        }
+        ValueKind::Complex => e.tag(6),
     }
 }
 
-fn theta_from_name(s: &str) -> Result<Theta, String> {
-    Ok(match s {
-        "eq" => Theta::Eq,
-        "ne" => Theta::NotEq,
-        "lt" => Theta::Lt,
-        "le" => Theta::LtEq,
-        "gt" => Theta::Gt,
-        "ge" => Theta::GtEq,
-        other => return Err(format!("unknown theta {other:?}")),
+fn decode_value(d: &mut Dec<'_>) -> Result<ValueKind, String> {
+    Ok(match d.byte()? {
+        0 => ValueKind::Number(d.string()?),
+        1 => ValueKind::String(d.string()?),
+        2 => ValueKind::Null,
+        3 => ValueKind::Bool(d.bool()?),
+        4 => ValueKind::Variable(d.string()?),
+        5 => ValueKind::Column(d.string()?),
+        6 => ValueKind::Complex,
+        t => return Err(format!("unknown value kind tag {t}")),
     })
 }
 
-fn value_to_json(v: &ValueKind) -> Json {
-    let (tag, val) = match v {
-        ValueKind::Number(s) => ("num", Some(Json::Str(s.clone()))),
-        ValueKind::String(s) => ("str", Some(Json::Str(s.clone()))),
-        ValueKind::Null => ("null", None),
-        ValueKind::Bool(b) => ("bool", Some(Json::Bool(*b))),
-        ValueKind::Variable(s) => ("var", Some(Json::Str(s.clone()))),
-        ValueKind::Column(s) => ("col", Some(Json::Str(s.clone()))),
-        ValueKind::Complex => ("complex", None),
-    };
-    let mut pairs = vec![("t", Json::Str(tag.to_string()))];
-    if let Some(val) = val {
-        pairs.push(("v", val));
-    }
-    Json::obj(pairs)
-}
-
-fn value_from_json(v: &Json) -> Result<ValueKind, String> {
-    let sv = |v: &Json| -> Result<String, String> { Ok(get_str(v, "v")?.to_string()) };
-    Ok(match get_str(v, "t")? {
-        "num" => ValueKind::Number(sv(v)?),
-        "str" => ValueKind::String(sv(v)?),
-        "null" => ValueKind::Null,
-        "bool" => ValueKind::Bool(get_bool(v, "v")?),
-        "var" => ValueKind::Variable(sv(v)?),
-        "col" => ValueKind::Column(sv(v)?),
-        "complex" => ValueKind::Complex,
-        other => return Err(format!("unknown value kind {other:?}")),
-    })
-}
-
-fn predicate_to_json(p: &PredicateKind) -> Json {
+fn encode_predicate(e: &mut Enc, p: &PredicateKind) {
     match p {
         PredicateKind::Comparison {
             column,
             theta,
             value,
-        } => Json::obj(vec![
-            ("t", Json::Str("cmp".into())),
-            ("column", Json::Str(column.clone())),
-            ("theta", Json::Str(theta_name(*theta).into())),
-            ("value", value_to_json(value)),
-        ]),
+        } => {
+            e.tag(0);
+            e.str(column);
+            e.tag(tag_of(&THETAS, theta));
+            encode_value(e, value);
+        }
         PredicateKind::Between {
             column,
             low,
             high,
             negated,
-        } => Json::obj(vec![
-            ("t", Json::Str("between".into())),
-            ("column", Json::Str(column.clone())),
-            ("low", value_to_json(low)),
-            ("high", value_to_json(high)),
-            ("negated", Json::Bool(*negated)),
-        ]),
+        } => {
+            e.tag(1);
+            e.str(column);
+            encode_value(e, low);
+            encode_value(e, high);
+            e.bool(*negated);
+        }
         PredicateKind::InList {
             column,
             values,
             negated,
-        } => Json::obj(vec![
-            ("t", Json::Str("in".into())),
-            ("column", Json::Str(column.clone())),
-            (
-                "values",
-                Json::Arr(values.iter().map(value_to_json).collect()),
-            ),
-            ("negated", Json::Bool(*negated)),
-        ]),
-        PredicateKind::IsNull { column, negated } => Json::obj(vec![
-            ("t", Json::Str("isnull".into())),
-            ("column", Json::Str(column.clone())),
-            ("negated", Json::Bool(*negated)),
-        ]),
+        } => {
+            e.tag(2);
+            e.str(column);
+            e.seq(values, encode_value);
+            e.bool(*negated);
+        }
+        PredicateKind::IsNull { column, negated } => {
+            e.tag(3);
+            e.str(column);
+            e.bool(*negated);
+        }
         PredicateKind::Like {
             column,
             pattern,
             negated,
-        } => Json::obj(vec![
-            ("t", Json::Str("like".into())),
-            ("column", Json::Str(column.clone())),
-            ("pattern", value_to_json(pattern)),
-            ("negated", Json::Bool(*negated)),
-        ]),
-        PredicateKind::Other => Json::obj(vec![("t", Json::Str("other".into()))]),
+        } => {
+            e.tag(4);
+            e.str(column);
+            encode_value(e, pattern);
+            e.bool(*negated);
+        }
+        PredicateKind::Other => e.tag(5),
     }
 }
 
-fn predicate_from_json(v: &Json) -> Result<PredicateKind, String> {
-    let col = |v: &Json| -> Result<String, String> { Ok(get_str(v, "column")?.to_string()) };
-    Ok(match get_str(v, "t")? {
-        "cmp" => PredicateKind::Comparison {
-            column: col(v)?,
-            theta: theta_from_name(get_str(v, "theta")?)?,
-            value: value_from_json(v.get("value").ok_or("missing \"value\"")?)?,
+fn decode_predicate(d: &mut Dec<'_>) -> Result<PredicateKind, String> {
+    Ok(match d.byte()? {
+        0 => PredicateKind::Comparison {
+            column: d.string()?,
+            theta: from_tag(&THETAS, d, "theta")?,
+            value: decode_value(d)?,
         },
-        "between" => PredicateKind::Between {
-            column: col(v)?,
-            low: value_from_json(v.get("low").ok_or("missing \"low\"")?)?,
-            high: value_from_json(v.get("high").ok_or("missing \"high\"")?)?,
-            negated: get_bool(v, "negated")?,
+        1 => PredicateKind::Between {
+            column: d.string()?,
+            low: decode_value(d)?,
+            high: decode_value(d)?,
+            negated: d.bool()?,
         },
-        "in" => PredicateKind::InList {
-            column: col(v)?,
-            values: get_arr(v, "values")?
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<_, _>>()?,
-            negated: get_bool(v, "negated")?,
+        2 => PredicateKind::InList {
+            column: d.string()?,
+            values: d.seq(decode_value)?,
+            negated: d.bool()?,
         },
-        "isnull" => PredicateKind::IsNull {
-            column: col(v)?,
-            negated: get_bool(v, "negated")?,
+        3 => PredicateKind::IsNull {
+            column: d.string()?,
+            negated: d.bool()?,
         },
-        "like" => PredicateKind::Like {
-            column: col(v)?,
-            pattern: value_from_json(v.get("pattern").ok_or("missing \"pattern\"")?)?,
-            negated: get_bool(v, "negated")?,
+        4 => PredicateKind::Like {
+            column: d.string()?,
+            pattern: decode_value(d)?,
+            negated: d.bool()?,
         },
-        "other" => PredicateKind::Other,
-        other => return Err(format!("unknown predicate kind {other:?}")),
+        5 => PredicateKind::Other,
+        t => return Err(format!("unknown predicate kind tag {t}")),
     })
 }
 
-fn template_to_json(t: &QueryTemplate) -> Json {
-    Json::obj(vec![
-        ("ssc", Json::Str(t.ssc.clone())),
-        ("sfc", Json::Str(t.sfc.clone())),
-        ("swc", Json::Str(t.swc.clone())),
-        ("sc", Json::Str(t.sc.clone())),
-        ("fc", Json::Str(t.fc.clone())),
-        ("wc", Json::Str(t.wc.clone())),
-        ("tail", Json::Str(t.tail.clone())),
-        ("full", Json::Str(t.full.clone())),
-        ("fingerprint", Json::U64(t.fingerprint.0)),
-        ("triple_fingerprint", Json::U64(t.triple_fingerprint.0)),
-    ])
+fn encode_template(e: &mut Enc, t: &QueryTemplate) {
+    for s in [
+        &t.ssc, &t.sfc, &t.swc, &t.sc, &t.fc, &t.wc, &t.tail, &t.full,
+    ] {
+        e.str(s);
+    }
+    e.u64(t.fingerprint.0);
+    e.u64(t.triple_fingerprint.0);
 }
 
-fn template_from_json(v: &Json) -> Result<QueryTemplate, String> {
-    let s = |key: &str| -> Result<String, String> { Ok(get_str(v, key)?.to_string()) };
+fn decode_template(d: &mut Dec<'_>) -> Result<QueryTemplate, String> {
     Ok(QueryTemplate {
-        ssc: s("ssc")?,
-        sfc: s("sfc")?,
-        swc: s("swc")?,
-        sc: s("sc")?,
-        fc: s("fc")?,
-        wc: s("wc")?,
-        tail: s("tail")?,
-        full: s("full")?,
-        fingerprint: Fingerprint(get_u64(v, "fingerprint")?),
-        triple_fingerprint: Fingerprint(get_u64(v, "triple_fingerprint")?),
+        ssc: d.string()?,
+        sfc: d.string()?,
+        swc: d.string()?,
+        sc: d.string()?,
+        fc: d.string()?,
+        wc: d.string()?,
+        tail: d.string()?,
+        full: d.string()?,
+        fingerprint: Fingerprint(d.u64()?),
+        triple_fingerprint: Fingerprint(d.u64()?),
     })
 }
 
-fn kind_name(k: StatementKind) -> &'static str {
-    match k {
-        StatementKind::Insert => "insert",
-        StatementKind::Update => "update",
-        StatementKind::Delete => "delete",
-        StatementKind::Ddl => "ddl",
-        StatementKind::Exec => "exec",
-        StatementKind::Other => "other",
+fn encode_parse(e: &mut Enc, (store, parsed): &(TemplateStore, ParsedLog)) {
+    e.seq(0..store.len() as u32, |e, i| {
+        store.with(TemplateId(i), |t| encode_template(e, t))
+    });
+    e.seq(&parsed.records, |e, r| {
+        e.u64(r.entry_idx.into());
+        e.u64(r.template.0.into());
+        e.seq(&r.profile.conjuncts, encode_predicate);
+        e.bool(r.output.wildcard);
+        e.seq(&r.output.names, |e, n| e.str(n));
+        e.bool(r.primary_table.is_some());
+        if let Some(t) = &r.primary_table {
+            e.str(t);
+        }
+    });
+    let s = &parsed.stats;
+    for n in [
+        s.total,
+        s.selects,
+        s.errors,
+        s.limit_exceeded,
+        s.poison,
+        s.degraded_shards,
+    ] {
+        e.usize(n);
     }
-}
-
-fn kind_from_name(s: &str) -> Result<StatementKind, String> {
-    Ok(match s {
-        "insert" => StatementKind::Insert,
-        "update" => StatementKind::Update,
-        "delete" => StatementKind::Delete,
-        "ddl" => StatementKind::Ddl,
-        "exec" => StatementKind::Exec,
-        "other" => StatementKind::Other,
-        other => return Err(format!("unknown statement kind {other:?}")),
-    })
-}
-
-fn parse_to_json(store: &TemplateStore, parsed: &ParsedLog) -> Json {
-    let templates: Vec<Json> = (0..store.len())
-        .map(|i| store.with(TemplateId(i as u32), template_to_json))
-        .collect();
-    let records: Vec<Json> = parsed
-        .records
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("entry_idx", Json::U64(r.entry_idx as u64)),
-                ("template", Json::U64(r.template.0 as u64)),
-                (
-                    "profile",
-                    Json::Arr(r.profile.conjuncts.iter().map(predicate_to_json).collect()),
-                ),
-                (
-                    "output",
-                    Json::obj(vec![
-                        ("wildcard", Json::Bool(r.output.wildcard)),
-                        (
-                            "names",
-                            Json::Arr(
-                                r.output
-                                    .names
-                                    .iter()
-                                    .map(|n| Json::Str(n.clone()))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ),
-                (
-                    "primary_table",
-                    match &r.primary_table {
-                        Some(t) => Json::Str(t.clone()),
-                        None => Json::Null,
-                    },
-                ),
-            ])
-        })
-        .collect();
-    let mut non_select: Vec<(StatementKind, usize)> = parsed
-        .stats
+    let mut non_select: Vec<(u8, usize)> = s
         .non_select
         .iter()
-        .map(|(&k, &n)| (k, n))
+        .map(|(k, &n)| (tag_of(&KINDS, k), n))
         .collect();
-    non_select.sort_by_key(|(k, _)| kind_name(*k));
-    Json::obj(vec![
-        ("templates", Json::Arr(templates)),
-        ("records", Json::Arr(records)),
-        (
-            "stats",
-            Json::obj(vec![
-                ("total", u(parsed.stats.total)),
-                ("selects", u(parsed.stats.selects)),
-                ("errors", u(parsed.stats.errors)),
-                ("limit_exceeded", u(parsed.stats.limit_exceeded)),
-                ("poison", u(parsed.stats.poison)),
-                ("degraded_shards", u(parsed.stats.degraded_shards)),
-                (
-                    "non_select",
-                    Json::Obj(
-                        non_select
-                            .into_iter()
-                            .map(|(k, n)| (kind_name(k).to_string(), u(n)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "cache",
-            Json::obj(vec![
-                ("enabled", Json::Bool(parsed.cache.enabled)),
-                ("hits", Json::U64(parsed.cache.hits)),
-                ("misses", Json::U64(parsed.cache.misses)),
-                ("fallbacks", Json::U64(parsed.cache.fallbacks)),
-                ("crosschecks", Json::U64(parsed.cache.crosschecks)),
-            ]),
-        ),
-    ])
+    non_select.sort_unstable();
+    e.seq(non_select, |e, (k, n)| {
+        e.tag(k);
+        e.usize(n);
+    });
+    let c = &parsed.cache;
+    e.bool(c.enabled);
+    for n in [c.hits, c.misses, c.fallbacks, c.crosschecks] {
+        e.u64(n);
+    }
 }
 
-fn parse_from_json(
-    v: &Json,
+fn decode_parse(
+    d: &mut Dec<'_>,
     pre_clean_len: usize,
     rec: &Recorder,
 ) -> Result<(TemplateStore, ParsedLog), String> {
     let store = TemplateStore::with_recorder(rec.clone());
-    for (i, tv) in get_arr(v, "templates")?.iter().enumerate() {
-        let id = store.intern(template_from_json(tv)?);
+    let n_templates = d.len()?;
+    for i in 0..n_templates {
+        let id = store.intern(decode_template(d)?);
         if id != TemplateId(i as u32) {
             return Err(format!(
                 "template {i} interned as id {} — duplicate fingerprint in checkpoint",
@@ -833,375 +879,195 @@ fn parse_from_json(
             ));
         }
     }
-    let n_templates = store.len();
-    let mut records = Vec::new();
-    for rv in get_arr(v, "records")? {
-        let entry_idx = get_usize(rv, "entry_idx")?;
-        if entry_idx >= pre_clean_len {
-            return Err(format!(
-                "record entry_idx {entry_idx} out of bounds for a {pre_clean_len}-entry log"
-            ));
-        }
-        let template = get_usize(rv, "template")?;
-        if template >= n_templates {
-            return Err(format!("record template id {template} out of bounds"));
-        }
-        let output = rv.get("output").ok_or("missing \"output\"")?;
-        records.push(ParsedRecord {
-            entry_idx: entry_idx as u32,
-            template: TemplateId(template as u32),
+    let records = d.seq(|d| {
+        Ok(ParsedRecord {
+            entry_idx: d.index(pre_clean_len, "record entry")?,
+            template: TemplateId(d.index(n_templates, "record template")?),
             profile: PredicateProfile {
-                conjuncts: get_arr(rv, "profile")?
-                    .iter()
-                    .map(predicate_from_json)
-                    .collect::<Result<_, _>>()?,
+                conjuncts: d.seq(decode_predicate)?,
             },
             output: OutputColumns {
-                wildcard: get_bool(output, "wildcard")?,
-                names: get_arr(output, "names")?
-                    .iter()
-                    .map(|n| {
-                        n.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "non-string output name".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
+                wildcard: d.bool()?,
+                names: d.seq(Dec::string)?,
             },
-            primary_table: match rv.get("primary_table") {
-                Some(Json::Null) | None => None,
-                Some(t) => Some(t.as_str().ok_or("non-string primary_table")?.to_string()),
-            },
-        });
+            primary_table: if d.bool()? { Some(d.string()?) } else { None },
+        })
+    })?;
+    let mut stats = ParseStats {
+        total: d.usize()?,
+        selects: d.usize()?,
+        errors: d.usize()?,
+        limit_exceeded: d.usize()?,
+        poison: d.usize()?,
+        degraded_shards: d.usize()?,
+        non_select: Default::default(),
+    };
+    for (k, n) in d.seq(|d| Ok((from_tag(&KINDS, d, "statement kind")?, d.usize()?)))? {
+        stats.non_select.insert(k, n);
     }
-    let s = v.get("stats").ok_or("missing \"stats\"")?;
-    let mut non_select = std::collections::HashMap::new();
-    for (k, n) in s
-        .get("non_select")
-        .and_then(Json::as_obj)
-        .ok_or("missing \"non_select\"")?
-    {
-        non_select.insert(
-            kind_from_name(k)?,
-            n.as_usize().ok_or("non-integer non_select count")?,
-        );
-    }
-    let c = v.get("cache").ok_or("missing \"cache\"")?;
+    let cache = ParseCacheStats {
+        enabled: d.bool()?,
+        hits: d.u64()?,
+        misses: d.u64()?,
+        fallbacks: d.u64()?,
+        crosschecks: d.u64()?,
+    };
     Ok((
         store,
         ParsedLog {
             records,
-            stats: ParseStats {
-                total: get_usize(s, "total")?,
-                selects: get_usize(s, "selects")?,
-                errors: get_usize(s, "errors")?,
-                limit_exceeded: get_usize(s, "limit_exceeded")?,
-                poison: get_usize(s, "poison")?,
-                degraded_shards: get_usize(s, "degraded_shards")?,
-                non_select,
-            },
-            cache: ParseCacheStats {
-                enabled: get_bool(c, "enabled")?,
-                hits: get_u64(c, "hits")?,
-                misses: get_u64(c, "misses")?,
-                fallbacks: get_u64(c, "fallbacks")?,
-                crosschecks: get_u64(c, "crosschecks")?,
-            },
+            stats,
+            cache,
         },
     ))
 }
 
-fn sessions_to_json(sessions: &Sessions) -> Json {
-    Json::obj(vec![
-        (
-            "user_names",
-            Json::Arr(
-                sessions
-                    .user_names
-                    .iter()
-                    .map(|n| Json::Str(n.clone()))
-                    .collect(),
-            ),
-        ),
-        (
-            "sessions",
-            Json::Arr(
-                sessions
-                    .sessions
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("user", Json::U64(s.user as u64)),
-                            (
-                                "records",
-                                Json::Arr(s.records.iter().map(|&r| u(r)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("poison", u(sessions.poison)),
-        ("degraded_shards", u(sessions.degraded_shards)),
-    ])
+fn encode_sessions(e: &mut Enc, sessions: &Sessions) {
+    e.seq(&sessions.user_names, |e, n| e.str(n));
+    e.seq(&sessions.sessions, |e, s| {
+        e.u64(s.user.into());
+        e.seq(&s.records, |e, &r| e.usize(r));
+    });
+    e.usize(sessions.poison);
+    e.usize(sessions.degraded_shards);
 }
 
-fn sessions_from_json(v: &Json, n_records: usize) -> Result<Sessions, String> {
-    let user_names: Vec<String> = get_arr(v, "user_names")?
-        .iter()
-        .map(|n| {
-            n.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "non-string user name".to_string())
+fn decode_sessions(d: &mut Dec<'_>, n_records: usize) -> Result<Sessions, String> {
+    let user_names = d.seq(Dec::string)?;
+    let sessions = d.seq(|d| {
+        Ok(Session {
+            user: d.index(user_names.len(), "session user")?,
+            records: d.seq(|d| d.index(n_records, "session record"))?,
         })
-        .collect::<Result<_, _>>()?;
-    let mut sessions = Vec::new();
-    for sv in get_arr(v, "sessions")? {
-        let user = get_usize(sv, "user")?;
-        if user >= user_names.len() {
-            return Err(format!("session user id {user} out of bounds"));
-        }
-        let records = usizes(get_arr(sv, "records")?, "session records")?;
-        if let Some(&bad) = records.iter().find(|&&r| r >= n_records) {
-            return Err(format!("session record index {bad} out of bounds"));
-        }
-        sessions.push(Session {
-            user: user as u32,
-            records,
-        });
-    }
+    })?;
     Ok(Sessions {
         sessions,
         user_names,
-        poison: get_usize(v, "poison")?,
-        degraded_shards: get_usize(v, "degraded_shards")?,
+        poison: d.usize()?,
+        degraded_shards: d.usize()?,
     })
 }
 
-fn mine_to_json(mined: &MinedPatterns) -> Json {
+fn encode_mine(e: &mut Enc, mined: &MinedPatterns) {
     let mut patterns: Vec<(&Vec<TemplateId>, &PatternData)> = mined.patterns.iter().collect();
     patterns.sort_by(|a, b| a.0.cmp(b.0));
-    Json::obj(vec![
-        (
-            "patterns",
-            Json::Arr(
-                patterns
-                    .into_iter()
-                    .map(|(key, data)| {
-                        let mut users: Vec<u32> = data.users.iter().copied().collect();
-                        users.sort_unstable();
-                        Json::obj(vec![
-                            (
-                                "key",
-                                Json::Arr(key.iter().map(|t| Json::U64(t.0 as u64)).collect()),
-                            ),
-                            ("frequency", Json::U64(data.frequency)),
-                            (
-                                "users",
-                                Json::Arr(users.into_iter().map(|u| Json::U64(u as u64)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("total_queries", Json::U64(mined.total_queries)),
-        ("poison_sessions", u(mined.poison_sessions)),
-        ("degraded_shards", u(mined.degraded_shards)),
-    ])
+    e.seq(patterns, |e, (key, data)| {
+        e.ids(key);
+        e.u64(data.frequency);
+        let mut users: Vec<u32> = data.users.iter().copied().collect();
+        users.sort_unstable();
+        e.seq(users, |e, u| e.u64(u.into()));
+    });
+    e.u64(mined.total_queries);
+    e.usize(mined.poison_sessions);
+    e.usize(mined.degraded_shards);
 }
 
-fn mine_from_json(v: &Json) -> Result<MinedPatterns, String> {
-    let mut mined = MinedPatterns {
-        total_queries: get_u64(v, "total_queries")?,
-        poison_sessions: get_usize(v, "poison_sessions")?,
-        degraded_shards: get_usize(v, "degraded_shards")?,
-        ..MinedPatterns::default()
-    };
-    for pv in get_arr(v, "patterns")? {
-        let key: Vec<TemplateId> = u32s(get_arr(pv, "key")?, "pattern key")?
-            .into_iter()
-            .map(TemplateId)
-            .collect();
-        let users: HashSet<u32> = u32s(get_arr(pv, "users")?, "pattern users")?
-            .into_iter()
-            .collect();
-        mined.patterns.insert(
-            key,
-            PatternData {
-                frequency: get_u64(pv, "frequency")?,
-                users,
-            },
-        );
-    }
-    Ok(mined)
+fn decode_mine(d: &mut Dec<'_>, n_templates: usize) -> Result<MinedPatterns, String> {
+    let patterns = d.seq(|d| {
+        let key = d.ids(n_templates, "pattern template")?;
+        let data = PatternData {
+            frequency: d.u64()?,
+            users: d.seq(Dec::u32)?.into_iter().collect(),
+        };
+        Ok((key, data))
+    })?;
+    Ok(MinedPatterns {
+        patterns: patterns.into_iter().collect(),
+        total_queries: d.u64()?,
+        poison_sessions: d.usize()?,
+        degraded_shards: d.usize()?,
+    })
 }
 
-fn class_to_json(c: &AntipatternClass) -> Json {
-    // Builtin labels and custom names share one namespace; `class_from_json`
+fn encode_class(e: &mut Enc, c: &AntipatternClass) {
+    // Builtin labels and custom names share one namespace; `decode_class`
     // resolves builtins first, so a custom class must not collide with a
     // builtin label — which `ExtensionRegistry` already guarantees in
     // practice (a custom "DW-Stifle" would be indistinguishable anyway).
-    Json::Str(c.label().to_string())
+    e.str(c.label());
 }
 
-fn class_from_json(v: &Json) -> Result<AntipatternClass, String> {
-    let label = v.as_str().ok_or("non-string antipattern class")?;
-    Ok(match label {
+fn decode_class(d: &mut Dec<'_>) -> Result<AntipatternClass, String> {
+    let label = d.string()?;
+    Ok(match label.as_str() {
         "DW-Stifle" => AntipatternClass::DwStifle,
         "DS-Stifle" => AntipatternClass::DsStifle,
         "DF-Stifle" => AntipatternClass::DfStifle,
         "CTH" => AntipatternClass::CthCandidate,
         "SNC" => AntipatternClass::Snc,
-        other => AntipatternClass::Custom(other.to_string()),
+        _ => AntipatternClass::Custom(label),
     })
 }
 
-fn detect_to_json(detected: &DetectOutput) -> Json {
-    Json::obj(vec![
-        (
-            "instances",
-            Json::Arr(
-                detected
-                    .instances
-                    .iter()
-                    .map(|inst| {
-                        Json::obj(vec![
-                            ("class", class_to_json(&inst.class)),
-                            (
-                                "records",
-                                Json::Arr(inst.records.iter().map(|&r| u(r)).collect()),
-                            ),
-                            (
-                                "identity",
-                                Json::Arr(
-                                    inst.identity
-                                        .iter()
-                                        .map(|t| Json::U64(t.0 as u64))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "marker_keys",
-                                Json::Arr(
-                                    inst.marker_keys
-                                        .iter()
-                                        .map(|key| {
-                                            Json::Arr(
-                                                key.iter().map(|t| Json::U64(t.0 as u64)).collect(),
-                                            )
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("solvable", Json::Bool(inst.solvable)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("poison_sessions", u(detected.poison_sessions)),
-        ("degraded_shards", u(detected.degraded_shards)),
-    ])
+fn encode_detect(e: &mut Enc, detected: &DetectOutput) {
+    e.seq(&detected.instances, |e, inst| {
+        encode_class(e, &inst.class);
+        e.seq(&inst.records, |e, &r| e.usize(r));
+        e.ids(&inst.identity);
+        e.seq(&inst.marker_keys, |e, key| e.ids(key));
+        e.bool(inst.solvable);
+    });
+    e.usize(detected.poison_sessions);
+    e.usize(detected.degraded_shards);
 }
 
-fn detect_from_json(v: &Json, n_records: usize) -> Result<DetectOutput, String> {
-    let mut instances = Vec::new();
-    for iv in get_arr(v, "instances")? {
-        let records = usizes(get_arr(iv, "records")?, "instance records")?;
-        if let Some(&bad) = records.iter().find(|&&r| r >= n_records) {
-            return Err(format!("instance record index {bad} out of bounds"));
-        }
-        instances.push(AntipatternInstance {
-            class: class_from_json(iv.get("class").ok_or("missing \"class\"")?)?,
-            records,
-            identity: u32s(get_arr(iv, "identity")?, "identity")?
-                .into_iter()
-                .map(TemplateId)
-                .collect(),
-            marker_keys: get_arr(iv, "marker_keys")?
-                .iter()
-                .map(|kv| {
-                    kv.as_arr()
-                        .ok_or_else(|| "non-array marker key".to_string())
-                        .and_then(|a| u32s(a, "marker key"))
-                        .map(|ids| ids.into_iter().map(TemplateId).collect())
-                })
-                .collect::<Result<_, _>>()?,
-            solvable: get_bool(iv, "solvable")?,
-        });
-    }
+fn decode_detect(
+    d: &mut Dec<'_>,
+    n_records: usize,
+    n_templates: usize,
+) -> Result<DetectOutput, String> {
+    let instances = d.seq(|d| {
+        Ok(AntipatternInstance {
+            class: decode_class(d)?,
+            records: d.seq(|d| d.index(n_records, "instance record"))?,
+            identity: d.ids(n_templates, "identity template")?,
+            marker_keys: d.seq(|d| d.ids(n_templates, "marker template"))?,
+            solvable: d.bool()?,
+        })
+    })?;
     Ok(DetectOutput {
         instances,
-        poison_sessions: get_usize(v, "poison_sessions")?,
-        degraded_shards: get_usize(v, "degraded_shards")?,
+        poison_sessions: d.usize()?,
+        degraded_shards: d.usize()?,
     })
 }
 
-fn solve_to_json(outcome: &SolveOutcome) -> Json {
-    Json::obj(vec![
-        ("clean", log_to_json(&outcome.clean_log)),
-        ("removal", log_to_json(&outcome.removal_log)),
-        ("solved_instances", u(outcome.solved_instances)),
-        ("solved_queries", u(outcome.solved_queries)),
-        ("rewritten_statements", u(outcome.rewritten_statements)),
-        ("skipped_overlaps", u(outcome.skipped_overlaps)),
-        (
-            "rewrites",
-            Json::Arr(
-                outcome
-                    .rewrites
-                    .iter()
-                    .map(|rw| {
-                        let strs = |v: &[String]| {
-                            Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect())
-                        };
-                        Json::obj(vec![
-                            ("class", class_to_json(&rw.class)),
-                            (
-                                "entry_ids",
-                                Json::Arr(rw.entry_ids.iter().map(|&i| Json::U64(i)).collect()),
-                            ),
-                            ("original_statements", strs(&rw.original_statements)),
-                            ("rewritten_statements", strs(&rw.rewritten_statements)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn encode_solve(e: &mut Enc, outcome: &SolveOutcome) {
+    e.log(&outcome.clean_log);
+    e.log(&outcome.removal_log);
+    for n in [
+        outcome.solved_instances,
+        outcome.solved_queries,
+        outcome.rewritten_statements,
+        outcome.skipped_overlaps,
+    ] {
+        e.usize(n);
+    }
+    e.seq(&outcome.rewrites, |e, rw| {
+        encode_class(e, &rw.class);
+        e.seq(&rw.entry_ids, |e, &i| e.u64(i));
+        e.seq(&rw.original_statements, |e, s| e.str(s));
+        e.seq(&rw.rewritten_statements, |e, s| e.str(s));
+    });
 }
 
-fn solve_from_json(v: &Json) -> Result<SolveOutcome, String> {
-    let strings = |v: &Json, key: &str| -> Result<Vec<String>, String> {
-        get_arr(v, key)?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("non-string element in {key:?}"))
-            })
-            .collect()
-    };
-    let mut rewrites = Vec::new();
-    for rv in get_arr(v, "rewrites")? {
-        rewrites.push(SolvedRewrite {
-            class: class_from_json(rv.get("class").ok_or("missing \"class\"")?)?,
-            entry_ids: get_arr(rv, "entry_ids")?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| "non-integer entry id".to_string()))
-                .collect::<Result<_, _>>()?,
-            original_statements: strings(rv, "original_statements")?,
-            rewritten_statements: strings(rv, "rewritten_statements")?,
-        });
-    }
+fn decode_solve(d: &mut Dec<'_>) -> Result<SolveOutcome, String> {
     Ok(SolveOutcome {
-        clean_log: log_from_json(v, "clean")?,
-        removal_log: log_from_json(v, "removal")?,
-        solved_instances: get_usize(v, "solved_instances")?,
-        solved_queries: get_usize(v, "solved_queries")?,
-        rewritten_statements: get_usize(v, "rewritten_statements")?,
-        skipped_overlaps: get_usize(v, "skipped_overlaps")?,
-        rewrites,
+        clean_log: d.log("clean")?,
+        removal_log: d.log("removal")?,
+        solved_instances: d.usize()?,
+        solved_queries: d.usize()?,
+        rewritten_statements: d.usize()?,
+        skipped_overlaps: d.usize()?,
+        rewrites: d.seq(|d| {
+            Ok(SolvedRewrite {
+                class: decode_class(d)?,
+                entry_ids: d.seq(Dec::u64)?,
+                original_statements: d.seq(Dec::string)?,
+                rewritten_statements: d.seq(Dec::string)?,
+            })
+        })?,
     })
 }
 
@@ -1217,14 +1083,21 @@ fn write_checkpoint(
     dir: &RunDir,
     rec: &Recorder,
     stage: Stage,
-    payload: &Json,
+    encode: impl FnOnce(&mut Enc),
 ) -> Result<(), String> {
-    let body = payload.render();
+    let body = {
+        let mut span = rec.span("checkpoint.encode");
+        span.field("stage", stage.name());
+        let mut enc = Enc::default();
+        encode(&mut enc);
+        span.field("bytes", enc.0.len() as u64);
+        enc.0
+    };
     let header = Json::obj(vec![
         ("stage", Json::Str(stage.name().to_string())),
         ("schema", Json::U64(CHECKPOINT_SCHEMA)),
         ("payload_bytes", Json::U64(body.len() as u64)),
-        ("payload_fnv", Json::U64(Fingerprint::of_str(&body).0)),
+        ("payload_fnv", Json::U64(Fingerprint::of_bytes(&body).0)),
     ])
     .render();
     let total = (header.len() + 1 + body.len()) as u64;
@@ -1237,7 +1110,7 @@ fn write_checkpoint(
     let mut f = AtomicFile::create(&path).map_err(err)?;
     f.write_all(header.as_bytes()).map_err(err)?;
     f.write_all(b"\n").map_err(err)?;
-    f.write_all(body.as_bytes()).map_err(err)?;
+    f.write_all(&body).map_err(err)?;
     // Chaos hook: die after the bytes exist but before they become the
     // checkpoint. Marker = stage name.
     fault::trip(&fault::armed("checkpoint"), stage.name());
@@ -1249,12 +1122,13 @@ fn write_checkpoint(
     Ok(())
 }
 
-/// Reads and validates a stage checkpoint. `Ok(None)` = not present (the
-/// stage was never completed); `Err` = present but unusable (torn write,
-/// corruption, schema drift) — the caller reports it and re-runs the stage.
-fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<Json>, String> {
+/// Reads and validates a stage checkpoint, returning its payload bytes.
+/// `Ok(None)` = not present (the stage was never completed); `Err` =
+/// present but unusable (torn write, corruption, schema drift) — the caller
+/// reports it and re-runs the stage.
+fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<Vec<u8>>, String> {
     let path = dir.checkpoint_path(stage);
-    let bytes = match std::fs::read(&path) {
+    let mut bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
@@ -1283,26 +1157,42 @@ fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<
             stage.name()
         ));
     }
-    let body = &bytes[nl + 1..];
     let declared = get_u64(&header, "payload_bytes")?;
-    if declared != body.len() as u64 {
+    let declared_fnv = get_u64(&header, "payload_fnv")?;
+    bytes.drain(..=nl);
+    if declared != bytes.len() as u64 {
         return Err(format!(
             "payload is {} bytes, header declares {declared} (torn write?)",
-            body.len()
+            bytes.len()
         ));
     }
-    let body_text = std::str::from_utf8(body).map_err(|_| "checkpoint payload is not UTF-8")?;
-    let fnv = Fingerprint::of_str(body_text).0;
-    let declared_fnv = get_u64(&header, "payload_fnv")?;
+    let fnv = Fingerprint::of_bytes(&bytes).0;
     if fnv != declared_fnv {
         return Err(format!(
             "payload hash {fnv:#018x} does not match header {declared_fnv:#018x} (corrupted?)"
         ));
     }
-    let payload = Json::parse(body_text).map_err(|e| format!("checkpoint payload: {e}"))?;
     rec.counter("checkpoint.loads", 1);
     rec.histogram("checkpoint.load_us", t.elapsed().as_micros() as u64);
-    Ok(Some(payload))
+    Ok(Some(bytes))
+}
+
+/// Decodes a payload with `decode`, which must consume it exactly.
+fn decode_payload<T>(
+    rec: &Recorder,
+    stage: Stage,
+    payload: &[u8],
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut span = rec.span("checkpoint.decode");
+    span.field("stage", stage.name());
+    span.field("bytes", payload.len() as u64);
+    let mut d = Dec(payload);
+    let v = decode(&mut d)?;
+    if !d.0.is_empty() {
+        return Err(format!("{} trailing bytes after the payload", d.0.len()));
+    }
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -1320,43 +1210,38 @@ struct Progress<'a> {
 }
 
 impl Progress<'_> {
-    /// Attempts to fetch `stage`'s checkpoint payload. Any failure breaks
-    /// the chain: this stage and everything after it re-run.
-    fn fetch(&mut self, dir: &RunDir, stage: Stage) -> Option<Json> {
+    /// Loads and decodes `stage`'s checkpoint. A missing, unreadable or
+    /// undecodable checkpoint breaks the chain: this stage and everything
+    /// after it re-run. Only a missing one goes without a warning.
+    fn load<T>(
+        &mut self,
+        dir: &RunDir,
+        stage: Stage,
+        decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
+    ) -> Option<T> {
         if !self.chain_intact {
             return None;
         }
-        match read_checkpoint(dir, self.rec, stage) {
-            Ok(Some(payload)) => Some(payload),
-            Ok(None) => {
-                self.chain_intact = false;
-                None
+        let loaded = read_checkpoint(dir, self.rec, stage).and_then(|payload| {
+            payload
+                .map(|p| decode_payload(self.rec, stage, &p, decode))
+                .transpose()
+        });
+        match loaded {
+            Ok(Some(v)) => {
+                self.rec.counter("resume.skip_stage", 1);
+                self.rec.stage_skipped(stage.name());
+                self.loaded_stages.push(stage.name());
+                return Some(v);
             }
-            Err(e) => {
-                self.warn(format!(
-                    "checkpoint {}: {e}; re-running the stage",
-                    stage.name()
-                ));
-                self.chain_intact = false;
-                None
-            }
+            Ok(None) => {}
+            Err(e) => self.warn(format!(
+                "checkpoint {}: {e}; re-running the stage",
+                stage.name()
+            )),
         }
-    }
-
-    /// Records a decoded (= skipped) stage.
-    fn skipped(&mut self, stage: Stage) {
-        self.rec.counter("resume.skip_stage", 1);
-        self.rec.stage_skipped(stage.name());
-        self.loaded_stages.push(stage.name());
-    }
-
-    /// Reports a decode failure and breaks the chain.
-    fn decode_failed(&mut self, stage: Stage, e: String) {
-        self.warn(format!(
-            "checkpoint {}: {e}; re-running the stage",
-            stage.name()
-        ));
         self.chain_intact = false;
+        None
     }
 
     fn warn(&mut self, msg: String) {
@@ -1374,24 +1259,18 @@ fn stage_step<T>(
     progress: &mut Progress<'_>,
     dir: &RunDir,
     stage: Stage,
-    decode: impl FnOnce(&Json) -> Result<T, String>,
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
     compute: impl FnOnce() -> T,
-    encode: impl FnOnce(&T) -> Json,
+    encode: impl FnOnce(&mut Enc, &T),
     stage_ms: &mut u64,
 ) -> Result<T, String> {
-    if let Some(payload) = progress.fetch(dir, stage) {
-        match decode(&payload) {
-            Ok(v) => {
-                progress.skipped(stage);
-                return Ok(v);
-            }
-            Err(e) => progress.decode_failed(stage, e),
-        }
+    if let Some(v) = progress.load(dir, stage, decode) {
+        return Ok(v);
     }
     let t = Instant::now();
     let v = compute();
     *stage_ms = t.elapsed().as_millis() as u64;
-    write_checkpoint(dir, progress.rec, stage, &encode(&v))?;
+    write_checkpoint(dir, progress.rec, stage, |e| encode(e, &v))?;
     Ok(v)
 }
 
@@ -1484,30 +1363,18 @@ pub fn run_checkpointed(
 
     // --- ingest --- (not a `stage_step`: reading the input is fallible,
     // and a failed read must never leave a checkpoint behind)
-    let (log, ingest_stats) = {
-        let mut loaded = None;
-        if let Some(payload) = progress.fetch(dir, Stage::Ingest) {
-            match ingest_from_json(&payload) {
-                Ok(v) => {
-                    progress.skipped(Stage::Ingest);
-                    loaded = Some(v);
-                }
-                Err(e) => progress.decode_failed(Stage::Ingest, e),
-            }
-        }
-        match loaded {
-            Some(v) => v,
-            None => {
-                let t = Instant::now();
-                let v = {
-                    rec.stage_begin("ingest", 0);
-                    let span = rec.span("ingest");
-                    ingest_input(opts, pipeline.config.parallelism, &rec, span.id())?
-                };
-                timings.ingest_ms = t.elapsed().as_millis() as u64;
-                write_checkpoint(dir, &rec, Stage::Ingest, &ingest_to_json(&v.0, &v.1))?;
-                v
-            }
+    let (log, ingest_stats) = match progress.load(dir, Stage::Ingest, decode_ingest) {
+        Some(v) => v,
+        None => {
+            let t = Instant::now();
+            let v = {
+                rec.stage_begin("ingest", 0);
+                let span = rec.span("ingest");
+                ingest_input(opts, pipeline.config.parallelism, &rec, span.id())?
+            };
+            timings.ingest_ms = t.elapsed().as_millis() as u64;
+            write_checkpoint(dir, &rec, Stage::Ingest, |e| encode_ingest(e, &v))?;
+            v
         }
     };
     if stop(Stage::Ingest) {
@@ -1520,7 +1387,7 @@ pub fn run_checkpointed(
         &mut progress,
         dir,
         Stage::Dedup,
-        |v| dedup_from_json(v, log.len()),
+        |d| decode_dedup(d, log.len()),
         || {
             let t = Instant::now();
             let input = pipeline.op_sort(&log);
@@ -1529,7 +1396,7 @@ pub fn run_checkpointed(
             let kept: Vec<u32> = (0..view.len()).map(|i| view.base_index(i) as u32).collect();
             (kept, stats)
         },
-        |(kept, stats)| dedup_to_json(kept, stats),
+        encode_dedup,
         &mut dedup_ms,
     )?;
     timings.dedup_ms = dedup_ms;
@@ -1544,13 +1411,13 @@ pub fn run_checkpointed(
         &mut progress,
         dir,
         Stage::Parse,
-        |v| parse_from_json(v, pre_clean.len(), &rec),
+        |d| decode_parse(d, pre_clean.len(), &rec),
         || {
             let store = TemplateStore::with_recorder(rec.clone());
             let parsed = pipeline.op_parse(&pre_clean, &store);
             (store, parsed)
         },
-        |(store, parsed)| parse_to_json(store, parsed),
+        encode_parse,
         &mut parse_ms,
     )?;
     timings.parse_ms = parse_ms;
@@ -1564,9 +1431,9 @@ pub fn run_checkpointed(
         &mut progress,
         dir,
         Stage::Sessions,
-        |v| sessions_from_json(v, parsed.records.len()),
+        |d| decode_sessions(d, parsed.records.len()),
         || pipeline.op_sessions(&pre_clean, &parsed.records),
-        sessions_to_json,
+        encode_sessions,
         &mut sessions_ms,
     )?;
     timings.sessions_ms = sessions_ms;
@@ -1580,9 +1447,9 @@ pub fn run_checkpointed(
         &mut progress,
         dir,
         Stage::Mine,
-        mine_from_json,
+        |d| decode_mine(d, store.len()),
         || pipeline.op_mine(&sessions, &parsed.records),
-        mine_to_json,
+        encode_mine,
         &mut mine_ms,
     )?;
     timings.mine_ms = mine_ms;
@@ -1596,9 +1463,9 @@ pub fn run_checkpointed(
         &mut progress,
         dir,
         Stage::Detect,
-        |v| detect_from_json(v, parsed.records.len()),
+        |d| decode_detect(d, parsed.records.len(), store.len()),
         || pipeline.op_detect(&pre_clean, &parsed.records, &sessions, &store),
-        detect_to_json,
+        encode_detect,
         &mut detect_ms,
     )?;
     timings.detect_ms = detect_ms;
@@ -1612,9 +1479,9 @@ pub fn run_checkpointed(
         &mut progress,
         dir,
         Stage::Solve,
-        solve_from_json,
+        decode_solve,
         || pipeline.op_solve(&pre_clean, &parsed.records, &sessions, &store, &detected),
-        solve_to_json,
+        encode_solve,
         &mut solve_ms,
     )?;
     timings.solve_ms = solve_ms;
@@ -1685,4 +1552,82 @@ fn ingest_input(
         }
     }
     Ok((log, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn dedup_payload() -> Vec<u8> {
+        let stats = DedupStats {
+            input: 3,
+            removed: 1,
+            kept: 2,
+            poison: 0,
+            degraded_shards: 0,
+        };
+        let mut e = Enc::default();
+        encode_dedup(&mut e, &(vec![0, 2], stats));
+        e.0
+    }
+
+    fn decode(payload: &[u8]) -> Result<(Vec<u32>, DedupStats), String> {
+        decode_payload(&Recorder::disabled(), Stage::Dedup, payload, |d| {
+            decode_dedup(d, 3)
+        })
+    }
+
+    #[test]
+    fn varints_round_trip_at_the_edges() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u32::MAX.into(), u64::MAX] {
+            let mut e = Enc::default();
+            e.u64(v);
+            assert!(e.0.len() <= 10);
+            let mut d = Dec(&e.0);
+            assert_eq!(d.u64(), Ok(v));
+            assert!(d.0.is_empty());
+        }
+    }
+
+    #[test]
+    fn over_long_varint_is_rejected() {
+        // Eleven continuation bytes: longer than any u64 encoding.
+        assert!(Dec(&[0x80; 11]).u64().is_err());
+        // Ten bytes whose last one carries bits above 2^64.
+        let mut overflow = [0xff; 10];
+        overflow[9] = 0x02;
+        assert!(Dec(&overflow).u64().is_err());
+        // A varint cut short by the end of the payload.
+        assert!(Dec(&[0x80, 0x80]).u64().is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut payload = dedup_payload();
+        assert_eq!(decode(&payload).map(|(kept, _)| kept), Ok(vec![0, 2]));
+        payload.push(0);
+        let err = decode(&payload).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn lengths_beyond_the_payload_are_rejected_before_allocating() {
+        for n in [1u64 << 40, u64::MAX] {
+            let mut e = Enc::default();
+            e.u64(n);
+            e.0.extend_from_slice(&dedup_payload()[1..]);
+            let err = decode(&e.0).unwrap_err();
+            assert!(err.contains("exceeds"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_tags_and_out_of_bounds_indices_are_rejected() {
+        assert!(decode_value(&mut Dec(&[7])).is_err());
+        assert!(decode_predicate(&mut Dec(&[6])).is_err());
+        assert!(decode_predicate(&mut Dec(&[0, 1, b'x', 6])).is_err());
+        assert!(Dec(&[2]).bool().is_err());
+        // A kept index past the 3-entry log.
+        assert!(decode(&[1, 3, 3, 2, 1, 0, 0]).is_err());
+    }
 }

@@ -70,6 +70,14 @@ impl From<io::Error> for IoFormatError {
 }
 
 fn escape(statement: &str, out: &mut String) {
+    // Most statements contain nothing to escape; copy those in one go.
+    if !statement
+        .bytes()
+        .any(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+    {
+        out.push_str(statement);
+        return;
+    }
     for c in statement.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -148,14 +156,13 @@ fn intent_from_str(s: &str) -> Option<IntentKind> {
 
 /// Writes a log to any writer in the TSV format.
 pub fn write_log<W: Write>(log: &QueryLog, writer: W) -> Result<(), IoFormatError> {
+    use std::fmt::Write as _;
     let mut w = BufWriter::new(writer);
     let mut buf = String::new();
     for e in &log.entries {
         buf.clear();
-        buf.push_str(&e.id.to_string());
-        buf.push('\t');
-        buf.push_str(&e.timestamp.millis().to_string());
-        buf.push('\t');
+        // Formatting into a `String` cannot fail.
+        let _ = write!(buf, "{}\t{}\t", e.id, e.timestamp.millis());
         if let Some(u) = &e.user {
             buf.push_str(u);
         }
@@ -165,13 +172,11 @@ pub fn write_log<W: Write>(log: &QueryLog, writer: W) -> Result<(), IoFormatErro
         }
         buf.push('\t');
         if let Some(r) = e.rows {
-            buf.push_str(&r.to_string());
+            let _ = write!(buf, "{r}");
         }
         buf.push('\t');
         if let Some(t) = e.truth {
-            buf.push_str(intent_to_str(t.kind));
-            buf.push(':');
-            buf.push_str(&t.group.to_string());
+            let _ = write!(buf, "{}:{}", intent_to_str(t.kind), t.group);
         }
         buf.push('\t');
         escape(&e.statement, &mut buf);

@@ -479,14 +479,16 @@ impl PlanSource<'_> {
 }
 
 /// Does a column reference *safely* resolve to `sources[si]` for access-path
-/// purposes? Qualified references follow binding/table-name matching. An
-/// unqualified reference resolves to the first source whose table has the
+/// purposes? A qualified reference resolves to the first source whose
+/// binding or table name matches — as the executor binds it, so a self-join
+/// qualified by the table name (`t.id` over `t AS a JOIN t AS b`) seeks
+/// only on `a`. An unqualified reference resolves to the first source whose table has the
 /// column — and is only usable when every earlier source is a base table
 /// known not to carry it (a derived table's columns are unknown at plan
 /// time, so the planner stays conservative and refuses the seek).
 fn resolves_to(sources: &[PlanSource<'_>], si: usize, qualifier: Option<&str>, col: &str) -> bool {
     if let Some(q) = qualifier {
-        return sources[si].binds(Some(q));
+        return sources.iter().position(|s| s.binds(Some(q))) == Some(si);
     }
     for (i, s) in sources.iter().enumerate() {
         match s.table {

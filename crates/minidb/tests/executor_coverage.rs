@@ -121,3 +121,46 @@ fn planned_executor_matches_naive_reference_on_solver_rewrites() {
     }
     assert!(executed > 0, "no corpus statement executed on both paths");
 }
+
+/// A self-join `t AS a JOIN t AS b` with `t.id = 1` (or `b.id = 1`): the
+/// executor binds a qualifier to the *first* source it names, so the planner
+/// must seek on that one source only. Returns the (binding, access) pairs
+/// of the plan's scans after checking both executors agree on the rows.
+fn self_join_scans(filter: &str) -> Vec<(String, &'static str)> {
+    use sqlog_minidb::table::{ColumnData, Table};
+    let mut t = Table::new("t");
+    t.add_column("id", ColumnData::Int(vec![Some(1), Some(2), Some(3)]));
+    t.add_column("g", ColumnData::Int(vec![Some(7), Some(7), Some(8)]));
+    t.build_pk("id");
+    let mut db = MiniDb::new();
+    db.add_table(t);
+
+    let sql = format!("SELECT a.id, b.id FROM t AS a JOIN t AS b ON a.g = b.g WHERE {filter}");
+    let q = parse_select(&sql).expect("self-join parses");
+    let naive = db.execute_query_naive(&q).unwrap();
+    let planned = db.execute_query_planned(&q).unwrap();
+    assert_eq!(naive.rows, planned.result.rows, "rows diverge on {sql:?}");
+    assert!(!naive.rows.is_empty(), "{sql:?} should return rows");
+    db.plan(&q)
+        .unwrap()
+        .scans()
+        .into_iter()
+        .map(|s| (s.binding.clone(), s.access.variant()))
+        .collect()
+}
+
+#[test]
+fn self_join_table_qualifier_seeks_on_first_binding_only() {
+    assert_eq!(
+        self_join_scans("t.id = 1"),
+        [("a".to_string(), "PkSeek"), ("b".to_string(), "FullScan")]
+    );
+}
+
+#[test]
+fn self_join_alias_qualifier_seeks_on_that_binding() {
+    assert_eq!(
+        self_join_scans("b.id = 1"),
+        [("a".to_string(), "FullScan"), ("b".to_string(), "PkSeek")]
+    );
+}
