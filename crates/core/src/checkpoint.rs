@@ -17,13 +17,20 @@
 //! see [`sqlog_log::atomic`]) and carries a header line with the payload's
 //! byte length and FNV-1a hash — a torn or tampered write is always
 //! detectable, never silently half-loaded. The header is one JSON line;
-//! the payload (schema 2) is binary, encoded straight from the stage's
+//! the payload (schema 3) is binary, encoded straight from the stage's
 //! structs and decoded straight from the file bytes: LEB128 varints,
-//! length-prefixed UTF-8 strings, one-byte tags for the enums, and the
-//! ingested/clean/removal logs embedded as length-prefixed TSV wire bytes
-//! (read back by the one log parser, `read_log`). The decoder never panics
-//! on any bytes: it bounds every length by the bytes left, rejects unknown
-//! tags and trailing bytes, and checks every index against its target.
+//! length-prefixed UTF-8 strings and one-byte tags for the enums. The
+//! decoder never panics on any bytes: it bounds every length by the bytes
+//! left, rejects unknown tags and trailing bytes, and checks every index
+//! against its target and every order a later stage relies on.
+//!
+//! A stage is checkpointed only where loading it beats re-running it (the
+//! numbers are in DESIGN.md). Ingest is not: each leg reads the input once,
+//! hashes it for the manifest and scans the same bytes, which is cheaper
+//! than decoding a stored copy. Solve stores only its decisions (per solved
+//! instance its index and replacement statements, then the skipped-overlap
+//! count); the live and the resumed path both build the clean and removal
+//! logs from them with [`splice_solutions`].
 //!
 //! `sqlog-clean --resume DIR` validates the manifest against the current
 //! config and input — refusing with a precise diagnostic on mismatch —
@@ -44,11 +51,11 @@ use crate::fault;
 use crate::mine::{MinedPatterns, PatternData, Session, Sessions};
 use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};
 use crate::pipeline::{DetectOutput, Pipeline, PipelineResult};
-use crate::solve::{SolveOutcome, SolvedRewrite};
+use crate::solve::{splice_solutions, SolveDecisions};
 use crate::stats::StageTimings;
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
-use sqlog_log::{read_log, write_log, AtomicFile, IngestPolicy, IngestStats, LogView, QueryLog};
+use sqlog_log::{AtomicFile, IngestPolicy, IngestStats, LogView, QueryLog};
 use sqlog_obs::{Json, Recorder, SpanId};
 use sqlog_skeleton::{
     Fingerprint, Fnv1a, OutputColumns, PredicateKind, PredicateProfile, QueryTemplate, Theta,
@@ -62,17 +69,15 @@ use std::time::Instant;
 /// Version written into every manifest.
 pub const MANIFEST_SCHEMA: u64 = 1;
 /// Version written into every checkpoint header.
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
-/// The checkpointable pipeline stages, in execution order.
+/// The checkpointed pipeline stages, in execution order.
 ///
-/// `sort` is not a stage of its own: it is a cheap, deterministic
+/// Ingest is not one (see the module docs). `sort` is not one either: it is a cheap, deterministic
 /// permutation whose only consumer is dedup, and the dedup checkpoint
 /// stores base-log indices — so a resume past dedup never needs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Reading (and optionally quarantining) the input log.
-    Ingest,
     /// Duplicate elimination (§5.2).
     Dedup,
     /// Parsing + template interning (§5.3).
@@ -89,8 +94,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages in execution order.
-    pub const ALL: [Stage; 7] = [
-        Stage::Ingest,
+    pub const ALL: [Stage; 6] = [
         Stage::Dedup,
         Stage::Parse,
         Stage::Sessions,
@@ -102,7 +106,6 @@ impl Stage {
     /// The stage's checkpoint-file stem and fault-injection name.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Ingest => "ingest",
             Stage::Dedup => "dedup",
             Stage::Parse => "parse",
             Stage::Sessions => "sessions",
@@ -112,16 +115,10 @@ impl Stage {
         }
     }
 
-    /// Parses a stage name (the inverse of [`Stage::name`]).
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.into_iter().find(|s| s.name() == name)
-    }
-
     /// The per-stage checkpoint-payload byte counter (recorder counters
     /// are keyed by `&'static str`, hence the explicit map).
     pub fn bytes_counter(self) -> &'static str {
         match self {
-            Stage::Ingest => "checkpoint.bytes.ingest",
             Stage::Dedup => "checkpoint.bytes.dedup",
             Stage::Parse => "checkpoint.bytes.parse",
             Stage::Sessions => "checkpoint.bytes.sessions",
@@ -302,7 +299,8 @@ impl RunDir {
 /// How a checkpointed run is driven.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
-    /// The input log file (hashed into the manifest).
+    /// The input log file, read once per leg: hashed into (or checked
+    /// against) the manifest, then ingested from the same bytes.
     pub input: PathBuf,
     /// Ingestion policy (recorded in the manifest; a resume must match).
     pub policy: IngestPolicy,
@@ -313,7 +311,8 @@ pub struct CheckpointOptions {
     pub resume: bool,
     /// Stop (successfully) after this stage's checkpoint is on disk —
     /// the hook behind the conformance resumed leg and the in-process
-    /// resume tests. `None` runs to completion.
+    /// resume tests. Ingest has no checkpoint, so the earliest stop is
+    /// after dedup. `None` runs to completion.
     pub stop_after: Option<Stage>,
 }
 
@@ -322,7 +321,8 @@ pub struct CheckpointOutcome {
     /// The pipeline result; `stats.run_health` already carries the
     /// ingestion counts and the interruption tally.
     pub result: PipelineResult,
-    /// Ingestion accounting (from the live read or the ingest checkpoint).
+    /// Ingestion accounting of this leg's read of the input (ingest is
+    /// never checkpointed, so a resumed leg re-reads and re-counts it).
     pub ingest_stats: IngestStats,
     /// Stages loaded from checkpoints instead of re-executed.
     pub loaded_stages: Vec<&'static str>,
@@ -467,13 +467,6 @@ impl Enc {
     fn ids(&mut self, ids: &[TemplateId]) {
         self.seq(ids, |e, t| e.u64(t.0.into()));
     }
-
-    /// A log in its TSV wire form, length-prefixed.
-    fn log(&mut self, log: &QueryLog) {
-        let mut tsv = Vec::new();
-        write_log(log, &mut tsv).expect("serialize log to memory");
-        self.bytes(&tsv);
-    }
 }
 
 /// Payload reader over the unread rest of the buffer. Never panics: every
@@ -569,10 +562,6 @@ impl<'a> Dec<'a> {
         }
         Ok(v)
     }
-
-    fn log(&mut self, what: &str) -> Result<QueryLog, String> {
-        read_log(self.bytes()?).map_err(|e| format!("{what}: embedded log: {e}"))
-    }
 }
 
 /// Wire tags of the fieldless enums: a variant's tag is its table index.
@@ -610,38 +599,6 @@ fn from_tag<T: Copy>(table: &[T], d: &mut Dec<'_>, what: &str) -> Result<T, Stri
 
 // --- stage payloads --------------------------------------------------------
 
-fn encode_ingest(e: &mut Enc, (log, stats): &(QueryLog, IngestStats)) {
-    e.log(log);
-    for n in [
-        stats.lines,
-        stats.entries,
-        stats.quarantined,
-        stats.malformed,
-        stats.invalid_utf8,
-    ] {
-        e.usize(n);
-    }
-}
-
-fn decode_ingest(d: &mut Dec<'_>) -> Result<(QueryLog, IngestStats), String> {
-    let log = d.log("log")?;
-    let stats = IngestStats {
-        lines: d.usize()?,
-        entries: d.usize()?,
-        quarantined: d.usize()?,
-        malformed: d.usize()?,
-        invalid_utf8: d.usize()?,
-    };
-    if stats.entries != log.len() {
-        return Err(format!(
-            "entry count mismatch: stats say {}, log holds {}",
-            stats.entries,
-            log.len()
-        ));
-    }
-    Ok((log, stats))
-}
-
 fn encode_dedup(e: &mut Enc, (kept, stats): &(Vec<u32>, DedupStats)) {
     e.seq(kept, |e, &i| e.u64(i.into()));
     for n in [
@@ -655,8 +612,16 @@ fn encode_dedup(e: &mut Enc, (kept, stats): &(Vec<u32>, DedupStats)) {
     }
 }
 
-fn decode_dedup(d: &mut Dec<'_>, log_len: usize) -> Result<(Vec<u32>, DedupStats), String> {
-    let kept = d.seq(|d| d.index(log_len, "kept"))?;
+fn decode_dedup(d: &mut Dec<'_>, log: &QueryLog) -> Result<(Vec<u32>, DedupStats), String> {
+    let kept = d.seq(|d| d.index(log.len(), "kept"))?;
+    // The solve splice relies on the kept view's time order.
+    let key = |i: u32| {
+        let e = &log.entries[i as usize];
+        (e.timestamp, e.id)
+    };
+    if kept.windows(2).any(|w| key(w[0]) > key(w[1])) {
+        return Err("kept entries are not in time order".to_string());
+    }
     let stats = DedupStats {
         input: d.usize()?,
         removed: d.usize()?,
@@ -879,9 +844,16 @@ fn decode_parse(
             ));
         }
     }
+    // One record per parsed entry, in view order.
+    let mut next_entry = 0u64;
     let records = d.seq(|d| {
+        let entry_idx: u32 = d.index(pre_clean_len, "record entry")?;
+        if u64::from(entry_idx) < next_entry {
+            return Err(format!("record entry {entry_idx} is out of order"));
+        }
+        next_entry = u64::from(entry_idx) + 1;
         Ok(ParsedRecord {
-            entry_idx: d.index(pre_clean_len, "record entry")?,
+            entry_idx,
             template: TemplateId(d.index(n_templates, "record template")?),
             profile: PredicateProfile {
                 conjuncts: d.seq(decode_predicate)?,
@@ -1033,41 +1005,45 @@ fn decode_detect(
     })
 }
 
-fn encode_solve(e: &mut Enc, outcome: &SolveOutcome) {
-    e.log(&outcome.clean_log);
-    e.log(&outcome.removal_log);
-    for n in [
-        outcome.solved_instances,
-        outcome.solved_queries,
-        outcome.rewritten_statements,
-        outcome.skipped_overlaps,
-    ] {
-        e.usize(n);
-    }
-    e.seq(&outcome.rewrites, |e, rw| {
-        encode_class(e, &rw.class);
-        e.seq(&rw.entry_ids, |e, &i| e.u64(i));
-        e.seq(&rw.original_statements, |e, s| e.str(s));
-        e.seq(&rw.rewritten_statements, |e, s| e.str(s));
+fn encode_solve(e: &mut Enc, decisions: &SolveDecisions) {
+    e.seq(&decisions.solved, |e, (i, statements)| {
+        e.usize(*i);
+        e.seq(statements, |e, s| e.str(s));
     });
+    e.usize(decisions.skipped_overlaps);
 }
 
-fn decode_solve(d: &mut Dec<'_>) -> Result<SolveOutcome, String> {
-    Ok(SolveOutcome {
-        clean_log: d.log("clean")?,
-        removal_log: d.log("removal")?,
-        solved_instances: d.usize()?,
-        solved_queries: d.usize()?,
-        rewritten_statements: d.usize()?,
+/// Decodes solve decisions, rejecting any the solver pass could not have
+/// made over `instances` (see [`SolveDecisions::solved`]), so that
+/// [`splice_solutions`] can trust them.
+fn decode_solve(
+    d: &mut Dec<'_>,
+    instances: &[AntipatternInstance],
+    n_records: usize,
+) -> Result<SolveDecisions, String> {
+    let mut consumed = vec![false; n_records];
+    let mut next = 0usize;
+    let solved = d.seq(|d| {
+        let i: usize = d.index(instances.len(), "solved instance")?;
+        if i < next {
+            return Err(format!("solved instance {i} is not above the previous one"));
+        }
+        next = i + 1;
+        let inst = &instances[i];
+        if !inst.solvable || inst.records.is_empty() {
+            return Err(format!("instance {i} is not solvable"));
+        }
+        if inst.records.iter().any(|&ri| consumed[ri]) {
+            return Err(format!("instance {i} overlaps an earlier solved instance"));
+        }
+        for &ri in &inst.records {
+            consumed[ri] = true;
+        }
+        Ok((i, d.seq(Dec::string)?))
+    })?;
+    Ok(SolveDecisions {
+        solved,
         skipped_overlaps: d.usize()?,
-        rewrites: d.seq(|d| {
-            Ok(SolvedRewrite {
-                class: decode_class(d)?,
-                entry_ids: d.seq(Dec::u64)?,
-                original_statements: d.seq(Dec::string)?,
-                rewritten_statements: d.seq(Dec::string)?,
-            })
-        })?,
     })
 }
 
@@ -1122,13 +1098,17 @@ fn write_checkpoint(
     Ok(())
 }
 
-/// Reads and validates a stage checkpoint, returning its payload bytes.
-/// `Ok(None)` = not present (the stage was never completed); `Err` =
-/// present but unusable (torn write, corruption, schema drift) — the caller
-/// reports it and re-runs the stage.
-fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<Vec<u8>>, String> {
+/// Reads and validates a stage checkpoint, returning the file's bytes and
+/// the offset its payload starts at. `Ok(None)` = not present (the stage
+/// was never completed); `Err` = present but unusable (torn write,
+/// corruption, schema drift) — the caller reports it and re-runs the stage.
+fn read_checkpoint(
+    dir: &RunDir,
+    rec: &Recorder,
+    stage: Stage,
+) -> Result<Option<(Vec<u8>, usize)>, String> {
     let path = dir.checkpoint_path(stage);
-    let mut bytes = match std::fs::read(&path) {
+    let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
@@ -1159,14 +1139,14 @@ fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<
     }
     let declared = get_u64(&header, "payload_bytes")?;
     let declared_fnv = get_u64(&header, "payload_fnv")?;
-    bytes.drain(..=nl);
-    if declared != bytes.len() as u64 {
+    let payload = &bytes[nl + 1..];
+    if declared != payload.len() as u64 {
         return Err(format!(
             "payload is {} bytes, header declares {declared} (torn write?)",
-            bytes.len()
+            payload.len()
         ));
     }
-    let fnv = Fingerprint::of_bytes(&bytes).0;
+    let fnv = Fingerprint::of_bytes(payload).0;
     if fnv != declared_fnv {
         return Err(format!(
             "payload hash {fnv:#018x} does not match header {declared_fnv:#018x} (corrupted?)"
@@ -1174,7 +1154,7 @@ fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<
     }
     rec.counter("checkpoint.loads", 1);
     rec.histogram("checkpoint.load_us", t.elapsed().as_micros() as u64);
-    Ok(Some(bytes))
+    Ok(Some((bytes, nl + 1)))
 }
 
 /// Decodes a payload with `decode`, which must consume it exactly.
@@ -1210,68 +1190,47 @@ struct Progress<'a> {
 }
 
 impl Progress<'_> {
-    /// Loads and decodes `stage`'s checkpoint. A missing, unreadable or
-    /// undecodable checkpoint breaks the chain: this stage and everything
-    /// after it re-run. Only a missing one goes without a warning.
-    fn load<T>(
+    /// Loads `stage` from its checkpoint, or computes and checkpoints it.
+    /// A missing, unreadable or undecodable checkpoint breaks the chain:
+    /// this stage and everything after it re-run. Only a missing one goes
+    /// without a warning.
+    fn step<T>(
         &mut self,
         dir: &RunDir,
         stage: Stage,
         decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
-    ) -> Option<T> {
-        if !self.chain_intact {
-            return None;
-        }
-        let loaded = read_checkpoint(dir, self.rec, stage).and_then(|payload| {
-            payload
-                .map(|p| decode_payload(self.rec, stage, &p, decode))
-                .transpose()
-        });
-        match loaded {
-            Ok(Some(v)) => {
-                self.rec.counter("resume.skip_stage", 1);
-                self.rec.stage_skipped(stage.name());
-                self.loaded_stages.push(stage.name());
-                return Some(v);
+        compute: impl FnOnce() -> T,
+        encode: impl FnOnce(&mut Enc, &T),
+        stage_ms: &mut u64,
+    ) -> Result<T, String> {
+        if self.chain_intact {
+            let loaded = read_checkpoint(dir, self.rec, stage).and_then(|file| {
+                file.map(|(bytes, start)| decode_payload(self.rec, stage, &bytes[start..], decode))
+                    .transpose()
+            });
+            match loaded {
+                Ok(Some(v)) => {
+                    self.rec.counter("resume.skip_stage", 1);
+                    self.rec.stage_skipped(stage.name());
+                    self.loaded_stages.push(stage.name());
+                    return Ok(v);
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    let msg = format!("checkpoint {stage}: {e}; re-running the stage");
+                    eprintln!("warning: {msg}");
+                    self.rec.warning(msg.clone());
+                    self.warnings.push(msg);
+                }
             }
-            Ok(None) => {}
-            Err(e) => self.warn(format!(
-                "checkpoint {}: {e}; re-running the stage",
-                stage.name()
-            )),
+            self.chain_intact = false;
         }
-        self.chain_intact = false;
-        None
+        let t = Instant::now();
+        let v = compute();
+        *stage_ms = t.elapsed().as_millis() as u64;
+        write_checkpoint(dir, self.rec, stage, |e| encode(e, &v))?;
+        Ok(v)
     }
-
-    fn warn(&mut self, msg: String) {
-        eprintln!("warning: {msg}");
-        self.rec.warning(msg.clone());
-        self.warnings.push(msg);
-    }
-}
-
-/// Loads a stage from its checkpoint or computes + checkpoints it.
-///
-/// Not a method — the decode/compute closures need to borrow stage outputs
-/// the driver owns, which a `&mut self` method would lock away.
-fn stage_step<T>(
-    progress: &mut Progress<'_>,
-    dir: &RunDir,
-    stage: Stage,
-    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
-    compute: impl FnOnce() -> T,
-    encode: impl FnOnce(&mut Enc, &T),
-    stage_ms: &mut u64,
-) -> Result<T, String> {
-    if let Some(v) = progress.load(dir, stage, decode) {
-        return Ok(v);
-    }
-    let t = Instant::now();
-    let v = compute();
-    *stage_ms = t.elapsed().as_millis() as u64;
-    write_checkpoint(dir, progress.rec, stage, |e| encode(e, &v))?;
-    Ok(v)
 }
 
 /// Drives the pipeline's stage operators over a run directory: each stage
@@ -1290,7 +1249,11 @@ pub fn run_checkpointed(
     let t_total = Instant::now();
     let rec = pipeline.config.recorder.clone();
     let cfg_fp = config_fingerprint(&pipeline.config, pipeline.catalog);
-    let (input_bytes, input_fnv) = hash_file(&opts.input)?;
+    // One read per leg: the bytes hashed against the manifest are the
+    // bytes ingested, so a file swapped mid-run cannot slip through.
+    let input = std::fs::read(&opts.input)
+        .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
+    let (input_bytes, input_fnv) = (input.len() as u64, Fingerprint::of_bytes(&input).0);
 
     let manifest = if opts.resume {
         let mut m = dir.load_manifest()?;
@@ -1361,33 +1324,21 @@ pub fn run_checkpointed(
     let mut timings = StageTimings::default();
     let stop = |stage: Stage| opts.stop_after == Some(stage);
 
-    // --- ingest --- (not a `stage_step`: reading the input is fallible,
-    // and a failed read must never leave a checkpoint behind)
-    let (log, ingest_stats) = match progress.load(dir, Stage::Ingest, decode_ingest) {
-        Some(v) => v,
-        None => {
-            let t = Instant::now();
-            let v = {
-                rec.stage_begin("ingest", 0);
-                let span = rec.span("ingest");
-                ingest_input(opts, pipeline.config.parallelism, &rec, span.id())?
-            };
-            timings.ingest_ms = t.elapsed().as_millis() as u64;
-            write_checkpoint(dir, &rec, Stage::Ingest, |e| encode_ingest(e, &v))?;
-            v
-        }
+    // --- ingest --- (never checkpointed: see [`Stage`])
+    let t = Instant::now();
+    let (log, ingest_stats) = {
+        rec.stage_begin("ingest", 0);
+        let span = rec.span("ingest");
+        ingest_input(&input, opts, pipeline.config.parallelism, &rec, span.id())?
     };
-    if stop(Stage::Ingest) {
-        return Ok(None);
-    }
+    drop(input);
+    timings.ingest_ms = t.elapsed().as_millis() as u64;
 
     // --- dedup (sort is folded in: the checkpoint stores base indices) ---
-    let mut dedup_ms = 0u64;
-    let (kept, dedup_stats) = stage_step(
-        &mut progress,
+    let (kept, dedup_stats) = progress.step(
         dir,
         Stage::Dedup,
-        |d| decode_dedup(d, log.len()),
+        |d| decode_dedup(d, &log),
         || {
             let t = Instant::now();
             let input = pipeline.op_sort(&log);
@@ -1397,18 +1348,15 @@ pub fn run_checkpointed(
             (kept, stats)
         },
         encode_dedup,
-        &mut dedup_ms,
+        &mut timings.dedup_ms,
     )?;
-    timings.dedup_ms = dedup_ms;
     let pre_clean = LogView::from_indices(&log, kept);
     if stop(Stage::Dedup) {
         return Ok(None);
     }
 
     // --- parse ---
-    let mut parse_ms = 0u64;
-    let (store, parsed) = stage_step(
-        &mut progress,
+    let (store, parsed) = progress.step(
         dir,
         Stage::Parse,
         |d| decode_parse(d, pre_clean.len(), &rec),
@@ -1418,76 +1366,70 @@ pub fn run_checkpointed(
             (store, parsed)
         },
         encode_parse,
-        &mut parse_ms,
+        &mut timings.parse_ms,
     )?;
-    timings.parse_ms = parse_ms;
     if stop(Stage::Parse) {
         return Ok(None);
     }
 
     // --- sessions ---
-    let mut sessions_ms = 0u64;
-    let sessions = stage_step(
-        &mut progress,
+    let sessions = progress.step(
         dir,
         Stage::Sessions,
         |d| decode_sessions(d, parsed.records.len()),
         || pipeline.op_sessions(&pre_clean, &parsed.records),
         encode_sessions,
-        &mut sessions_ms,
+        &mut timings.sessions_ms,
     )?;
-    timings.sessions_ms = sessions_ms;
     if stop(Stage::Sessions) {
         return Ok(None);
     }
 
     // --- mine ---
-    let mut mine_ms = 0u64;
-    let mined = stage_step(
-        &mut progress,
+    let mined = progress.step(
         dir,
         Stage::Mine,
         |d| decode_mine(d, store.len()),
         || pipeline.op_mine(&sessions, &parsed.records),
         encode_mine,
-        &mut mine_ms,
+        &mut timings.mine_ms,
     )?;
-    timings.mine_ms = mine_ms;
     if stop(Stage::Mine) {
         return Ok(None);
     }
 
     // --- detect ---
-    let mut detect_ms = 0u64;
-    let detected = stage_step(
-        &mut progress,
+    let detected = progress.step(
         dir,
         Stage::Detect,
         |d| decode_detect(d, parsed.records.len(), store.len()),
         || pipeline.op_detect(&pre_clean, &parsed.records, &sessions, &store),
         encode_detect,
-        &mut detect_ms,
+        &mut timings.detect_ms,
     )?;
-    timings.detect_ms = detect_ms;
     if stop(Stage::Detect) {
         return Ok(None);
     }
 
-    // --- solve ---
-    let mut solve_ms = 0u64;
-    let outcome = stage_step(
-        &mut progress,
+    // --- solve --- (the checkpoint holds the decisions; both paths splice)
+    let decisions = progress.step(
         dir,
         Stage::Solve,
-        decode_solve,
-        || pipeline.op_solve(&pre_clean, &parsed.records, &sessions, &store, &detected),
+        |d| decode_solve(d, &detected.instances, parsed.records.len()),
+        || pipeline.op_solve_decisions(&pre_clean, &parsed.records, &sessions, &store, &detected),
         encode_solve,
-        &mut solve_ms,
+        &mut timings.solve_ms,
     )?;
-    timings.solve_ms = solve_ms;
     if stop(Stage::Solve) {
         return Ok(None);
     }
+    let t = Instant::now();
+    let outcome = {
+        let _span = rec.span("solve");
+        let instances = &detected.instances;
+        splice_solutions(&pre_clean, &parsed.records, instances, decisions, &rec)
+    };
+    timings.solve_ms += t.elapsed().as_millis() as u64;
 
     timings.total_ms = t_total.elapsed().as_millis() as u64;
     let mut result = pipeline.assemble(
@@ -1513,12 +1455,13 @@ pub fn run_checkpointed(
     }))
 }
 
-/// Reads the input under the run's ingest policy — segmented and parallel
-/// (`threads` segments, 0 = one per core), byte-identical to the sequential
-/// reader — streaming quarantined lines into an atomically-written sidecar.
-/// The `ingest`-stage fault hook trips on matching statements after the
-/// read, inside the stage window.
+/// Scans the input bytes under the run's ingest policy — segmented and
+/// parallel (`threads` segments, 0 = one per core), byte-identical to the
+/// sequential reader — streaming quarantined lines into an
+/// atomically-written sidecar. The `ingest`-stage fault hook trips on
+/// matching statements after the scan, inside the stage window.
 fn ingest_input(
+    data: &[u8],
     opts: &CheckpointOptions,
     threads: usize,
     rec: &Recorder,
@@ -1531,8 +1474,8 @@ fn ingest_input(
         ),
         None => None,
     };
-    let (log, stats) = crate::ingest::ingest_file_traced(
-        &opts.input,
+    let (log, stats) = crate::ingest::ingest_slice_traced(
+        data,
         opts.policy,
         threads,
         sidecar.as_mut().map(|w| w as &mut dyn Write),
@@ -1557,6 +1500,7 @@ fn ingest_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlog_log::{LogEntry, Timestamp};
 
     fn dedup_payload() -> Vec<u8> {
         let stats = DedupStats {
@@ -1572,8 +1516,13 @@ mod tests {
     }
 
     fn decode(payload: &[u8]) -> Result<(Vec<u32>, DedupStats), String> {
+        let log = QueryLog::from_entries(
+            (0..3)
+                .map(|i| LogEntry::minimal(i, "SELECT 1", Timestamp(i as i64)))
+                .collect(),
+        );
         decode_payload(&Recorder::disabled(), Stage::Dedup, payload, |d| {
-            decode_dedup(d, 3)
+            decode_dedup(d, &log)
         })
     }
 
@@ -1629,5 +1578,46 @@ mod tests {
         assert!(Dec(&[2]).bool().is_err());
         // A kept index past the 3-entry log.
         assert!(decode(&[1, 3, 3, 2, 1, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn solve_decisions_the_solver_could_not_make_are_rejected() {
+        let inst = |records: Vec<usize>, solvable| AntipatternInstance {
+            class: AntipatternClass::DwStifle,
+            records,
+            identity: Vec::new(),
+            marker_keys: Vec::new(),
+            solvable,
+        };
+        // Instances 0 and 1 share record 1; instance 2 is not solvable.
+        let instances = [
+            inst(vec![0, 1], true),
+            inst(vec![1, 2], true),
+            inst(vec![3], false),
+            inst(vec![4], true),
+        ];
+        let decode = |solved: &[usize]| {
+            let decisions = SolveDecisions {
+                solved: solved.iter().map(|&i| (i, vec![format!("q{i}")])).collect(),
+                skipped_overlaps: 1,
+            };
+            let mut e = Enc::default();
+            encode_solve(&mut e, &decisions);
+            decode_payload(&Recorder::disabled(), Stage::Solve, &e.0, |d| {
+                decode_solve(d, &instances, 5)
+            })
+            .map(|got| assert_eq!(got, decisions))
+        };
+        assert_eq!(decode(&[0, 3]), Ok(()));
+        for (solved, reason) in [
+            (&[0, 4][..], "out of bounds"),
+            (&[3, 3], "not above"),
+            (&[3, 0], "not above"),
+            (&[2], "not solvable"),
+            (&[0, 1], "overlaps"),
+        ] {
+            let err = decode(solved).unwrap_err();
+            assert!(err.contains(reason), "{solved:?}: {err}");
+        }
     }
 }

@@ -20,14 +20,14 @@ use crate::dedup::{dedup_view_traced, DedupStats};
 use crate::detect::{
     detect_builtin, sort_instances, AntipatternClass, AntipatternInstance, DetectCtx,
 };
-use crate::ext::ExtensionRegistry;
+use crate::ext::{ExtensionRegistry, SolverSet};
 use crate::fault;
 use crate::mine::{build_sessions_view_traced, mine_patterns_traced, MinedPatterns, Sessions};
 use crate::parse_step::{parse_view_traced, ParsedLog, ParsedRecord};
 use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
-use crate::solve::{apply_solutions, SolveOutcome};
+use crate::solve::{apply_solutions, decide_solutions, SolveDecisions, SolveOutcome};
 use crate::stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
@@ -376,6 +376,46 @@ impl<'a> Pipeline<'a> {
         store: &TemplateStore,
         detected: &DetectOutput,
     ) -> SolveOutcome {
+        self.solve_stage(
+            pre_clean,
+            records,
+            sessions,
+            store,
+            detected,
+            apply_solutions,
+        )
+    }
+
+    /// The solver pass of [`Pipeline::op_solve`] alone, which the
+    /// checkpointed runner stores; [`crate::solve::splice_solutions`]
+    /// turns its decisions into the [`SolveOutcome`].
+    pub fn op_solve_decisions(
+        &self,
+        pre_clean: &LogView<'_>,
+        records: &[ParsedRecord],
+        sessions: &Sessions,
+        store: &TemplateStore,
+        detected: &DetectOutput,
+    ) -> SolveDecisions {
+        self.solve_stage(
+            pre_clean,
+            records,
+            sessions,
+            store,
+            detected,
+            decide_solutions,
+        )
+    }
+
+    fn solve_stage<T>(
+        &self,
+        pre_clean: &LogView<'_>,
+        records: &[ParsedRecord],
+        sessions: &Sessions,
+        store: &TemplateStore,
+        detected: &DetectOutput,
+        solve: impl FnOnce(&DetectCtx<'_>, &[AntipatternInstance], &SolverSet<'_>) -> T,
+    ) -> T {
         let ctx = DetectCtx {
             log: pre_clean,
             records,
@@ -389,7 +429,7 @@ impl<'a> Pipeline<'a> {
             .recorder
             .stage_begin("solve", detected.instances.len() as u64);
         let _span = self.config.recorder.span("solve");
-        apply_solutions(&ctx, &detected.instances, &solvers)
+        solve(&ctx, &detected.instances, &solvers)
     }
 
     /// Final assembly: statistics, pattern marks and entry-id joins from

@@ -16,7 +16,9 @@ pub mod stifle;
 
 use crate::detect::{AntipatternClass, AntipatternInstance, DetectCtx};
 use crate::ext::SolverSet;
-use sqlog_log::{LogEntry, QueryLog};
+use crate::parse_step::ParsedRecord;
+use sqlog_log::{LogEntry, LogView, QueryLog};
+use sqlog_obs::Recorder;
 
 /// One applied rewrite: the original query sequence an instance covered and
 /// the replacement statements the solver emitted for it.
@@ -57,17 +59,44 @@ pub struct SolveOutcome {
     pub rewrites: Vec<SolvedRewrite>,
 }
 
-/// Applies the solvers over the parsed log.
+/// What the solver pass decided: which instances are rewritten, and into
+/// what. The clean and removal logs follow from these decisions, the
+/// instances and the pre-clean log alone (see [`splice_solutions`]), so a
+/// checkpoint stores the decisions instead of the two logs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SolveDecisions {
+    /// `(index into the instance list, replacement statements)` per solved
+    /// instance, in increasing index order. Each names a solvable instance
+    /// with at least one record, and no two share a record.
+    pub solved: Vec<(usize, Vec<String>)>,
+    /// Solvable instances skipped because an earlier instance had already
+    /// consumed one of their queries.
+    pub skipped_overlaps: usize,
+}
+
+/// Applies the solvers over the parsed log: the ordered first-wins solver
+/// pass, then the splice of its decisions into the two output logs.
 pub fn apply_solutions(
     ctx: &DetectCtx<'_>,
     instances: &[AntipatternInstance],
     solvers: &SolverSet<'_>,
 ) -> SolveOutcome {
-    // Solving is sequential, so its observability is one span (nested under
-    // the pipeline's "solve" stage span via the thread-local) plus outcome
-    // counters at the end.
+    let decisions = decide_solutions(ctx, instances, solvers);
     let rec = &ctx.config.recorder;
-    let mut span = rec.span("solve.apply");
+    splice_solutions(ctx.log, ctx.records, instances, decisions, rec)
+}
+
+/// The solver pass: walks the instances in order and lets each solvable
+/// one whose queries no earlier decision consumed be rewritten.
+pub fn decide_solutions(
+    ctx: &DetectCtx<'_>,
+    instances: &[AntipatternInstance],
+    solvers: &SolverSet<'_>,
+) -> SolveDecisions {
+    // Solving is sequential, so its observability is one span (nested under
+    // the pipeline's "solve" stage span via the thread-local) plus the
+    // splice's outcome counters.
+    let mut span = ctx.config.recorder.span("solve.apply");
     span.field("instances", instances.len() as u64);
     // Chaos-harness injection point: unlike the sharded stages, solving is
     // sequential and not panic-isolated, so this trip is meant for the
@@ -81,20 +110,9 @@ pub fn apply_solutions(
             }
         }
     }
-    let n_records = ctx.records.len();
-    let mut consumed = vec![false; n_records];
-    let mut in_any_instance = vec![false; n_records];
-    // Rewrites to splice in: (record index of the instance head, statements).
-    let mut rewrites: Vec<(usize, Vec<String>)> = Vec::new();
-    let mut solved: Vec<SolvedRewrite> = Vec::new();
-    let mut solved_instances = 0usize;
-    let mut solved_queries = 0usize;
-    let mut skipped_overlaps = 0usize;
-
-    for inst in instances {
-        for &ri in &inst.records {
-            in_any_instance[ri] = true;
-        }
+    let mut consumed = vec![false; ctx.records.len()];
+    let mut decisions = SolveDecisions::default();
+    for (i, inst) in instances.iter().enumerate() {
         if !inst.solvable {
             continue;
         }
@@ -102,7 +120,7 @@ pub fn apply_solutions(
             continue;
         };
         if inst.records.iter().any(|&ri| consumed[ri]) {
-            skipped_overlaps += 1;
+            decisions.skipped_overlaps += 1;
             continue;
         }
         let Some(statements) = solver.solve(inst, ctx) else {
@@ -111,12 +129,43 @@ pub fn apply_solutions(
         for &ri in &inst.records {
             consumed[ri] = true;
         }
-        solved_instances += 1;
+        decisions.solved.push((i, statements));
+    }
+    decisions
+}
+
+/// Builds the clean log, the removal log, the counts and every
+/// [`SolvedRewrite`] from the solver pass's decisions, which must keep
+/// [`SolveDecisions::solved`]'s invariants over `instances`.
+pub fn splice_solutions(
+    log: &LogView<'_>,
+    records: &[ParsedRecord],
+    instances: &[AntipatternInstance],
+    decisions: SolveDecisions,
+    rec: &Recorder,
+) -> SolveOutcome {
+    let n_records = records.len();
+    let mut consumed = vec![false; n_records];
+    let mut in_any_instance = vec![false; n_records];
+    for inst in instances {
+        for &ri in &inst.records {
+            in_any_instance[ri] = true;
+        }
+    }
+    // Rewrites to splice in: (record index of the instance head, statements).
+    let mut rewrites: Vec<(usize, Vec<String>)> = Vec::with_capacity(decisions.solved.len());
+    let mut solved: Vec<SolvedRewrite> = Vec::with_capacity(decisions.solved.len());
+    let mut solved_queries = 0usize;
+    for (i, statements) in decisions.solved {
+        let inst = &instances[i];
+        for &ri in &inst.records {
+            consumed[ri] = true;
+        }
         solved_queries += inst.records.len();
         let originals: Vec<&LogEntry> = inst
             .records
             .iter()
-            .map(|&ri| ctx.log.entry(ctx.records[ri].entry_idx as usize))
+            .map(|&ri| log.entry(records[ri].entry_idx as usize))
             .collect();
         solved.push(SolvedRewrite {
             class: inst.class.clone(),
@@ -146,8 +195,8 @@ pub fn apply_solutions(
     rewrites.sort_by_key(|(head, _)| *head);
     let mut rw_iter = rewrites.into_iter().peekable();
 
-    for (ri, rec) in ctx.records.iter().enumerate() {
-        let entry = ctx.log.entry(rec.entry_idx as usize);
+    for (ri, rec) in records.iter().enumerate() {
+        let entry = log.entry(rec.entry_idx as usize);
         while let Some((head, _)) = rw_iter.peek() {
             if *head == ri {
                 let (_, statements) = rw_iter.next().expect("peeked");
@@ -201,17 +250,17 @@ pub fn apply_solutions(
         e.id = i as u64;
     }
 
-    rec.counter("solve.solved_instances", solved_instances as u64);
+    rec.counter("solve.solved_instances", solved.len() as u64);
     rec.counter("solve.solved_queries", solved_queries as u64);
     rec.counter("solve.rewritten_statements", rewritten_statements as u64);
-    rec.counter("solve.skipped_overlaps", skipped_overlaps as u64);
+    rec.counter("solve.skipped_overlaps", decisions.skipped_overlaps as u64);
     SolveOutcome {
         clean_log,
         removal_log,
-        solved_instances,
+        solved_instances: solved.len(),
         solved_queries,
         rewritten_statements,
-        skipped_overlaps,
+        skipped_overlaps: decisions.skipped_overlaps,
         rewrites: solved,
     }
 }

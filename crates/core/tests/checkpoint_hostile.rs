@@ -5,19 +5,21 @@
 //! instead of the hash check catching them first. Every resume must return
 //! `Ok`: the stage either decodes or is reported and re-run; nothing panics.
 //!
-//! A checkpoint left by an older build (schema 1, JSON payload) is refused
-//! the same non-fatal way, and the resumed output is byte-identical to an
-//! in-memory run.
+//! Solve decisions that decode but that the solver pass could not have made
+//! (an index out of range or out of order, an unsolvable instance, two
+//! decisions sharing a record) and a checkpoint left by an older build
+//! (schema 1, JSON payload) are refused the same non-fatal way, and the
+//! resumed output is byte-identical to an in-memory run.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sqlog_catalog::skyserver_catalog;
 use sqlog_core::checkpoint::{
-    run_checkpointed, CheckpointOptions, CheckpointOutcome, RunDir, Stage,
+    run_checkpointed, CheckpointOptions, CheckpointOutcome, RunDir, Stage, CHECKPOINT_SCHEMA,
 };
-use sqlog_core::{Pipeline, PipelineConfig};
+use sqlog_core::{Pipeline, PipelineConfig, PipelineResult};
 use sqlog_gen::{generate, GenConfig};
-use sqlog_log::{write_log, write_log_file, IngestPolicy, QueryLog};
+use sqlog_log::{write_log, write_log_file, IngestPolicy, LogEntry, QueryLog, Timestamp};
 use sqlog_obs::Json;
 use sqlog_skeleton::Fingerprint;
 use std::path::{Path, PathBuf};
@@ -100,8 +102,8 @@ fn leb128(mut v: u64) -> Vec<u8> {
     out
 }
 
-/// Every stage payload opens with a length prefix (a log's byte length or a
-/// sequence count); replaces it with `len`.
+/// Every stage payload opens with a length prefix (a sequence count);
+/// replaces it with `len`.
 fn rewrite_leading_length(payload: &[u8], len: u64) -> Vec<u8> {
     let skip = payload
         .iter()
@@ -179,7 +181,7 @@ fn mutated_payloads_decode_or_rerun_never_panic() {
             restore();
             std::fs::write(
                 dir.checkpoint_path(stage),
-                checkpoint_file(stage, 2, &mutated),
+                checkpoint_file(stage, CHECKPOINT_SCHEMA, &mutated),
             )
             .unwrap();
             let outcome = resume(&pipeline, &dir, &input, &label);
@@ -203,7 +205,10 @@ fn mutated_payloads_decode_or_rerun_never_panic() {
         }
     }
     // The length rewrites and truncations alone must be refused.
-    assert!(rerun >= 7 * 5, "only {rerun} mutations were refused");
+    assert!(
+        rerun >= Stage::ALL.len() * 5,
+        "only {rerun} mutations were refused"
+    );
 }
 
 #[test]
@@ -253,21 +258,129 @@ fn schema_one_checkpoint_is_refused_and_rerun() {
         "expected a schema warning, got {:?}",
         outcome.warnings
     );
-    assert_eq!(outcome.loaded_stages, ["ingest"]);
+    // Dedup is the first checkpointed stage: nothing loads.
+    assert!(
+        outcome.loaded_stages.is_empty(),
+        "{:?}",
+        outcome.loaded_stages
+    );
     // The re-run rewrote the checkpoint in the current schema.
     let rewritten = std::fs::read(&ckpt).unwrap();
     let header = Json::parse(std::str::from_utf8(split(&rewritten).0).unwrap()).unwrap();
-    assert_eq!(header.get("schema").and_then(Json::as_u64), Some(2));
+    assert_eq!(
+        header.get("schema").and_then(Json::as_u64),
+        Some(CHECKPOINT_SCHEMA)
+    );
+    assert_matches_reference(outcome.result, &reference);
+}
 
+fn assert_matches_reference(r: PipelineResult, reference: &PipelineResult) {
     let wire = |log: &QueryLog| {
         let mut bytes = Vec::new();
         write_log(log, &mut bytes).unwrap();
         bytes
     };
-    let r = outcome.result;
     assert_eq!(wire(&r.clean_log), wire(&reference.clean_log));
     assert_eq!(wire(&r.removal_log), wire(&reference.removal_log));
     let mut stats = r.stats.with_zeroed_timings();
     stats.run_health.interruptions = 0;
     assert_eq!(stats, reference.stats.with_zeroed_timings());
+}
+
+/// A solve payload (schema 3) deciding `indices`, each rewritten into one
+/// statement, with no skipped overlaps.
+fn solve_payload(indices: &[usize]) -> Vec<u8> {
+    let mut payload = leb128(indices.len() as u64);
+    for &i in indices {
+        payload.extend(leb128(i as u64));
+        payload.extend(leb128(1));
+        payload.extend(leb128(8));
+        payload.extend_from_slice(b"SELECT 1");
+    }
+    payload.extend(leb128(0));
+    payload
+}
+
+#[test]
+fn impossible_solve_decisions_are_refused_and_rerun() {
+    let scratch = Scratch::new("decisions");
+    // The generated mix plus a DW run whose last query also opens a DS
+    // pair: two solvable instances sharing a record.
+    let mut log = generate(&GenConfig::with_scale(600, 9091));
+    let last_id = log.entries.iter().map(|e| e.id).max().unwrap();
+    let last_ts = log.entries.iter().map(|e| e.timestamp.0).max().unwrap();
+    for (k, stmt) in [
+        "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=1",
+        "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=2",
+        "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=3",
+        "SELECT ra, dec FROM photoprimary WHERE objid=3",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (id, ts) = (last_id + 1 + k as u64, last_ts + 1_000 * (1 + k as i64));
+        log.entries
+            .push(LogEntry::minimal(id, stmt, Timestamp(ts)).with_user("overlap"));
+    }
+    let input = scratch.path("input.tsv");
+    write_log_file(&log, &input).unwrap();
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(pipeline_config());
+    let reference = Pipeline::new(&catalog)
+        .with_config(pipeline_config())
+        .run(&log);
+    let instances = &reference.instances;
+    let solvable: Vec<usize> = (0..instances.len())
+        .filter(|&i| instances[i].solvable)
+        .collect();
+    let unsolvable = (0..instances.len())
+        .find(|&i| !instances[i].solvable)
+        .expect("fixture has an unsolvable instance");
+    let overlap = solvable
+        .iter()
+        .flat_map(|&i| solvable.iter().map(move |&j| (i, j)))
+        .find(|&(i, j)| {
+            i < j
+                && instances[i]
+                    .records
+                    .iter()
+                    .any(|r| instances[j].records.contains(r))
+        })
+        .expect("fixture has overlapping solvable instances");
+    let (first, second) = (solvable[0], solvable[1]);
+    let cases = [
+        ("out of bounds", vec![first, instances.len()]),
+        ("not above the previous", vec![first, first]),
+        ("not above the previous", vec![second, first]),
+        ("not solvable", vec![unsolvable]),
+        ("overlaps an earlier", vec![overlap.0, overlap.1]),
+    ];
+
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+    run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Solve))).unwrap();
+    let ckpt = dir.checkpoint_path(Stage::Solve);
+    for (reason, indices) in cases {
+        let label = &format!("{indices:?}");
+        let payload = solve_payload(&indices);
+        std::fs::write(
+            &ckpt,
+            checkpoint_file(Stage::Solve, CHECKPOINT_SCHEMA, &payload),
+        )
+        .unwrap();
+        let outcome = resume(&pipeline, &dir, &input, label);
+        assert!(
+            outcome
+                .warnings
+                .iter()
+                .any(|w| w.starts_with("checkpoint solve:") && w.contains(reason)),
+            "{label}: expected a solve warning, got {:?}",
+            outcome.warnings
+        );
+        assert_eq!(
+            outcome.loaded_stages,
+            ["dedup", "parse", "sessions", "mine", "detect"],
+            "{label}"
+        );
+        assert_matches_reference(outcome.result, &reference);
+    }
 }

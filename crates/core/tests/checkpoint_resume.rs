@@ -6,10 +6,12 @@
 //! warning.
 
 use sqlog_catalog::skyserver_catalog;
-use sqlog_core::checkpoint::{run_checkpointed, CheckpointOptions, RunDir, Stage};
+use sqlog_core::checkpoint::{
+    run_checkpointed, CheckpointOptions, CheckpointOutcome, RunDir, Stage,
+};
 use sqlog_core::{Pipeline, PipelineConfig, PipelineResult};
 use sqlog_gen::{generate, GenConfig};
-use sqlog_log::{write_log_file, IngestPolicy, QueryLog};
+use sqlog_log::{write_log, write_log_file, IngestPolicy, QueryLog};
 use std::path::{Path, PathBuf};
 
 struct Scratch(PathBuf);
@@ -181,8 +183,8 @@ fn corrupted_checkpoint_is_nonfatal_and_rerun() {
         "expected a sessions-corruption warning, got {:?}",
         resumed.warnings
     );
-    // Ingest/dedup/parse load; sessions and everything after re-run.
-    assert_eq!(resumed.loaded_stages, ["ingest", "dedup", "parse"]);
+    // Dedup/parse load; sessions and everything after re-run.
+    assert_eq!(resumed.loaded_stages, ["dedup", "parse"]);
     let mut r = resumed.result;
     r.stats.run_health.interruptions = 0;
     assert_identical(&reference, &r, "resume over corrupted checkpoint");
@@ -212,7 +214,7 @@ fn truncated_checkpoint_is_detected_as_torn_write() {
         "expected a dedup warning, got {:?}",
         resumed.warnings
     );
-    assert_eq!(resumed.loaded_stages, ["ingest"]);
+    assert!(resumed.loaded_stages.is_empty());
 }
 
 #[test]
@@ -257,7 +259,7 @@ fn changed_ingest_policy_refuses_to_resume() {
     let catalog = skyserver_catalog();
     let pipeline = Pipeline::new(&catalog).with_config(config(1, true));
     let dir = RunDir::create(scratch.path("run")).unwrap();
-    run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Ingest))).unwrap();
+    run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Dedup))).unwrap();
 
     let mut lenient = opts(&input, true, None);
     lenient.policy = IngestPolicy::Lenient;
@@ -283,8 +285,76 @@ fn double_interruption_counts_twice() {
     assert!(!done.result.stats.run_health.completed_degraded());
     // Everything checkpointed before the second crash (which hit after
     // mine) loads on the final leg; detect and solve run live.
-    assert_eq!(
-        done.loaded_stages,
-        ["ingest", "dedup", "parse", "sessions", "mine"]
+    assert_eq!(done.loaded_stages, ["dedup", "parse", "sessions", "mine"]);
+}
+
+/// Every leg re-reads the input, so a lenient resume must rebuild what the
+/// ingest stage produced: the quarantine sidecar and the run-health counts.
+#[test]
+fn lenient_resume_rewrites_sidecar_and_health_identically() {
+    let scratch = Scratch::new("lenient");
+    let mut clean_input = Vec::new();
+    write_log(
+        &generate(&GenConfig::with_scale(1_500, 77)),
+        &mut clean_input,
+    )
+    .unwrap();
+    // Malformed rows and invalid UTF-8 spread through the file.
+    let mut hostile = Vec::new();
+    for (i, line) in clean_input.split_inclusive(|&b| b == b'\n').enumerate() {
+        hostile.extend_from_slice(line);
+        match i % 97 {
+            13 => hostile.extend_from_slice(b"garbage without tabs\n"),
+            41 => hostile.extend_from_slice(b"9\t0\tu\t\t\t\tSELECT \xff FROM t\n"),
+            _ => {}
+        }
+    }
+    let input = scratch.path("input.tsv");
+    std::fs::write(&input, &hostile).unwrap();
+    let catalog = skyserver_catalog();
+    let run = |dir: &RunDir, threads, resume, stop_after| {
+        let pipeline = Pipeline::new(&catalog).with_config(config(threads, true));
+        let opts = CheckpointOptions {
+            policy: IngestPolicy::Lenient,
+            quarantine: Some(dir.quarantine_path()),
+            ..opts(&input, resume, stop_after)
+        };
+        run_checkpointed(&pipeline, dir, &opts).unwrap()
+    };
+
+    let ref_dir = RunDir::create(scratch.path("ref")).unwrap();
+    let reference = run(&ref_dir, 2, false, None).expect("completes");
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+    assert!(run(&dir, 1, false, Some(Stage::Dedup)).is_none());
+    // The resume leg must write the sidecar itself, not inherit it.
+    std::fs::remove_file(dir.quarantine_path()).unwrap();
+    let resumed = run(&dir, 4, true, None).expect("completes");
+    assert_eq!(resumed.loaded_stages, ["dedup"]);
+
+    let health = |o: &CheckpointOutcome| {
+        let h = &o.result.stats.run_health;
+        (h.quarantined_lines, h.invalid_utf8_lines)
+    };
+    let (quarantined, invalid_utf8) = health(&reference);
+    assert!(
+        quarantined > invalid_utf8 && invalid_utf8 > 0,
+        "{quarantined} {invalid_utf8}"
     );
+    assert_eq!(health(&resumed), health(&reference));
+    let wire = |log: &QueryLog| {
+        let mut bytes = Vec::new();
+        write_log(log, &mut bytes).unwrap();
+        bytes
+    };
+    let (r, want) = (&resumed.result, &reference.result);
+    assert!(
+        wire(&r.clean_log) == wire(&want.clean_log),
+        "clean log differs"
+    );
+    assert!(
+        wire(&r.removal_log) == wire(&want.removal_log),
+        "removal log differs"
+    );
+    let sidecar = |d: &RunDir| std::fs::read(d.quarantine_path()).unwrap();
+    assert!(sidecar(&dir) == sidecar(&ref_dir), "sidecar differs");
 }
