@@ -17,12 +17,15 @@
 //! see [`sqlog_log::atomic`]) and carries a header line with the payload's
 //! byte length and FNV-1a hash — a torn or tampered write is always
 //! detectable, never silently half-loaded. The header is one JSON line;
-//! the payload (schema 3) is binary, encoded straight from the stage's
+//! the payload (schema 4) is binary, encoded straight from the stage's
 //! structs and decoded straight from the file bytes: LEB128 varints,
 //! length-prefixed UTF-8 strings and one-byte tags for the enums. The
-//! decoder never panics on any bytes: it bounds every length by the bytes
-//! left, rejects unknown tags and trailing bytes, and checks every index
-//! against its target and every order a later stage relies on.
+//! parse payload stores each distinct record shape (output columns and
+//! primary table) once, in a table the records index into. The decoder
+//! never panics on any bytes: it bounds every length by the bytes left,
+//! rejects unknown tags, trailing bytes and duplicate table entries, and
+//! checks every index against its target and every order a later stage
+//! relies on.
 //!
 //! A stage is checkpointed only where loading it beats re-running it (the
 //! numbers are in DESIGN.md). Ingest is not: each leg reads the input once,
@@ -49,7 +52,7 @@ use crate::dedup::DedupStats;
 use crate::detect::{AntipatternClass, AntipatternInstance};
 use crate::fault;
 use crate::mine::{MinedPatterns, PatternData, Session, Sessions};
-use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};
+use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord, RecordShape};
 use crate::pipeline::{DetectOutput, Pipeline, PipelineResult};
 use crate::solve::{splice_solutions, SolveDecisions};
 use crate::stats::StageTimings;
@@ -58,18 +61,19 @@ use sqlog_catalog::Catalog;
 use sqlog_log::{AtomicFile, IngestPolicy, IngestStats, LogView, QueryLog};
 use sqlog_obs::{Json, Recorder, SpanId};
 use sqlog_skeleton::{
-    Fingerprint, Fnv1a, OutputColumns, PredicateKind, PredicateProfile, QueryTemplate, Theta,
-    ValueKind,
+    Fingerprint, Fnv1a, FnvHashMap, FnvHashSet, OutputColumns, PredicateKind, PredicateProfile,
+    QueryTemplate, Theta, ValueKind,
 };
 use sqlog_sql::StatementKind;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Version written into every manifest.
 pub const MANIFEST_SCHEMA: u64 = 1;
 /// Version written into every checkpoint header.
-pub const CHECKPOINT_SCHEMA: u64 = 3;
+pub const CHECKPOINT_SCHEMA: u64 = 4;
 
 /// The checkpointed pipeline stages, in execution order.
 ///
@@ -789,16 +793,34 @@ fn encode_parse(e: &mut Enc, (store, parsed): &(TemplateStore, ParsedLog)) {
     e.seq(0..store.len() as u32, |e, i| {
         store.with(TemplateId(i), |t| encode_template(e, t))
     });
-    e.seq(&parsed.records, |e, r| {
-        e.u64(r.entry_idx.into());
-        e.u64(r.template.0.into());
-        e.seq(&r.profile.conjuncts, encode_predicate);
-        e.bool(r.output.wildcard);
-        e.seq(&r.output.names, |e, n| e.str(n));
-        e.bool(r.primary_table.is_some());
-        if let Some(t) = &r.primary_table {
+    // The shape table: distinct shapes by value, in order of first
+    // appearance in the records, so the bytes do not depend on which
+    // records happened to share an `Arc`.
+    let mut index: FnvHashMap<&RecordShape, u64> = FnvHashMap::default();
+    let mut shapes: Vec<&RecordShape> = Vec::new();
+    let shape_of: Vec<u64> = parsed
+        .records
+        .iter()
+        .map(|r| {
+            *index.entry(&r.shape).or_insert_with(|| {
+                shapes.push(&r.shape);
+                shapes.len() as u64 - 1
+            })
+        })
+        .collect();
+    e.seq(shapes, |e, shape| {
+        e.bool(shape.output.wildcard);
+        e.seq(&shape.output.names, |e, n| e.str(n));
+        e.bool(shape.primary_table.is_some());
+        if let Some(t) = &shape.primary_table {
             e.str(t);
         }
+    });
+    e.seq(parsed.records.iter().zip(shape_of), |e, (r, shape)| {
+        e.u64(r.entry_idx.into());
+        e.u64(r.template.0.into());
+        e.u64(shape);
+        e.seq(&r.profile.conjuncts, encode_predicate);
     });
     let s = &parsed.stats;
     for n in [
@@ -844,6 +866,20 @@ fn decode_parse(
             ));
         }
     }
+    // Each distinct shape once; the records of a shape share its `Arc`.
+    let shapes = d.seq(|d| {
+        Ok(Arc::new(RecordShape {
+            output: OutputColumns {
+                wildcard: d.bool()?,
+                names: d.seq(Dec::string)?,
+            },
+            primary_table: if d.bool()? { Some(d.string()?) } else { None },
+        }))
+    })?;
+    let mut distinct: FnvHashSet<&RecordShape> = FnvHashSet::default();
+    if let Some(i) = shapes.iter().position(|s| !distinct.insert(s)) {
+        return Err(format!("shape-table entry {i} duplicates an earlier one"));
+    }
     // One record per parsed entry, in view order.
     let mut next_entry = 0u64;
     let records = d.seq(|d| {
@@ -855,14 +891,10 @@ fn decode_parse(
         Ok(ParsedRecord {
             entry_idx,
             template: TemplateId(d.index(n_templates, "record template")?),
+            shape: Arc::clone(&shapes[d.index::<usize>(shapes.len(), "record shape")?]),
             profile: PredicateProfile {
                 conjuncts: d.seq(decode_predicate)?,
             },
-            output: OutputColumns {
-                wildcard: d.bool()?,
-                names: d.seq(Dec::string)?,
-            },
-            primary_table: if d.bool()? { Some(d.string()?) } else { None },
         })
     })?;
     let mut stats = ParseStats {
@@ -1578,6 +1610,53 @@ mod tests {
         assert!(Dec(&[2]).bool().is_err());
         // A kept index past the 3-entry log.
         assert!(decode(&[1, 3, 3, 2, 1, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn parse_payload_round_trips_with_one_arc_per_shape() {
+        use crate::parse_step::{parse_view_traced, ParseOptions};
+        let statements: Vec<String> = (0..30)
+            .map(|i| match i % 3 {
+                0 => format!("SELECT a, b FROM t WHERE x = {i}"),
+                1 => format!("SELECT * FROM u WHERE y = 'v{i}' AND z > {i}"),
+                _ => format!("SELECT c FROM t, u WHERE t.x = u.y AND t.x = {i}"),
+            })
+            .collect();
+        let log = QueryLog::from_entries(
+            statements
+                .iter()
+                .enumerate()
+                .map(|(i, s)| LogEntry::minimal(i as u64, s.as_str(), Timestamp(i as i64)))
+                .collect(),
+        );
+        // Without the parse cache every record owns its own `Arc`.
+        let options = ParseOptions {
+            cache: false,
+            ..ParseOptions::default()
+        };
+        let store = TemplateStore::new();
+        let view = LogView::identity(&log);
+        let none = Recorder::disabled();
+        let parsed = parse_view_traced(&view, &store, &options, 1, &none, None);
+        let arcs = |records: &[ParsedRecord]| {
+            let ptrs: FnvHashSet<*const RecordShape> =
+                records.iter().map(|r| Arc::as_ptr(&r.shape)).collect();
+            ptrs.len()
+        };
+        assert_eq!(arcs(&parsed.records), 30);
+        let distinct: FnvHashSet<&RecordShape> = parsed.records.iter().map(|r| &*r.shape).collect();
+        let distinct = distinct.len();
+        assert_eq!(distinct, 3);
+
+        let original = (store, parsed);
+        let mut e = Enc::default();
+        encode_parse(&mut e, &original);
+        let (_, decoded) = decode_payload(&none, Stage::Parse, &e.0, |d| {
+            decode_parse(d, log.len(), &none)
+        })
+        .unwrap();
+        assert_eq!(decoded.records, original.1.records);
+        assert_eq!(arcs(&decoded.records), distinct);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Detector for CthDetector {
                 let src_ri = recs[k];
                 let src = &ctx.records[src_ri];
                 // A source must produce *something* a follow-up could use.
-                if !src.output.wildcard && src.output.names.is_empty() {
+                if !src.shape.output.wildcard && src.shape.output.names.is_empty() {
                     k += 1;
                     continue;
                 }
@@ -56,7 +56,7 @@ impl Detector for CthDetector {
                         break;
                     };
                     // The constant must be an attribute the source produced.
-                    if !src.output.may_contain(col) {
+                    if !src.shape.output.may_contain(col) {
                         break;
                     }
                     // Close in time: a hunt is a software loop, not a visit

@@ -36,7 +36,7 @@ fn shape<'a>(ctx: &DetectCtx<'_>, rec: &'a ParsedRecord) -> Option<Shape<'a>> {
     if ctx.config.require_key_attribute
         && !ctx
             .catalog
-            .is_key_attribute(rec.primary_table.as_deref(), column)
+            .is_key_attribute(rec.shape.primary_table.as_deref(), column)
     {
         return None;
     }

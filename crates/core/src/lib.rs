@@ -73,7 +73,7 @@ pub use mine::{
 };
 pub use parse_step::{
     parse_log, parse_view, parse_view_traced, parse_view_with, ParseCacheStats, ParseOptions,
-    ParseStats, ParsedLog, ParsedRecord,
+    ParseStats, ParsedLog, ParsedRecord, RecordShape,
 };
 pub use pipeline::{DetectOutput, Pipeline, PipelineResult};
 pub use recommend::{evaluate_against_marks, RecommendationEval, Recommender};

@@ -435,7 +435,7 @@ impl PatternCounter {
 fn trip_session(fault: &Option<String>, session: &Session, records: &[ParsedRecord]) {
     if fault.is_some() {
         for &ri in &session.records {
-            if let Some(t) = records[ri].primary_table.as_deref() {
+            if let Some(t) = records[ri].shape.primary_table.as_deref() {
                 fault::trip(fault, t);
             }
         }

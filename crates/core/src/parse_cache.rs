@@ -18,7 +18,9 @@
 //! # Soundness
 //!
 //! Equal raw keys guarantee equal token streams *modulo literal text*, so
-//! the template, output columns and primary table carry over directly.
+//! the template and the [`RecordShape`] (output columns and primary table)
+//! carry over directly — a hit shares the entry's shape `Arc` rather than
+//! copying it.
 //! Which profile slots are literal-dependent is discovered by a one-time
 //! **sentinel probe** per shape: the first statement's literals are
 //! replaced by unique sentinel values, the probe is fully parsed, and the
@@ -37,13 +39,14 @@
 //! additionally cross-check the first few hits per worker against a full
 //! parse (see [`ShapeCache`]'s `crosscheck` budget).
 
-use crate::parse_step::{parse_one, Outcome, ParsedRecord};
+use crate::parse_step::{parse_one, Outcome, ParsedRecord, RecordShape};
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_skeleton::{
     primary_table, raw_shape_scan, Fingerprint, FnvHashMap, OutputColumns, PredicateKind,
     PredicateProfile, QueryTemplate, RawKey, RawLiteral, RawLiteralKind, ValueKind,
 };
 use sqlog_sql::{parse_statements_with, ParseLimits, Statement, StatementKind};
+use std::sync::Arc;
 
 /// One literal-dependent slot of a cached predicate profile: on a hit,
 /// conjunct `conjunct` / slot `slot` is overwritten with the text of the
@@ -69,8 +72,8 @@ struct Subst {
 struct SelectEntry {
     template: TemplateId,
     fingerprint: Fingerprint,
-    output: OutputColumns,
-    primary_table: Option<String>,
+    /// The shape every record of this key shares (hits clone the `Arc`).
+    shape: Arc<RecordShape>,
     profile: PredicateProfile,
     /// Entry index of the first statement seen with this key, used to
     /// build the sentinel probe lazily on the first hit.
@@ -121,17 +124,18 @@ pub(crate) struct ShapeCache {
 
 impl ShapeCache {
     /// Approximate bytes held by this worker's cache: the hash-map index
-    /// at capacity, the boxed SELECT entries with their heap-owned parts,
-    /// and the literal scratch buffer. Memory accounting only — not an
-    /// allocator-exact figure.
+    /// at capacity, the boxed SELECT entries with their profile, recipe and
+    /// shape (each entry holds its own shape `Arc`, so each shape counts
+    /// once), and the literal scratch buffer. Memory accounting only — not
+    /// an allocator-exact figure.
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.map.capacity() * (size_of::<RawKey>() + size_of::<CacheEntry>());
         for e in self.map.values() {
             if let CacheEntry::Select(s) = e {
                 bytes += size_of::<SelectEntry>();
-                bytes += s.primary_table.as_deref().map_or(0, str::len);
-                bytes += s.profile.conjuncts.capacity() * size_of::<PredicateKind>();
+                bytes += s.shape.approx_bytes();
+                bytes += s.profile.approx_heap_bytes();
                 bytes += s
                     .substs
                     .as_ref()
@@ -178,8 +182,7 @@ impl ShapeCache {
                     Outcome::Select(rec) => CacheEntry::Select(Box::new(SelectEntry {
                         template: rec.template,
                         fingerprint: store.with(rec.template, |t| t.fingerprint),
-                        output: rec.output.clone(),
-                        primary_table: rec.primary_table.clone(),
+                        shape: Arc::clone(&rec.shape),
                         profile: rec.profile.clone(),
                         first_idx: entry_idx,
                         substs: None,
@@ -217,8 +220,7 @@ impl ShapeCache {
                         entry_idx,
                         template: entry.template,
                         profile,
-                        output: entry.output.clone(),
-                        primary_table: entry.primary_table.clone(),
+                        shape: Arc::clone(&entry.shape),
                     });
                 match rebuilt {
                     Some(rec) => {
@@ -228,7 +230,7 @@ impl ShapeCache {
                             self.crosschecks += 1;
                             match parse_one(store, memo, limits, entry_idx, sql) {
                                 Outcome::Select(fresh) => assert_eq!(
-                                    *fresh, rec,
+                                    fresh, rec,
                                     "parse-cache cross-check mismatch at entry {entry_idx}",
                                 ),
                                 _ => panic!(
@@ -239,7 +241,7 @@ impl ShapeCache {
                         }
                         #[cfg(not(debug_assertions))]
                         let _ = crosscheck;
-                        Outcome::Select(Box::new(rec))
+                        Outcome::Select(rec)
                     }
                     None => {
                         // Recipe build or span decode failed — demote the
@@ -308,10 +310,11 @@ fn build_recipe(entry: &SelectEntry, limits: &ParseLimits, first_sql: &str) -> O
 
     // The probe must be shape-identical to the cached statement; a literal
     // that leaks into any of these facts makes the shape uncacheable.
-    if QueryTemplate::of_query(q).fingerprint != entry.fingerprint
-        || OutputColumns::of_select(&q.body) != entry.output
-        || primary_table(&q.body) != entry.primary_table
-    {
+    let probe_shape = RecordShape {
+        output: OutputColumns::of_select(&q.body),
+        primary_table: primary_table(&q.body),
+    };
+    if QueryTemplate::of_query(q).fingerprint != entry.fingerprint || probe_shape != *entry.shape {
         return None;
     }
     let probe_profile = PredicateProfile::of_select(&q.body);
@@ -589,7 +592,7 @@ mod tests {
         outcomes
             .iter()
             .filter_map(|o| match o {
-                Outcome::Select(r) => Some(r.as_ref()),
+                Outcome::Select(r) => Some(r),
                 _ => None,
             })
             .collect()
@@ -622,6 +625,40 @@ mod tests {
         assert_eq!(cache.fallbacks, 0);
         #[cfg(debug_assertions)]
         assert_eq!(cache.crosschecks, 3);
+    }
+
+    #[test]
+    fn hits_share_their_entry_shape() {
+        let stmts = [
+            "SELECT name FROM Employee WHERE empId = 8",
+            "SELECT a, b FROM t WHERE x = 'p'",
+            "SELECT name FROM Employee WHERE empId = 9",
+            "SELECT a, b FROM t WHERE x = 'q'",
+            "SELECT name FROM Employee WHERE empId = 10",
+        ];
+        let (outcomes, cache, _) = cached_parse(&stmts);
+        assert_eq!((cache.misses, cache.hits), (2, 3));
+        let entries: Vec<&Arc<RecordShape>> = cache
+            .map
+            .values()
+            .filter_map(|e| match e {
+                CacheEntry::Select(s) => Some(&s.shape),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(entries.len(), 2);
+        // Every record — the miss that built the entry and each hit — holds
+        // its entry's shape itself, not a copy.
+        let recs = records(&outcomes);
+        for rec in &recs {
+            let owners = entries
+                .iter()
+                .filter(|s| Arc::ptr_eq(s, &rec.shape))
+                .count();
+            assert_eq!(owners, 1, "entry {}", rec.entry_idx);
+        }
+        assert!(Arc::ptr_eq(&recs[0].shape, &recs[4].shape));
+        assert!(!Arc::ptr_eq(&recs[0].shape, &recs[1].shape));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Every statement of the pre-cleaned log is parsed into a syntax tree.
 //! Statements with syntax errors are excluded (counted), non-SELECT
 //! statements are excluded (counted per kind), and each surviving SELECT is
-//! reduced to a compact [`ParsedRecord`]: its interned template id plus the
-//! predicate facts the detectors need. The full AST is *not* retained —
-//! records must stay small enough for multi-million-entry logs; solvers that
-//! need an AST re-parse the one statement they rewrite.
+//! reduced to a compact [`ParsedRecord`]: its interned template id, its
+//! predicate profile, and a shared [`RecordShape`] — the output columns and
+//! primary table, which are the same for every statement of a shape and so
+//! are stored once per shape, not once per record. The full AST is *not*
+//! retained — records must stay small enough for multi-million-entry logs;
+//! solvers that need an AST re-parse the one statement they rewrite.
 //!
 //! Parsing is embarrassingly parallel and runs on a scoped thread pool. Two
 //! things keep the hot path cheap and the result deterministic:
@@ -27,12 +29,41 @@ use serde::{Deserialize, Serialize};
 use sqlog_log::{LogView, QueryLog};
 use sqlog_obs::{Recorder, SpanId};
 use sqlog_skeleton::{
-    primary_table, Fingerprint, FnvHashMap, OutputColumns, PredicateProfile, QueryTemplate,
+    primary_table, Fingerprint, FnvHashMap, FnvHashSet, OutputColumns, PredicateProfile,
+    QueryTemplate,
 };
 use sqlog_sql::{parse_statements_with, ParseLimits, Statement, StatementKind};
 use std::collections::HashMap;
+use std::sync::Arc;
+
+/// The literal-independent facts of a SELECT beyond its template: equal for
+/// every statement of one query shape, so records share one copy.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RecordShape {
+    /// Output columns of the projection (CTH, Def. 15).
+    pub output: OutputColumns,
+    /// The single base table, when the FROM clause is one plain table
+    /// (the Stifle key check, Def. 11).
+    pub primary_table: Option<String>,
+}
+
+impl RecordShape {
+    /// Approximate bytes of one shared shape: the `Arc` allocation (counts
+    /// plus the struct) and its heap-owned strings. Memory accounting only.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<RecordShape>()
+            + self.output.approx_heap_bytes()
+            + self.primary_table.as_deref().map_or(0, str::len)
+    }
+}
 
 /// A parsed SELECT statement, reduced to analysis facts.
+///
+/// Only the profile is owned per record — its slots hold the statement's
+/// literals. The shape is shared: every cache hit of a shape points at the
+/// `Arc` its first full parse built, and a decoded parse checkpoint gives
+/// all records of one shape a single `Arc`. Equality compares by value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedRecord {
     /// Index into the pre-cleaned log's entry vector.
@@ -41,10 +72,8 @@ pub struct ParsedRecord {
     pub template: TemplateId,
     /// Classified WHERE-clause conjuncts.
     pub profile: PredicateProfile,
-    /// Output columns of the projection.
-    pub output: OutputColumns,
-    /// The single base table, when the FROM clause is one plain table.
-    pub primary_table: Option<String>,
+    /// Output columns and primary table, shared by the records of a shape.
+    pub shape: Arc<RecordShape>,
 }
 
 /// Counters from the parse step.
@@ -144,7 +173,7 @@ pub struct ParsedLog {
 }
 
 pub(crate) enum Outcome {
-    Select(Box<ParsedRecord>),
+    Select(ParsedRecord),
     NonSelect(StatementKind),
     Error {
         limit: bool,
@@ -177,13 +206,15 @@ pub(crate) fn parse_one(
                             id
                         }
                     };
-                    return Outcome::Select(Box::new(ParsedRecord {
+                    return Outcome::Select(ParsedRecord {
                         entry_idx,
                         template,
                         profile: PredicateProfile::of_select(&q.body),
-                        output: OutputColumns::of_select(&q.body),
-                        primary_table: primary_table(&q.body),
-                    }));
+                        shape: Arc::new(RecordShape {
+                            output: OutputColumns::of_select(&q.body),
+                            primary_table: primary_table(&q.body),
+                        }),
+                    });
                 }
             }
             match stmts.first() {
@@ -388,7 +419,7 @@ pub fn parse_view_traced(
             match outcome {
                 Outcome::Select(rec) => {
                     stats.selects += 1;
-                    records.push(*rec);
+                    records.push(rec);
                 }
                 Outcome::NonSelect(kind) => {
                     *stats.non_select.entry(kind).or_default() += 1;
@@ -405,8 +436,13 @@ pub fn parse_view_traced(
     }
     canonicalize_templates(store, preexisting, &mut records);
     if rec.is_enabled() {
-        // O(#templates) walk — enabled runs only.
+        // O(#templates) and O(#records) walks — enabled runs only.
         rec.counter("mem.template_store_bytes", store.approx_bytes() as u64);
+        let vec_bytes = records.capacity() * std::mem::size_of::<ParsedRecord>();
+        rec.counter(
+            "mem.parse_records_bytes",
+            (vec_bytes + records_heap_bytes(&records)) as u64,
+        );
     }
     rec.counter("parse.total", stats.total as u64);
     rec.counter("parse.selects", stats.selects as u64);
@@ -433,6 +469,20 @@ pub fn parse_view_traced(
         stats,
         cache: cache_stats,
     }
+}
+
+/// Approximate bytes the parse records own beyond their vector: each
+/// record's profile heap, and each distinct shared shape once.
+fn records_heap_bytes(records: &[ParsedRecord]) -> usize {
+    let mut shapes: FnvHashSet<*const RecordShape> = FnvHashSet::default();
+    let mut bytes = 0;
+    for r in records {
+        bytes += r.profile.approx_heap_bytes();
+        if shapes.insert(Arc::as_ptr(&r.shape)) {
+            bytes += r.shape.approx_bytes();
+        }
+    }
+    bytes
 }
 
 /// Routes one statement through the shape cache when enabled, or straight
@@ -546,6 +596,63 @@ mod tests {
     }
 
     #[test]
+    fn records_match_with_the_cache_on_and_off() {
+        let statements: Vec<String> = (0..400)
+            .map(|i| match i % 4 {
+                0 => format!("SELECT a, b FROM t WHERE x = {i}"),
+                1 => format!("SELECT * FROM u WHERE y = 'v{i}'"),
+                2 => format!("SELECT c AS k FROM t JOIN u ON t.x = u.y WHERE t.x > {i}"),
+                _ => format!("DELETE FROM t WHERE x = {i}"),
+            })
+            .collect();
+        let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
+        let log = log(&refs);
+        let view = LogView::identity(&log);
+        let parse = |cache: bool, threads: usize| {
+            let options = ParseOptions {
+                cache,
+                ..ParseOptions::default()
+            };
+            let store = TemplateStore::new();
+            parse_view_traced(
+                &view,
+                &store,
+                &options,
+                threads,
+                &Recorder::disabled(),
+                None,
+            )
+        };
+        let reference = parse(false, 1);
+        assert_eq!(reference.records.len(), 300);
+        for threads in [1, 4] {
+            for cache in [false, true] {
+                let parsed = parse(cache, threads);
+                assert_eq!(
+                    parsed.records, reference.records,
+                    "cache {cache}, threads {threads}"
+                );
+            }
+        }
+        // One worker, cache on: the three shapes are three `Arc`s, each
+        // held by every record of its shape.
+        let parsed = parse(true, 1);
+        let ptrs: FnvHashSet<*const RecordShape> = parsed
+            .records
+            .iter()
+            .map(|r| Arc::as_ptr(&r.shape))
+            .collect();
+        assert_eq!(ptrs.len(), 3);
+        for (r, first) in parsed
+            .records
+            .iter()
+            .zip(parsed.records.iter().take(3).cycle())
+        {
+            assert!(Arc::ptr_eq(&r.shape, &first.shape), "entry {}", r.entry_idx);
+        }
+    }
+
+    #[test]
     fn template_ids_are_first_appearance_ordered() {
         let statements: Vec<String> = (0..200)
             .map(|i| format!("SELECT c{} FROM t WHERE x = {}", (199 - i) % 5, i))
@@ -572,7 +679,7 @@ mod tests {
         let store = TemplateStore::new();
         let parsed = parse_log(&log, &store, 1);
         assert_eq!(parsed.stats.selects, 1);
-        assert_eq!(parsed.records[0].primary_table.as_deref(), Some("t"));
+        assert_eq!(parsed.records[0].shape.primary_table.as_deref(), Some("t"));
     }
 
     #[test]

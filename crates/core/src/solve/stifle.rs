@@ -150,9 +150,9 @@ impl StifleSolver {
     /// projections, filter once.
     fn solve_df(&self, inst: &AntipatternInstance, ctx: &DetectCtx<'_>) -> Option<Vec<String>> {
         // Collect one representative query per distinct table.
-        let mut tables: Vec<(String, Query)> = Vec::new();
+        let mut tables: Vec<(&str, Query)> = Vec::new();
         for &ri in &inst.records {
-            let table = ctx.records[ri].primary_table.clone()?;
+            let table = ctx.records[ri].shape.primary_table.as_deref()?;
             if tables.iter().any(|(t, _)| *t == table) {
                 continue;
             }
@@ -168,25 +168,25 @@ impl StifleSolver {
 
         // FROM: t1 INNER JOIN t2 ON t2.col = t1.col INNER JOIN …
         let mut from = TableRef::Table {
-            name: ObjectName::simple(tables[0].0.clone()),
+            name: ObjectName::simple(tables[0].0),
             alias: None,
         };
         for (table, _) in &tables[1..] {
             let on = Expr::Binary {
                 left: Box::new(Expr::Column(ObjectName(vec![
-                    Ident::new(table.clone()),
+                    Ident::new(*table),
                     Ident::new(col.clone()),
                 ]))),
                 op: BinaryOp::Eq,
                 right: Box::new(Expr::Column(ObjectName(vec![
-                    Ident::new(tables[0].0.clone()),
+                    Ident::new(tables[0].0),
                     Ident::new(col.clone()),
                 ]))),
             };
             from = TableRef::Join {
                 left: Box::new(from),
                 right: Box::new(TableRef::Table {
-                    name: ObjectName::simple(table.clone()),
+                    name: ObjectName::simple(*table),
                     alias: None,
                 }),
                 kind: JoinKind::Inner,
@@ -206,13 +206,13 @@ impl StifleSolver {
                         alias,
                     } => SelectItem::Expr {
                         expr: Expr::Column(ObjectName(vec![
-                            Ident::new(table.clone()),
+                            Ident::new(*table),
                             name.last().clone(),
                         ])),
                         alias: alias.clone(),
                     },
                     SelectItem::Wildcard => {
-                        SelectItem::QualifiedWildcard(ObjectName::simple(table.clone()))
+                        SelectItem::QualifiedWildcard(ObjectName::simple(*table))
                     }
                     other => other.clone(),
                 };
@@ -224,7 +224,7 @@ impl StifleSolver {
 
         let selection = Expr::Binary {
             left: Box::new(Expr::Column(ObjectName(vec![
-                Ident::new(tables[0].0.clone()),
+                Ident::new(tables[0].0),
                 Ident::new(col),
             ]))),
             op: BinaryOp::Eq,

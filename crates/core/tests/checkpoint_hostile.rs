@@ -7,9 +7,11 @@
 //!
 //! Solve decisions that decode but that the solver pass could not have made
 //! (an index out of range or out of order, an unsolvable instance, two
-//! decisions sharing a record) and a checkpoint left by an older build
-//! (schema 1, JSON payload) are refused the same non-fatal way, and the
-//! resumed output is byte-identical to an in-memory run.
+//! decisions sharing a record), a parse shape table that is indexed out of
+//! range or holds one shape twice, and checkpoints left by older builds
+//! (schema 1 with a JSON payload; schema 3 with the shape facts inline in
+//! every parse record) are refused the same non-fatal way, and the resumed
+//! output is byte-identical to an in-memory run.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -265,13 +267,236 @@ fn schema_one_checkpoint_is_refused_and_rerun() {
         outcome.loaded_stages
     );
     // The re-run rewrote the checkpoint in the current schema.
-    let rewritten = std::fs::read(&ckpt).unwrap();
-    let header = Json::parse(std::str::from_utf8(split(&rewritten).0).unwrap()).unwrap();
-    assert_eq!(
-        header.get("schema").and_then(Json::as_u64),
-        Some(CHECKPOINT_SCHEMA)
-    );
+    assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA));
     assert_matches_reference(outcome.result, &reference);
+
+    // The parse checkpoint as a schema-3 build wrote it: the output
+    // columns and primary table inline in every record.
+    let ckpt = dir.checkpoint_path(Stage::Parse);
+    let current = std::fs::read(&ckpt).unwrap();
+    let old = ParsePayload::split(split(&current).1).join_schema_3();
+    std::fs::write(&ckpt, checkpoint_file(Stage::Parse, 3, &old)).unwrap();
+
+    let outcome = resume(&pipeline, &dir, &input, "schema 3");
+    assert!(
+        outcome
+            .warnings
+            .iter()
+            .any(|w| w.contains("checkpoint parse: unsupported checkpoint schema 3")),
+        "expected a schema warning, got {:?}",
+        outcome.warnings
+    );
+    assert_eq!(outcome.loaded_stages, ["dedup"]);
+    assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA));
+    assert_matches_reference(outcome.result, &reference);
+}
+
+/// The schema in a checkpoint file's header.
+fn schema_of(ckpt: &Path) -> Option<u64> {
+    let file = std::fs::read(ckpt).unwrap();
+    let header = Json::parse(std::str::from_utf8(split(&file).0).unwrap()).unwrap();
+    header.get("schema").and_then(Json::as_u64)
+}
+
+#[test]
+fn bad_parse_shape_tables_are_refused_and_rerun() {
+    let scratch = Scratch::new("shapes");
+    let (input, log) = fixture(&scratch, 1_000);
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(pipeline_config());
+    let reference = Pipeline::new(&catalog)
+        .with_config(pipeline_config())
+        .run(&log);
+
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+    run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Parse))).unwrap();
+    let ckpt = dir.checkpoint_path(Stage::Parse);
+    let pristine = std::fs::read(&ckpt).unwrap();
+    let parsed = ParsePayload::split(split(&pristine).1);
+    assert!(parsed.shapes.len() > 1 && parsed.records.len() > parsed.shapes.len());
+    // The split is exact: joining it back gives the written payload.
+    assert_eq!(parsed.join(), split(&pristine).1);
+
+    let mut out_of_range = parsed.clone();
+    out_of_range.records[0].2 = parsed.shapes.len() as u64;
+    let mut duplicated = parsed.clone();
+    duplicated.shapes.push(parsed.shapes[0]);
+    for (reason, payload) in [
+        ("record shape index", out_of_range.join()),
+        ("duplicates an earlier one", duplicated.join()),
+    ] {
+        std::fs::write(
+            &ckpt,
+            checkpoint_file(Stage::Parse, CHECKPOINT_SCHEMA, &payload),
+        )
+        .unwrap();
+        let outcome = resume(&pipeline, &dir, &input, reason);
+        assert!(
+            outcome
+                .warnings
+                .iter()
+                .any(|w| w.starts_with("checkpoint parse:") && w.contains(reason)),
+            "{reason}: expected a parse warning, got {:?}",
+            outcome.warnings
+        );
+        assert_eq!(outcome.loaded_stages, ["dedup"], "{reason}");
+        // The re-run rewrote the checkpoint.
+        assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA), "{reason}");
+        assert_matches_reference(outcome.result, &reference);
+    }
+}
+
+/// A parse payload split at its shape table and records, so a test can
+/// rewrite either and join the parts back.
+#[derive(Clone)]
+struct ParsePayload<'a> {
+    /// The template table, count included.
+    templates: &'a [u8],
+    /// Each shape-table entry's bytes.
+    shapes: Vec<&'a [u8]>,
+    /// Per record: entry index, template id, shape index, conjunct bytes.
+    records: Vec<(u64, u64, u64, &'a [u8])>,
+    /// The statistics after the records.
+    tail: &'a [u8],
+}
+
+impl<'a> ParsePayload<'a> {
+    fn split(payload: &'a [u8]) -> ParsePayload<'a> {
+        let mut c = Cursor(payload, 0);
+        for _ in 0..c.varint() {
+            for _ in 0..8 {
+                c.skip_str();
+            }
+            c.varint();
+            c.varint();
+        }
+        let templates = &payload[..c.1];
+        let shapes = (0..c.varint())
+            .map(|_| {
+                let at = c.1;
+                c.byte();
+                for _ in 0..c.varint() {
+                    c.skip_str();
+                }
+                if c.byte() == 1 {
+                    c.skip_str();
+                }
+                &payload[at..c.1]
+            })
+            .collect();
+        let records = (0..c.varint())
+            .map(|_| {
+                let (entry, template, shape) = (c.varint(), c.varint(), c.varint());
+                let at = c.1;
+                for _ in 0..c.varint() {
+                    c.skip_predicate();
+                }
+                (entry, template, shape, &payload[at..c.1])
+            })
+            .collect();
+        ParsePayload {
+            templates,
+            shapes,
+            records,
+            tail: &payload[c.1..],
+        }
+    }
+
+    /// The current layout: the shape table, then records indexing it.
+    fn join(&self) -> Vec<u8> {
+        let mut out = self.templates.to_vec();
+        out.extend(leb128(self.shapes.len() as u64));
+        for shape in &self.shapes {
+            out.extend_from_slice(shape);
+        }
+        out.extend(leb128(self.records.len() as u64));
+        for &(entry, template, shape, conjuncts) in &self.records {
+            out.extend(leb128(entry));
+            out.extend(leb128(template));
+            out.extend(leb128(shape));
+            out.extend_from_slice(conjuncts);
+        }
+        out.extend_from_slice(self.tail);
+        out
+    }
+
+    /// The schema-3 layout: no shape table, each record's shape inline
+    /// after its conjuncts.
+    fn join_schema_3(&self) -> Vec<u8> {
+        let mut out = self.templates.to_vec();
+        out.extend(leb128(self.records.len() as u64));
+        for &(entry, template, shape, conjuncts) in &self.records {
+            out.extend(leb128(entry));
+            out.extend(leb128(template));
+            out.extend_from_slice(conjuncts);
+            out.extend_from_slice(self.shapes[shape as usize]);
+        }
+        out.extend_from_slice(self.tail);
+        out
+    }
+}
+
+/// A forward reader over well-formed payload bytes (panics past the end).
+struct Cursor<'a>(&'a [u8], usize);
+
+impl Cursor<'_> {
+    fn byte(&mut self) -> u8 {
+        self.1 += 1;
+        self.0[self.1 - 1]
+    }
+
+    fn varint(&mut self) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    fn skip_str(&mut self) {
+        self.1 += self.varint() as usize;
+    }
+
+    fn skip_value(&mut self) {
+        match self.byte() {
+            0 | 1 | 4 | 5 => self.skip_str(),
+            3 => self.1 += 1,
+            _ => {}
+        }
+    }
+
+    /// One predicate: tag, column, then the kind's values and flags.
+    fn skip_predicate(&mut self) {
+        let tag = self.byte();
+        if tag == 5 {
+            return;
+        }
+        self.skip_str();
+        match tag {
+            0 => {
+                self.byte();
+                self.skip_value();
+            }
+            1 => {
+                self.skip_value();
+                self.skip_value();
+            }
+            2 => {
+                for _ in 0..self.varint() {
+                    self.skip_value();
+                }
+            }
+            4 => self.skip_value(),
+            _ => {}
+        }
+        if tag != 0 {
+            self.byte();
+        }
+    }
 }
 
 fn assert_matches_reference(r: PipelineResult, reference: &PipelineResult) {
@@ -287,7 +512,7 @@ fn assert_matches_reference(r: PipelineResult, reference: &PipelineResult) {
     assert_eq!(stats, reference.stats.with_zeroed_timings());
 }
 
-/// A solve payload (schema 3) deciding `indices`, each rewritten into one
+/// A solve payload (schemas 3 and 4) deciding `indices`, each rewritten into one
 /// statement, with no skipped overlaps.
 fn solve_payload(indices: &[usize]) -> Vec<u8> {
     let mut payload = leb128(indices.len() as u64);

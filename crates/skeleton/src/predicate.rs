@@ -87,6 +87,17 @@ impl ValueKind {
         }
     }
 
+    /// Bytes this value owns on the heap (string text; no allocator slack).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ValueKind::Number(s)
+            | ValueKind::String(s)
+            | ValueKind::Variable(s)
+            | ValueKind::Column(s) => s.len(),
+            ValueKind::Null | ValueKind::Bool(_) | ValueKind::Complex => 0,
+        }
+    }
+
     /// True when the value is a constant (number, string, bool).
     pub fn is_constant(&self) -> bool {
         matches!(
@@ -230,6 +241,22 @@ impl PredicateKind {
         }
     }
 
+    /// Bytes this conjunct owns on the heap: its column and value text.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.column().map_or(0, str::len)
+            + match self {
+                PredicateKind::Comparison { value, .. }
+                | PredicateKind::Like { pattern: value, .. } => value.heap_bytes(),
+                PredicateKind::Between { low, high, .. } => low.heap_bytes() + high.heap_bytes(),
+                PredicateKind::InList { values, .. } => {
+                    values.capacity() * size_of::<ValueKind>()
+                        + values.iter().map(ValueKind::heap_bytes).sum::<usize>()
+                }
+                PredicateKind::IsNull { .. } | PredicateKind::Other => 0,
+            }
+    }
+
     /// The filter column (the paper's *filCol*), when this predicate has one.
     pub fn column(&self) -> Option<&str> {
         match self {
@@ -269,6 +296,18 @@ impl PredicateProfile {
             None => Vec::new(),
         };
         PredicateProfile { conjuncts }
+    }
+
+    /// Approximate heap footprint in bytes: the conjunct buffer at capacity
+    /// plus every column and value string. Memory accounting only (it
+    /// ignores allocator slack and `String` over-capacity).
+    pub fn approx_heap_bytes(&self) -> usize {
+        self.conjuncts.capacity() * std::mem::size_of::<PredicateKind>()
+            + self
+                .conjuncts
+                .iter()
+                .map(PredicateKind::heap_bytes)
+                .sum::<usize>()
     }
 
     /// The paper's CP: count of predicates (top-level conjuncts).
@@ -317,7 +356,7 @@ impl PredicateProfile {
 
 /// Output columns of a SELECT body, for CTH's "attribute of the first query's
 /// SELECT clause appears in the WHERE clause of a later query" test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OutputColumns {
     /// True if the projection contains `*` or `alias.*` — then *any*
     /// attribute of the source tables may be in the output.
@@ -345,6 +384,13 @@ impl OutputColumns {
             }
         }
         OutputColumns { wildcard, names }
+    }
+
+    /// Approximate heap footprint in bytes: the name buffer at capacity
+    /// plus the name text. Memory accounting only.
+    pub fn approx_heap_bytes(&self) -> usize {
+        self.names.capacity() * std::mem::size_of::<String>()
+            + self.names.iter().map(String::len).sum::<usize>()
     }
 
     /// True if the output may contain `column` (case-insensitive).

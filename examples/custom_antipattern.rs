@@ -35,10 +35,11 @@ impl Detector for ImplicitColumnsDetector {
                 // Only solvable when the table (and thus the column list)
                 // is known to the catalog.
                 let solvable = rec
+                    .shape
                     .primary_table
                     .as_deref()
                     .is_some_and(|t| ctx.catalog.table(t).is_some());
-                if rec.output.wildcard && rec.output.names.is_empty() {
+                if rec.shape.output.wildcard && rec.shape.output.names.is_empty() {
                     out.push(AntipatternInstance {
                         class: AntipatternClass::Custom("ImplicitColumns".into()),
                         records: vec![ri],
@@ -64,7 +65,7 @@ impl Solver for ImplicitColumnsSolver {
     fn solve(&self, inst: &AntipatternInstance, ctx: &DetectCtx<'_>) -> Option<Vec<String>> {
         let ri = *inst.records.first()?;
         let rec = &ctx.records[ri];
-        let table = ctx.catalog.table(rec.primary_table.as_deref()?)?;
+        let table = ctx.catalog.table(rec.shape.primary_table.as_deref()?)?;
         let entry = ctx.log.entry(rec.entry_idx as usize);
         let Statement::Select(mut q) = parse_statement(&entry.statement).ok()? else {
             return None;

@@ -380,11 +380,13 @@ fn ledger_entry_carries_fingerprints_and_memory_counters() {
             report.obs.counters.keys().collect::<Vec<_>>()
         );
     }
-    assert!(
-        report.obs.counters.contains_key("mem.template_store_bytes"),
-        "{:?}",
-        report.obs.counters.keys().collect::<Vec<_>>()
-    );
+    for key in ["mem.template_store_bytes", "mem.parse_records_bytes"] {
+        assert!(
+            report.obs.counters.get(key).copied() > Some(0),
+            "{key}: {:?}",
+            report.obs.counters.keys().collect::<Vec<_>>()
+        );
+    }
     // Quantiles ride along in the serialized histograms.
     let parse_hist = entry
         .report
