@@ -265,7 +265,7 @@ fn bench_full_pipeline(c: &mut Criterion) {
 }
 
 fn bench_cluster(c: &mut Criterion) {
-    use sqlog_cluster::{cluster_regions, cluster_regions_parallel, region_of_query, Region};
+    use sqlog_cluster::{cluster_regions, cluster_regions_traced, region_of_query, Region};
     let log = generate(&GenConfig::with_scale(SCALE, SEED));
     // Distinct regions of the log's SELECTs.
     let mut by_key = std::collections::HashMap::new();
@@ -296,7 +296,8 @@ fn bench_cluster(c: &mut Criterion) {
         b.iter(|| black_box(cluster_regions(&regions, &weights, 0.9).count()))
     });
     group.bench_function("parallel", |b| {
-        b.iter(|| black_box(cluster_regions_parallel(&regions, &weights, 0.9, 0).count()))
+        let none = sqlog_obs::Recorder::disabled();
+        b.iter(|| black_box(cluster_regions_traced(&regions, &weights, 0.9, 0, &none).count()))
     });
     group.finish();
 }

@@ -162,19 +162,11 @@ pub fn cluster_regions(regions: &[Region], weights: &[u64], threshold: f64) -> C
 /// panics is re-run row by row under per-row isolation; the recovery is
 /// accounted in [`Clustering::degraded_shards`] / [`Clustering::poisoned_rows`]
 /// so recovered runs are never silent.
-pub fn cluster_regions_parallel(
-    regions: &[Region],
-    weights: &[u64],
-    threshold: f64,
-    threads: usize,
-) -> Clustering {
-    cluster_regions_traced(regions, weights, threshold, threads, &Recorder::disabled())
-}
-
-/// [`cluster_regions_parallel`] with observability: a `"cluster"` stage
-/// span, per-worker `"cluster.shard"` spans (with a shard-latency
-/// histogram) and outcome counters land in `rec`. The clustering is
-/// identical to the untraced call.
+///
+/// Observability: a `"cluster"` stage span, per-worker `"cluster.shard"`
+/// spans (with a shard-latency histogram) and outcome counters land in
+/// `rec`; pass [`Recorder::disabled`] for none. The clustering does not
+/// depend on the recorder.
 pub fn cluster_regions_traced(
     regions: &[Region],
     weights: &[u64],
@@ -387,7 +379,7 @@ mod tests {
         for t in [0.2, 0.6, 0.9] {
             let seq = cluster_regions(&rs, &weights, t);
             for threads in [1, 4, 0] {
-                let par = cluster_regions_parallel(&rs, &weights, t, threads);
+                let par = cluster_regions_traced(&rs, &weights, t, threads, &Recorder::disabled());
                 assert_eq!(seq.count(), par.count(), "threshold {t}");
                 assert_eq!(seq.sizes(), par.sizes(), "threshold {t}");
                 // Healthy runs never report degraded recovery.

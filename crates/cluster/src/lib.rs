@@ -26,6 +26,6 @@ pub mod clusterer;
 pub mod region;
 
 pub use clusterer::{
-    cluster_regions, cluster_regions_parallel, cluster_statements, Cluster, Clustering,
+    cluster_regions, cluster_regions_traced, cluster_statements, Cluster, Clustering,
 };
 pub use region::{region_of_query, Dim, Region};

@@ -1,6 +1,7 @@
-//! Crash-safe checkpointed runs: the versioned run directory, per-stage
-//! checkpoints, and the resumable driver over the pipeline's stage
-//! operators.
+//! Crash-safe checkpointed runs: the versioned run directory, its
+//! manifest, and the per-stage checkpoint files and their codec. The stage
+//! sequence that loads or stores them is the pipeline's own
+//! ([`crate::pipeline`]); this module sequences nothing.
 //!
 //! A **run directory** (`sqlog-clean --run-dir DIR`) holds everything one
 //! cleaning run persists:
@@ -33,7 +34,7 @@
 //! than decoding a stored copy. Solve stores only its decisions (per solved
 //! instance its index and replacement statements, then the skipped-overlap
 //! count); the live and the resumed path both build the clean and removal
-//! logs from them with [`splice_solutions`].
+//! logs from them with [`crate::solve::splice_solutions`].
 //!
 //! `sqlog-clean --resume DIR` validates the manifest against the current
 //! config and input — refusing with a precise diagnostic on mismatch —
@@ -54,12 +55,11 @@ use crate::fault;
 use crate::mine::{MinedPatterns, PatternData, Session, Sessions};
 use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord, RecordShape};
 use crate::pipeline::{DetectOutput, Pipeline, PipelineResult};
-use crate::solve::{splice_solutions, SolveDecisions};
-use crate::stats::StageTimings;
+use crate::solve::SolveDecisions;
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
 use sqlog_log::{AtomicFile, IngestPolicy, IngestStats, LogView, QueryLog};
-use sqlog_obs::{Json, Recorder, SpanId};
+use sqlog_obs::{Json, Recorder};
 use sqlog_skeleton::{
     Fingerprint, Fnv1a, FnvHashMap, FnvHashSet, OutputColumns, PredicateKind, PredicateProfile,
     QueryTemplate, Theta, ValueKind,
@@ -298,13 +298,83 @@ impl RunDir {
         m.completed = true;
         self.store_manifest(&m)
     }
+
+    /// Starts one leg of a run over the `input` bytes: a fresh run writes
+    /// a new manifest; a resume checks the stored one against the current
+    /// configuration fingerprint, input and ingest policy — refusing on
+    /// any mismatch — and counts the attempt (and the interruption, when
+    /// the run never completed).
+    pub(crate) fn begin_leg(
+        &self,
+        opts: &CheckpointOptions,
+        config_fingerprint: u64,
+        input: &[u8],
+    ) -> Result<Manifest, String> {
+        let (input_bytes, input_fnv) = (input.len() as u64, Fingerprint::of_bytes(input).0);
+        if !opts.resume {
+            let m = Manifest {
+                schema: MANIFEST_SCHEMA,
+                config_fingerprint,
+                input_bytes,
+                input_fnv,
+                ingest_policy: opts.policy,
+                attempts: 1,
+                interruptions: 0,
+                completed: false,
+            };
+            self.store_manifest(&m)?;
+            return Ok(m);
+        }
+        let root = self.root.display();
+        let mut m = self.load_manifest()?;
+        if m.schema != MANIFEST_SCHEMA {
+            return Err(format!(
+                "cannot resume {root}: manifest schema {} (this build expects {MANIFEST_SCHEMA})",
+                m.schema
+            ));
+        }
+        if m.config_fingerprint != config_fingerprint {
+            return Err(format!(
+                "cannot resume {root}: the run was started with a different configuration \
+                 (manifest fingerprint {:#018x}, current {config_fingerprint:#018x}); re-run \
+                 with the original semantic options and schema, or start fresh with --run-dir",
+                m.config_fingerprint
+            ));
+        }
+        if m.input_bytes != input_bytes || m.input_fnv != input_fnv {
+            return Err(format!(
+                "cannot resume {root}: input {} has changed since the run started \
+                 (manifest: {} bytes, fnv {:#018x}; now: {input_bytes} bytes, \
+                 fnv {input_fnv:#018x}); resume needs the identical input file",
+                opts.input.display(),
+                m.input_bytes,
+                m.input_fnv
+            ));
+        }
+        if m.ingest_policy != opts.policy {
+            return Err(format!(
+                "cannot resume {root}: the run used {} ingestion, this invocation asks for {}",
+                policy_name(m.ingest_policy),
+                policy_name(opts.policy)
+            ));
+        }
+        m.attempts += 1;
+        if !m.completed {
+            m.interruptions += 1;
+        }
+        self.store_manifest(&m)?;
+        Ok(m)
+    }
 }
 
-/// How a checkpointed run is driven.
+/// How a log file is cleaned by [`Pipeline::run_file`] (and so by
+/// [`run_checkpointed`]). `resume` and `stop_after` apply only to a run
+/// with a run directory.
 #[derive(Debug, Clone)]
 pub struct CheckpointOptions {
-    /// The input log file, read once per leg: hashed into (or checked
-    /// against) the manifest, then ingested from the same bytes.
+    /// The input log file, read once per leg: with a run directory, hashed
+    /// into (or checked against) the manifest; then ingested from the same
+    /// bytes.
     pub input: PathBuf,
     /// Ingestion policy (recorded in the manifest; a resume must match).
     pub policy: IngestPolicy,
@@ -320,10 +390,11 @@ pub struct CheckpointOptions {
     pub stop_after: Option<Stage>,
 }
 
-/// Everything a completed checkpointed run produces.
+/// Everything a completed file run produces.
 pub struct CheckpointOutcome {
     /// The pipeline result; `stats.run_health` already carries the
-    /// ingestion counts and the interruption tally.
+    /// ingestion counts and the interruption tally, and `stats.timings`
+    /// the ingest and end-to-end times.
     pub result: PipelineResult,
     /// Ingestion accounting of this leg's read of the input (ingest is
     /// never checkpointed, so a resumed leg re-reads and re-counts it).
@@ -425,7 +496,7 @@ fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
 
 /// Payload writer.
 #[derive(Default)]
-struct Enc(Vec<u8>);
+pub(crate) struct Enc(Vec<u8>);
 
 impl Enc {
     fn u64(&mut self, mut v: u64) {
@@ -476,7 +547,7 @@ impl Enc {
 /// Payload reader over the unread rest of the buffer. Never panics: every
 /// read is bounds-checked, every sequence length is bounded by the bytes
 /// left (each element takes at least one) before anything is allocated.
-struct Dec<'a>(&'a [u8]);
+pub(crate) struct Dec<'a>(&'a [u8]);
 
 impl<'a> Dec<'a> {
     fn byte(&mut self) -> Result<u8, String> {
@@ -603,8 +674,8 @@ fn from_tag<T: Copy>(table: &[T], d: &mut Dec<'_>, what: &str) -> Result<T, Stri
 
 // --- stage payloads --------------------------------------------------------
 
-fn encode_dedup(e: &mut Enc, (kept, stats): &(Vec<u32>, DedupStats)) {
-    e.seq(kept, |e, &i| e.u64(i.into()));
+pub(crate) fn encode_dedup(e: &mut Enc, (kept, stats): &(LogView<'_>, DedupStats)) {
+    e.seq(0..kept.len(), |e, i| e.usize(kept.base_index(i)));
     for n in [
         stats.input,
         stats.removed,
@@ -616,8 +687,11 @@ fn encode_dedup(e: &mut Enc, (kept, stats): &(Vec<u32>, DedupStats)) {
     }
 }
 
-fn decode_dedup(d: &mut Dec<'_>, log: &QueryLog) -> Result<(Vec<u32>, DedupStats), String> {
-    let kept = d.seq(|d| d.index(log.len(), "kept"))?;
+pub(crate) fn decode_dedup<'l>(
+    d: &mut Dec<'_>,
+    log: &'l QueryLog,
+) -> Result<(LogView<'l>, DedupStats), String> {
+    let kept: Vec<u32> = d.seq(|d| d.index(log.len(), "kept"))?;
     // The solve splice relies on the kept view's time order.
     let key = |i: u32| {
         let e = &log.entries[i as usize];
@@ -636,7 +710,7 @@ fn decode_dedup(d: &mut Dec<'_>, log: &QueryLog) -> Result<(Vec<u32>, DedupStats
     if stats.kept != kept.len() {
         return Err("kept count disagrees with index vector".to_string());
     }
-    Ok((kept, stats))
+    Ok((LogView::from_indices(log, kept), stats))
 }
 
 fn encode_value(e: &mut Enc, v: &ValueKind) {
@@ -789,7 +863,7 @@ fn decode_template(d: &mut Dec<'_>) -> Result<QueryTemplate, String> {
     })
 }
 
-fn encode_parse(e: &mut Enc, (store, parsed): &(TemplateStore, ParsedLog)) {
+pub(crate) fn encode_parse(e: &mut Enc, (store, parsed): &(TemplateStore, ParsedLog)) {
     e.seq(0..store.len() as u32, |e, i| {
         store.with(TemplateId(i), |t| encode_template(e, t))
     });
@@ -850,7 +924,7 @@ fn encode_parse(e: &mut Enc, (store, parsed): &(TemplateStore, ParsedLog)) {
     }
 }
 
-fn decode_parse(
+pub(crate) fn decode_parse(
     d: &mut Dec<'_>,
     pre_clean_len: usize,
     rec: &Recorder,
@@ -926,7 +1000,7 @@ fn decode_parse(
     ))
 }
 
-fn encode_sessions(e: &mut Enc, sessions: &Sessions) {
+pub(crate) fn encode_sessions(e: &mut Enc, sessions: &Sessions) {
     e.seq(&sessions.user_names, |e, n| e.str(n));
     e.seq(&sessions.sessions, |e, s| {
         e.u64(s.user.into());
@@ -936,7 +1010,7 @@ fn encode_sessions(e: &mut Enc, sessions: &Sessions) {
     e.usize(sessions.degraded_shards);
 }
 
-fn decode_sessions(d: &mut Dec<'_>, n_records: usize) -> Result<Sessions, String> {
+pub(crate) fn decode_sessions(d: &mut Dec<'_>, n_records: usize) -> Result<Sessions, String> {
     let user_names = d.seq(Dec::string)?;
     let sessions = d.seq(|d| {
         Ok(Session {
@@ -952,7 +1026,7 @@ fn decode_sessions(d: &mut Dec<'_>, n_records: usize) -> Result<Sessions, String
     })
 }
 
-fn encode_mine(e: &mut Enc, mined: &MinedPatterns) {
+pub(crate) fn encode_mine(e: &mut Enc, mined: &MinedPatterns) {
     let mut patterns: Vec<(&Vec<TemplateId>, &PatternData)> = mined.patterns.iter().collect();
     patterns.sort_by(|a, b| a.0.cmp(b.0));
     e.seq(patterns, |e, (key, data)| {
@@ -967,7 +1041,7 @@ fn encode_mine(e: &mut Enc, mined: &MinedPatterns) {
     e.usize(mined.degraded_shards);
 }
 
-fn decode_mine(d: &mut Dec<'_>, n_templates: usize) -> Result<MinedPatterns, String> {
+pub(crate) fn decode_mine(d: &mut Dec<'_>, n_templates: usize) -> Result<MinedPatterns, String> {
     let patterns = d.seq(|d| {
         let key = d.ids(n_templates, "pattern template")?;
         let data = PatternData {
@@ -1004,7 +1078,7 @@ fn decode_class(d: &mut Dec<'_>) -> Result<AntipatternClass, String> {
     })
 }
 
-fn encode_detect(e: &mut Enc, detected: &DetectOutput) {
+pub(crate) fn encode_detect(e: &mut Enc, detected: &DetectOutput) {
     e.seq(&detected.instances, |e, inst| {
         encode_class(e, &inst.class);
         e.seq(&inst.records, |e, &r| e.usize(r));
@@ -1016,7 +1090,7 @@ fn encode_detect(e: &mut Enc, detected: &DetectOutput) {
     e.usize(detected.degraded_shards);
 }
 
-fn decode_detect(
+pub(crate) fn decode_detect(
     d: &mut Dec<'_>,
     n_records: usize,
     n_templates: usize,
@@ -1037,7 +1111,7 @@ fn decode_detect(
     })
 }
 
-fn encode_solve(e: &mut Enc, decisions: &SolveDecisions) {
+pub(crate) fn encode_solve(e: &mut Enc, decisions: &SolveDecisions) {
     e.seq(&decisions.solved, |e, (i, statements)| {
         e.usize(*i);
         e.seq(statements, |e, s| e.str(s));
@@ -1048,7 +1122,7 @@ fn encode_solve(e: &mut Enc, decisions: &SolveDecisions) {
 /// Decodes solve decisions, rejecting any the solver pass could not have
 /// made over `instances` (see [`SolveDecisions::solved`]), so that
 /// [`splice_solutions`] can trust them.
-fn decode_solve(
+pub(crate) fn decode_solve(
     d: &mut Dec<'_>,
     instances: &[AntipatternInstance],
     n_records: usize,
@@ -1087,7 +1161,7 @@ fn decode_solve(
 /// rename. The `checkpoint`-stage fault hook fires *between* writing the
 /// temp file and the rename — the window where a real crash leaves a torn
 /// temp file but an intact (absent or previous) checkpoint.
-fn write_checkpoint(
+pub(crate) fn write_checkpoint(
     dir: &RunDir,
     rec: &Recorder,
     stage: Stage,
@@ -1130,10 +1204,25 @@ fn write_checkpoint(
     Ok(())
 }
 
+/// Loads a stage checkpoint: reads and validates the file, then decodes
+/// its payload with `decode`, which must consume it exactly. `Ok(None)` =
+/// not present (the stage was never completed); `Err` = present but
+/// unusable (torn write, corruption, schema drift, a payload the decoder
+/// refuses) — the caller reports it and re-runs the stage.
+pub(crate) fn load_checkpoint<T>(
+    dir: &RunDir,
+    rec: &Recorder,
+    stage: Stage,
+    decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let Some((bytes, start)) = read_checkpoint(dir, rec, stage)? else {
+        return Ok(None);
+    };
+    decode_payload(rec, stage, &bytes[start..], decode).map(Some)
+}
+
 /// Reads and validates a stage checkpoint, returning the file's bytes and
-/// the offset its payload starts at. `Ok(None)` = not present (the stage
-/// was never completed); `Err` = present but unusable (torn write,
-/// corruption, schema drift) — the caller reports it and re-runs the stage.
+/// the offset its payload starts at (`None` when there is no file).
 fn read_checkpoint(
     dir: &RunDir,
     rec: &Recorder,
@@ -1207,67 +1296,10 @@ fn decode_payload<T>(
     Ok(v)
 }
 
-// ---------------------------------------------------------------------------
-// The checkpointed driver
-
-/// Bookkeeping shared by every stage of the driver: which stages were
-/// loaded, what went wrong non-fatally, and whether the checkpoint chain
-/// is still intact (once one stage re-runs, later checkpoints are stale
-/// and must not be loaded).
-struct Progress<'a> {
-    rec: &'a Recorder,
-    chain_intact: bool,
-    loaded_stages: Vec<&'static str>,
-    warnings: Vec<String>,
-}
-
-impl Progress<'_> {
-    /// Loads `stage` from its checkpoint, or computes and checkpoints it.
-    /// A missing, unreadable or undecodable checkpoint breaks the chain:
-    /// this stage and everything after it re-run. Only a missing one goes
-    /// without a warning.
-    fn step<T>(
-        &mut self,
-        dir: &RunDir,
-        stage: Stage,
-        decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
-        compute: impl FnOnce() -> T,
-        encode: impl FnOnce(&mut Enc, &T),
-        stage_ms: &mut u64,
-    ) -> Result<T, String> {
-        if self.chain_intact {
-            let loaded = read_checkpoint(dir, self.rec, stage).and_then(|file| {
-                file.map(|(bytes, start)| decode_payload(self.rec, stage, &bytes[start..], decode))
-                    .transpose()
-            });
-            match loaded {
-                Ok(Some(v)) => {
-                    self.rec.counter("resume.skip_stage", 1);
-                    self.rec.stage_skipped(stage.name());
-                    self.loaded_stages.push(stage.name());
-                    return Ok(v);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    let msg = format!("checkpoint {stage}: {e}; re-running the stage");
-                    eprintln!("warning: {msg}");
-                    self.rec.warning(msg.clone());
-                    self.warnings.push(msg);
-                }
-            }
-            self.chain_intact = false;
-        }
-        let t = Instant::now();
-        let v = compute();
-        *stage_ms = t.elapsed().as_millis() as u64;
-        write_checkpoint(dir, self.rec, stage, |e| encode(e, &v))?;
-        Ok(v)
-    }
-}
-
-/// Drives the pipeline's stage operators over a run directory: each stage
-/// is either loaded from its (validated) checkpoint or executed and
-/// checkpointed. Returns `Ok(None)` when [`CheckpointOptions::stop_after`]
+/// Cleans `opts.input` through the pipeline's stage sequence, checkpointed
+/// into `dir`: each stage is either loaded from its (validated) checkpoint
+/// or executed and checkpointed. This is [`Pipeline::run_file`] with a run
+/// directory. Returns `Ok(None)` when [`CheckpointOptions::stop_after`]
 /// ended the run early; otherwise the completed [`CheckpointOutcome`].
 ///
 /// Fatal errors (unreadable input, manifest mismatch, unwritable run
@@ -1278,261 +1310,21 @@ pub fn run_checkpointed(
     dir: &RunDir,
     opts: &CheckpointOptions,
 ) -> Result<Option<CheckpointOutcome>, String> {
-    let t_total = Instant::now();
-    let rec = pipeline.config.recorder.clone();
-    let cfg_fp = config_fingerprint(&pipeline.config, pipeline.catalog);
-    // One read per leg: the bytes hashed against the manifest are the
-    // bytes ingested, so a file swapped mid-run cannot slip through.
-    let input = std::fs::read(&opts.input)
-        .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
-    let (input_bytes, input_fnv) = (input.len() as u64, Fingerprint::of_bytes(&input).0);
-
-    let manifest = if opts.resume {
-        let mut m = dir.load_manifest()?;
-        if m.schema != MANIFEST_SCHEMA {
-            return Err(format!(
-                "cannot resume {}: manifest schema {} (this build expects {MANIFEST_SCHEMA})",
-                dir.root().display(),
-                m.schema
-            ));
-        }
-        if m.config_fingerprint != cfg_fp {
-            return Err(format!(
-                "cannot resume {}: the run was started with a different configuration \
-                 (manifest fingerprint {:#018x}, current {cfg_fp:#018x}); re-run with the \
-                 original semantic options and schema, or start fresh with --run-dir",
-                dir.root().display(),
-                m.config_fingerprint
-            ));
-        }
-        if m.input_bytes != input_bytes || m.input_fnv != input_fnv {
-            return Err(format!(
-                "cannot resume {}: input {} has changed since the run started \
-                 (manifest: {} bytes, fnv {:#018x}; now: {input_bytes} bytes, \
-                 fnv {input_fnv:#018x}); resume needs the identical input file",
-                dir.root().display(),
-                opts.input.display(),
-                m.input_bytes,
-                m.input_fnv
-            ));
-        }
-        if m.ingest_policy != opts.policy {
-            return Err(format!(
-                "cannot resume {}: the run used {} ingestion, this invocation asks for {}",
-                dir.root().display(),
-                policy_name(m.ingest_policy),
-                policy_name(opts.policy)
-            ));
-        }
-        m.attempts += 1;
-        if !m.completed {
-            m.interruptions += 1;
-        }
-        dir.store_manifest(&m)?;
-        m
-    } else {
-        let m = Manifest {
-            schema: MANIFEST_SCHEMA,
-            config_fingerprint: cfg_fp,
-            input_bytes,
-            input_fnv,
-            ingest_policy: opts.policy,
-            attempts: 1,
-            interruptions: 0,
-            completed: false,
-        };
-        dir.store_manifest(&m)?;
-        m
-    };
-
-    let mut progress = Progress {
-        rec: &rec,
-        // Only a resume consults checkpoints; a fresh run starts with the
-        // chain already broken (RunDir::create cleared them anyway).
-        chain_intact: opts.resume,
-        loaded_stages: Vec::new(),
-        warnings: Vec::new(),
-    };
-    let mut timings = StageTimings::default();
-    let stop = |stage: Stage| opts.stop_after == Some(stage);
-
-    // --- ingest --- (never checkpointed: see [`Stage`])
-    let t = Instant::now();
-    let (log, ingest_stats) = {
-        rec.stage_begin("ingest", 0);
-        let span = rec.span("ingest");
-        ingest_input(&input, opts, pipeline.config.parallelism, &rec, span.id())?
-    };
-    drop(input);
-    timings.ingest_ms = t.elapsed().as_millis() as u64;
-
-    // --- dedup (sort is folded in: the checkpoint stores base indices) ---
-    let (kept, dedup_stats) = progress.step(
-        dir,
-        Stage::Dedup,
-        |d| decode_dedup(d, &log),
-        || {
-            let t = Instant::now();
-            let input = pipeline.op_sort(&log);
-            timings.sort_ms = t.elapsed().as_millis() as u64;
-            let (view, stats) = pipeline.op_dedup(&input);
-            let kept: Vec<u32> = (0..view.len()).map(|i| view.base_index(i) as u32).collect();
-            (kept, stats)
-        },
-        encode_dedup,
-        &mut timings.dedup_ms,
-    )?;
-    let pre_clean = LogView::from_indices(&log, kept);
-    if stop(Stage::Dedup) {
-        return Ok(None);
-    }
-
-    // --- parse ---
-    let (store, parsed) = progress.step(
-        dir,
-        Stage::Parse,
-        |d| decode_parse(d, pre_clean.len(), &rec),
-        || {
-            let store = TemplateStore::with_recorder(rec.clone());
-            let parsed = pipeline.op_parse(&pre_clean, &store);
-            (store, parsed)
-        },
-        encode_parse,
-        &mut timings.parse_ms,
-    )?;
-    if stop(Stage::Parse) {
-        return Ok(None);
-    }
-
-    // --- sessions ---
-    let sessions = progress.step(
-        dir,
-        Stage::Sessions,
-        |d| decode_sessions(d, parsed.records.len()),
-        || pipeline.op_sessions(&pre_clean, &parsed.records),
-        encode_sessions,
-        &mut timings.sessions_ms,
-    )?;
-    if stop(Stage::Sessions) {
-        return Ok(None);
-    }
-
-    // --- mine ---
-    let mined = progress.step(
-        dir,
-        Stage::Mine,
-        |d| decode_mine(d, store.len()),
-        || pipeline.op_mine(&sessions, &parsed.records),
-        encode_mine,
-        &mut timings.mine_ms,
-    )?;
-    if stop(Stage::Mine) {
-        return Ok(None);
-    }
-
-    // --- detect ---
-    let detected = progress.step(
-        dir,
-        Stage::Detect,
-        |d| decode_detect(d, parsed.records.len(), store.len()),
-        || pipeline.op_detect(&pre_clean, &parsed.records, &sessions, &store),
-        encode_detect,
-        &mut timings.detect_ms,
-    )?;
-    if stop(Stage::Detect) {
-        return Ok(None);
-    }
-
-    // --- solve --- (the checkpoint holds the decisions; both paths splice)
-    let decisions = progress.step(
-        dir,
-        Stage::Solve,
-        |d| decode_solve(d, &detected.instances, parsed.records.len()),
-        || pipeline.op_solve_decisions(&pre_clean, &parsed.records, &sessions, &store, &detected),
-        encode_solve,
-        &mut timings.solve_ms,
-    )?;
-    if stop(Stage::Solve) {
-        return Ok(None);
-    }
-    let t = Instant::now();
-    let outcome = {
-        let _span = rec.span("solve");
-        let instances = &detected.instances;
-        splice_solutions(&pre_clean, &parsed.records, instances, decisions, &rec)
-    };
-    timings.solve_ms += t.elapsed().as_millis() as u64;
-
-    timings.total_ms = t_total.elapsed().as_millis() as u64;
-    let mut result = pipeline.assemble(
-        log.len(),
-        &pre_clean,
-        &dedup_stats,
-        parsed,
-        &sessions,
-        mined,
-        detected,
-        outcome,
-        store,
-        timings,
-    );
-    result.stats.run_health.quarantined_lines = ingest_stats.quarantined;
-    result.stats.run_health.invalid_utf8_lines = ingest_stats.invalid_utf8;
-    result.stats.run_health.interruptions = manifest.interruptions as usize;
-    Ok(Some(CheckpointOutcome {
-        result,
-        ingest_stats,
-        loaded_stages: progress.loaded_stages,
-        warnings: progress.warnings,
-    }))
-}
-
-/// Scans the input bytes under the run's ingest policy — segmented and
-/// parallel (`threads` segments, 0 = one per core), byte-identical to the
-/// sequential reader — streaming quarantined lines into an
-/// atomically-written sidecar. The `ingest`-stage fault hook trips on
-/// matching statements after the scan, inside the stage window.
-fn ingest_input(
-    data: &[u8],
-    opts: &CheckpointOptions,
-    threads: usize,
-    rec: &Recorder,
-    parent: Option<SpanId>,
-) -> Result<(QueryLog, IngestStats), String> {
-    let mut sidecar = match &opts.quarantine {
-        Some(path) => Some(
-            AtomicFile::create(path)
-                .map_err(|e| format!("cannot create {}: {e}", path.display()))?,
-        ),
-        None => None,
-    };
-    let (log, stats) = crate::ingest::ingest_slice_traced(
-        data,
-        opts.policy,
-        threads,
-        sidecar.as_mut().map(|w| w as &mut dyn Write),
-        rec,
-        parent,
-    )
-    .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
-    if let Some(s) = sidecar {
-        let path = s.path().to_path_buf();
-        s.commit()
-            .map_err(|e| format!("cannot write quarantine sidecar {}: {e}", path.display()))?;
-    }
-    let fault = fault::armed("ingest");
-    if fault.is_some() {
-        for e in &log.entries {
-            fault::trip(&fault, &e.statement);
-        }
-    }
-    Ok((log, stats))
+    pipeline.run_file(opts, Some(dir))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sqlog_log::{LogEntry, Timestamp};
+
+    fn three_entries() -> QueryLog {
+        QueryLog::from_entries(
+            (0..3)
+                .map(|i| LogEntry::minimal(i, "SELECT 1", Timestamp(i as i64)))
+                .collect(),
+        )
+    }
 
     fn dedup_payload() -> Vec<u8> {
         let stats = DedupStats {
@@ -1542,20 +1334,19 @@ mod tests {
             poison: 0,
             degraded_shards: 0,
         };
+        let log = three_entries();
         let mut e = Enc::default();
-        encode_dedup(&mut e, &(vec![0, 2], stats));
+        encode_dedup(&mut e, &(LogView::from_indices(&log, vec![0, 2]), stats));
         e.0
     }
 
-    fn decode(payload: &[u8]) -> Result<(Vec<u32>, DedupStats), String> {
-        let log = QueryLog::from_entries(
-            (0..3)
-                .map(|i| LogEntry::minimal(i, "SELECT 1", Timestamp(i as i64)))
-                .collect(),
-        );
-        decode_payload(&Recorder::disabled(), Stage::Dedup, payload, |d| {
+    /// The kept base indices of a decoded dedup payload.
+    fn decode(payload: &[u8]) -> Result<Vec<usize>, String> {
+        let log = three_entries();
+        let (kept, _) = decode_payload(&Recorder::disabled(), Stage::Dedup, payload, |d| {
             decode_dedup(d, &log)
-        })
+        })?;
+        Ok((0..kept.len()).map(|i| kept.base_index(i)).collect())
     }
 
     #[test]
@@ -1585,7 +1376,7 @@ mod tests {
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut payload = dedup_payload();
-        assert_eq!(decode(&payload).map(|(kept, _)| kept), Ok(vec![0, 2]));
+        assert_eq!(decode(&payload), Ok(vec![0, 2]));
         payload.push(0);
         let err = decode(&payload).unwrap_err();
         assert!(err.contains("trailing"), "{err}");

@@ -8,7 +8,7 @@
 //! `None` means "unrestricted" (Table 4's last row).
 //!
 //! Deduplication is keyed by `(user, statement fingerprint)`, so the log
-//! partitions cleanly by user: [`dedup_view`] shards the scan across users
+//! partitions cleanly by user: [`dedup_view_traced`] shards the scan across users
 //! and merges the per-shard survivors back into log order, producing exactly
 //! the sequential result for any thread count. The output is a [`LogView`]
 //! — an index vector over the input — so no [`LogEntry`] (or its statement
@@ -142,18 +142,11 @@ fn scan_partition_isolated(
 /// `threads == 0` uses one thread per available core; since users are
 /// independent under the `(user, fingerprint)` key, the scan shards by user
 /// and the merged result is identical for every thread count.
-pub fn dedup_view<'a>(
-    view: &LogView<'a>,
-    threshold_ms: Option<u64>,
-    threads: usize,
-) -> (LogView<'a>, DedupStats) {
-    dedup_view_traced(view, threshold_ms, threads, &Recorder::disabled(), None)
-}
-
-/// [`dedup_view`] with observability: per-shard spans (`"dedup.shard"`,
-/// parented under `parent`), a shard-latency histogram and outcome counters
-/// land in `rec`. The deduplicated view and statistics are identical to the
-/// untraced call.
+///
+/// Observability: per-shard spans (`"dedup.shard"`, parented under
+/// `parent`), a shard-latency histogram and outcome counters land in `rec`;
+/// pass [`Recorder::disabled`] and `None` for none. The deduplicated view
+/// and statistics do not depend on the recorder.
 pub fn dedup_view_traced<'a>(
     view: &LogView<'a>,
     threshold_ms: Option<u64>,
@@ -227,10 +220,12 @@ pub fn dedup_view_traced<'a>(
 
 /// Removes duplicates, returning the pre-cleaned log and statistics.
 ///
-/// Compatibility wrapper around [`dedup_view`]: runs single-threaded and
-/// materializes the surviving entries into an owned [`QueryLog`].
+/// Compatibility wrapper around [`dedup_view_traced`]: runs single-threaded,
+/// untraced, and materializes the surviving entries into an owned
+/// [`QueryLog`].
 pub fn dedup(log: &QueryLog, threshold_ms: Option<u64>) -> (QueryLog, DedupStats) {
-    let (view, stats) = dedup_view(&LogView::identity(log), threshold_ms, 1);
+    let none = Recorder::disabled();
+    let (view, stats) = dedup_view_traced(&LogView::identity(log), threshold_ms, 1, &none, None);
     (view.to_log(), stats)
 }
 
@@ -350,9 +345,11 @@ mod tests {
         let mut log = QueryLog::from_entries(entries);
         log.sort_by_time();
         let view = LogView::identity(&log);
-        let (seq, seq_stats) = dedup_view(&view, Some(1_000), 1);
+        let (seq, seq_stats) =
+            dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled(), None);
         for threads in [2, 3, 8] {
-            let (par, par_stats) = dedup_view(&view, Some(1_000), threads);
+            let (par, par_stats) =
+                dedup_view_traced(&view, Some(1_000), threads, &Recorder::disabled(), None);
             assert_eq!(seq_stats, par_stats, "threads {threads}");
             let a: Vec<u64> = seq.iter().map(|e| e.id).collect();
             let b: Vec<u64> = par.iter().map(|e| e.id).collect();
@@ -397,7 +394,8 @@ mod tests {
         ];
         for (threshold, survivors) in expected {
             for threads in [1usize, 4] {
-                let (clean, stats) = dedup_view(&view, threshold, threads);
+                let (clean, stats) =
+                    dedup_view_traced(&view, threshold, threads, &Recorder::disabled(), None);
                 let ids: Vec<u64> = clean.iter().map(|e| e.id).collect();
                 assert_eq!(ids, survivors, "threshold {threshold:?} threads {threads}");
                 assert_eq!(stats.removed, 15 - survivors.len());
@@ -413,7 +411,7 @@ mod tests {
             entry(2, 5_000, "a", "SELECT 2"),
         ]);
         let view = LogView::identity(&log);
-        let (clean, stats) = dedup_view(&view, Some(1_000), 1);
+        let (clean, stats) = dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled(), None);
         assert_eq!(stats.removed, 1);
         assert_eq!(clean.len(), 2);
         // The surviving positions map back into the original log.

@@ -63,17 +63,17 @@ pub use checkpoint::{
     Stage, CHECKPOINT_SCHEMA, MANIFEST_SCHEMA,
 };
 pub use config::PipelineConfig;
-pub use dedup::{dedup, dedup_view, dedup_view_traced, DedupStats};
+pub use dedup::{dedup, dedup_view_traced, DedupStats};
 pub use detect::{AntipatternClass, AntipatternInstance, DetectCtx, Detector};
 pub use ext::{ExtensionRegistry, Solver, SolverSet};
 pub use ingest::{ingest_file_traced, ingest_slice_traced};
 pub use mine::{
-    build_sessions, build_sessions_view, build_sessions_view_traced, mine_patterns,
-    mine_patterns_sharded, mine_patterns_traced, MinedPatterns, PatternData, Session, Sessions,
+    build_sessions, build_sessions_view_traced, mine_patterns, mine_patterns_traced, MinedPatterns,
+    PatternData, Session, Sessions,
 };
 pub use parse_step::{
-    parse_log, parse_view, parse_view_traced, parse_view_with, ParseCacheStats, ParseOptions,
-    ParseStats, ParsedLog, ParsedRecord, RecordShape,
+    parse_log, parse_view_traced, ParseCacheStats, ParseOptions, ParseStats, ParsedLog,
+    ParsedRecord, RecordShape,
 };
 pub use pipeline::{DetectOutput, Pipeline, PipelineResult};
 pub use recommend::{evaluate_against_marks, RecommendationEval, Recommender};
@@ -82,10 +82,7 @@ pub use run_report::{statistics_from_json, statistics_to_json, RunReport, RUN_RE
 pub use shard::{
     balance_chunks, resolve_threads, run_shards_isolated, run_shards_traced, ShardTrace,
 };
-pub use solve::{
-    apply_solutions, decide_solutions, splice_solutions, SolveDecisions, SolveOutcome,
-    SolvedRewrite,
-};
+pub use solve::{decide_solutions, splice_solutions, SolveDecisions, SolveOutcome, SolvedRewrite};
 pub use stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 pub use store::{TemplateId, TemplateStore};
 pub use sws::{classify_sws, sws_grid, union_windows, SwsResult, SwsThresholds};

@@ -132,19 +132,10 @@ fn split_user_stream(
 /// out ordered by (user id, time). With `threads > 1` the gap-splitting
 /// shards across contiguous user ranges — the result is identical for every
 /// thread count.
-pub fn build_sessions_view(
-    view: &LogView<'_>,
-    records: &[ParsedRecord],
-    gap_ms: u64,
-    threads: usize,
-) -> Sessions {
-    build_sessions_view_traced(view, records, gap_ms, threads, &Recorder::disabled(), None)
-}
-
-/// [`build_sessions_view`] with observability: per-shard spans
-/// (`"sessions.shard"`, parented under `parent`), a shard-latency histogram
-/// and outcome counters land in `rec`. Sessions are identical to the
-/// untraced call.
+///
+/// Observability: per-shard spans (`"sessions.shard"`, parented under
+/// `parent`), a shard-latency histogram and outcome counters land in `rec`;
+/// pass [`Recorder::disabled`] and `None` for none.
 pub fn build_sessions_view_traced(
     view: &LogView<'_>,
     records: &[ParsedRecord],
@@ -249,10 +240,11 @@ pub fn build_sessions_view_traced(
 
 /// Splits parsed records into per-user sessions.
 ///
-/// Compatibility wrapper around [`build_sessions_view`] (single-threaded)
-/// for owned logs.
+/// Compatibility wrapper around [`build_sessions_view_traced`]
+/// (single-threaded, untraced) for owned logs.
 pub fn build_sessions(log: &QueryLog, records: &[ParsedRecord], gap_ms: u64) -> Sessions {
-    build_sessions_view(&LogView::identity(log), records, gap_ms, 1)
+    let view = LogView::identity(log);
+    build_sessions_view_traced(&view, records, gap_ms, 1, &Recorder::disabled(), None)
 }
 
 /// Statistics of one mined pattern.
@@ -463,13 +455,13 @@ fn merge_counters(counters: Vec<PatternCounter>) -> MinedPatterns {
     }
 }
 
-/// Mines patterns from the sessions.
+/// Mines patterns from the sessions (single-threaded, untraced).
 pub fn mine_patterns(
     sessions: &Sessions,
     records: &[ParsedRecord],
     cfg: &PipelineConfig,
 ) -> MinedPatterns {
-    mine_patterns_sharded(sessions, records, cfg, 1)
+    mine_patterns_traced(sessions, records, cfg, 1, &Recorder::disabled(), None)
 }
 
 /// Mines patterns from the sessions on up to `threads` threads
@@ -478,19 +470,11 @@ pub fn mine_patterns(
 /// Sessions are user-partitioned and patterns never cross session
 /// boundaries, so sharding the session list yields exactly the sequential
 /// counts for any thread count.
-pub fn mine_patterns_sharded(
-    sessions: &Sessions,
-    records: &[ParsedRecord],
-    cfg: &PipelineConfig,
-    threads: usize,
-) -> MinedPatterns {
-    mine_patterns_traced(sessions, records, cfg, threads, &Recorder::disabled(), None)
-}
-
-/// [`mine_patterns_sharded`] with observability: per-shard spans
-/// (`"mine.shard"`, parented under `parent`), a shard-latency histogram, a
-/// session-size histogram and outcome counters land in `rec`. Counts are
-/// identical to the untraced call.
+///
+/// Observability: per-shard spans (`"mine.shard"`, parented under
+/// `parent`), a shard-latency histogram, a session-size histogram and
+/// outcome counters land in `rec`; pass [`Recorder::disabled`] and `None`
+/// for none.
 pub fn mine_patterns_traced(
     sessions: &Sessions,
     records: &[ParsedRecord],
@@ -614,9 +598,11 @@ mod tests {
         let store = TemplateStore::new();
         let parsed = parse_log(&log, &store, 1);
         let view = LogView::identity(&log);
-        let seq = build_sessions_view(&view, &parsed.records, 60_000, 1);
+        let none = Recorder::disabled();
+        let seq = build_sessions_view_traced(&view, &parsed.records, 60_000, 1, &none, None);
         for threads in [2, 3, 8] {
-            let par = build_sessions_view(&view, &parsed.records, 60_000, threads);
+            let par =
+                build_sessions_view_traced(&view, &parsed.records, 60_000, threads, &none, None);
             assert_eq!(seq.sessions, par.sessions, "threads {threads}");
             assert_eq!(seq.user_names, par.user_names, "threads {threads}");
         }
@@ -721,9 +707,10 @@ mod tests {
         let parsed = parse_log(&log, &store, 1);
         let sessions = build_sessions(&log, &parsed.records, 60_000);
         let cfg = PipelineConfig::default();
+        let none = Recorder::disabled();
         let seq = mine_patterns(&sessions, &parsed.records, &cfg);
         for threads in [2, 3, 8] {
-            let par = mine_patterns_sharded(&sessions, &parsed.records, &cfg, threads);
+            let par = mine_patterns_traced(&sessions, &parsed.records, &cfg, threads, &none, None);
             assert_eq!(seq.total_queries, par.total_queries, "threads {threads}");
             assert_eq!(seq.patterns, par.patterns, "threads {threads}");
         }

@@ -269,44 +269,23 @@ fn canonicalize_templates(store: &TemplateStore, preexisting: usize, records: &m
     }
 }
 
-/// Parses a log view into records, interning templates in `store`.
+/// Parses a log view into records, interning templates in `store`, under
+/// `options` (parser resource limits, the parse cache).
 ///
 /// `threads == 0` uses one thread per available core. Records, statistics,
 /// and template ids are identical for every thread count (ids are
-/// canonicalized to first appearance in record order). Uses the default
-/// [`ParseLimits`]; the pipeline passes its configured limits through
-/// [`parse_view_with`].
-pub fn parse_view(view: &LogView<'_>, store: &TemplateStore, threads: usize) -> ParsedLog {
-    parse_view_with(view, store, &ParseLimits::default(), threads)
-}
-
-/// [`parse_view`] with explicit parser resource limits.
+/// canonicalized to first appearance in record order), and identical
+/// whether or not the parse cache is enabled. Shards that panic (a poison
+/// statement crashing the parser) are re-run per-record: the poison
+/// statement alone is counted and dropped, every other statement of the
+/// shard parses normally.
 ///
-/// Shards that panic (a poison statement crashing the parser) are re-run
-/// per-record: the poison statement alone is counted and dropped, every
-/// other statement of the shard parses normally, and the template-id
-/// canonicalization keeps ids identical for every thread count.
-pub fn parse_view_with(
-    view: &LogView<'_>,
-    store: &TemplateStore,
-    limits: &ParseLimits,
-    threads: usize,
-) -> ParsedLog {
-    let options = ParseOptions {
-        limits: *limits,
-        ..ParseOptions::default()
-    };
-    parse_view_traced(view, store, &options, threads, &Recorder::disabled(), None)
-}
-
-/// [`parse_view_with`] with observability: per-shard spans
-/// (`"parse.shard"`, parented under `parent`), a shard-latency histogram
-/// and outcome counters — including template-interner effectiveness
-/// (`parse.templates_interned` vs `parse.template_cache_hits`) and
-/// parse-cache effectiveness (`parse.cache_hits` / `parse.cache_misses` /
-/// `parse.cache_fallbacks`) — land in `rec`. Records and statistics are
-/// identical to the untraced call, and identical whether or not the parse
-/// cache is enabled.
+/// Observability: per-shard spans (`"parse.shard"`, parented under
+/// `parent`), a shard-latency histogram and outcome counters — including
+/// template-interner effectiveness (`parse.templates_interned` vs
+/// `parse.template_cache_hits`) and parse-cache effectiveness
+/// (`parse.cache_hits` / `parse.cache_misses` / `parse.cache_fallbacks`) —
+/// land in `rec`; pass [`Recorder::disabled`] and `None` for none.
 pub fn parse_view_traced(
     view: &LogView<'_>,
     store: &TemplateStore,
@@ -523,10 +502,13 @@ fn tally(cache: ShapeCache) -> ParseCacheStats {
 
 /// Parses a pre-cleaned log into records, interning templates in `store`.
 ///
-/// Compatibility wrapper around [`parse_view`] for owned logs.
-/// `threads == 0` uses one thread per available core.
+/// Compatibility wrapper around [`parse_view_traced`] for owned logs:
+/// default [`ParseOptions`], untraced. `threads == 0` uses one thread per
+/// available core.
 pub fn parse_log(log: &QueryLog, store: &TemplateStore, threads: usize) -> ParsedLog {
-    parse_view(&LogView::identity(log), store, threads)
+    let view = LogView::identity(log);
+    let none = Recorder::disabled();
+    parse_view_traced(&view, store, &ParseOptions::default(), threads, &none, None)
 }
 
 #[cfg(test)]

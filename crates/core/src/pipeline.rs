@@ -6,32 +6,40 @@
 //!              ─► clean log + removal log + statistics
 //! ```
 //!
-//! The batch run is a sequence of explicit **stage operators** (`op_sort`,
-//! `op_dedup`, `op_parse`, `op_sessions`, `op_mine`, `op_detect`,
-//! `op_solve`, `assemble`): [`Pipeline::run`] drives them back to back,
-//! while the checkpointed runner ([`crate::checkpoint`]) drives the same
-//! operators with a serialization point after each one, so an interrupted
-//! run can resume from the last completed stage. Both drivers produce
-//! byte-identical output — the operators are the single source of truth
-//! for what each stage does.
+//! Each stage is an explicit **stage operator** (`op_sort`, `op_dedup`,
+//! `op_parse`, `op_sessions`, `op_mine`, `op_detect`, `op_solve`,
+//! `assemble`), and one private driver sequences them. Every checkpointed
+//! stage passes through one step, which times it and — only when the run
+//! has a run directory ([`RunDir`]) — loads it from its checkpoint or
+//! stores it after computing it. [`Pipeline::run`] is that sequence over an
+//! in-memory log with no run directory; [`Pipeline::run_file`] reads and
+//! ingests a log file first, with or without one, and
+//! [`crate::checkpoint::run_checkpointed`] is `run_file` with one. Loaded
+//! or computed, a stage's output is the same, so every way of running the
+//! pipeline produces byte-identical output.
 
+use crate::checkpoint::{
+    self, config_fingerprint, CheckpointOptions, CheckpointOutcome, Dec, Enc, RunDir, Stage,
+};
 use crate::config::PipelineConfig;
 use crate::dedup::{dedup_view_traced, DedupStats};
 use crate::detect::{
     detect_builtin, sort_instances, AntipatternClass, AntipatternInstance, DetectCtx,
 };
-use crate::ext::{ExtensionRegistry, SolverSet};
+use crate::ext::ExtensionRegistry;
 use crate::fault;
+use crate::ingest::ingest_slice_traced;
 use crate::mine::{build_sessions_view_traced, mine_patterns_traced, MinedPatterns, Sessions};
 use crate::parse_step::{parse_view_traced, ParsedLog, ParsedRecord};
 use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
-use crate::solve::{apply_solutions, decide_solutions, SolveDecisions, SolveOutcome};
+use crate::solve::{decide_solutions, splice_solutions, SolveDecisions, SolveOutcome};
 use crate::stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
-use sqlog_log::{LogView, QueryLog};
+use sqlog_log::{AtomicFile, IngestStats, LogView, QueryLog};
+use sqlog_obs::Recorder;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
@@ -116,14 +124,157 @@ impl<'a> Pipeline<'a> {
     /// [`PipelineConfig::parallelism`] worker threads — by user (dedup,
     /// sessions), by record chunk (parse), or by session range (mining,
     /// detection) — and merges shard outputs deterministically, so the
-    /// result is identical for every thread count.
+    /// result is identical for every thread count. Nothing is ingested, so
+    /// `timings.ingest_ms` stays zero.
     pub fn run(&self, original: &QueryLog) -> PipelineResult {
-        let t_total = Instant::now();
-        let ms = |t: Instant| t.elapsed().as_millis() as u64;
+        let mut driver = Driver::new(&self.config.recorder, None, false, None);
+        let mut total_ms = 0;
+        let result = timed(&mut total_ms, || {
+            self.stages(original, &mut driver, StageTimings::default())
+        });
+        let mut result = result.expect("an in-memory run neither stops early nor writes");
+        result.stats.timings.total_ms = total_ms;
+        result
+    }
+
+    /// Cleans the log file `opts.input`: reads it once, ingests it under
+    /// `opts.policy` (skipped lines go to the `opts.quarantine` sidecar),
+    /// then runs the stage sequence. With `dir` the run is checkpointed
+    /// there: the manifest pins the configuration and the input bytes,
+    /// `opts.resume` loads the longest valid prefix of stage checkpoints,
+    /// and `opts.stop_after` ends the run early with `Ok(None)`. Without
+    /// `dir` both are ignored and nothing is hashed or written besides the
+    /// sidecar.
+    ///
+    /// The ingest counters (`ingest.entries`, and on quarantine
+    /// `ingest.quarantined_lines`, `ingest.invalid_utf8_lines` and a
+    /// warning) land in the recorder, and `stats.run_health` carries the
+    /// ingest counts and the interruption tally.
+    pub fn run_file(
+        &self,
+        opts: &CheckpointOptions,
+        dir: Option<&RunDir>,
+    ) -> Result<Option<CheckpointOutcome>, String> {
+        let mut total_ms = 0;
+        let outcome = timed(&mut total_ms, || self.clean_file(opts, dir))?;
+        Ok(outcome.map(|mut outcome| {
+            outcome.result.stats.timings.total_ms = total_ms;
+            outcome
+        }))
+    }
+
+    fn clean_file(
+        &self,
+        opts: &CheckpointOptions,
+        dir: Option<&RunDir>,
+    ) -> Result<Option<CheckpointOutcome>, String> {
+        let mut timings = StageTimings::default();
+        // One read per leg: the bytes hashed against the manifest are the
+        // bytes ingested, so a file swapped mid-run cannot slip through.
+        let input = timed(&mut timings.ingest_ms, || std::fs::read(&opts.input))
+            .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
+        let manifest = match dir {
+            Some(dir) => {
+                Some(dir.begin_leg(opts, config_fingerprint(&self.config, self.catalog), &input)?)
+            }
+            None => None,
+        };
+        let (log, ingest_stats) = timed(&mut timings.ingest_ms, || self.ingest(&input, opts))?;
+        drop(input);
+
+        let mut driver = Driver::new(&self.config.recorder, dir, opts.resume, opts.stop_after);
+        let mut result = match self.stages(&log, &mut driver, timings) {
+            Ok(result) => result,
+            Err(Halt::Stopped) => return Ok(None),
+            Err(Halt::Failed(e)) => return Err(e),
+        };
+        let health = &mut result.stats.run_health;
+        health.quarantined_lines = ingest_stats.quarantined;
+        health.invalid_utf8_lines = ingest_stats.invalid_utf8;
+        health.interruptions = manifest.map_or(0, |m| m.interruptions as usize);
+        Ok(Some(CheckpointOutcome {
+            result,
+            ingest_stats,
+            loaded_stages: driver.loaded_stages,
+            warnings: driver.warnings,
+        }))
+    }
+
+    /// Scans the input bytes under `opts.policy` — segmented and parallel,
+    /// byte-identical to the sequential reader — streaming skipped lines
+    /// into the atomically written sidecar, and records the ingest counters
+    /// and the quarantine warning. The `ingest`-stage fault hook trips on
+    /// matching statements after the scan, inside the stage window.
+    fn ingest(
+        &self,
+        data: &[u8],
+        opts: &CheckpointOptions,
+    ) -> Result<(QueryLog, IngestStats), String> {
+        let rec = &self.config.recorder;
+        rec.stage_begin("ingest", 0);
+        let span = rec.span("ingest");
+        let mut sidecar = match &opts.quarantine {
+            Some(path) => Some(
+                AtomicFile::create(path)
+                    .map_err(|e| format!("cannot create {}: {e}", path.display()))?,
+            ),
+            None => None,
+        };
+        let (log, stats) = ingest_slice_traced(
+            data,
+            opts.policy,
+            self.config.parallelism,
+            sidecar.as_mut().map(|w| w as &mut dyn std::io::Write),
+            rec,
+            span.id(),
+        )
+        .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
+        if let Some(s) = sidecar {
+            let path = s.path().to_path_buf();
+            s.commit()
+                .map_err(|e| format!("cannot write quarantine sidecar {}: {e}", path.display()))?;
+        }
+        let fault = fault::armed("ingest");
+        if fault.is_some() {
+            for e in &log.entries {
+                fault::trip(&fault, &e.statement);
+            }
+        }
+        rec.counter("ingest.entries", log.len() as u64);
+        if stats.quarantined > 0 {
+            let msg = format!(
+                "quarantined {} unreadable lines ({} malformed, {} invalid UTF-8){}",
+                stats.quarantined,
+                stats.malformed,
+                stats.invalid_utf8,
+                opts.quarantine
+                    .as_ref()
+                    .map(|p| format!(", copied to {}", p.display()))
+                    .unwrap_or_default()
+            );
+            eprintln!("{msg}");
+            // Machine consumers of the trace must not need to scrape stderr.
+            rec.warning(msg);
+            rec.counter("ingest.quarantined_lines", stats.quarantined as u64);
+            rec.counter("ingest.invalid_utf8_lines", stats.invalid_utf8 as u64);
+        }
+        Ok((log, stats))
+    }
+
+    /// The stage sequence: sort + dedup → parse → sessions → mine → detect
+    /// → solve decisions → splice → assemble, each checkpointed stage
+    /// through [`Driver::step`]. `timings` arrives with `ingest_ms` filled;
+    /// `total_ms` is the caller's.
+    fn stages(
+        &self,
+        log: &QueryLog,
+        driver: &mut Driver<'_>,
+        mut timings: StageTimings,
+    ) -> Result<PipelineResult, Halt> {
         let rec = &self.config.recorder;
         let mut pipeline_span = rec.span("pipeline");
         pipeline_span.field("threads", resolve_threads(self.config.parallelism) as u64);
-        pipeline_span.field("input", original.len() as u64);
+        pipeline_span.field("input", log.len() as u64);
         if rec.is_enabled() {
             // Route the fault-injection arming into the event stream too —
             // `fault::armed` already shouts on stderr, but machine consumers
@@ -133,45 +284,73 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        let t = Instant::now();
-        let input = self.op_sort(original);
-        let sort_ms = ms(t);
-        let t = Instant::now();
-        let (pre_clean, dedup_stats) = self.op_dedup(&input);
-        let dedup_ms = ms(t);
-        let t = Instant::now();
-        let store = TemplateStore::with_recorder(rec.clone());
-        let parsed = self.op_parse(&pre_clean, &store);
-        let parse_ms = ms(t);
-        let t = Instant::now();
-        let sessions = self.op_sessions(&pre_clean, &parsed.records);
-        let sessions_ms = ms(t);
-        let t = Instant::now();
-        let mined = self.op_mine(&sessions, &parsed.records);
-        let mine_ms = ms(t);
-        let t = Instant::now();
-        let detected = self.op_detect(&pre_clean, &parsed.records, &sessions, &store);
-        let detect_ms = ms(t);
-        let t = Instant::now();
-        let outcome = self.op_solve(&pre_clean, &parsed.records, &sessions, &store, &detected);
-        let solve_ms = ms(t);
+        // Sort runs inside the dedup step: the dedup checkpoint stores
+        // base-log indices, so a resume past dedup never needs it.
+        let (pre_clean, dedup_stats) = driver.step(
+            Stage::Dedup,
+            &mut timings.dedup_ms,
+            |d| checkpoint::decode_dedup(d, log),
+            checkpoint::encode_dedup,
+            || {
+                let input = timed(&mut timings.sort_ms, || self.op_sort(log));
+                self.op_dedup(&input)
+            },
+        )?;
+        // The dedup step's clock also ran over the sort.
+        timings.dedup_ms = timings.dedup_ms.saturating_sub(timings.sort_ms);
 
-        let timings = StageTimings {
-            // Ingest and report happen outside the pipeline; the binary
-            // that drives the run fills these (and extends total_ms).
-            ingest_ms: 0,
-            sort_ms,
-            dedup_ms,
-            parse_ms,
-            sessions_ms,
-            mine_ms,
-            detect_ms,
-            solve_ms,
-            report_ms: 0,
-            total_ms: ms(t_total),
-        };
-        self.assemble(
-            original.len(),
+        let (store, parsed) = driver.step(
+            Stage::Parse,
+            &mut timings.parse_ms,
+            |d| checkpoint::decode_parse(d, pre_clean.len(), rec),
+            checkpoint::encode_parse,
+            || {
+                let store = TemplateStore::with_recorder(rec.clone());
+                let parsed = self.op_parse(&pre_clean, &store);
+                (store, parsed)
+            },
+        )?;
+        let records = &parsed.records;
+
+        let sessions = driver.step(
+            Stage::Sessions,
+            &mut timings.sessions_ms,
+            |d| checkpoint::decode_sessions(d, records.len()),
+            checkpoint::encode_sessions,
+            || self.op_sessions(&pre_clean, records),
+        )?;
+
+        let mined = driver.step(
+            Stage::Mine,
+            &mut timings.mine_ms,
+            |d| checkpoint::decode_mine(d, store.len()),
+            checkpoint::encode_mine,
+            || self.op_mine(&sessions, records),
+        )?;
+
+        let detected = driver.step(
+            Stage::Detect,
+            &mut timings.detect_ms,
+            |d| checkpoint::decode_detect(d, records.len(), store.len()),
+            checkpoint::encode_detect,
+            || self.op_detect(&pre_clean, records, &sessions, &store),
+        )?;
+
+        // The solve checkpoint holds the solver pass's decisions; the
+        // splice into the two output logs runs on every path.
+        let decisions = driver.step(
+            Stage::Solve,
+            &mut timings.solve_ms,
+            |d| checkpoint::decode_solve(d, &detected.instances, records.len()),
+            checkpoint::encode_solve,
+            || self.solve_decisions(&pre_clean, records, &sessions, &store, &detected),
+        )?;
+        let outcome = timed(&mut timings.solve_ms, || {
+            self.splice(&pre_clean, records, &detected, decisions)
+        });
+
+        Ok(self.assemble(
+            log.len(),
             &pre_clean,
             &dedup_stats,
             parsed,
@@ -181,7 +360,7 @@ impl<'a> Pipeline<'a> {
             outcome,
             store,
             timings,
-        )
+        ))
     }
 
     /// Stage operator 0: order by time. A sorted *view* (index permutation)
@@ -368,6 +547,8 @@ impl<'a> Pipeline<'a> {
 
     /// Stage operator 5: solve (§5.5). Sequential: first-wins overlap
     /// resolution is inherently ordered across the whole instance list.
+    /// The solver pass decides which instances are rewritten into what;
+    /// the splice builds the clean and removal logs from those decisions.
     pub fn op_solve(
         &self,
         pre_clean: &LogView<'_>,
@@ -376,20 +557,13 @@ impl<'a> Pipeline<'a> {
         store: &TemplateStore,
         detected: &DetectOutput,
     ) -> SolveOutcome {
-        self.solve_stage(
-            pre_clean,
-            records,
-            sessions,
-            store,
-            detected,
-            apply_solutions,
-        )
+        let decisions = self.solve_decisions(pre_clean, records, sessions, store, detected);
+        self.splice(pre_clean, records, detected, decisions)
     }
 
-    /// The solver pass of [`Pipeline::op_solve`] alone, which the
-    /// checkpointed runner stores; [`crate::solve::splice_solutions`]
-    /// turns its decisions into the [`SolveOutcome`].
-    pub fn op_solve_decisions(
+    /// The solver pass of [`Pipeline::op_solve`], which a checkpointed run
+    /// stores.
+    fn solve_decisions(
         &self,
         pre_clean: &LogView<'_>,
         records: &[ParsedRecord],
@@ -397,25 +571,6 @@ impl<'a> Pipeline<'a> {
         store: &TemplateStore,
         detected: &DetectOutput,
     ) -> SolveDecisions {
-        self.solve_stage(
-            pre_clean,
-            records,
-            sessions,
-            store,
-            detected,
-            decide_solutions,
-        )
-    }
-
-    fn solve_stage<T>(
-        &self,
-        pre_clean: &LogView<'_>,
-        records: &[ParsedRecord],
-        sessions: &Sessions,
-        store: &TemplateStore,
-        detected: &DetectOutput,
-        solve: impl FnOnce(&DetectCtx<'_>, &[AntipatternInstance], &SolverSet<'_>) -> T,
-    ) -> T {
         let ctx = DetectCtx {
             log: pre_clean,
             records,
@@ -424,17 +579,28 @@ impl<'a> Pipeline<'a> {
             catalog: self.catalog,
             config: &self.config,
         };
-        let solvers = self.extensions.solver_set();
-        self.config
-            .recorder
-            .stage_begin("solve", detected.instances.len() as u64);
-        let _span = self.config.recorder.span("solve");
-        solve(&ctx, &detected.instances, &solvers)
+        let rec = &self.config.recorder;
+        rec.stage_begin("solve", detected.instances.len() as u64);
+        let _span = rec.span("solve");
+        decide_solutions(&ctx, &detected.instances, &self.extensions.solver_set())
+    }
+
+    /// The splice of [`Pipeline::op_solve`]: the clean and removal logs
+    /// from the solver pass's decisions.
+    fn splice(
+        &self,
+        pre_clean: &LogView<'_>,
+        records: &[ParsedRecord],
+        detected: &DetectOutput,
+        decisions: SolveDecisions,
+    ) -> SolveOutcome {
+        let rec = &self.config.recorder;
+        let _span = rec.span("solve");
+        splice_solutions(pre_clean, records, &detected.instances, decisions, rec)
     }
 
     /// Final assembly: statistics, pattern marks and entry-id joins from
-    /// the completed stage outputs. Pure bookkeeping — no stage work — so
-    /// both drivers (batch and checkpointed) share it.
+    /// the completed stage outputs. Pure bookkeeping — no stage work.
     #[allow(clippy::too_many_arguments)] // one parameter per stage output
     pub fn assemble(
         &self,
@@ -505,7 +671,7 @@ impl<'a> Pipeline<'a> {
             parse_cache: parsed.cache,
             run_health: RunHealth {
                 // Ingestion counts and the interruption tally are filled by
-                // the caller that read the log / drove the checkpointed run.
+                // the caller that read the log file (`run_file`).
                 quarantined_lines: 0,
                 invalid_utf8_lines: 0,
                 limit_rejected: parsed.stats.limit_exceeded,
@@ -554,6 +720,119 @@ pub struct DetectOutput {
     pub poison_sessions: usize,
     /// Detection shards that panicked and were recovered per-session.
     pub degraded_shards: usize,
+}
+
+/// Adds the wall-clock milliseconds `f` takes to `ms`: the one stage clock.
+fn timed<T>(ms: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let v = f();
+    *ms += t.elapsed().as_millis() as u64;
+    v
+}
+
+/// Why the stage sequence ended without a result.
+#[derive(Debug)]
+enum Halt {
+    /// [`CheckpointOptions::stop_after`] was reached; its checkpoint is on
+    /// disk.
+    Stopped,
+    /// A checkpoint could not be written.
+    Failed(String),
+}
+
+impl From<String> for Halt {
+    fn from(e: String) -> Halt {
+        Halt::Failed(e)
+    }
+}
+
+/// The stage sequence's bookkeeping: the run directory (if any), whether
+/// its checkpoint chain is still intact (once one stage re-runs, later
+/// checkpoints are stale and must not be loaded), the stop stage, and
+/// which stages were loaded and what went wrong non-fatally.
+struct Driver<'r> {
+    rec: &'r Recorder,
+    dir: Option<&'r RunDir>,
+    chain_intact: bool,
+    stop_after: Option<Stage>,
+    loaded_stages: Vec<&'static str>,
+    warnings: Vec<String>,
+}
+
+impl<'r> Driver<'r> {
+    /// Only a resume consults checkpoints: a fresh run starts with the
+    /// chain already broken (`RunDir::create` cleared them anyway). Without
+    /// a run directory nothing is loaded and the run never stops early.
+    fn new(
+        rec: &'r Recorder,
+        dir: Option<&'r RunDir>,
+        resume: bool,
+        stop_after: Option<Stage>,
+    ) -> Self {
+        Driver {
+            rec,
+            dir,
+            chain_intact: resume && dir.is_some(),
+            stop_after: dir.and(stop_after),
+            loaded_stages: Vec::new(),
+            warnings: Vec::new(),
+        }
+    }
+
+    /// Runs one stage: loads it from its checkpoint while the chain is
+    /// intact, or computes it — timed into `ms` — and, with a run
+    /// directory, checkpoints it. Loaded stages leave `ms` untouched.
+    fn step<T>(
+        &mut self,
+        stage: Stage,
+        ms: &mut u64,
+        decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
+        encode: impl FnOnce(&mut Enc, &T),
+        compute: impl FnOnce() -> T,
+    ) -> Result<T, Halt> {
+        let v = match self.load(stage, decode) {
+            Some(v) => v,
+            None => {
+                let v = timed(ms, compute);
+                if let Some(dir) = self.dir {
+                    checkpoint::write_checkpoint(dir, self.rec, stage, |e| encode(e, &v))?;
+                }
+                v
+            }
+        };
+        if self.stop_after == Some(stage) {
+            return Err(Halt::Stopped);
+        }
+        Ok(v)
+    }
+
+    /// A missing, unreadable or undecodable checkpoint breaks the chain:
+    /// this stage and everything after it re-run. Only a missing one goes
+    /// without a warning.
+    fn load<T>(
+        &mut self,
+        stage: Stage,
+        decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
+    ) -> Option<T> {
+        let dir = self.dir.filter(|_| self.chain_intact)?;
+        match checkpoint::load_checkpoint(dir, self.rec, stage, decode) {
+            Ok(Some(v)) => {
+                self.rec.counter("resume.skip_stage", 1);
+                self.rec.stage_skipped(stage.name());
+                self.loaded_stages.push(stage.name());
+                return Some(v);
+            }
+            Ok(None) => {}
+            Err(e) => {
+                let msg = format!("checkpoint {stage}: {e}; re-running the stage");
+                eprintln!("warning: {msg}");
+                self.rec.warning(msg.clone());
+                self.warnings.push(msg);
+            }
+        }
+        self.chain_intact = false;
+        None
+    }
 }
 
 #[cfg(test)]

@@ -74,18 +74,6 @@ pub struct SolveDecisions {
     pub skipped_overlaps: usize,
 }
 
-/// Applies the solvers over the parsed log: the ordered first-wins solver
-/// pass, then the splice of its decisions into the two output logs.
-pub fn apply_solutions(
-    ctx: &DetectCtx<'_>,
-    instances: &[AntipatternInstance],
-    solvers: &SolverSet<'_>,
-) -> SolveOutcome {
-    let decisions = decide_solutions(ctx, instances, solvers);
-    let rec = &ctx.config.recorder;
-    splice_solutions(ctx.log, ctx.records, instances, decisions, rec)
-}
-
 /// The solver pass: walks the instances in order and lets each solvable
 /// one whose queries no earlier decision consumed be rewritten.
 pub fn decide_solutions(
@@ -301,7 +289,14 @@ mod tests {
             config: &config,
         };
         let instances = detect_builtin(&ctx);
-        apply_solutions(&ctx, &instances, &SolverSet::builtin())
+        let decisions = decide_solutions(&ctx, &instances, &SolverSet::builtin());
+        splice_solutions(
+            &view,
+            &parsed.records,
+            &instances,
+            decisions,
+            &config.recorder,
+        )
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub struct ClassCounts {
 /// should go through [`Statistics::with_zeroed_timings`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageTimings {
-    /// Reading + quarantining the input log. The pipeline never sees
-    /// ingestion, so it leaves this zero; the binary that read the log
-    /// fills it in (and folds it into `total_ms`).
+    /// Reading + quarantining the input log. Filled by
+    /// [`crate::Pipeline::run_file`]; zero for [`crate::Pipeline::run`],
+    /// which gets a log already in memory.
     pub ingest_ms: u64,
     /// Sorting the input by timestamp (zero when already sorted).
     pub sort_ms: u64,
@@ -44,8 +44,9 @@ pub struct StageTimings {
     /// Rendering the statistics report and writing outputs. Filled by the
     /// binary, like `ingest_ms`.
     pub report_ms: u64,
-    /// End-to-end time: the pipeline's own wall-clock, plus `ingest_ms`
-    /// and `report_ms` once the binary adds them.
+    /// End-to-end time: the run's own wall-clock (ingest included for
+    /// [`crate::Pipeline::run_file`]), plus `report_ms` once the binary
+    /// adds it.
     pub total_ms: u64,
 }
 

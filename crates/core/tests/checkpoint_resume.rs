@@ -358,3 +358,54 @@ fn lenient_resume_rewrites_sidecar_and_health_identically() {
     let sidecar = |d: &RunDir| std::fs::read(d.quarantine_path()).unwrap();
     assert!(sidecar(&dir) == sidecar(&ref_dir), "sidecar differs");
 }
+
+/// Every way of running the pipeline times its stages on one clock: the
+/// stage timings never add up to more than the end-to-end time (each is
+/// truncated to whole milliseconds, hence the slack), and a resumed run's
+/// loaded stages read 0 ms because they did not run.
+#[test]
+fn stage_timings_reconcile_with_the_total() {
+    let scratch = Scratch::new("timings");
+    let (input, log) = fixture(&scratch);
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(config(2, true));
+    let reconciles = |t: &sqlog_core::StageTimings, label: &str| {
+        assert!(
+            t.stage_sum_ms() <= t.total_ms + 9,
+            "{label}: stages sum to {} ms, total {} ms: {t:?}",
+            t.stage_sum_ms(),
+            t.total_ms
+        );
+    };
+
+    let in_memory = pipeline.run(&log).stats.timings;
+    assert_eq!(in_memory.ingest_ms, 0, "nothing is ingested in memory");
+    reconciles(&in_memory, "Pipeline::run");
+
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+    let fresh = run_checkpointed(&pipeline, &dir, &opts(&input, false, None))
+        .unwrap()
+        .expect("ran to completion");
+    reconciles(&fresh.result.stats.timings, "fresh checkpointed run");
+
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+    run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Detect))).unwrap();
+    let resumed = run_checkpointed(&pipeline, &dir, &opts(&input, true, None))
+        .unwrap()
+        .expect("ran to completion");
+    assert_eq!(
+        resumed.loaded_stages,
+        ["dedup", "parse", "sessions", "mine", "detect"]
+    );
+    let t = resumed.result.stats.timings;
+    reconciles(&t, "resumed checkpointed run");
+    let loaded = [
+        t.sort_ms,
+        t.dedup_ms,
+        t.parse_ms,
+        t.sessions_ms,
+        t.mine_ms,
+        t.detect_ms,
+    ];
+    assert_eq!(loaded, [0; 6], "loaded stages must read 0 ms: {t:?}");
+}

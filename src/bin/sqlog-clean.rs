@@ -68,14 +68,11 @@
 //! byte-identical.
 
 use sqlog::catalog::{parse_schema, skyserver_catalog, Catalog};
-use sqlog::core::checkpoint::{
-    config_fingerprint, hash_file, run_checkpointed, CheckpointOptions, RunDir,
-};
+use sqlog::core::checkpoint::{config_fingerprint, hash_file, CheckpointOptions, RunDir};
 use sqlog::core::{
-    ingest_file_traced, render_pattern_table, render_statistics, top_patterns, Pipeline,
-    PipelineConfig, RunReport,
+    render_pattern_table, render_statistics, top_patterns, Pipeline, PipelineConfig, RunReport,
 };
-use sqlog::logmodel::{write_log_file_atomic, AtomicFile, IngestPolicy, IngestStats, QueryLog};
+use sqlog::logmodel::{write_log_file_atomic, AtomicFile, IngestPolicy};
 use sqlog::obs::{mem, Ledger, LedgerEntry, MachineInfo, ObsReport, Recorder, LEDGER_SCHEMA};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -267,42 +264,6 @@ fn create_sink(path: Option<&str>) -> Result<Option<AtomicFile>, String> {
         .transpose()
 }
 
-/// Reads the input log under the selected ingestion policy — segmented and
-/// parallel (`--threads` / one segment per core), byte-identical to the
-/// sequential reader — writing skipped lines to the quarantine sidecar when
-/// one was requested. (The checkpointed path does its own ingestion inside
-/// the run directory.)
-fn ingest(
-    args: &Args,
-    parent: Option<sqlog::obs::SpanId>,
-) -> Result<(QueryLog, IngestStats), String> {
-    let policy = if args.lenient {
-        IngestPolicy::Lenient
-    } else {
-        IngestPolicy::Strict
-    };
-    let mut sidecar = match &args.quarantine {
-        Some(path) => {
-            Some(AtomicFile::create(path).map_err(|e| format!("cannot create {path}: {e}"))?)
-        }
-        None => None,
-    };
-    let (log, stats) = ingest_file_traced(
-        std::path::Path::new(&args.input),
-        policy,
-        args.config.parallelism,
-        sidecar.as_mut().map(|w| w as &mut dyn std::io::Write),
-        &args.config.recorder,
-        parent,
-    )
-    .map_err(|e| format!("cannot read {}: {e}", args.input))?;
-    if let Some(s) = sidecar {
-        s.commit()
-            .map_err(|e| format!("cannot write quarantine sidecar: {e}"))?;
-    }
-    Ok((log, stats))
-}
-
 fn main() {
     let mut args = match parse_args() {
         Ok(a) => a,
@@ -382,123 +343,59 @@ fn main() {
     let cfg_fp = config_fingerprint(&args.config, &catalog);
 
     let run_dir = match (&args.run_dir, &args.resume) {
-        (Some(path), None) => match RunDir::create(path) {
-            Ok(d) => Some((d, false)),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                exit(1);
-            }
-        },
-        (None, Some(path)) => match RunDir::open(path) {
-            Ok(d) => Some((d, true)),
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                exit(1);
-            }
-        },
+        (Some(path), None) => Some(RunDir::create(path)),
+        (None, Some(path)) => Some(RunDir::open(path)),
         _ => None,
+    }
+    .transpose()
+    .unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        exit(1);
+    });
+
+    // One file-input path, crash-safe or not: with a run directory every
+    // stage checkpoints into it.
+    let opts = CheckpointOptions {
+        input: PathBuf::from(&args.input),
+        policy: if args.lenient {
+            IngestPolicy::Lenient
+        } else {
+            IngestPolicy::Strict
+        },
+        quarantine: args.quarantine.as_ref().map(PathBuf::from).or_else(|| {
+            run_dir
+                .as_ref()
+                .filter(|_| args.lenient)
+                .map(RunDir::quarantine_path)
+        }),
+        resume: args.resume.is_some(),
+        stop_after: None,
     };
-
-    // Which stages a resume restored from checkpoints (for the stdout
-    // summary; the per-stage detail also goes to stderr below).
-    let mut loaded_stages: Vec<&'static str> = Vec::new();
-    let mut result = match &run_dir {
-        // --- crash-safe path: checkpoint every stage into the run dir ---
-        Some((dir, resume)) => {
-            let policy = if args.lenient {
-                IngestPolicy::Lenient
-            } else {
-                IngestPolicy::Strict
-            };
-            let opts = CheckpointOptions {
-                input: PathBuf::from(&args.input),
-                policy,
-                quarantine: args
-                    .quarantine
-                    .as_ref()
-                    .map(PathBuf::from)
-                    .or_else(|| args.lenient.then(|| dir.quarantine_path())),
-                resume: *resume,
-                stop_after: None,
-            };
-            let pipeline = Pipeline::new(&catalog).with_config(args.config.clone());
-            let outcome = match run_checkpointed(&pipeline, dir, &opts) {
-                Ok(Some(o)) => o,
-                Ok(None) => unreachable!("no stop_after requested"),
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    exit(1);
-                }
-            };
-            eprintln!(
-                "read {} entries from {}",
-                outcome.ingest_stats.entries, args.input
-            );
-            if !outcome.loaded_stages.is_empty() {
-                eprintln!(
-                    "resumed from {}: loaded checkpoints for {}",
-                    dir.root().display(),
-                    outcome.loaded_stages.join(", ")
-                );
-                loaded_stages = outcome.loaded_stages.clone();
-            }
-            if outcome.ingest_stats.quarantined > 0 {
-                eprintln!(
-                    "quarantined {} unreadable lines ({} malformed, {} invalid UTF-8)",
-                    outcome.ingest_stats.quarantined,
-                    outcome.ingest_stats.malformed,
-                    outcome.ingest_stats.invalid_utf8
-                );
-            }
-            rec.counter("ingest.entries", outcome.ingest_stats.entries as u64);
-            outcome.result
-        }
-        // --- plain in-memory path (the seed behavior) ---
-        None => {
-            let t_ingest = Instant::now();
-            let (log, ingest_stats) = {
-                rec.stage_begin("ingest", 0);
-                let span = rec.span("ingest");
-                match ingest(&args, span.id()) {
-                    Ok(r) => r,
-                    Err(msg) => {
-                        eprintln!("error: {msg}");
-                        exit(1);
-                    }
-                }
-            };
-            let ingest_ms = t_ingest.elapsed().as_millis() as u64;
-            eprintln!("read {} entries from {}", log.len(), args.input);
-            if ingest_stats.quarantined > 0 {
-                let msg = format!(
-                    "quarantined {} unreadable lines ({} malformed, {} invalid UTF-8){}",
-                    ingest_stats.quarantined,
-                    ingest_stats.malformed,
-                    ingest_stats.invalid_utf8,
-                    args.quarantine
-                        .as_deref()
-                        .map(|p| format!(", copied to {p}"))
-                        .unwrap_or_default()
-                );
-                eprintln!("{msg}");
-                // Machine consumers of the trace must not need to scrape stderr.
-                rec.warning(msg);
-                rec.counter("ingest.quarantined_lines", ingest_stats.quarantined as u64);
-                rec.counter(
-                    "ingest.invalid_utf8_lines",
-                    ingest_stats.invalid_utf8 as u64,
-                );
-            }
-            rec.counter("ingest.entries", log.len() as u64);
-
-            let mut result = Pipeline::new(&catalog).with_config(args.config).run(&log);
-            result.stats.run_health.quarantined_lines = ingest_stats.quarantined;
-            result.stats.run_health.invalid_utf8_lines = ingest_stats.invalid_utf8;
-            result.stats.timings.ingest_ms = ingest_ms;
-            result.stats.timings.total_ms += ingest_ms;
-            result
+    let outcome = match Pipeline::new(&catalog)
+        .with_config(args.config)
+        .run_file(&opts, run_dir.as_ref())
+    {
+        Ok(Some(o)) => o,
+        Ok(None) => unreachable!("no stop_after requested"),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            exit(1);
         }
     };
+    eprintln!(
+        "read {} entries from {}",
+        outcome.ingest_stats.entries, args.input
+    );
+    // Which stages a resume restored from checkpoints, for the report.
+    let loaded_stages = outcome.loaded_stages;
+    if !loaded_stages.is_empty() {
+        eprintln!(
+            "resumed from {}: loaded checkpoints for {}",
+            args.resume.as_deref().unwrap_or_default(),
+            loaded_stages.join(", ")
+        );
+    }
+    let mut result = outcome.result;
 
     // The pipeline is done: account the process's peak footprint before
     // the report is built, so it lands in --stats-json and the ledger.
@@ -630,7 +527,7 @@ fn main() {
     // Every artifact is on disk: a checkpointed run is now complete, and a
     // later --resume of this directory replays checkpoints without counting
     // another interruption.
-    if let Some((dir, _)) = &run_dir {
+    if let Some(dir) = &run_dir {
         if let Err(msg) = dir.mark_completed() {
             eprintln!("error: {msg}");
             exit(1);

@@ -239,6 +239,30 @@ fn kill_in_every_stage_then_resume_is_byte_identical() {
     }
 }
 
+/// The `ingest` fault hook belongs to the one file-input path, so it kills
+/// a run without `--run-dir` too — at every thread count, before any
+/// output exists.
+#[test]
+fn ingest_fault_kills_a_run_without_a_run_dir() {
+    let scratch = Scratch::new("plain-ingest");
+    for threads in [1usize, 8] {
+        let p = paths(&scratch, &format!("plain-{threads}"));
+        std::fs::write(&p.input, fixture()).expect("write fixture");
+        let out = base_cmd(&p, threads, true)
+            .env("SQLOG_FAULT_MARKER", MARKER)
+            .env("SQLOG_FAULT_STAGE", "ingest")
+            .env("SQLOG_FAULT_ACTION", "abort")
+            .output()
+            .expect("spawn plain run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success() && stderr.contains("injected fault: aborting"),
+            "threads {threads}: the ingest abort did not fire\nstderr: {stderr}"
+        );
+        assert!(!p.clean.exists(), "threads {threads}: clean log written");
+    }
+}
+
 /// Crash *between* writing a checkpoint's temp file and its atomic rename
 /// — the torn-write window. The stage must re-run on resume.
 #[test]

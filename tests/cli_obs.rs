@@ -8,7 +8,7 @@
 
 use sqlog::core::{render_statistics, RunReport};
 use sqlog::gen::{generate, GenConfig};
-use sqlog::logmodel::write_log_file;
+use sqlog::logmodel::{write_log, write_log_file};
 use sqlog::obs::Json;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -161,5 +161,63 @@ fn unwritable_trace_path_fails_before_the_run() {
         // Failed before ingesting anything.
         assert!(!stderr.contains("read "), "{flag}: ran anyway\n{stderr}");
         assert!(out.stdout.is_empty(), "{flag}: produced a report anyway");
+    }
+}
+
+/// A `--run-dir` run and a plain run report the same ingest health and
+/// the same span set: both go through one file-input path and one stage
+/// sequence.
+#[test]
+fn run_dir_and_plain_runs_report_the_same_observability() {
+    let scratch = Scratch::new("rundir");
+    let input = scratch.path("input.tsv");
+    let mut text = Vec::new();
+    write_log(&generate(&GenConfig::with_scale(300, 5)), &mut text).expect("render log");
+    text.extend_from_slice(b"not a log line\n");
+    std::fs::write(&input, text).expect("write input");
+
+    for leg in ["plain", "run-dir"] {
+        let stats = scratch.path(&format!("{leg}-stats.json"));
+        let mut cmd = Command::new(BIN);
+        cmd.args([
+            "--in",
+            input.to_str().unwrap(),
+            "--lenient",
+            "--stats-json",
+            stats.to_str().unwrap(),
+        ])
+        // Armed, but the marker matches no statement.
+        .env("SQLOG_FAULT_MARKER", "no statement contains this marker")
+        .env("SQLOG_FAULT_STAGE", "parse");
+        if leg == "run-dir" {
+            cmd.args(["--run-dir", scratch.path("run").to_str().unwrap()]);
+        }
+        let out = cmd.output().expect("run sqlog-clean");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // The quarantined line makes the run degraded.
+        assert_eq!(out.status.code(), Some(2), "{leg}\n{stderr}");
+
+        let report = RunReport::parse(&std::fs::read_to_string(&stats).expect("read stats"))
+            .expect("parse run report");
+        assert_eq!(report.stats.run_health.quarantined_lines, 1, "{leg}");
+        assert_eq!(
+            report.obs.counters.get("ingest.quarantined_lines"),
+            Some(&1),
+            "{leg}: {:?}",
+            report.obs.counters
+        );
+        for warning in ["quarantined 1 unreadable lines", "fault injection is ARMED"] {
+            assert!(
+                report.obs.warnings.iter().any(|w| w.contains(warning)),
+                "{leg}: no {warning:?} warning in {:?}",
+                report.obs.warnings
+            );
+        }
+        for stage in STAGES.iter().chain(&["pipeline"]) {
+            assert!(
+                report.obs.stages.contains_key(*stage),
+                "{leg}: no {stage} span"
+            );
+        }
     }
 }
