@@ -12,6 +12,15 @@ use crate::detect::{AntipatternClass, AntipatternInstance, DetectCtx, Detector};
 ///
 /// Returning `None` declares the instance unsolvable (it is then kept in the
 /// clean log untouched, like CTH candidates).
+///
+/// **Contract:** [`Solver::solve`] must be a pure function of the instance
+/// and the context: the same answer on any thread, in any order, however
+/// often it is called. The solver pass calls it from several threads at
+/// once, and calls it for every solvable instance before the first-wins
+/// overlap check, so it also runs for instances that are then skipped
+/// because an earlier instance consumed one of their queries; those
+/// answers are discarded. Interior caches are fine as long as they never
+/// change an answer.
 pub trait Solver: Sync {
     /// Human-readable solver name.
     fn name(&self) -> &str;

@@ -120,10 +120,10 @@ impl<'a> Pipeline<'a> {
 
     /// Runs the pipeline over a log.
     ///
-    /// Every stage up to solving shards its work over
-    /// [`PipelineConfig::parallelism`] worker threads — by user (dedup,
-    /// sessions), by record chunk (parse), or by session range (mining,
-    /// detection) — and merges shard outputs deterministically, so the
+    /// Every stage shards its work over [`PipelineConfig::parallelism`]
+    /// worker threads — by user (dedup, sessions), by record chunk (parse),
+    /// by session range (mining, detection), or by instance and record
+    /// range (solving) — and merges shard outputs deterministically, so the
     /// result is identical for every thread count. Nothing is ingested, so
     /// `timings.ingest_ms` stays zero.
     pub fn run(&self, original: &QueryLog) -> PipelineResult {
@@ -337,19 +337,27 @@ impl<'a> Pipeline<'a> {
         )?;
 
         // The solve checkpoint holds the solver pass's decisions; the
-        // splice into the two output logs runs on every path.
+        // splice into the two output logs runs on every path. The degraded
+        // shard count is not checkpointed: a resume that loads the solve
+        // checkpoint reports none for solve.
+        let mut solve_degraded = 0;
         let decisions = driver.step(
             Stage::Solve,
             &mut timings.solve_ms,
             |d| checkpoint::decode_solve(d, &detected.instances, records.len()),
             checkpoint::encode_solve,
-            || self.solve_decisions(&pre_clean, records, &sessions, &store, &detected),
+            || {
+                let (decisions, degraded) =
+                    self.solve_decisions(&pre_clean, records, &sessions, &store, &detected);
+                solve_degraded = degraded;
+                decisions
+            },
         )?;
         let outcome = timed(&mut timings.solve_ms, || {
             self.splice(&pre_clean, records, &detected, decisions)
         });
 
-        Ok(self.assemble(
+        let mut result = self.assemble(
             log.len(),
             &pre_clean,
             &dedup_stats,
@@ -360,7 +368,9 @@ impl<'a> Pipeline<'a> {
             outcome,
             store,
             timings,
-        ))
+        );
+        result.stats.run_health.degraded_shards += solve_degraded;
+        Ok(result)
     }
 
     /// Stage operator 0: order by time. A sorted *view* (index permutation)
@@ -545,10 +555,15 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Stage operator 5: solve (§5.5). Sequential: first-wins overlap
-    /// resolution is inherently ordered across the whole instance list.
-    /// The solver pass decides which instances are rewritten into what;
-    /// the splice builds the clean and removal logs from those decisions.
+    /// Stage operator 5: solve (§5.5), sharded over
+    /// [`PipelineConfig::parallelism`] threads in both of its passes. The
+    /// solver pass runs the solvers speculatively in instance shards and
+    /// then decides first-wins over their results in log order; the splice
+    /// builds the clean and removal logs from those decisions in record
+    /// shards. A poison instance (its solver panicked) is left unsolved.
+    /// The outcome carries no run health, so here its degraded shard shows
+    /// only in the `solve.degraded_shards` counter; [`Pipeline::run`] also
+    /// adds it to `stats.run_health`.
     pub fn op_solve(
         &self,
         pre_clean: &LogView<'_>,
@@ -557,12 +572,12 @@ impl<'a> Pipeline<'a> {
         store: &TemplateStore,
         detected: &DetectOutput,
     ) -> SolveOutcome {
-        let decisions = self.solve_decisions(pre_clean, records, sessions, store, detected);
+        let (decisions, _) = self.solve_decisions(pre_clean, records, sessions, store, detected);
         self.splice(pre_clean, records, detected, decisions)
     }
 
     /// The solver pass of [`Pipeline::op_solve`], which a checkpointed run
-    /// stores.
+    /// stores, and its degraded shard count.
     fn solve_decisions(
         &self,
         pre_clean: &LogView<'_>,
@@ -570,7 +585,7 @@ impl<'a> Pipeline<'a> {
         sessions: &Sessions,
         store: &TemplateStore,
         detected: &DetectOutput,
-    ) -> SolveDecisions {
+    ) -> (SolveDecisions, usize) {
         let ctx = DetectCtx {
             log: pre_clean,
             records,
@@ -595,8 +610,16 @@ impl<'a> Pipeline<'a> {
         decisions: SolveDecisions,
     ) -> SolveOutcome {
         let rec = &self.config.recorder;
-        let _span = rec.span("solve");
-        splice_solutions(pre_clean, records, &detected.instances, decisions, rec)
+        rec.stage_begin("solve.splice", records.len() as u64);
+        let _span = rec.span("solve.splice");
+        splice_solutions(
+            pre_clean,
+            records,
+            &detected.instances,
+            decisions,
+            resolve_threads(self.config.parallelism),
+            rec,
+        )
     }
 
     /// Final assembly: statistics, pattern marks and entry-id joins from

@@ -37,7 +37,8 @@ use sqlog_skeleton::{
 };
 use sqlog_sql::ast::{Expr, Literal, Query, Select, SelectItem, Statement, TableRef};
 use sqlog_sql::parse_statement;
-use std::sync::Mutex;
+use std::collections::hash_map::Entry;
+use std::sync::{Arc, RwLock};
 
 /// Cache key: FNV-1a over the statement's raw bytes with each literal span
 /// found by [`raw_shape_scan`] replaced by its kind marker ([`RAW_NUM`] /
@@ -84,10 +85,11 @@ impl MaskedKey {
 }
 
 /// What the cache knows about one statement shape.
+#[derive(Clone)]
 enum Slot {
     /// Certified template: clone + literal substitution reproduces a full
     /// parse of any statement with this masked key.
-    Certified(Box<Query>),
+    Certified(Arc<Query>),
     /// Certification failed; statements of this shape always full-parse.
     Unbatchable,
 }
@@ -96,10 +98,11 @@ enum Slot {
 ///
 /// [`QueryCache::query`] is a drop-in replacement for "parse the statement,
 /// keep it if it is a SELECT": same result for every input, amortized
-/// parse-free for repeated shapes.
+/// parse-free for repeated shapes. The solver pass calls it from every
+/// shard worker; a lookup holds the lock only to copy the slot out.
 #[derive(Default)]
 pub struct QueryCache {
-    map: Mutex<FnvHashMap<MaskedKey, Slot>>,
+    map: RwLock<FnvHashMap<MaskedKey, Slot>>,
 }
 
 impl QueryCache {
@@ -113,43 +116,44 @@ impl QueryCache {
         let Some(key) = MaskedKey::of(sql, &mut spans) else {
             return parse_select(sql);
         };
-        {
-            let map = self.map.lock().expect("query cache poisoned");
-            match map.get(&key) {
-                Some(Slot::Certified(template)) => {
-                    let mut q = (**template).clone();
-                    if substitute(&mut q, sql, &spans) {
-                        return Some(q);
-                    }
-                    // Defensive: substitution cannot fail for a certified
-                    // shape, but the full parse is always a correct answer.
-                    drop(map);
-                    return parse_select(sql);
+        let slot = self
+            .map
+            .read()
+            .expect("query cache poisoned")
+            .get(&key)
+            .cloned();
+        match slot {
+            Some(Slot::Certified(template)) => {
+                let mut q = (*template).clone();
+                if substitute(&mut q, sql, &spans) {
+                    return Some(q);
                 }
-                Some(Slot::Unbatchable) => {
-                    drop(map);
-                    return parse_select(sql);
-                }
-                None => {}
+                // Defensive: substitution cannot fail for a certified
+                // shape, but the full parse is always a correct answer.
+                return parse_select(sql);
             }
+            Some(Slot::Unbatchable) => return parse_select(sql),
+            None => {}
         }
         // First sighting of this shape: full-parse, then try to certify the
         // statement as the shape's template. The lock is not held across the
-        // parse; a racing thread at worst also parses and the `or_insert`
-        // keeps one winner.
+        // parse; a racing thread at worst also parses, the first insert
+        // wins and only it is counted.
         let q = parse_select(sql);
         let slot = match &q {
             Some(parsed) if certify(parsed, sql, &spans) => {
-                rec.counter("solve.batched_templates", 1);
-                Slot::Certified(Box::new(parsed.clone()))
+                Slot::Certified(Arc::new(parsed.clone()))
             }
             _ => Slot::Unbatchable,
         };
-        self.map
-            .lock()
-            .expect("query cache poisoned")
-            .entry(key)
-            .or_insert(slot);
+        let certified = matches!(slot, Slot::Certified(_));
+        let mut map = self.map.write().expect("query cache poisoned");
+        if let Entry::Vacant(v) = map.entry(key) {
+            v.insert(slot);
+            if certified {
+                rec.counter("solve.batched_templates", 1);
+            }
+        }
         q
     }
 }

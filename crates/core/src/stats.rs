@@ -92,8 +92,10 @@ pub struct RunHealth {
     pub poison_records: usize,
     /// Sessions skipped because mining or detection panicked on them.
     pub poison_sessions: usize,
-    /// Stage shards that panicked and were re-run with per-record (or
-    /// per-session) isolation, summed across stages.
+    /// Stage shards that panicked and were re-run with per-record,
+    /// per-session or (solver pass) per-instance isolation, summed across
+    /// stages. A poison instance is left unsolved; it is counted only here
+    /// and in the `solve.poison_instances` counter.
     pub degraded_shards: usize,
     /// Prior attempts of this run that were interrupted before completing
     /// (checkpointed runs only: the manifest counts every start, so a run

@@ -1,15 +1,20 @@
 //! Sharded execution is observably identical to sequential execution.
 //!
-//! The pipeline shards dedup, parsing, session building, mining, and
-//! detection across worker threads (`PipelineConfig::parallelism`). These
+//! The pipeline shards dedup, parsing, session building, mining, detection
+//! and both solve passes across worker threads
+//! (`PipelineConfig::parallelism`). These
 //! tests pin the contract that makes that safe: for any thread count, every
 //! output — statistics, instances, marks, clean/removal logs, mined
 //! patterns — is exactly the same as a sequential run.
 
 use sqlog_catalog::skyserver_catalog;
-use sqlog_core::{Pipeline, PipelineConfig, PipelineResult};
+use sqlog_core::{
+    decide_solutions, resolve_threads, splice_solutions, DetectCtx, Pipeline, PipelineConfig,
+    PipelineResult, SolveOutcome, SolverSet, TemplateStore,
+};
 use sqlog_gen::{generate, GenConfig};
 use sqlog_log::QueryLog;
+use sqlog_obs::Recorder;
 use std::collections::HashSet;
 
 fn run_with(log: &QueryLog, threads: usize) -> PipelineResult {
@@ -115,5 +120,82 @@ fn unsorted_input_is_sorted_identically_under_sharding() {
             &sharded,
             &format!("unsorted, threads={threads}"),
         );
+    }
+}
+
+#[test]
+fn solve_decisions_and_logs_are_identical_for_all_thread_counts() {
+    let catalog = skyserver_catalog();
+    let log = generate(&GenConfig::with_scale(6_000, 4242));
+    let pipeline = Pipeline::new(&catalog);
+    let sorted = pipeline.op_sort(&log);
+    let (pre_clean, _) = pipeline.op_dedup(&sorted);
+    let store = TemplateStore::new();
+    let parsed = pipeline.op_parse(&pre_clean, &store);
+    let sessions = pipeline.op_sessions(&pre_clean, &parsed.records);
+    let detected = pipeline.op_detect(&pre_clean, &parsed.records, &sessions, &store);
+    let solve = |threads: usize| {
+        let config = PipelineConfig {
+            parallelism: threads,
+            recorder: Recorder::new(),
+            ..PipelineConfig::default()
+        };
+        let ctx = DetectCtx {
+            log: &pre_clean,
+            records: &parsed.records,
+            sessions: &sessions.sessions,
+            store: &store,
+            catalog: &catalog,
+            config: &config,
+        };
+        let (decisions, degraded) =
+            decide_solutions(&ctx, &detected.instances, &SolverSet::builtin());
+        assert_eq!(degraded, 0, "threads={threads}");
+        let outcome = splice_solutions(
+            &pre_clean,
+            &parsed.records,
+            &detected.instances,
+            decisions.clone(),
+            resolve_threads(threads),
+            &config.recorder,
+        );
+        let shards = |name: &str| {
+            config
+                .recorder
+                .spans()
+                .iter()
+                .filter(|s| s.name == name)
+                .count()
+        };
+        let expected = resolve_threads(threads).min(2);
+        assert!(shards("solve.shard") >= expected, "threads={threads}");
+        assert!(
+            shards("solve.splice.shard") >= expected,
+            "threads={threads}"
+        );
+        (decisions, outcome)
+    };
+    let (decisions, outcome) = solve(1);
+    assert!(
+        decisions.solved.len() > 100,
+        "the log must exercise solving"
+    );
+    for threads in [2usize, 8, 0] {
+        let (d, o) = solve(threads);
+        assert_eq!(d, decisions, "decisions, threads={threads}");
+        assert_eq!(
+            o.clean_log, outcome.clean_log,
+            "clean log, threads={threads}"
+        );
+        assert_eq!(
+            o.removal_log, outcome.removal_log,
+            "removal log, threads={threads}"
+        );
+        assert_eq!(o.solved_queries, outcome.solved_queries);
+        assert_eq!(o.rewritten_statements, outcome.rewritten_statements);
+        let ids = |o: &SolveOutcome| -> Vec<Vec<u64>> {
+            o.rewrites.iter().map(|r| r.entry_ids.clone()).collect()
+        };
+        assert_eq!(ids(&o), ids(&outcome), "rewrites, threads={threads}");
     }
 }

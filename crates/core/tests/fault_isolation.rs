@@ -21,6 +21,9 @@ use sqlog_log::{read_log_with, write_log, IngestPolicy, IngestStats, QueryLog};
 /// disarmed (comments are stripped by the lexer) but its raw text trips the
 /// dedup/parse/sessions/detect hooks.
 const CMT_MARKER: &str = "POISON_CMT";
+/// Marker planted in a block comment of one DW pair's first statement, for
+/// the solve stage.
+const SOLVE_MARKER: &str = "POISON_SOLVE";
 /// Marker planted in a table name: the mine stage sees template ids, not
 /// statement text, so its hook matches on `primary_table`.
 const TBL_MARKER: &str = "poison_mine_tbl";
@@ -262,6 +265,8 @@ fn injected_faults_are_isolated_and_deterministic_across_thread_counts() {
         }
     }
 
+    solve_panic_leaves_the_poison_instance_unsolved();
+
     // The guard dropped after each scenario; a disarmed re-run must match
     // the original baseline bit for bit.
     let disarmed = run_with(&log, &ingest, 8);
@@ -269,5 +274,62 @@ fn injected_faults_are_isolated_and_deterministic_across_thread_counts() {
     assert_eq!(
         disarmed.stats.with_zeroed_timings(),
         baseline.stats.with_zeroed_timings()
+    );
+}
+
+/// Two healthy DW pairs from two users, the first with [`SOLVE_MARKER`] in
+/// a comment.
+fn solve_fixture() -> QueryLog {
+    let mut raw = Vec::new();
+    for line in [
+        format!("0\t0\tu5\t\t\t\tSELECT name FROM Employee WHERE empId = 3 /* {SOLVE_MARKER} */"),
+        "1\t1000\tu5\t\t\t\tSELECT name FROM Employee WHERE empId = 4".to_string(),
+        "2\t2000\tu6\t\t\t\tSELECT name FROM Employee WHERE empId = 5".to_string(),
+        "3\t3000\tu6\t\t\t\tSELECT name FROM Employee WHERE empId = 6".to_string(),
+    ] {
+        raw.extend_from_slice(line.as_bytes());
+        raw.push(b'\n');
+    }
+    read_log_with(&raw[..], IngestPolicy::Strict, None)
+        .expect("the solve fixture is well formed")
+        .0
+}
+
+/// A `panic`-action fault in the sharded solver pass: the shard is re-run
+/// one instance at a time and the poison instance stays unsolved, its
+/// queries kept verbatim, while the other pair is still rewritten. The run
+/// completes degraded — `sqlog-clean`'s exit code 2 — with the same logs
+/// and health at one and at eight threads.
+fn solve_panic_leaves_the_poison_instance_unsolved() {
+    let log = solve_fixture();
+    let clean = IngestStats::default();
+    let disarmed = run_with(&log, &clean, 1);
+    assert_eq!(disarmed.stats.solved_instances, 2);
+    assert!(!clean_contains(&disarmed, SOLVE_MARKER));
+    assert!(disarmed.stats.run_health.is_clean());
+
+    let _armed = FaultEnv::arm("solve", SOLVE_MARKER);
+    let one = run_with(&log, &clean, 1);
+    let eight = run_with(&log, &clean, 8);
+    for (threads, run) in [(1, &one), (8, &eight)] {
+        assert_eq!(
+            run.stats.run_health,
+            RunHealth {
+                degraded_shards: 1,
+                ..RunHealth::default()
+            },
+            "threads={threads}"
+        );
+        assert!(run.stats.run_health.completed_degraded(), "exit code 2");
+        assert_eq!(run.stats.solved_instances, 1, "threads={threads}");
+        assert!(clean_contains(run, SOLVE_MARKER), "threads={threads}");
+        assert!(clean_contains(run, "empId = 4"), "threads={threads}");
+        assert!(clean_contains(run, "IN (5, 6)"), "threads={threads}");
+    }
+    assert_eq!(log_bytes(&one.clean_log), log_bytes(&eight.clean_log));
+    assert_eq!(log_bytes(&one.removal_log), log_bytes(&eight.removal_log));
+    assert_eq!(
+        one.stats.with_zeroed_timings(),
+        eight.stats.with_zeroed_timings()
     );
 }

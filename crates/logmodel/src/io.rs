@@ -479,7 +479,7 @@ impl<R: Read> Iterator for LogReader<R> {
 fn parse_line(line: &str, lineno: usize) -> Result<LogEntry, IoFormatError> {
     let mut fields = line.splitn(7, '\t');
     let mut next = |name: &str| {
-        fields.next().ok_or(IoFormatError::Malformed {
+        fields.next().ok_or_else(|| IoFormatError::Malformed {
             line: lineno,
             message: format!("missing field {name}"),
         })
@@ -502,11 +502,13 @@ fn parse_line(line: &str, lineno: usize) -> Result<LogEntry, IoFormatError> {
     let truth = if truth.is_empty() {
         None
     } else {
-        let (kind, group) = truth.split_once(':').ok_or(IoFormatError::Malformed {
-            line: lineno,
-            message: "truth field must be kind:group".into(),
-        })?;
-        let kind = intent_from_str(kind).ok_or(IoFormatError::Malformed {
+        let (kind, group) = truth
+            .split_once(':')
+            .ok_or_else(|| IoFormatError::Malformed {
+                line: lineno,
+                message: "truth field must be kind:group".into(),
+            })?;
+        let kind = intent_from_str(kind).ok_or_else(|| IoFormatError::Malformed {
             line: lineno,
             message: format!("unknown intent kind {kind:?}"),
         })?;
@@ -767,6 +769,57 @@ mod tests {
         assert!(matches!(err, IoFormatError::Malformed { line: 2, .. }));
         // read_log is the strict wrapper.
         assert!(read_log(data.as_bytes()).is_err());
+    }
+
+    /// Each way a field can be malformed, with the exact message and line
+    /// number both readers report for it (the bad line is line 2).
+    #[test]
+    fn malformed_fields_report_exact_text_and_line() {
+        let cases: &[(&str, &str)] = &[
+            ("7", "missing field timestamp"),
+            ("7\t0", "missing field user"),
+            ("7\t0\tu", "missing field session"),
+            ("7\t0\tu\ts", "missing field rows"),
+            ("7\t0\tu\ts\t", "missing field truth"),
+            ("7\t0\tu\ts\t\t", "missing field statement"),
+            (
+                "x7\t0\t\t\t\t\tSELECT 1",
+                "bad id: invalid digit found in string",
+            ),
+            (
+                "7\t\t\t\t\t\tSELECT 1",
+                "bad timestamp: cannot parse integer from empty string",
+            ),
+            (
+                "7\t0\t\t\t\thuman\tSELECT 1",
+                "truth field must be kind:group",
+            ),
+            (
+                "7\t0\t\t\t\tbogus:1\tSELECT 1",
+                "unknown intent kind \"bogus\"",
+            ),
+            (
+                "7\t0\t\t\t\thuman:x\tSELECT 1",
+                "bad truth group: invalid digit found in string",
+            ),
+            (
+                "7\t0\t\t\t-1\t\tSELECT 1",
+                "bad rows: invalid digit found in string",
+            ),
+        ];
+        for (line, message) in cases {
+            let data = format!("0\t0\t\t\t\t\tSELECT 0\n{line}\n");
+            let expected = format!("malformed log line 2: {message}");
+            let err = read_log(data.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, IoFormatError::Malformed { line: 2, .. }),
+                "{line:?}"
+            );
+            assert_eq!(err.to_string(), expected, "{line:?}");
+            let out = scan_log_slice(data.as_bytes(), IngestPolicy::Strict, false);
+            let slice_err = out.error.expect("strict scan stops at the bad line");
+            assert_eq!(slice_err.to_string(), expected, "{line:?}");
+        }
     }
 
     #[test]

@@ -743,7 +743,7 @@ fn bind_plan_source<'a>(
                 table_name: tname,
                 table: Some(table),
                 stats: table_stats,
-                rows: table_stats.map_or(table.rows() as f64, |s| s.row_count as f64),
+                rows: table_stats.map_or_else(|| table.rows() as f64, |s| s.row_count as f64),
                 derived: None,
             });
             Ok(())

@@ -424,7 +424,8 @@ impl<'a> Parser<'a> {
             (self.peek(), self.peek_at(1), self.peek_at(2))
         {
             let name = self.parse_object_name()?;
-            self.expect(&Token::Dot).and(self.expect(&Token::Star))?;
+            self.expect(&Token::Dot)?;
+            self.expect(&Token::Star)?;
             return Ok(SelectItem::QualifiedWildcard(name));
         }
         // Handle longer qualified wildcards like `db.t.*` by scanning ahead.

@@ -27,7 +27,7 @@
 //! **1** = fatal error (bad usage, unreadable or unparsable input).
 
 use sqlog::core::{RunReport, StageTimings};
-use sqlog::obs::{Json, Ledger, LedgerEntry};
+use sqlog::obs::{Json, Ledger, LedgerEntry, StageSummary};
 use std::process::exit;
 
 const USAGE: &str = "usage:
@@ -156,6 +156,14 @@ const STAGES: [(&str, StagePick); 9] = [
     ("report", |t| t.report_ms),
 ];
 
+/// How much of a stage's shards-times-wall budget its shards spent
+/// working: Σ shard `dur_us` / (stage `total_us` × shards). 100 % means
+/// every shard ran for the whole stage; `None` without shards or time.
+fn parallel_efficiency(s: &StageSummary) -> Option<f64> {
+    let budget = s.total_us * s.shards.len() as u64;
+    (budget > 0).then(|| s.shards.iter().map(|sh| sh.dur_us).sum::<u64>() as f64 / budget as f64)
+}
+
 fn fmt_bytes(b: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
     let mut value = b as f64;
@@ -273,11 +281,21 @@ fn cmd_show(run: &LoadedRun) {
     let stats = &report.stats;
 
     println!(
-        "{:<10} {:>9} {:>11} {:>7} {:>9} {:>9} {:>9} {:>9}",
-        "stage", "wall ms", "self us", "shards", "imbal", "p50 us", "p95 us", "p99 us"
+        "{:<12} {:>9} {:>11} {:>7} {:>9} {:>6} {:>9} {:>9} {:>9}",
+        "stage", "wall ms", "self us", "shards", "imbal", "eff", "p50 us", "p95 us", "p99 us"
     );
-    for (name, pick) in STAGES {
-        let wall = pick(&stats.timings);
+    // The timed stages, then the sub-passes that report their own shards
+    // under a span of their own (the solve stage's `solve.splice`).
+    let timed = STAGES
+        .iter()
+        .map(|&(name, pick)| (name, pick(&stats.timings).to_string()));
+    let sub_passes = report
+        .obs
+        .stages
+        .iter()
+        .filter(|(name, s)| !s.shards.is_empty() && !STAGES.iter().any(|(n, _)| n == name))
+        .map(|(name, _)| (name.as_str(), "-".to_string()));
+    for (name, wall) in timed.chain(sub_passes) {
         let summary = report.obs.stages.get(name);
         let hist = report.obs.histograms.get(&format!("{name}.shard_us"));
         let (self_us, shards, imbalance) = summary
@@ -292,12 +310,15 @@ fn cmd_show(run: &LoadedRun) {
         } else {
             "-".to_string()
         };
+        let eff = summary
+            .and_then(parallel_efficiency)
+            .map_or_else(|| "-".to_string(), |e| format!("{:.0}%", e * 100.0));
         println!(
-            "{name:<10} {wall:>9} {self_us:>11} {shards:>7} {imbal:>9} {p50:>9} {p95:>9} {p99:>9}"
+            "{name:<12} {wall:>9} {self_us:>11} {shards:>7} {imbal:>9} {eff:>6} {p50:>9} {p95:>9} {p99:>9}"
         );
     }
     println!(
-        "{:<10} {:>9}   (stage sum {} ms)",
+        "{:<12} {:>9}   (stage sum {} ms)",
         "total",
         stats.timings.total_ms,
         stats.timings.stage_sum_ms()

@@ -165,3 +165,44 @@ fn healthy_run_exits_zero_and_help_exits_zero() {
     let help = Command::new(BIN).args(["--help"]).output().expect("help");
     assert_eq!(help.status.code(), Some(0), "--help exits 0");
 }
+
+#[test]
+fn solve_panic_completes_degraded_with_identical_logs() {
+    let scratch = Scratch::new("solve-panic");
+    let input = scratch.path("pairs.tsv");
+    std::fs::write(
+        &input,
+        b"0\t0\tu1\t\t\t\tSELECT name FROM Employee WHERE empId = 3 /* POISON_SOLVE */\n\
+          1\t1000\tu1\t\t\t\tSELECT name FROM Employee WHERE empId = 4\n\
+          2\t2000\tu2\t\t\t\tSELECT name FROM Employee WHERE empId = 5\n\
+          3\t3000\tu2\t\t\t\tSELECT name FROM Employee WHERE empId = 6\n",
+    )
+    .expect("write fixture");
+    let mut logs = Vec::new();
+    for threads in ["1", "8"] {
+        let clean = scratch.path(&format!("clean-{threads}.tsv"));
+        let out = Command::new(BIN)
+            .args(["--in", input.to_str().unwrap()])
+            .args(["--out", clean.to_str().unwrap()])
+            .args(["--parallelism", threads])
+            .env("SQLOG_FAULT_MARKER", "POISON_SOLVE")
+            .env("SQLOG_FAULT_STAGE", "solve")
+            .env("SQLOG_FAULT_ACTION", "panic")
+            .env("RUST_BACKTRACE", "0")
+            .output()
+            .expect("run sqlog-clean");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(2), "threads {threads}: {stdout}");
+        let shards = stdout
+            .lines()
+            .find(|l| l.contains("degraded (recovered) shards"))
+            .unwrap_or_else(|| panic!("no degraded shards row: {stdout}"));
+        assert!(shards.trim_end().ends_with(" 1"), "{shards}");
+        let log = std::fs::read_to_string(&clean).expect("clean log written");
+        // The poison pair is kept verbatim; the other pair is rewritten.
+        assert!(log.contains("POISON_SOLVE") && log.contains("empId = 4"));
+        assert!(log.contains("IN (5, 6)"), "{log}");
+        logs.push(log);
+    }
+    assert_eq!(logs[0], logs[1]);
+}

@@ -168,7 +168,17 @@ fn show_renders_the_dashboard_from_file_and_ledger() {
         let out = run_report(&source);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(out.status.success(), "{source:?}\n{stdout}");
-        for needle in ["stage", "parse", "run health", "p50 us", "throughput"] {
+        // `eff` is each stage's parallel efficiency, derived from the stored
+        // shard timings; the solve splice reports its shards on its own row.
+        for needle in [
+            "stage",
+            "parse",
+            "run health",
+            "p50 us",
+            "eff",
+            "solve.splice",
+            "throughput",
+        ] {
             assert!(
                 stdout.contains(needle),
                 "{source:?}: missing {needle:?}\n{stdout}"

@@ -6,7 +6,7 @@
 
 use sqlog::catalog::skyserver_catalog;
 use sqlog::core::checkpoint::{run_checkpointed, CheckpointOptions, RunDir};
-use sqlog::core::{Pipeline, PipelineConfig, PipelineResult};
+use sqlog::core::{resolve_threads, Pipeline, PipelineConfig, PipelineResult};
 use sqlog::gen::{generate, GenConfig};
 use sqlog::logmodel::{write_log, write_log_file, IngestPolicy};
 use sqlog::obs::{FieldValue, Recorder};
@@ -84,7 +84,17 @@ fn span_nesting_is_correct_at_every_thread_count() {
             ..PipelineConfig::default()
         };
         let _ = Pipeline::new(&catalog).with_config(config).run(&log);
-        assert_span_tree(&rec, &format!("in memory, threads {threads}"));
+        let label = format!("in memory, threads {threads}");
+        assert_span_tree(&rec, &label);
+        // Both solve passes run sharded: the solver pass under `solve`, the
+        // splice under `solve.splice`.
+        if resolve_threads(threads) > 1 {
+            let spans = rec.spans();
+            for name in ["solve.shard", "solve.splice.shard"] {
+                let n = spans.iter().filter(|s| s.name == name).count();
+                assert!(n >= 2, "{n} {name} spans: {label}");
+            }
+        }
     }
 }
 
