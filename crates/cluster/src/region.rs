@@ -1,6 +1,6 @@
 //! Accessed-data-space regions.
 //!
-//! The downstream analysis of §6.9 reproduces Nguyen et al. [1]: queries are
+//! The downstream analysis of §6.9 reproduces Nguyen et al. \[1\]: queries are
 //! clustered by the *overlap of the data space they access*. A query's
 //! region is the set of base tables it touches plus, per constrained column,
 //! the interval or point set its predicates select. Overlap is a product of

@@ -9,7 +9,7 @@
 //! * **Skeleton invariance** — whitespace inflation, case flipping,
 //!   comment insertion and literal substitution are all identity
 //!   transformations for the query *template* ([`QueryTemplate`]
-//!   fingerprint) and for the raw parse-cache key ([`RawKey`]).
+//!   fingerprint) and for the raw parse-cache key ([`RawKey`](sqlog_skeleton::RawKey)).
 //!   Perturbations are literal-aware: string-literal bytes are never
 //!   touched, so every perturbed statement means the same thing.
 //! * **Session-shift invariance** — shifting each user's clock by a

@@ -18,7 +18,7 @@
 //! see [`sqlog_log::atomic`]) and carries a header line with the payload's
 //! byte length and FNV-1a hash — a torn or tampered write is always
 //! detectable, never silently half-loaded. The header is one JSON line;
-//! the payload (schema 4) is binary, encoded straight from the stage's
+//! the payload (schema 5) is binary, encoded straight from the stage's
 //! structs and decoded straight from the file bytes: LEB128 varints,
 //! length-prefixed UTF-8 strings and one-byte tags for the enums. The
 //! parse payload stores each distinct record shape (output columns and
@@ -73,7 +73,7 @@ use std::time::Instant;
 /// Version written into every manifest.
 pub const MANIFEST_SCHEMA: u64 = 1;
 /// Version written into every checkpoint header.
-pub const CHECKPOINT_SCHEMA: u64 = 4;
+pub const CHECKPOINT_SCHEMA: u64 = 5;
 
 /// The checkpointed pipeline stages, in execution order.
 ///
@@ -839,27 +839,21 @@ fn decode_predicate(d: &mut Dec<'_>) -> Result<PredicateKind, String> {
 }
 
 fn encode_template(e: &mut Enc, t: &QueryTemplate) {
-    for s in [
-        &t.ssc, &t.sfc, &t.swc, &t.sc, &t.fc, &t.wc, &t.tail, &t.full,
-    ] {
+    for s in [&t.ssc, &t.sfc, &t.swc, &t.full] {
         e.str(s);
     }
-    e.u64(t.fingerprint.0);
-    e.u64(t.triple_fingerprint.0);
 }
 
+/// The fingerprint is recomputed from the skeleton text, not stored: a
+/// stored hash could disagree with the text it claims to identify.
 fn decode_template(d: &mut Dec<'_>) -> Result<QueryTemplate, String> {
+    let (ssc, sfc, swc, full) = (d.string()?, d.string()?, d.string()?, d.string()?);
     Ok(QueryTemplate {
-        ssc: d.string()?,
-        sfc: d.string()?,
-        swc: d.string()?,
-        sc: d.string()?,
-        fc: d.string()?,
-        wc: d.string()?,
-        tail: d.string()?,
-        full: d.string()?,
-        fingerprint: Fingerprint(d.u64()?),
-        triple_fingerprint: Fingerprint(d.u64()?),
+        ssc,
+        sfc,
+        swc,
+        fingerprint: Fingerprint::of_str(&full),
+        full,
     })
 }
 

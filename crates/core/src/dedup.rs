@@ -11,7 +11,7 @@
 //! partitions cleanly by user: [`dedup_view_traced`] shards the scan across users
 //! and merges the per-shard survivors back into log order, producing exactly
 //! the sequential result for any thread count. The output is a [`LogView`]
-//! — an index vector over the input — so no [`LogEntry`] (or its statement
+//! — an index vector over the input — so no [`LogEntry`](sqlog_log::LogEntry) (or its statement
 //! `String`) is ever cloned on this path.
 
 use crate::fault;

@@ -1,48 +1,24 @@
 //! Parallel segmented ingest — the paper-scale input path.
 //!
-//! The sequential byte-based reader ([`sqlog_log::LogReader`]) was the last
-//! single-threaded stage of the pipeline. This driver reads the whole input
-//! into memory, splits it into byte segments aligned to line boundaries
-//! ([`segment_ranges`]), scans each segment with [`scan_log_slice`] under
-//! [`run_shards_traced`], and merges per-segment entries, quarantine bytes
-//! and [`IngestStats`] back **in file order** — so the output is
-//! byte-identical to the sequential reader at any thread count, under both
-//! ingest policies:
-//!
-//! * **Lenient** merge: entries, quarantined raw lines and the statistics
-//!   are each concatenated segment-by-segment; since segments partition the
-//!   file into whole physical lines, the concatenation is exactly the
-//!   sequential scan.
-//! * **Strict** merge: the earliest segment carrying a data fault wins. All
-//!   segments before it completed without faults, so the sum of their
-//!   physical line counts rebases the fault's segment-local line number to
-//!   the file-global number the sequential reader would have reported.
+//! The driver reads the whole input into memory, splits it into byte
+//! segments aligned to line boundaries ([`segment_ranges`]), scans each
+//! segment with [`scan_log_slice`] under [`run_shards_traced`], and merges
+//! the per-segment entries, quarantine bytes and statistics back **in file
+//! order** with [`merge_segments`] — so the output is byte-identical to
+//! [`sqlog_log::read_log_with`] (one segment) at any thread count, under
+//! both ingest policies.
 //!
 //! Ingest parallelism inherits [`crate::PipelineConfig::parallelism`]; the
 //! segment count lands in the `ingest.segments` counter.
 
 use crate::shard::{resolve_threads, run_shards_traced, ShardTrace};
 use sqlog_log::{
-    scan_log_slice, segment_ranges, IngestPolicy, IngestStats, IoFormatError, QueryLog,
+    merge_segments, scan_log_slice, segment_ranges, IngestPolicy, IngestStats, IoFormatError,
+    QueryLog,
 };
 use sqlog_obs::{Recorder, SpanId};
 use std::io::Write;
 use std::path::Path;
-
-/// Rebases a segment-local error line number by the physical line count of
-/// every preceding segment.
-fn rebase(e: IoFormatError, lines_before: usize) -> IoFormatError {
-    match e {
-        IoFormatError::Malformed { line, message } => IoFormatError::Malformed {
-            line: line + lines_before,
-            message,
-        },
-        IoFormatError::InvalidUtf8 { line } => IoFormatError::InvalidUtf8 {
-            line: line + lines_before,
-        },
-        other => other,
-    }
-}
 
 /// Scans in-memory log bytes with up to `threads` segments (0 = one per
 /// core), merging the per-segment results in file order. Quarantined lines
@@ -54,7 +30,7 @@ pub fn ingest_slice_traced(
     data: &[u8],
     policy: IngestPolicy,
     threads: usize,
-    mut quarantine: Option<&mut dyn Write>,
+    quarantine: Option<&mut dyn Write>,
     rec: &Recorder,
     parent: Option<SpanId>,
 ) -> Result<(QueryLog, IngestStats), IoFormatError> {
@@ -76,28 +52,7 @@ pub fn ingest_slice_traced(
         |r| scan_log_slice(&data[r.clone()], policy, want_quarantine),
     );
     rec.counter("ingest.degraded_shards", degraded as u64);
-
-    let mut entries = Vec::with_capacity(segments.iter().map(|s| s.entries.len()).sum());
-    let mut stats = IngestStats::default();
-    let mut lines_before = 0usize;
-    for seg in segments {
-        if let Some(e) = seg.error {
-            // Strict scans stop at the first fault; every earlier segment is
-            // fault-free (it carries no error), so `lines_before` is exact.
-            return Err(rebase(e, lines_before));
-        }
-        stats.lines += seg.stats.lines;
-        stats.entries += seg.stats.entries;
-        stats.quarantined += seg.stats.quarantined;
-        stats.malformed += seg.stats.malformed;
-        stats.invalid_utf8 += seg.stats.invalid_utf8;
-        entries.extend(seg.entries);
-        if let Some(w) = quarantine.as_deref_mut() {
-            w.write_all(&seg.quarantine)?;
-        }
-        lines_before += seg.physical_lines;
-    }
-    Ok((QueryLog::from_entries(entries), stats))
+    merge_segments(segments, quarantine)
 }
 
 /// [`ingest_slice_traced`] over a file path: the file is read whole and

@@ -6,7 +6,7 @@
 //! antipattern statistics (Fig. 1 of the paper):
 //!
 //! 1. **delete duplicates** — identical statements from one user within a
-//!    small time window ([`dedup`]),
+//!    small time window ([`mod@dedup`]),
 //! 2. **parse statements** — drop syntax errors and non-SELECTs, build
 //!    skeletons and intern templates ([`parse_step`], [`store`]),
 //! 3. **mine patterns** — per-user sessions, frequency and userPopularity

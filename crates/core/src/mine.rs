@@ -18,7 +18,7 @@
 //! pattern `[A, A]` of the paper's Table 6 come out at roughly half the
 //! frequency of `[A]`, matching the ratio between Tables 6 and 7.
 //!
-//! The hot path is allocation-free per occurrence: a [`PatternCounter`]
+//! The hot path is allocation-free per occurrence: a `PatternCounter`
 //! interns each pattern key once (dense `u32` pattern ids, slice-borrow
 //! lookups — no `vec![t]` / `gram.to_vec()` per occurrence), tracks
 //! non-overlap ends in a stamp-versioned table instead of a per-session

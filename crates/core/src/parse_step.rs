@@ -106,7 +106,7 @@ impl ParseStats {
 }
 
 /// Effectiveness counters of the template-aware parse cache
-/// (see [`crate::parse_cache`]).
+/// (the private `parse_cache` module).
 ///
 /// Kept separate from [`ParseStats`]: each worker owns its cache, so the
 /// hit/miss split depends on how statements shard across threads. The
@@ -144,7 +144,7 @@ impl ParseCacheStats {
 pub struct ParseOptions {
     /// Parser resource guards.
     pub limits: ParseLimits,
-    /// Enable the template-aware parse cache ([`crate::parse_cache`]).
+    /// Enable the template-aware parse cache.
     pub cache: bool,
     /// In debug builds, cross-check this many cache hits per worker
     /// against a full parse (panics on divergence).

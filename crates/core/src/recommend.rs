@@ -6,7 +6,7 @@
 //! > log. We then would like to do the same with the cleaned log."
 //!
 //! This module implements that study: a first-order Markov recommender over
-//! template transitions (the simplest member of the QueRIE [6] family), plus
+//! template transitions (the simplest member of the QueRIE \[6\] family), plus
 //! the evaluation that measures how often its suggestions are antipattern
 //! templates. Trained on the raw log, the recommender eagerly proposes
 //! stifle follow-ups; trained on the cleaned log, it cannot — the training

@@ -16,7 +16,7 @@
 //!    slots;
 //! 2. the first statement of a shape is parsed in full and **certified**:
 //!    its own span texts are substituted back into a clone of its AST (in
-//!    [`walk_query`] order) and the result must equal the original. With
+//!    `walk_query` order) and the result must equal the original. With
 //!    pairwise-distinct span texts this proves the mutable walker visits the
 //!    literal slots in statement order, so the certified template can be
 //!    instantiated for *any* statement of the shape;

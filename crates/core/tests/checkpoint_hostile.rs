@@ -10,7 +10,8 @@
 //! decisions sharing a record), a parse shape table that is indexed out of
 //! range or holds one shape twice, and checkpoints left by older builds
 //! (schema 1 with a JSON payload; schema 3 with the shape facts inline in
-//! every parse record) are refused the same non-fatal way, and the resumed
+//! every parse record; schema 4 with eight strings and two hashes per
+//! template) are refused the same non-fatal way, and the resumed
 //! output is byte-identical to an in-memory run.
 
 use rand::rngs::SmallRng;
@@ -270,25 +271,23 @@ fn schema_one_checkpoint_is_refused_and_rerun() {
     assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA));
     assert_matches_reference(outcome.result, &reference);
 
-    // The parse checkpoint as a schema-3 build wrote it: the output
-    // columns and primary table inline in every record.
+    // The parse checkpoint as schema-3 and schema-4 builds wrote it.
     let ckpt = dir.checkpoint_path(Stage::Parse);
     let current = std::fs::read(&ckpt).unwrap();
-    let old = ParsePayload::split(split(&current).1).join_schema_3();
-    std::fs::write(&ckpt, checkpoint_file(Stage::Parse, 3, &old)).unwrap();
-
-    let outcome = resume(&pipeline, &dir, &input, "schema 3");
-    assert!(
-        outcome
-            .warnings
-            .iter()
-            .any(|w| w.contains("checkpoint parse: unsupported checkpoint schema 3")),
-        "expected a schema warning, got {:?}",
-        outcome.warnings
-    );
-    assert_eq!(outcome.loaded_stages, ["dedup"]);
-    assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA));
-    assert_matches_reference(outcome.result, &reference);
+    let parsed = ParsePayload::split(split(&current).1);
+    for (schema, old) in [(3, parsed.join_schema_3()), (4, parsed.join_schema_4())] {
+        std::fs::write(&ckpt, checkpoint_file(Stage::Parse, schema, &old)).unwrap();
+        let outcome = resume(&pipeline, &dir, &input, &format!("schema {schema}"));
+        let expected = format!("checkpoint parse: unsupported checkpoint schema {schema}");
+        assert!(
+            outcome.warnings.iter().any(|w| w.contains(&expected)),
+            "expected a schema warning, got {:?}",
+            outcome.warnings
+        );
+        assert_eq!(outcome.loaded_stages, ["dedup"]);
+        assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA));
+        assert_matches_reference(outcome.result, &reference);
+    }
 }
 
 /// The schema in a checkpoint file's header.
@@ -350,8 +349,8 @@ fn bad_parse_shape_tables_are_refused_and_rerun() {
 /// rewrite either and join the parts back.
 #[derive(Clone)]
 struct ParsePayload<'a> {
-    /// The template table, count included.
-    templates: &'a [u8],
+    /// Per template: its four length-prefixed strings (SSC, SFC, SWC, full).
+    templates: Vec<[&'a [u8]; 4]>,
     /// Each shape-table entry's bytes.
     shapes: Vec<&'a [u8]>,
     /// Per record: entry index, template id, shape index, conjunct bytes.
@@ -363,14 +362,15 @@ struct ParsePayload<'a> {
 impl<'a> ParsePayload<'a> {
     fn split(payload: &'a [u8]) -> ParsePayload<'a> {
         let mut c = Cursor(payload, 0);
-        for _ in 0..c.varint() {
-            for _ in 0..8 {
-                c.skip_str();
-            }
-            c.varint();
-            c.varint();
-        }
-        let templates = &payload[..c.1];
+        let templates = (0..c.varint())
+            .map(|_| {
+                [(); 4].map(|()| {
+                    let at = c.1;
+                    c.skip_str();
+                    &payload[at..c.1]
+                })
+            })
+            .collect();
         let shapes = (0..c.varint())
             .map(|_| {
                 let at = c.1;
@@ -402,9 +402,17 @@ impl<'a> ParsePayload<'a> {
         }
     }
 
-    /// The current layout: the shape table, then records indexing it.
+    /// The current layout: four strings per template, the shape table,
+    /// then records indexing it.
     fn join(&self) -> Vec<u8> {
-        let mut out = self.templates.to_vec();
+        let mut out = leb128(self.templates.len() as u64);
+        for t in &self.templates {
+            out.extend(t.concat());
+        }
+        self.join_shapes_and_records(out)
+    }
+
+    fn join_shapes_and_records(&self, mut out: Vec<u8>) -> Vec<u8> {
         out.extend(leb128(self.shapes.len() as u64));
         for shape in &self.shapes {
             out.extend_from_slice(shape);
@@ -420,10 +428,31 @@ impl<'a> ParsePayload<'a> {
         out
     }
 
-    /// The schema-3 layout: no shape table, each record's shape inline
-    /// after its conjuncts.
+    /// The template table of schemas 3 and 4: SSC, SFC, SWC, the
+    /// canonical SC, FC and WC (here copies of the skeletons), the tail
+    /// (here empty), the full skeleton, then two fingerprints.
+    fn old_templates(&self) -> Vec<u8> {
+        let mut out = leb128(self.templates.len() as u64);
+        for &[ssc, sfc, swc, full] in &self.templates {
+            for s in [ssc, sfc, swc, ssc, sfc, swc, &[0], full] {
+                out.extend_from_slice(s);
+            }
+            let fp = Fingerprint::of_bytes(full).0;
+            out.extend(leb128(fp));
+            out.extend(leb128(fp));
+        }
+        out
+    }
+
+    /// The schema-4 layout: the old template table, then the current rest.
+    fn join_schema_4(&self) -> Vec<u8> {
+        self.join_shapes_and_records(self.old_templates())
+    }
+
+    /// The schema-3 layout: the old template table, no shape table, each
+    /// record's shape inline after its conjuncts.
     fn join_schema_3(&self) -> Vec<u8> {
-        let mut out = self.templates.to_vec();
+        let mut out = self.old_templates();
         out.extend(leb128(self.records.len() as u64));
         for &(entry, template, shape, conjuncts) in &self.records {
             out.extend(leb128(entry));

@@ -5,15 +5,16 @@
 //! (`PipelineConfig::parallelism`). These
 //! tests pin the contract that makes that safe: for any thread count, every
 //! output — statistics, instances, marks, clean/removal logs, mined
-//! patterns — is exactly the same as a sequential run.
+//! patterns, checkpoint files — is exactly the same as a sequential run.
 
 use sqlog_catalog::skyserver_catalog;
+use sqlog_core::checkpoint::{run_checkpointed, CheckpointOptions, RunDir, Stage};
 use sqlog_core::{
     decide_solutions, resolve_threads, splice_solutions, DetectCtx, Pipeline, PipelineConfig,
     PipelineResult, SolveOutcome, SolverSet, TemplateStore,
 };
 use sqlog_gen::{generate, GenConfig};
-use sqlog_log::QueryLog;
+use sqlog_log::{write_log_file, IngestPolicy, QueryLog};
 use sqlog_obs::Recorder;
 use std::collections::HashSet;
 
@@ -198,4 +199,96 @@ fn solve_decisions_and_logs_are_identical_for_all_thread_counts() {
         };
         assert_eq!(ids(&o), ids(&outcome), "rewrites, threads={threads}");
     }
+}
+
+/// The six checkpoint files of one complete checkpointed run, in stage order.
+fn checkpoint_files(log_path: &std::path::Path, threads: usize, parse_cache: bool) -> Vec<Vec<u8>> {
+    let root = log_path.with_extension(format!("run-{threads}-{parse_cache}"));
+    let _ = std::fs::remove_dir_all(&root);
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
+        parallelism: threads,
+        parse_cache,
+        ..PipelineConfig::default()
+    });
+    let dir = RunDir::create(&root).unwrap();
+    let options = CheckpointOptions {
+        input: log_path.to_path_buf(),
+        policy: IngestPolicy::Strict,
+        quarantine: None,
+        resume: false,
+        stop_after: None,
+    };
+    run_checkpointed(&pipeline, &dir, &options).unwrap();
+    let files = Stage::ALL
+        .iter()
+        .map(|&s| std::fs::read(dir.checkpoint_path(s)).unwrap())
+        .collect();
+    std::fs::remove_dir_all(&root).unwrap();
+    files
+}
+
+/// Checkpoint payloads, the parse payload without its last `parse_trailing`
+/// LEB128 varints. The header line is cut off: it is derived from the
+/// payload (stage, schema, length, hash), so equal payloads mean equal files.
+fn payloads(files: &[Vec<u8>], parse_trailing: usize) -> Vec<&[u8]> {
+    Stage::ALL
+        .iter()
+        .zip(files)
+        .map(|(&stage, file)| {
+            let payload = &file[file.iter().position(|&b| b == b'\n').unwrap() + 1..];
+            let mut end = payload.len();
+            if stage == Stage::Parse {
+                for _ in 0..parse_trailing {
+                    // A varint's last byte has the high bit clear, the others set.
+                    end -= 1;
+                    while end > 0 && payload[end - 1] & 0x80 != 0 {
+                        end -= 1;
+                    }
+                }
+            }
+            &payload[..end]
+        })
+        .collect()
+}
+
+fn assert_same_files(a: &[&[u8]], b: &[&[u8]], label: &str) {
+    for ((stage, a), b) in Stage::ALL.iter().zip(a).zip(b) {
+        assert!(a == b, "{label}: {stage} checkpoint differs");
+    }
+}
+
+#[test]
+fn checkpoint_files_are_identical_for_all_thread_counts() {
+    let dir = std::env::temp_dir().join(format!("sqlog-determinism-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log_path = dir.join("input.tsv");
+    write_log_file(&generate(&GenConfig::with_scale(6_000, 4242)), &log_path).unwrap();
+    let run = |threads, cache| checkpoint_files(&log_path, threads, cache);
+
+    let (one, eight) = (run(1, false), run(8, false));
+    assert_same_files(
+        &payloads(&one, 0),
+        &payloads(&eight, 0),
+        "cache off, 1 vs 8",
+    );
+
+    let (cached, again) = (run(8, true), run(8, true));
+    assert_same_files(
+        &payloads(&cached, 0),
+        &payloads(&again, 0),
+        "cache on, 8 vs 8",
+    );
+
+    // With the cache on, each worker's hits and misses depend on which
+    // records it was handed, so runs at 1 and 8 threads may differ — but
+    // only in the four parse-cache counters (hits, misses, fallbacks,
+    // cross-checks) that end the parse payload.
+    let sequential = run(1, true);
+    assert_same_files(
+        &payloads(&sequential, 4),
+        &payloads(&cached, 4),
+        "cache on, 1 vs 8",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

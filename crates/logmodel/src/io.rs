@@ -2,14 +2,15 @@
 //!
 //! Column order: `id`, `timestamp_ms`, `user`, `session`, `rows`, `truth`,
 //! `statement`. Empty fields encode `None`. The statement comes last and is
-//! escaped (`\t`, `\n`, `\r`, `\\`) so multi-line SQL survives. Reading and
-//! writing are streaming (buffered), so multi-million-entry logs do not need
-//! to be materialized twice.
+//! escaped (`\t`, `\n`, `\r`, `\\`) so multi-line SQL survives. Writing is
+//! buffered. Reading takes the whole input into one buffer and parses it with
+//! one line parser, [`scan_log_slice`], over the whole buffer or over
+//! line-aligned segments ([`segment_ranges`]) merged by [`merge_segments`].
 
 use crate::entry::{GroundTruth, IntentKind, LogEntry};
 use crate::log::QueryLog;
 use crate::time::Timestamp;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Errors from log I/O.
@@ -190,11 +191,7 @@ pub fn write_log<W: Write>(log: &QueryLog, writer: W) -> Result<(), IoFormatErro
 /// Reads a log from any reader in the TSV format, aborting on the first
 /// malformed line (strict policy).
 pub fn read_log<R: Read>(reader: R) -> Result<QueryLog, IoFormatError> {
-    let mut log = QueryLog::new();
-    for entry in LogReader::new(reader) {
-        log.push(entry?);
-    }
-    Ok(log)
+    read_log_with(reader, IngestPolicy::Strict, None).map(|(log, _)| log)
 }
 
 /// How ingestion treats per-line data faults (malformed fields, invalid
@@ -231,7 +228,8 @@ pub struct IngestStats {
     pub invalid_utf8: usize,
 }
 
-/// Reads a log under an explicit [`IngestPolicy`].
+/// Reads a log under an explicit [`IngestPolicy`]: the reader is read to
+/// its end and the bytes are scanned by [`scan_log_slice`].
 ///
 /// Under [`IngestPolicy::Lenient`], lines that fail to parse are skipped
 /// and counted instead of aborting the read; when `quarantine` is given,
@@ -241,40 +239,20 @@ pub struct IngestStats {
 /// re-ingested later without the sidecar itself rewriting anything. Real
 /// I/O errors abort under both policies.
 pub fn read_log_with<R: Read>(
-    reader: R,
+    mut reader: R,
     policy: IngestPolicy,
-    mut quarantine: Option<&mut dyn Write>,
+    quarantine: Option<&mut dyn Write>,
 ) -> Result<(QueryLog, IngestStats), IoFormatError> {
-    let mut log = QueryLog::new();
-    let mut stats = IngestStats::default();
-    let mut reader = LogReader::new(reader);
-    while let Some(item) = reader.next() {
-        stats.lines += 1;
-        match item {
-            Ok(entry) => {
-                stats.entries += 1;
-                log.push(entry);
-            }
-            Err(e) if policy == IngestPolicy::Lenient && e.is_data_fault() => {
-                stats.quarantined += 1;
-                match &e {
-                    IoFormatError::InvalidUtf8 { .. } => stats.invalid_utf8 += 1,
-                    _ => stats.malformed += 1,
-                }
-                if let Some(w) = quarantine.as_deref_mut() {
-                    w.write_all(reader.raw_line_bytes())?;
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((log, stats))
+    let mut data = Vec::new();
+    reader.read_to_end(&mut data)?;
+    let scan = scan_log_slice(&data, policy, quarantine.is_some());
+    merge_segments(vec![scan], quarantine)
 }
 
 /// Result of scanning one in-memory byte segment with [`scan_log_slice`].
 ///
 /// Line numbers inside `error` (and the `lines` statistics) are **local to
-/// the segment**: the segmented driver rebases them by the physical line
+/// the segment**: [`merge_segments`] rebases them by the physical line
 /// count of the preceding segments.
 #[derive(Debug, Default)]
 pub struct SegmentOutcome {
@@ -312,17 +290,16 @@ fn estimate_entry_capacity(data: &[u8]) -> usize {
     (data.len() / (probe.len() / lines).max(1) + 1).min(data.len() / 8 + 1)
 }
 
-/// Scans one in-memory segment of TSV log bytes, mirroring [`LogReader`] +
-/// [`read_log_with`] exactly: blank lines are skipped silently, line
-/// numbers count every physical line, quarantined lines are copied
-/// byte-verbatim (terminator included) when `want_quarantine` is set, and a
-/// strict scan stops at the first data fault (recorded in
-/// [`SegmentOutcome::error`] rather than returned, so completed work
-/// survives for the segmented driver's merge).
+/// Scans one in-memory segment of TSV log bytes — the one line parser
+/// behind every log reader. Blank lines are skipped silently, line numbers
+/// count every physical line, quarantined lines are copied byte-verbatim
+/// (terminator included) when `want_quarantine` is set, and a strict scan
+/// stops at the first data fault (recorded in [`SegmentOutcome::error`]
+/// rather than returned, so [`merge_segments`] can rebase its line number).
 ///
 /// `segment_ranges` guarantees segments start on line boundaries, which is
-/// the only precondition: a slice of the whole file produces exactly what
-/// the streaming reader produces.
+/// the only precondition: the scans of a file's segments, merged, equal the
+/// scan of the whole file.
 pub fn scan_log_slice(data: &[u8], policy: IngestPolicy, want_quarantine: bool) -> SegmentOutcome {
     let mut out = SegmentOutcome {
         entries: Vec::with_capacity(estimate_entry_capacity(data)),
@@ -375,6 +352,46 @@ pub fn scan_log_slice(data: &[u8], policy: IngestPolicy, want_quarantine: bool) 
     out
 }
 
+/// Merges the scans of consecutive segments of one input, in input order,
+/// into what one scan of the whole input gives: entries concatenated,
+/// statistics summed, quarantined lines appended to `quarantine`. Under the
+/// strict policy the earliest segment's fault wins; every segment before it
+/// is fault-free, so their physical line count rebases its segment-local
+/// line number to the input's.
+pub fn merge_segments(
+    segments: Vec<SegmentOutcome>,
+    mut quarantine: Option<&mut dyn Write>,
+) -> Result<(QueryLog, IngestStats), IoFormatError> {
+    let mut entries = Vec::with_capacity(segments.iter().map(|s| s.entries.len()).sum());
+    let mut stats = IngestStats::default();
+    let mut lines_before = 0usize;
+    for seg in segments {
+        if let Some(e) = seg.error {
+            return Err(match e {
+                IoFormatError::Malformed { line, message } => IoFormatError::Malformed {
+                    line: line + lines_before,
+                    message,
+                },
+                IoFormatError::InvalidUtf8 { line } => IoFormatError::InvalidUtf8 {
+                    line: line + lines_before,
+                },
+                other => other,
+            });
+        }
+        stats.lines += seg.stats.lines;
+        stats.entries += seg.stats.entries;
+        stats.quarantined += seg.stats.quarantined;
+        stats.malformed += seg.stats.malformed;
+        stats.invalid_utf8 += seg.stats.invalid_utf8;
+        entries.extend(seg.entries);
+        if let Some(w) = quarantine.as_deref_mut() {
+            w.write_all(&seg.quarantine)?;
+        }
+        lines_before += seg.physical_lines;
+    }
+    Ok((QueryLog::from_entries(entries), stats))
+}
+
 /// Splits `data` into at most `parts` contiguous byte ranges whose
 /// boundaries fall just after a `\n`, so every segment starts at the start
 /// of a physical line and [`scan_log_slice`] per segment reproduces the
@@ -401,78 +418,6 @@ pub fn segment_ranges(data: &[u8], parts: usize) -> Vec<std::ops::Range<usize>> 
     }
     cuts.push(n);
     cuts.windows(2).map(|w| w[0]..w[1]).collect()
-}
-
-/// Streaming reader: iterates entries one at a time with constant memory —
-/// the right tool for multi-gigabyte logs (the SkyServer log at full scale
-/// would not fit in RAM on a laptop).
-///
-/// Lines are read as raw bytes (`read_until`), so a single invalid UTF-8
-/// byte yields one [`IoFormatError::InvalidUtf8`] item for that line and
-/// the iterator then continues with the next line — it can neither wedge
-/// nor lose its place on encoding damage. Callers decide whether an error
-/// item is fatal (strict) or skippable (lenient).
-pub struct LogReader<R: Read> {
-    reader: BufReader<R>,
-    line: Vec<u8>,
-    lineno: usize,
-}
-
-impl<R: Read> LogReader<R> {
-    /// Wraps a reader.
-    pub fn new(reader: R) -> Self {
-        LogReader {
-            reader: BufReader::new(reader),
-            line: Vec::new(),
-            lineno: 0,
-        }
-    }
-
-    /// The raw bytes (without the line terminator) of the line most recently
-    /// yielded by [`Iterator::next`].
-    pub fn raw_line(&self) -> &[u8] {
-        let mut end = self.line.len();
-        while end > 0 && matches!(self.line[end - 1], b'\n' | b'\r') {
-            end -= 1;
-        }
-        &self.line[..end]
-    }
-
-    /// The raw bytes of the line most recently yielded, *including* its
-    /// original terminator (`\n`, `\r\n`, or nothing for a terminator-less
-    /// final line) — the input for byte-verbatim quarantine sidecars.
-    pub fn raw_line_bytes(&self) -> &[u8] {
-        &self.line
-    }
-
-    /// 1-based number of the line most recently yielded.
-    pub fn line_number(&self) -> usize {
-        self.lineno
-    }
-}
-
-impl<R: Read> Iterator for LogReader<R> {
-    type Item = Result<LogEntry, IoFormatError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.line.clear();
-            match self.reader.read_until(b'\n', &mut self.line) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => return Some(Err(IoFormatError::Io(e))),
-            }
-            self.lineno += 1;
-            let raw = self.raw_line();
-            if raw.is_empty() {
-                continue;
-            }
-            let Ok(text) = std::str::from_utf8(raw) else {
-                return Some(Err(IoFormatError::InvalidUtf8 { line: self.lineno }));
-            };
-            return Some(parse_line(text, self.lineno));
-        }
-    }
 }
 
 /// Parses one TSV line into an entry.
@@ -548,21 +493,6 @@ pub fn write_log_file_atomic(log: &QueryLog, path: impl AsRef<Path>) -> Result<(
     write_log(log, &mut f)?;
     f.commit()?;
     Ok(())
-}
-
-/// Reads a log from a file path.
-///
-/// The file is read whole and scanned as a slice ([`scan_log_slice`]) with
-/// a pre-sized entry vector — measurably faster than the streaming path at
-/// 1 M+ entries and byte-identical to it. Use [`read_log`] on an open
-/// reader for logs too large to buffer.
-pub fn read_log_file(path: impl AsRef<Path>) -> Result<QueryLog, IoFormatError> {
-    let data = std::fs::read(path)?;
-    let out = scan_log_slice(&data, IngestPolicy::Strict, false);
-    match out.error {
-        Some(e) => Err(e),
-        None => Ok(QueryLog::from_entries(out.entries)),
-    }
 }
 
 #[cfg(test)]
@@ -673,42 +603,58 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_matches_batch_reader() {
-        let log = sample_log();
-        let mut buf = Vec::new();
-        write_log(&log, &mut buf).unwrap();
-        let streamed: Vec<LogEntry> = LogReader::new(&buf[..]).collect::<Result<_, _>>().unwrap();
-        assert_eq!(streamed, log.entries);
-    }
-
-    #[test]
-    fn streaming_reader_reports_bad_lines_and_continues_if_asked() {
+    fn lenient_read_reports_bad_lines_and_continues() {
         let data = "0\t0\t\t\t\t\tSELECT 1\nbroken line\n1\t5\t\t\t\t\tSELECT 2\n";
-        let results: Vec<_> = LogReader::new(data.as_bytes()).collect();
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
+        let (log, stats) = read_log_with(data.as_bytes(), IngestPolicy::Lenient, None).unwrap();
+        let statements: Vec<&str> = log.entries.iter().map(|e| e.statement.as_str()).collect();
+        assert_eq!(statements, ["SELECT 1", "SELECT 2"]);
+        assert_eq!((stats.lines, stats.malformed), (3, 1));
     }
 
     #[test]
     fn invalid_utf8_yields_typed_error_and_reader_continues() {
-        // A single 0xFF byte must produce one InvalidUtf8 item for that line
-        // and leave the reader positioned on the next line — the regression
-        // that motivated switching to read_until(b'\n').
+        // A single 0xFF byte is one InvalidUtf8 fault for that line: strict
+        // reads name the line, lenient reads skip it and go on with the next.
         let mut data = Vec::new();
         data.extend_from_slice(b"0\t0\t\t\t\t\tSELECT 1\n");
         data.extend_from_slice(b"1\t5\t\xFF\t\t\t\tSELECT 2\n");
         data.extend_from_slice(b"2\t9\t\t\t\t\tSELECT 3\n");
-        let results: Vec<_> = LogReader::new(&data[..]).collect();
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
         assert!(matches!(
-            results[1],
+            read_log(&data[..]),
             Err(IoFormatError::InvalidUtf8 { line: 2 })
         ));
-        assert!(results[2].is_ok());
-        assert_eq!(results[2].as_ref().unwrap().statement, "SELECT 3");
+        let (log, stats) = read_log_with(&data[..], IngestPolicy::Lenient, None).unwrap();
+        let statements: Vec<&str> = log.entries.iter().map(|e| e.statement.as_str()).collect();
+        assert_eq!(statements, ["SELECT 1", "SELECT 3"]);
+        assert_eq!((stats.quarantined, stats.invalid_utf8), (1, 1));
+    }
+
+    /// Yields its bytes, then fails: an input that breaks mid-stream.
+    struct FailingReader<'a>(&'a [u8]);
+
+    impl Read for FailingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(io::Error::other("device lost"));
+            }
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn io_error_mid_stream_aborts_under_both_policies() {
+        // The input is read to its end before any line is parsed, so the
+        // I/O error wins over the malformed line before it, even strictly.
+        let data = b"0\t0\t\t\t\t\tSELECT 1\ngarbage\n1\t5\t\t\t\t\tSELECT 2\n";
+        for policy in [IngestPolicy::Strict, IngestPolicy::Lenient] {
+            let mut sidecar = Vec::new();
+            let err = read_log_with(FailingReader(data), policy, Some(&mut sidecar)).unwrap_err();
+            assert!(matches!(err, IoFormatError::Io(_)), "{policy:?}: {err}");
+            assert!(!err.is_data_fault());
+        }
     }
 
     #[test]
@@ -850,32 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_scan_matches_streaming_reader_lenient() {
-        let data = hostile_corpus();
-        let mut sidecar = Vec::new();
-        let (log, stats) =
-            read_log_with(&data[..], IngestPolicy::Lenient, Some(&mut sidecar)).unwrap();
-        let out = scan_log_slice(&data, IngestPolicy::Lenient, true);
-        assert!(out.error.is_none());
-        assert_eq!(out.entries, log.entries);
-        assert_eq!(out.stats, stats);
-        assert_eq!(out.quarantine, sidecar);
-        assert_eq!(out.physical_lines, 9);
-    }
-
-    #[test]
-    fn slice_scan_matches_streaming_reader_strict() {
-        let data = hostile_corpus();
-        let err = read_log_with(&data[..], IngestPolicy::Strict, None).unwrap_err();
-        let out = scan_log_slice(&data, IngestPolicy::Strict, false);
-        let slice_err = out.error.expect("strict scan must stop at the fault");
-        assert_eq!(slice_err.to_string(), err.to_string());
-        // Completed work before the fault survives for the driver's merge.
-        assert_eq!(out.entries.len(), 1);
-        assert_eq!(out.physical_lines, 2);
-    }
-
-    #[test]
     fn segment_ranges_cover_and_start_on_line_boundaries() {
         let data = hostile_corpus();
         for parts in [1usize, 2, 3, 5, 8, 64] {
@@ -893,30 +813,29 @@ mod tests {
     }
 
     #[test]
-    fn segmented_scan_concatenates_to_the_sequential_scan() {
+    fn merged_segments_equal_the_whole_scan() {
         let data = hostile_corpus();
-        let whole = scan_log_slice(&data, IngestPolicy::Lenient, true);
-        for parts in [2usize, 3, 4, 8] {
-            let mut entries = Vec::new();
-            let mut stats = IngestStats::default();
+        let scan = |policy: IngestPolicy, parts: usize| {
+            let segments = segment_ranges(&data, parts)
+                .into_iter()
+                .map(|r| scan_log_slice(&data[r], policy, true))
+                .collect();
             let mut quarantine = Vec::new();
-            let mut physical = 0usize;
-            for r in segment_ranges(&data, parts) {
-                let o = scan_log_slice(&data[r], IngestPolicy::Lenient, true);
-                assert!(o.error.is_none());
-                entries.extend(o.entries);
-                stats.lines += o.stats.lines;
-                stats.entries += o.stats.entries;
-                stats.quarantined += o.stats.quarantined;
-                stats.malformed += o.stats.malformed;
-                stats.invalid_utf8 += o.stats.invalid_utf8;
-                quarantine.extend_from_slice(&o.quarantine);
-                physical += o.physical_lines;
-            }
-            assert_eq!(entries, whole.entries, "parts {parts}");
-            assert_eq!(stats, whole.stats, "parts {parts}");
-            assert_eq!(quarantine, whole.quarantine, "parts {parts}");
-            assert_eq!(physical, whole.physical_lines, "parts {parts}");
+            merge_segments(segments, Some(&mut quarantine))
+                .map(|(log, stats)| (log, stats, quarantine))
+        };
+        let (log, stats, quarantine) = scan(IngestPolicy::Lenient, 1).unwrap();
+        assert_eq!(stats.lines, 8);
+        assert_eq!(log.len(), 3);
+        let strict = scan(IngestPolicy::Strict, 1).unwrap_err().to_string();
+        assert!(strict.starts_with("malformed log line 2:"), "{strict}");
+        for parts in [2usize, 3, 4, 8] {
+            let (l, s, q) = scan(IngestPolicy::Lenient, parts).unwrap();
+            assert_eq!(l, log, "parts {parts}");
+            assert_eq!(s, stats, "parts {parts}");
+            assert_eq!(q, quarantine, "parts {parts}");
+            let err = scan(IngestPolicy::Strict, parts).unwrap_err();
+            assert_eq!(err.to_string(), strict, "parts {parts}");
         }
     }
 
@@ -963,7 +882,7 @@ mod tests {
         let path = dir.join("log.tsv");
         let log = sample_log();
         write_log_file(&log, &path).unwrap();
-        assert_eq!(read_log_file(&path).unwrap(), log);
+        assert_eq!(read_log(std::fs::File::open(&path).unwrap()).unwrap(), log);
         std::fs::remove_file(&path).ok();
     }
 }

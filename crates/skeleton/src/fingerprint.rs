@@ -40,15 +40,6 @@ impl Fingerprint {
         }
         Fingerprint(h)
     }
-
-    /// Fingerprints an ordered sequence of fingerprints.
-    pub fn of_sequence(parts: impl IntoIterator<Item = Fingerprint>) -> Fingerprint {
-        let mut acc = Fingerprint(FNV_OFFSET);
-        for p in parts {
-            acc = acc.combine(p);
-        }
-        acc
-    }
 }
 
 impl fmt::Display for Fingerprint {
@@ -157,10 +148,6 @@ mod tests {
         let a = Fingerprint::of_str("a");
         let b = Fingerprint::of_str("b");
         assert_ne!(a.combine(b), b.combine(a));
-        assert_ne!(
-            Fingerprint::of_sequence([a, b]),
-            Fingerprint::of_sequence([b, a])
-        );
     }
 
     #[test]

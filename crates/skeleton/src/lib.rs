@@ -17,7 +17,6 @@
 //! assert!(a.similar(&b));                 // Def. 6
 //! assert_eq!(a.fingerprint, b.fingerprint);
 //! assert_eq!(a.swc, "empid = <num>");     // skeleton WHERE clause
-//! assert_ne!(a.wc, b.wc);                 // canonical WHERE clauses differ
 //! ```
 
 #![warn(missing_docs)]
@@ -35,7 +34,5 @@ pub use predicate::{
     base_tables, primary_table, OutputColumns, PredicateKind, PredicateProfile, Theta, ValueKind,
 };
 pub use rawkey::{raw_shape_scan, RawKey, RawLiteral, RawLiteralKind, RAW_NUM, RAW_STR};
-pub use skeleton::{
-    render_from_clause, render_query, render_select_clause, render_tail, render_where_clause, Mode,
-};
+pub use skeleton::{render_from_clause, render_query, render_select_clause, render_where_clause};
 pub use template::QueryTemplate;

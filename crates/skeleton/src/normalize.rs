@@ -8,7 +8,7 @@
 //! change to a constant does not.
 //!
 //! The normalization pass is written once, as a streaming scanner
-//! ([`normalize_scan`]) that feeds a [`NormSink`]; it is the *definition* of
+//! (`normalize_scan`) that feeds a `NormSink`; it is the *definition* of
 //! the duplicate identity and nothing else scans statements this way:
 //!
 //! * [`normalize_sql_text`] collects the stream into a `String` — the

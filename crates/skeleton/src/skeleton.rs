@@ -13,133 +13,49 @@
 //! Rendering is canonical: identifiers are lower-cased, keywords upper-cased,
 //! whitespace normalized — so the skeletons of two statements are equal
 //! exactly when their syntax trees agree on everything but literal values
-//! and letter case. The renderer has two modes:
-//!
-//! * [`Mode::Skeleton`] — literals become `<num>` / `<str>` placeholders
-//!   (used for SSC/SFC/SWC and Def. 5/6 equality),
-//! * [`Mode::Canonical`] — literals are kept (used for Def. 3's SC/FC/WC,
-//!   which the DW/DS/DF-Stifle definitions compare *with* constants).
+//! and letter case. Literals always become `<num>` / `<str>` placeholders;
+//! the constants that Def. 3's SC/FC/WC keep, and that the DW/DS/DF-Stifle
+//! definitions compare, are read per record from its
+//! [`crate::PredicateProfile`] instead.
 
 use sqlog_sql::ast::*;
 use std::fmt::Write as _;
 
-/// Rendering mode: with or without literal placeholders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Replace literals with `<num>` / `<str>` placeholders.
-    Skeleton,
-    /// Keep literal values (canonical form of the clause).
-    Canonical,
-}
-
-/// Renders the full skeleton (or canonical) text of a query.
-pub fn render_query(q: &Query, mode: Mode) -> String {
+/// Renders the full skeleton text of a query.
+pub fn render_query(q: &Query) -> String {
     let mut out = String::with_capacity(96);
-    query(q, mode, &mut out);
+    query(q, &mut out);
     out
 }
 
 /// Renders one clause of a SELECT body. Empty string when the clause is
-/// absent — two queries that both lack a WHERE clause have equal (empty) WCs.
-pub fn render_select_clause(s: &Select, mode: Mode) -> String {
+/// absent — two queries that both lack a WHERE clause have equal (empty) SWCs.
+pub fn render_select_clause(s: &Select) -> String {
     let mut out = String::with_capacity(32);
-    projection(&s.projection, mode, &mut out);
+    projection(&s.projection, &mut out);
     out
 }
 
 /// Renders the FROM clause (see [`render_select_clause`]).
-pub fn render_from_clause(s: &Select, mode: Mode) -> String {
+pub fn render_from_clause(s: &Select) -> String {
     let mut out = String::with_capacity(32);
-    from(&s.from, mode, &mut out);
+    from(&s.from, &mut out);
     out
 }
 
 /// Renders the WHERE clause (see [`render_select_clause`]).
-pub fn render_where_clause(s: &Select, mode: Mode) -> String {
+pub fn render_where_clause(s: &Select) -> String {
     let mut out = String::with_capacity(32);
     if let Some(w) = &s.selection {
-        expr(w, mode, &mut out);
-    }
-    out
-}
-
-/// Renders everything *outside* the SELECT/FROM/WHERE triple: DISTINCT, TOP,
-/// INTO, GROUP BY, HAVING, set operations, ORDER BY, LIMIT. Definitions 4–5
-/// of the paper identify a template with the clause triple; the tail is kept
-/// separately so that template identity can optionally be refined with it.
-pub fn render_tail(q: &Query, mode: Mode) -> String {
-    let mut out = String::new();
-    let s = &q.body;
-    if s.distinct {
-        out.push_str("DISTINCT ");
-    }
-    if let Some(top) = &s.top {
-        out.push_str("TOP ");
-        expr(top, mode, &mut out);
-        out.push(' ');
-    }
-    if let Some(into) = &s.into {
-        out.push_str("INTO ");
-        object_name(into, &mut out);
-        out.push(' ');
-    }
-    if !s.group_by.is_empty() {
-        out.push_str("GROUP BY ");
-        for (i, e) in s.group_by.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            expr(e, mode, &mut out);
-        }
-        out.push(' ');
-    }
-    if let Some(h) = &s.having {
-        out.push_str("HAVING ");
-        expr(h, mode, &mut out);
-        out.push(' ');
-    }
-    for (op, all, body) in &q.set_ops {
-        out.push_str(match op {
-            SetOperator::Union => "UNION ",
-            SetOperator::Except => "EXCEPT ",
-            SetOperator::Intersect => "INTERSECT ",
-        });
-        if *all {
-            out.push_str("ALL ");
-        }
-        select_body(body, mode, &mut out);
-        out.push(' ');
-    }
-    if !q.order_by.is_empty() {
-        out.push_str("ORDER BY ");
-        for (i, item) in q.order_by.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            expr(&item.expr, mode, &mut out);
-            match item.asc {
-                Some(true) => out.push_str(" ASC"),
-                Some(false) => out.push_str(" DESC"),
-                None => {}
-            }
-        }
-        out.push(' ');
-    }
-    if let Some(l) = &q.limit {
-        out.push_str("LIMIT ");
-        expr(l, mode, &mut out);
-        out.push(' ');
-    }
-    while out.ends_with(' ') {
-        out.pop();
+        expr(w, &mut out);
     }
     out
 }
 
 // ---- internal walkers ------------------------------------------------------
 
-fn query(q: &Query, mode: Mode, out: &mut String) {
-    select_body(&q.body, mode, out);
+fn query(q: &Query, out: &mut String) {
+    select_body(&q.body, out);
     for (op, all, body) in &q.set_ops {
         out.push_str(match op {
             SetOperator::Union => " UNION",
@@ -150,7 +66,7 @@ fn query(q: &Query, mode: Mode, out: &mut String) {
             out.push_str(" ALL");
         }
         out.push(' ');
-        select_body(body, mode, out);
+        select_body(body, out);
     }
     if !q.order_by.is_empty() {
         out.push_str(" ORDER BY ");
@@ -158,7 +74,7 @@ fn query(q: &Query, mode: Mode, out: &mut String) {
             if i > 0 {
                 out.push_str(", ");
             }
-            expr(&item.expr, mode, out);
+            expr(&item.expr, out);
             match item.asc {
                 Some(true) => out.push_str(" ASC"),
                 Some(false) => out.push_str(" DESC"),
@@ -168,35 +84,35 @@ fn query(q: &Query, mode: Mode, out: &mut String) {
     }
     if let Some(l) = &q.limit {
         out.push_str(" LIMIT ");
-        expr(l, mode, out);
+        expr(l, out);
     }
 }
 
-fn select_body(s: &Select, mode: Mode, out: &mut String) {
+fn select_body(s: &Select, out: &mut String) {
     out.push_str("SELECT ");
     if s.distinct {
         out.push_str("DISTINCT ");
     }
     if let Some(top) = &s.top {
         out.push_str("TOP ");
-        expr(top, mode, out);
+        expr(top, out);
         if s.top_percent {
             out.push_str(" PERCENT");
         }
         out.push(' ');
     }
-    projection(&s.projection, mode, out);
+    projection(&s.projection, out);
     if let Some(into) = &s.into {
         out.push_str(" INTO ");
         object_name(into, out);
     }
     if !s.from.is_empty() {
         out.push_str(" FROM ");
-        from(&s.from, mode, out);
+        from(&s.from, out);
     }
     if let Some(w) = &s.selection {
         out.push_str(" WHERE ");
-        expr(w, mode, out);
+        expr(w, out);
     }
     if !s.group_by.is_empty() {
         out.push_str(" GROUP BY ");
@@ -204,16 +120,16 @@ fn select_body(s: &Select, mode: Mode, out: &mut String) {
             if i > 0 {
                 out.push_str(", ");
             }
-            expr(e, mode, out);
+            expr(e, out);
         }
     }
     if let Some(h) = &s.having {
         out.push_str(" HAVING ");
-        expr(h, mode, out);
+        expr(h, out);
     }
 }
 
-fn projection(items: &[SelectItem], mode: Mode, out: &mut String) {
+fn projection(items: &[SelectItem], out: &mut String) {
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -225,7 +141,7 @@ fn projection(items: &[SelectItem], mode: Mode, out: &mut String) {
                 out.push_str(".*");
             }
             SelectItem::Expr { expr: e, alias } => {
-                expr(e, mode, out);
+                expr(e, out);
                 if let Some(a) = alias {
                     out.push_str(" AS ");
                     ident(a, out);
@@ -235,16 +151,16 @@ fn projection(items: &[SelectItem], mode: Mode, out: &mut String) {
     }
 }
 
-fn from(tables: &[TableRef], mode: Mode, out: &mut String) {
+fn from(tables: &[TableRef], out: &mut String) {
     for (i, t) in tables.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        table_ref(t, mode, out);
+        table_ref(t, out);
     }
 }
 
-fn table_ref(t: &TableRef, mode: Mode, out: &mut String) {
+fn table_ref(t: &TableRef, out: &mut String) {
     match t {
         TableRef::Table { name, alias } => {
             object_name(name, out);
@@ -260,7 +176,7 @@ fn table_ref(t: &TableRef, mode: Mode, out: &mut String) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                expr(a, mode, out);
+                expr(a, out);
             }
             out.push(')');
             if let Some(a) = alias {
@@ -270,7 +186,7 @@ fn table_ref(t: &TableRef, mode: Mode, out: &mut String) {
         }
         TableRef::Derived { subquery, alias } => {
             out.push('(');
-            query(subquery, mode, out);
+            query(subquery, out);
             out.push(')');
             if let Some(a) = alias {
                 out.push_str(" AS ");
@@ -283,7 +199,7 @@ fn table_ref(t: &TableRef, mode: Mode, out: &mut String) {
             kind,
             constraint,
         } => {
-            table_ref(left, mode, out);
+            table_ref(left, out);
             out.push_str(match kind {
                 JoinKind::Inner => " INNER JOIN ",
                 JoinKind::Left => " LEFT OUTER JOIN ",
@@ -295,14 +211,14 @@ fn table_ref(t: &TableRef, mode: Mode, out: &mut String) {
             });
             if matches!(right.as_ref(), TableRef::Join { .. }) {
                 out.push('(');
-                table_ref(right, mode, out);
+                table_ref(right, out);
                 out.push(')');
             } else {
-                table_ref(right, mode, out);
+                table_ref(right, out);
             }
             if let Some(on) = constraint {
                 out.push_str(" ON ");
-                expr(on, mode, out);
+                expr(on, out);
             }
         }
     }
@@ -323,29 +239,23 @@ fn ident(id: &Ident, out: &mut String) {
     }
 }
 
-fn literal(lit: &Literal, mode: Mode, out: &mut String) {
-    match (mode, lit) {
-        (Mode::Skeleton, Literal::Number(_)) => out.push_str("<num>"),
-        (Mode::Skeleton, Literal::String(_)) => out.push_str("<str>"),
-        (Mode::Canonical, Literal::Number(n)) => out.push_str(n),
-        (Mode::Canonical, Literal::String(s)) => {
-            out.push('\'');
-            out.push_str(&s.replace('\'', "''"));
-            out.push('\'');
-        }
+fn literal(lit: &Literal, out: &mut String) {
+    out.push_str(match lit {
+        Literal::Number(_) => "<num>",
+        Literal::String(_) => "<str>",
         // NULL and booleans are structural, not parameters: the SNC
         // antipattern (Def. 16) is recognizable only if `= NULL` survives in
         // the skeleton.
-        (_, Literal::Null) => out.push_str("NULL"),
-        (_, Literal::Boolean(true)) => out.push_str("TRUE"),
-        (_, Literal::Boolean(false)) => out.push_str("FALSE"),
-    }
+        Literal::Null => "NULL",
+        Literal::Boolean(true) => "TRUE",
+        Literal::Boolean(false) => "FALSE",
+    });
 }
 
-fn expr(e: &Expr, mode: Mode, out: &mut String) {
+fn expr(e: &Expr, out: &mut String) {
     match e {
         Expr::Column(name) => object_name(name, out),
-        Expr::Literal(lit) => literal(lit, mode, out),
+        Expr::Literal(lit) => literal(lit, out),
         Expr::Variable(v) => {
             out.push('@');
             for c in v.chars() {
@@ -353,15 +263,14 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
             }
         }
         Expr::Binary { left, op, right } => {
-            expr(left, mode, out);
+            expr(left, out);
             let _ = write!(out, " {op} ");
-            expr(right, mode, out);
+            expr(right, out);
         }
         Expr::Unary { op, expr: inner } => {
             // A signed numeric literal is a parameter: `-0.9` and `0.5`
             // must map to the same `<num>` placeholder.
-            if mode == Mode::Skeleton
-                && matches!(op, UnaryOp::Minus | UnaryOp::Plus)
+            if matches!(op, UnaryOp::Minus | UnaryOp::Plus)
                 && matches!(inner.as_ref(), Expr::Literal(Literal::Number(_)))
             {
                 out.push_str("<num>");
@@ -372,7 +281,7 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
                 UnaryOp::Minus => out.push('-'),
                 UnaryOp::Plus => out.push('+'),
             }
-            expr(inner, mode, out);
+            expr(inner, out);
         }
         Expr::Function {
             name,
@@ -388,7 +297,7 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                expr(a, mode, out);
+                expr(a, out);
             }
             out.push(')');
         }
@@ -397,7 +306,7 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
             expr: inner,
             negated,
         } => {
-            expr(inner, mode, out);
+            expr(inner, out);
             out.push_str(if *negated { " IS NOT NULL" } else { " IS NULL" });
         }
         Expr::InList {
@@ -405,23 +314,20 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
             list,
             negated,
         } => {
-            expr(inner, mode, out);
+            expr(inner, out);
             out.push_str(if *negated { " NOT IN (" } else { " IN (" });
-            match mode {
-                // A skeleton abstracts the *whole* list: `IN (1,2)` and
-                // `IN (3,4,5)` share one skeleton. This is what makes a
-                // DW-Stifle rewrite idempotent — the merged IN-query maps to
-                // one template no matter how many values were merged.
-                Mode::Skeleton if list.iter().all(is_literal) && !list.is_empty() => {
-                    out.push_str("<list>");
-                }
-                _ => {
-                    for (i, v) in list.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        expr(v, mode, out);
+            // A skeleton abstracts the *whole* list: `IN (1,2)` and
+            // `IN (3,4,5)` share one skeleton. This is what makes a
+            // DW-Stifle rewrite idempotent — the merged IN-query maps to
+            // one template no matter how many values were merged.
+            if list.iter().all(is_literal) && !list.is_empty() {
+                out.push_str("<list>");
+            } else {
+                for (i, v) in list.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
                     }
+                    expr(v, out);
                 }
             }
             out.push(')');
@@ -431,9 +337,9 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
             subquery,
             negated,
         } => {
-            expr(inner, mode, out);
+            expr(inner, out);
             out.push_str(if *negated { " NOT IN (" } else { " IN (" });
-            query(subquery, mode, out);
+            query(subquery, out);
             out.push(')');
         }
         Expr::Between {
@@ -442,33 +348,33 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
             high,
             negated,
         } => {
-            expr(inner, mode, out);
+            expr(inner, out);
             out.push_str(if *negated {
                 " NOT BETWEEN "
             } else {
                 " BETWEEN "
             });
-            expr(low, mode, out);
+            expr(low, out);
             out.push_str(" AND ");
-            expr(high, mode, out);
+            expr(high, out);
         }
         Expr::Like {
             expr: inner,
             pattern,
             negated,
         } => {
-            expr(inner, mode, out);
+            expr(inner, out);
             out.push_str(if *negated { " NOT LIKE " } else { " LIKE " });
-            expr(pattern, mode, out);
+            expr(pattern, out);
         }
         Expr::Nested(inner) => {
             out.push('(');
-            expr(inner, mode, out);
+            expr(inner, out);
             out.push(')');
         }
         Expr::Subquery(q) => {
             out.push('(');
-            query(q, mode, out);
+            query(q, out);
             out.push(')');
         }
         Expr::Exists { subquery, negated } => {
@@ -476,7 +382,7 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
                 out.push_str("NOT ");
             }
             out.push_str("EXISTS (");
-            query(subquery, mode, out);
+            query(subquery, out);
             out.push(')');
         }
         Expr::Case {
@@ -487,23 +393,23 @@ fn expr(e: &Expr, mode: Mode, out: &mut String) {
             out.push_str("CASE");
             if let Some(op) = operand {
                 out.push(' ');
-                expr(op, mode, out);
+                expr(op, out);
             }
             for (w, t) in branches {
                 out.push_str(" WHEN ");
-                expr(w, mode, out);
+                expr(w, out);
                 out.push_str(" THEN ");
-                expr(t, mode, out);
+                expr(t, out);
             }
             if let Some(el) = else_result {
                 out.push_str(" ELSE ");
-                expr(el, mode, out);
+                expr(el, out);
             }
             out.push_str(" END");
         }
         Expr::Cast { expr: inner, ty } => {
             out.push_str("CAST(");
-            expr(inner, mode, out);
+            expr(inner, out);
             let _ = write!(out, " AS {}", ty.to_ascii_lowercase());
             out.push(')');
         }
@@ -520,7 +426,7 @@ mod tests {
     use sqlog_sql::parse_query;
 
     fn skel(sql: &str) -> String {
-        render_query(&parse_query(sql).unwrap(), Mode::Skeleton)
+        render_query(&parse_query(sql).unwrap())
     }
 
     #[test]
@@ -579,31 +485,23 @@ mod tests {
     #[test]
     fn clause_renderers_split_the_triple() {
         let q = parse_query("SELECT name, ra FROM photoprimary WHERE objid = 42").unwrap();
-        assert_eq!(render_select_clause(&q.body, Mode::Skeleton), "name, ra");
-        assert_eq!(render_from_clause(&q.body, Mode::Skeleton), "photoprimary");
-        assert_eq!(
-            render_where_clause(&q.body, Mode::Skeleton),
-            "objid = <num>"
-        );
-        assert_eq!(render_where_clause(&q.body, Mode::Canonical), "objid = 42");
+        assert_eq!(render_select_clause(&q.body), "name, ra");
+        assert_eq!(render_from_clause(&q.body), "photoprimary");
+        assert_eq!(render_where_clause(&q.body), "objid = <num>");
     }
 
     #[test]
     fn missing_where_renders_empty() {
         let q = parse_query("SELECT a FROM t").unwrap();
-        assert_eq!(render_where_clause(&q.body, Mode::Skeleton), "");
+        assert_eq!(render_where_clause(&q.body), "");
     }
 
     #[test]
-    fn tail_captures_order_group_top() {
-        let q =
-            parse_query("SELECT TOP 10 a FROM t GROUP BY a HAVING count(*) > 2 ORDER BY a DESC")
-                .unwrap();
-        let tail = render_tail(&q, Mode::Skeleton);
-        assert!(tail.contains("TOP <num>"));
-        assert!(tail.contains("GROUP BY a"));
-        assert!(tail.contains("HAVING count(*) > <num>"));
-        assert!(tail.contains("ORDER BY a DESC"));
+    fn full_skeleton_keeps_order_group_top() {
+        assert_eq!(
+            skel("SELECT TOP 10 a FROM t GROUP BY a HAVING count(*) > 2 ORDER BY a DESC"),
+            "SELECT TOP <num> a FROM t GROUP BY a HAVING count(*) > <num> ORDER BY a DESC"
+        );
     }
 
     #[test]
@@ -619,15 +517,6 @@ mod tests {
         assert_eq!(
             skel("SELECT * FROM dbo.fGetNearestObjEq(145.38708, 0.12532, 0.1)"),
             skel("SELECT * FROM dbo.fGetNearestObjEq(211.0, -0.9, 0.5)")
-        );
-    }
-
-    #[test]
-    fn canonical_mode_keeps_constants() {
-        let q = parse_query("SELECT a FROM t WHERE a = 5 AND s = 'x'").unwrap();
-        assert_eq!(
-            render_query(&q, Mode::Canonical),
-            "SELECT a FROM t WHERE a = 5 AND s = 'x'"
         );
     }
 

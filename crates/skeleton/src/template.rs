@@ -1,21 +1,22 @@
 //! Query templates (Definition 4): the triple of clause skeletons
-//! (SFC, SWC, SSC), plus the canonical clause forms used by the Stifle class
-//! definitions (Defs. 12–14).
+//! (SFC, SWC, SSC) plus the full skeleton text that identifies a template.
+//!
+//! A template holds no constants. Def. 3's canonical clauses (SC, FC, WC),
+//! which the Stifle class definitions (Defs. 12–14) compare *with*
+//! constants, are realised per record by its
+//! [`PredicateProfile`](crate::PredicateProfile): the template is the shared
+//! skeleton, the profile the per-query residue.
 
 use crate::fingerprint::Fingerprint;
 use crate::skeleton::{
-    render_from_clause, render_query, render_select_clause, render_tail, render_where_clause, Mode,
+    render_from_clause, render_query, render_select_clause, render_where_clause,
 };
 use serde::{Deserialize, Serialize};
 use sqlog_sql::ast::Query;
 
-/// A query template: skeleton and canonical clause renderings of one query.
-///
-/// *Skeleton* fields (`ssc`, `sfc`, `swc`) have literals replaced with
-/// placeholders; *canonical* fields (`sc`, `fc`, `wc`) keep the constants.
-/// Definition 5 equality compares the skeleton triple; the Stifle class
-/// definitions additionally compare the canonical clauses (e.g. a DW-Stifle
-/// has equal `swc` but pairwise-different `wc`).
+/// A query template: the clause skeletons of one query, literals replaced
+/// with placeholders. Definition 5 equality compares the (SFC, SWC, SSC)
+/// triple.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryTemplate {
     /// Skeleton of the SELECT clause (Def. 2's SSC).
@@ -24,51 +25,23 @@ pub struct QueryTemplate {
     pub sfc: String,
     /// Skeleton of the WHERE clause (SWC); empty when absent.
     pub swc: String,
-    /// Canonical SELECT clause with constants (Def. 3's SC).
-    pub sc: String,
-    /// Canonical FROM clause (FC).
-    pub fc: String,
-    /// Canonical WHERE clause (WC); empty when absent.
-    pub wc: String,
-    /// Skeleton of everything outside the triple (GROUP BY, ORDER BY, …).
-    pub tail: String,
     /// Full skeleton text of the whole query.
     pub full: String,
     /// Fingerprint of the full skeleton text — the template's identity in
     /// the template store.
     pub fingerprint: Fingerprint,
-    /// Fingerprint of the (SFC, SWC, SSC) triple only (Def. 4 identity).
-    pub triple_fingerprint: Fingerprint,
 }
 
 impl QueryTemplate {
     /// Builds the template of a query.
     pub fn of_query(q: &Query) -> Self {
-        let ssc = render_select_clause(&q.body, Mode::Skeleton);
-        let sfc = render_from_clause(&q.body, Mode::Skeleton);
-        let swc = render_where_clause(&q.body, Mode::Skeleton);
-        let sc = render_select_clause(&q.body, Mode::Canonical);
-        let fc = render_from_clause(&q.body, Mode::Canonical);
-        let wc = render_where_clause(&q.body, Mode::Canonical);
-        let tail = render_tail(q, Mode::Skeleton);
-        let full = render_query(q, Mode::Skeleton);
-        let fingerprint = Fingerprint::of_str(&full);
-        let triple_fingerprint = Fingerprint::of_sequence([
-            Fingerprint::of_str(&sfc),
-            Fingerprint::of_str(&swc),
-            Fingerprint::of_str(&ssc),
-        ]);
+        let full = render_query(q);
         QueryTemplate {
-            ssc,
-            sfc,
-            swc,
-            sc,
-            fc,
-            wc,
-            tail,
+            ssc: render_select_clause(&q.body),
+            sfc: render_from_clause(&q.body),
+            swc: render_where_clause(&q.body),
+            fingerprint: Fingerprint::of_str(&full),
             full,
-            fingerprint,
-            triple_fingerprint,
         }
     }
 
@@ -80,10 +53,6 @@ impl QueryTemplate {
             + self.ssc.len()
             + self.sfc.len()
             + self.swc.len()
-            + self.sc.len()
-            + self.fc.len()
-            + self.wc.len()
-            + self.tail.len()
             + self.full.len()
     }
 
@@ -103,50 +72,54 @@ impl QueryTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PredicateProfile;
     use sqlog_sql::parse_query;
 
     fn tpl(sql: &str) -> QueryTemplate {
         QueryTemplate::of_query(&parse_query(sql).unwrap())
     }
 
+    fn profile(sql: &str) -> PredicateProfile {
+        PredicateProfile::of_select(&parse_query(sql).unwrap().body)
+    }
+
     #[test]
     fn same_shape_same_fingerprint() {
-        let a = tpl("SELECT name FROM Employee WHERE empId = 8");
-        let b = tpl("SELECT name FROM Employee WHERE empId = 1");
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert!(a.skeleton_equal(&b));
-        assert!(a.similar(&b));
-        // Canonical WHERE clauses differ — this is what DW-Stifle checks.
-        assert_ne!(a.wc, b.wc);
+        let a = "SELECT name FROM Employee WHERE empId = 8";
+        let b = "SELECT name FROM Employee WHERE empId = 1";
+        assert_eq!(tpl(a).fingerprint, tpl(b).fingerprint);
+        assert!(tpl(a).skeleton_equal(&tpl(b)));
+        assert!(tpl(a).similar(&tpl(b)));
+        // The constants differ in the profiles — this is what DW-Stifle checks.
+        assert_ne!(profile(a), profile(b));
     }
 
     #[test]
     fn different_projection_different_fingerprint() {
-        let a = tpl("SELECT name FROM Employee WHERE empId = 8");
-        let b = tpl("SELECT address, phone FROM Employee WHERE empId = 8");
-        assert_ne!(a.fingerprint, b.fingerprint);
-        assert!(!a.skeleton_equal(&b));
-        // Same FROM + WHERE with constants — this is what DS-Stifle checks.
-        assert_eq!(a.fc, b.fc);
-        assert_eq!(a.wc, b.wc);
+        let a = "SELECT name FROM Employee WHERE empId = 8";
+        let b = "SELECT address, phone FROM Employee WHERE empId = 8";
+        assert_ne!(tpl(a).fingerprint, tpl(b).fingerprint);
+        assert!(!tpl(a).skeleton_equal(&tpl(b)));
+        // Same FROM and the same WHERE with constants — what DS-Stifle checks.
+        assert_eq!(tpl(a).sfc, tpl(b).sfc);
+        assert_eq!(profile(a), profile(b));
     }
 
     #[test]
-    fn triple_fingerprint_ignores_tail() {
+    fn tail_changes_the_fingerprint_but_not_the_triple() {
         let a = tpl("SELECT a FROM t WHERE x = 1");
         let b = tpl("SELECT a FROM t WHERE x = 1 ORDER BY a DESC");
-        assert_eq!(a.triple_fingerprint, b.triple_fingerprint);
+        assert!(a.skeleton_equal(&b));
         assert_ne!(a.fingerprint, b.fingerprint);
-        assert_eq!(b.tail, "ORDER BY a DESC");
+        assert_eq!(b.full, "SELECT a FROM t WHERE x = <num> ORDER BY a DESC");
     }
 
     #[test]
     fn triple_components_are_separated() {
-        // Moving text between clauses must change the triple fingerprint:
-        // (sfc="t x", swc="") vs (sfc="t", swc="x") style collisions are
-        // prevented by hashing components separately.
+        // Moving text between clauses must break skeleton equality even
+        // where the concatenated clause texts could coincide.
         let a = tpl("SELECT a FROM t WHERE b = 1");
         let b = tpl("SELECT a, b FROM t");
-        assert_ne!(a.triple_fingerprint, b.triple_fingerprint);
+        assert!(!a.skeleton_equal(&b));
     }
 }
