@@ -158,7 +158,7 @@ pub fn render_statistics(s: &Statistics) -> String {
         "Stage timings (ms)",
         format!(
             "ingest {} | sort {} | dedup {} | parse {} | sessions {} | mine {} | detect {} \
-             | solve {} | report {} | total {}",
+             | solve {} | write {} | report {} | total {}",
             t.ingest_ms,
             t.sort_ms,
             t.dedup_ms,
@@ -167,6 +167,7 @@ pub fn render_statistics(s: &Statistics) -> String {
             t.mine_ms,
             t.detect_ms,
             t.solve_ms,
+            t.write_ms,
             t.report_ms,
             t.total_ms
         ),

@@ -50,6 +50,7 @@ fn timings_to_json(t: &StageTimings) -> Json {
         ("mine_ms", Json::U64(t.mine_ms)),
         ("detect_ms", Json::U64(t.detect_ms)),
         ("solve_ms", Json::U64(t.solve_ms)),
+        ("write_ms", Json::U64(t.write_ms)),
         ("report_ms", Json::U64(t.report_ms)),
         ("total_ms", Json::U64(t.total_ms)),
     ])
@@ -65,6 +66,8 @@ fn timings_from_json(v: &Json) -> Result<StageTimings, String> {
         mine_ms: get_u64(v, "mine_ms")?,
         detect_ms: get_u64(v, "detect_ms")?,
         solve_ms: get_u64(v, "solve_ms")?,
+        // Absent in reports written before the output write was timed.
+        write_ms: v.get("write_ms").and_then(Json::as_u64).unwrap_or(0),
         report_ms: get_u64(v, "report_ms")?,
         total_ms: get_u64(v, "total_ms")?,
     })
@@ -288,8 +291,9 @@ mod tests {
                 mine_ms: 4,
                 detect_ms: 6,
                 solve_ms: 2,
+                write_ms: 4,
                 report_ms: 1,
-                total_ms: 30,
+                total_ms: 34,
             },
             parse_cache: ParseCacheStats {
                 enabled: true,
@@ -371,9 +375,23 @@ mod tests {
     }
 
     #[test]
+    fn report_without_write_ms_loads_it_as_zero() {
+        let report = RunReport {
+            stats: sample_stats(),
+            obs: ObsReport::default(),
+        };
+        let text = report.render();
+        let older = text.replace("\"write_ms\":4,", "");
+        assert_ne!(older, text, "the field is rendered");
+        let loaded = RunReport::parse(&older).unwrap();
+        assert_eq!(loaded.stats.timings.write_ms, 0);
+        assert_eq!(loaded.stats.timings.total_ms, report.stats.timings.total_ms);
+    }
+
+    #[test]
     fn stage_sum_reconciles_with_total() {
         let t = sample_stats().timings;
-        assert_eq!(t.stage_sum_ms(), 30);
+        assert_eq!(t.stage_sum_ms(), 34);
         assert!(t.total_ms >= t.stage_sum_ms().saturating_sub(9));
     }
 }

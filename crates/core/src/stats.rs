@@ -41,17 +41,21 @@ pub struct StageTimings {
     pub detect_ms: u64,
     /// Solving / rewriting (§5.5).
     pub solve_ms: u64,
-    /// Rendering the statistics report and writing outputs. Filled by the
-    /// binary, like `ingest_ms`.
+    /// Rendering the statistics report and the top-pattern table. Filled
+    /// by the binary.
     pub report_ms: u64,
+    /// Writing the clean and removal logs. Filled by the binary; zero when
+    /// it writes neither, and in reports written before it was timed.
+    pub write_ms: u64,
     /// End-to-end time: the run's own wall-clock (ingest included for
-    /// [`crate::Pipeline::run_file`]), plus `report_ms` once the binary
-    /// adds it.
+    /// [`crate::Pipeline::run_file`]), plus `write_ms` and `report_ms` once
+    /// the binary adds them.
     pub total_ms: u64,
 }
 
 impl StageTimings {
-    /// Sum of the individual stage timings (including ingest/report).
+    /// Sum of the individual stage timings (including ingest, write and
+    /// report).
     /// `total_ms` should be ≥ this minus rounding slack; the reconciliation
     /// test in the CLI harness checks it.
     pub fn stage_sum_ms(&self) -> u64 {
@@ -63,6 +67,7 @@ impl StageTimings {
             + self.mine_ms
             + self.detect_ms
             + self.solve_ms
+            + self.write_ms
             + self.report_ms
     }
 }

@@ -48,7 +48,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn tsv_round_trip(entries in prop::collection::vec(entry_strategy(), 0..40)) {
+    fn tsv_round_trip(entries in prop::collection::vec(entry_strategy(), 0..400)) {
         let log = QueryLog::from_entries(entries);
         let mut buf = Vec::new();
         write_log(&log, &mut buf).unwrap();
@@ -64,5 +64,22 @@ proptest! {
         let snapshot = log.clone();
         log.sort_by_time();
         prop_assert_eq!(log, snapshot);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Logs of several 8192-entry render blocks, so the writer shards them
+    /// over its workers whenever the machine has more than one core.
+    #[test]
+    fn tsv_round_trip_across_render_blocks(
+        entries in prop::collection::vec(entry_strategy(), 16_000..26_000)
+    ) {
+        let log = QueryLog::from_entries(entries);
+        let mut buf = Vec::new();
+        write_log(&log, &mut buf).unwrap();
+        let back = read_log(&buf[..]).unwrap();
+        prop_assert_eq!(log, back);
     }
 }

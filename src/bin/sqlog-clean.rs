@@ -397,6 +397,29 @@ fn main() {
     }
     let mut result = outcome.result;
 
+    // The two output logs are written under the write span, before the
+    // report, so the printed report carries the write's cost too.
+    let t_write = Instant::now();
+    if args.output.is_some() || args.removal.is_some() {
+        rec.stage_begin("write", 0);
+        let _span = rec.span("write");
+        let outputs = [
+            ("clean", &args.output, &result.clean_log),
+            ("removal", &args.removal, &result.removal_log),
+        ];
+        for (kind, path, log) in outputs {
+            let Some(path) = path else { continue };
+            if let Err(e) = write_log_file_atomic(log, path) {
+                eprintln!("error: cannot write {path}: {e}");
+                exit(1);
+            }
+            eprintln!("wrote {kind} log ({} entries) to {path}", log.len());
+        }
+    }
+    let write_ms = t_write.elapsed().as_millis() as u64;
+    result.stats.timings.write_ms = write_ms;
+    result.stats.timings.total_ms += write_ms;
+
     // The pipeline is done: account the process's peak footprint before
     // the report is built, so it lands in --stats-json and the ledger.
     if let Some(peak) = mem::peak_rss_bytes() {
@@ -442,27 +465,6 @@ fn main() {
     println!();
     println!("top {} patterns (antipatterns marked):", args.top);
     println!("{}", render_pattern_table(&rows));
-
-    if let Some(path) = &args.output {
-        if let Err(e) = write_log_file_atomic(&result.clean_log, path) {
-            eprintln!("error: cannot write {path}: {e}");
-            exit(1);
-        }
-        eprintln!(
-            "wrote clean log ({} entries) to {path}",
-            result.clean_log.len()
-        );
-    }
-    if let Some(path) = &args.removal {
-        if let Err(e) = write_log_file_atomic(&result.removal_log, path) {
-            eprintln!("error: cannot write {path}: {e}");
-            exit(1);
-        }
-        eprintln!(
-            "wrote removal log ({} entries) to {path}",
-            result.removal_log.len()
-        );
-    }
 
     if let Some(mut w) = trace_sink.take() {
         if let Err(e) = rec.write_events(&mut w).and_then(|()| w.commit()) {

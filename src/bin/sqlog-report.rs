@@ -144,7 +144,7 @@ fn load_ledger_tail(dir: &str, n: usize) -> Vec<LoadedRun> {
 type StagePick = fn(&StageTimings) -> u64;
 
 /// The named wall-clock stages of [`StageTimings`], in pipeline order.
-const STAGES: [(&str, StagePick); 9] = [
+const STAGES: [(&str, StagePick); 10] = [
     ("ingest", |t| t.ingest_ms),
     ("sort", |t| t.sort_ms),
     ("dedup", |t| t.dedup_ms),
@@ -153,6 +153,7 @@ const STAGES: [(&str, StagePick); 9] = [
     ("mine", |t| t.mine_ms),
     ("detect", |t| t.detect_ms),
     ("solve", |t| t.solve_ms),
+    ("write", |t| t.write_ms),
     ("report", |t| t.report_ms),
 ];
 

@@ -111,6 +111,8 @@ fn trace_events_and_stats_json_cover_the_run() {
         assert!(names.contains(*stage), "missing {stage} span: {names:?}");
     }
     assert!(names.contains("pipeline"), "missing pipeline root span");
+    // `--out` is given, so the output write has its span.
+    assert!(names.contains("write"), "missing write span: {names:?}");
     // Every shard span hangs under its own stage span.
     assert!(!shard_parents.is_empty(), "no shard spans recorded");
     for (stage, parent) in &shard_parents {

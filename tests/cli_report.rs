@@ -147,9 +147,12 @@ fn show_renders_the_dashboard_from_file_and_ledger() {
     let input = write_fixture(&scratch, 500);
     let ledger = scratch.path("ledger");
     let stats = scratch.path("stats.json");
+    let clean = scratch.path("clean.tsv");
     let out = run_clean(&[
         "--in",
         input.to_str().unwrap(),
+        "--out",
+        clean.to_str().unwrap(),
         "--stats-json",
         stats.to_str().unwrap(),
         "--ledger",
@@ -160,6 +163,11 @@ fn show_renders_the_dashboard_from_file_and_ledger() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The output write is timed, and its time is part of the total.
+    let text = std::fs::read_to_string(&stats).unwrap();
+    assert!(text.contains("\"write_ms\""), "{text}");
+    let t = RunReport::parse(&text).unwrap().stats.timings;
+    assert!(t.total_ms >= t.write_ms, "{t:?}");
 
     for source in [
         vec!["show", stats.to_str().unwrap()],
@@ -173,6 +181,7 @@ fn show_renders_the_dashboard_from_file_and_ledger() {
         for needle in [
             "stage",
             "parse",
+            "\nwrite ",
             "run health",
             "p50 us",
             "eff",
