@@ -5,8 +5,9 @@
 //! introduction's merged query ends in
 //! `(SELECT empId, count(orders) AS oCount FROM Orders GROUP BY empId)`.
 
-use crate::exec::{ExecError, RowCtxView};
-use crate::value::Value;
+use crate::eval::{arith, is_arith, Binder, Operand, RowIds, Scalar};
+use crate::exec::ExecError;
+use crate::value::Cell;
 use sqlog_sql::ast::*;
 
 /// True if the expression tree contains an aggregate function call.
@@ -14,7 +15,7 @@ pub fn contains_aggregate(e: &Expr) -> bool {
     let mut found = false;
     e.visit(&mut |node| {
         if let Expr::Function { name, .. } = node {
-            if is_aggregate_name(&name.last().normalized()) {
+            if AggFn::of(&name.last().normalized()).is_some() {
                 found = true;
             }
         }
@@ -30,208 +31,185 @@ pub fn projection_has_aggregate(projection: &[SelectItem]) -> bool {
     })
 }
 
-fn is_aggregate_name(name: &str) -> bool {
-    matches!(name, "count" | "sum" | "avg" | "min" | "max")
+/// An aggregate function.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AggFn {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+}
+
+impl AggFn {
+    /// The aggregate a lower-cased function name calls, if any.
+    fn of(name: &str) -> Option<AggFn> {
+        Some(match name {
+            "count" => AggFn::Count,
+            "sum" => AggFn::Sum,
+            "avg" => AggFn::Avg,
+            "min" => AggFn::Min,
+            "max" => AggFn::Max,
+            _ => return None,
+        })
+    }
+}
+
+/// An expression evaluated over a group of matched rows (the projection,
+/// HAVING and ORDER BY of a grouped query), bound like [`Scalar`].
+pub(crate) enum GroupScalar<'a> {
+    /// An aggregate call; `arg` is `None` for `count(*)`.
+    Agg {
+        func: AggFn,
+        arg: Option<Scalar<'a>>,
+        distinct: bool,
+    },
+    /// `+ - * /` over group-level operands.
+    Arith(BinaryOp, Box<GroupScalar<'a>>, Box<GroupScalar<'a>>),
+    /// Anything else, evaluated on the group's first row (i.e. it must be
+    /// group-constant, which GROUP BY columns are).
+    First(Scalar<'a>),
+    /// A deferred error.
+    Fail(ExecError),
+}
+
+impl<'a> GroupScalar<'a> {
+    /// Binds an expression in group context.
+    pub(crate) fn bind(b: &Binder<'_, 'a>, e: &Expr) -> GroupScalar<'a> {
+        if let Expr::Function {
+            name,
+            args,
+            distinct,
+        } = e
+        {
+            let name = name.last().normalized();
+            if let Some(func) = AggFn::of(&name) {
+                let arg = match args.as_slice() {
+                    [Expr::Wildcard] | [] => None,
+                    [e] => Some(b.scalar(e)),
+                    _ => {
+                        return GroupScalar::Fail(ExecError::Unsupported(format!(
+                            "aggregate {name} with {} arguments",
+                            args.len()
+                        )))
+                    }
+                };
+                return GroupScalar::Agg {
+                    func,
+                    arg,
+                    distinct: *distinct,
+                };
+            }
+        }
+        match e {
+            Expr::Binary { left, op, right } if is_arith(*op) => GroupScalar::Arith(
+                *op,
+                Box::new(GroupScalar::bind(b, left)),
+                Box::new(GroupScalar::bind(b, right)),
+            ),
+            Expr::Nested(inner) => GroupScalar::bind(b, inner),
+            other => GroupScalar::First(b.scalar(other)),
+        }
+    }
+
+    /// Evaluates over the rows of one group.
+    pub(crate) fn eval(&self, group: &[&RowIds]) -> Result<Cell<'_>, ExecError> {
+        match self {
+            GroupScalar::Agg {
+                func,
+                arg,
+                distinct,
+            } => aggregate(*func, arg.as_ref(), *distinct, group),
+            GroupScalar::Arith(op, left, right) => {
+                let (a, b) = (left.eval(group)?, right.eval(group)?);
+                Ok(arith(*op, &a, &b))
+            }
+            GroupScalar::First(e) => {
+                let first = group
+                    .first()
+                    .ok_or_else(|| ExecError::Unsupported("empty group".into()))?;
+                e.eval(first)
+            }
+            GroupScalar::Fail(e) => Err(e.clone()),
+        }
+    }
+}
+
+impl Operand for GroupScalar<'_> {
+    fn can_fail(&self) -> bool {
+        match self {
+            GroupScalar::Agg { func, arg, .. } => {
+                matches!(func, AggFn::Sum | AggFn::Avg)
+                    || arg.as_ref().is_some_and(Scalar::can_fail)
+            }
+            GroupScalar::Arith(_, l, r) => l.can_fail() || r.can_fail(),
+            // `First` fails on an empty group.
+            GroupScalar::First(_) | GroupScalar::Fail(_) => true,
+        }
+    }
 }
 
 /// Computes one aggregate call over the rows of a group.
-fn eval_aggregate(
-    name: &str,
-    args: &[Expr],
+fn aggregate<'s>(
+    func: AggFn,
+    arg: Option<&'s Scalar<'_>>,
     distinct: bool,
-    group: &[&RowCtxView<'_, '_>],
-) -> Result<Value, ExecError> {
-    // Collect the argument values (None for `count(*)`).
-    let arg = match args {
-        [Expr::Wildcard] | [] => None,
-        [e] => Some(e),
-        _ => {
-            return Err(ExecError::Unsupported(format!(
-                "aggregate {name} with {} arguments",
-                args.len()
-            )))
-        }
-    };
-    let mut values: Vec<Value> = Vec::with_capacity(group.len());
-    for ctx in group {
-        match arg {
-            None => values.push(Value::Int(1)),
-            Some(e) => values.push(crate::exec::eval_scalar_pub(e, ctx)?),
-        }
+    group: &[&RowIds],
+) -> Result<Cell<'s>, ExecError> {
+    let mut values: Vec<Cell<'s>> = Vec::with_capacity(group.len());
+    for row in group {
+        values.push(match arg {
+            None => Cell::Int(1),
+            Some(e) => e.eval(row)?,
+        });
     }
     if arg.is_some() {
         // SQL aggregates skip NULLs.
         values.retain(|v| !v.is_null());
     }
     if distinct {
-        let mut seen: Vec<Value> = Vec::new();
-        values.retain(|v| {
-            if seen.iter().any(|s| s.sql_eq(v)) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
+        let mut kept: Vec<Cell<'s>> = Vec::with_capacity(values.len());
+        for v in values {
+            if !kept.iter().any(|s| s.sql_eq(&v)) {
+                kept.push(v);
             }
-        });
+        }
+        values = kept;
     }
-    let numeric = |v: &Value| -> Option<f64> {
-        match v {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    };
-    Ok(match name {
-        "count" => Value::Int(values.len() as i64),
-        "sum" => {
-            let mut acc = 0.0;
-            for v in &values {
-                acc += numeric(v)
-                    .ok_or_else(|| ExecError::Unsupported("SUM over non-numeric values".into()))?;
-            }
-            Value::Float(acc)
-        }
-        "avg" => {
-            if values.is_empty() {
-                Value::Null
-            } else {
-                let mut acc = 0.0;
-                for v in &values {
-                    acc += numeric(v).ok_or_else(|| {
-                        ExecError::Unsupported("AVG over non-numeric values".into())
-                    })?;
+    let sum = |what: &str| -> Result<f64, ExecError> {
+        let mut acc = 0.0;
+        for v in &values {
+            acc += match v {
+                Cell::Int(i) => *i as f64,
+                Cell::Float(f) => *f,
+                _ => {
+                    return Err(ExecError::Unsupported(format!(
+                        "{what} over non-numeric values"
+                    )))
                 }
-                Value::Float(acc / values.len() as f64)
-            }
+            };
         }
-        "min" | "max" => {
-            let mut best: Option<Value> = None;
+        Ok(acc)
+    };
+    Ok(match func {
+        AggFn::Count => Cell::Int(values.len() as i64),
+        AggFn::Sum => Cell::Float(sum("SUM")?),
+        AggFn::Avg if values.is_empty() => Cell::Null,
+        AggFn::Avg => Cell::Float(sum("AVG")? / values.len() as f64),
+        AggFn::Min | AggFn::Max => {
+            let want = if func == AggFn::Min {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Greater
+            };
+            let mut best: Option<Cell<'s>> = None;
             for v in values {
                 best = Some(match best {
-                    None => v,
-                    Some(b) => match v.compare(&b) {
-                        Some(std::cmp::Ordering::Less) if name == "min" => v,
-                        Some(std::cmp::Ordering::Greater) if name == "max" => v,
-                        _ => b,
-                    },
+                    Some(b) if v.compare(&b) != Some(want) => b,
+                    _ => v,
                 });
             }
-            best.unwrap_or(Value::Null)
+            best.unwrap_or(Cell::Null)
         }
-        other => return Err(ExecError::Unsupported(format!("aggregate {other}"))),
     })
-}
-
-/// Evaluates an expression in group context: aggregate calls range over the
-/// whole group; everything else is evaluated on the group's first row
-/// (i.e. must be group-constant, which GROUP BY columns are).
-pub fn eval_group_scalar(e: &Expr, group: &[&RowCtxView<'_, '_>]) -> Result<Value, ExecError> {
-    match e {
-        Expr::Function {
-            name,
-            args,
-            distinct,
-        } if is_aggregate_name(&name.last().normalized()) => {
-            eval_aggregate(&name.last().normalized(), args, *distinct, group)
-        }
-        Expr::Binary { left, op, right }
-            if matches!(
-                op,
-                BinaryOp::Plus | BinaryOp::Minus | BinaryOp::Multiply | BinaryOp::Divide
-            ) =>
-        {
-            let (a, b) = (
-                eval_group_scalar(left, group)?,
-                eval_group_scalar(right, group)?,
-            );
-            let (x, y) = match (a, b) {
-                (Value::Int(a), Value::Int(b)) => (a as f64, b as f64),
-                (Value::Float(a), Value::Float(b)) => (a, b),
-                (Value::Int(a), Value::Float(b)) => (a as f64, b),
-                (Value::Float(a), Value::Int(b)) => (a, b as f64),
-                _ => return Ok(Value::Null),
-            };
-            Ok(match op {
-                BinaryOp::Plus => Value::Float(x + y),
-                BinaryOp::Minus => Value::Float(x - y),
-                BinaryOp::Multiply => Value::Float(x * y),
-                _ => {
-                    if y == 0.0 {
-                        Value::Null
-                    } else {
-                        Value::Float(x / y)
-                    }
-                }
-            })
-        }
-        Expr::Nested(inner) => eval_group_scalar(inner, group),
-        other => {
-            let first = group
-                .first()
-                .ok_or_else(|| ExecError::Unsupported("empty group".into()))?;
-            crate::exec::eval_scalar_pub(other, first)
-        }
-    }
-}
-
-/// Evaluates a HAVING predicate over a group (three-valued; `None` = drop).
-pub fn eval_group_pred(e: &Expr, group: &[&RowCtxView<'_, '_>]) -> Result<Option<bool>, ExecError> {
-    match e {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            let (a, b) = (
-                eval_group_pred(left, group)?,
-                eval_group_pred(right, group)?,
-            );
-            Ok(match (a, b) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            })
-        }
-        Expr::Binary {
-            left,
-            op: BinaryOp::Or,
-            right,
-        } => {
-            let (a, b) = (
-                eval_group_pred(left, group)?,
-                eval_group_pred(right, group)?,
-            );
-            Ok(match (a, b) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            })
-        }
-        Expr::Unary {
-            op: UnaryOp::Not,
-            expr,
-        } => Ok(eval_group_pred(expr, group)?.map(|b| !b)),
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            let (a, b) = (
-                eval_group_scalar(left, group)?,
-                eval_group_scalar(right, group)?,
-            );
-            let Some(ord) = a.compare(&b) else {
-                return Ok(None);
-            };
-            Ok(Some(match op {
-                BinaryOp::Eq => ord.is_eq(),
-                BinaryOp::NotEq => !ord.is_eq(),
-                BinaryOp::Lt => ord.is_lt(),
-                BinaryOp::LtEq => ord.is_le(),
-                BinaryOp::Gt => ord.is_gt(),
-                BinaryOp::GtEq => ord.is_ge(),
-                _ => unreachable!(),
-            }))
-        }
-        Expr::Nested(inner) => eval_group_pred(inner, group),
-        other => Err(ExecError::Unsupported(format!(
-            "HAVING predicate {other:?}"
-        ))),
-    }
 }

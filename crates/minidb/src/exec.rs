@@ -6,8 +6,11 @@
 //! `LIMIT` and `ORDER BY` on plain columns. Anything else returns
 //! [`ExecError::Unsupported`] — honest refusal beats silent wrong answers.
 
+use crate::aggregate::GroupScalar;
+use crate::eval::{cmp_keys, literal_value, Binder, Level, Operand, Pred, RowIds, Scalar};
+use crate::ops::Candidates;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{Cell, Value};
 use sqlog_sql::ast::*;
 use std::collections::HashMap;
 use std::fmt;
@@ -55,343 +58,6 @@ pub(crate) struct Source<'a> {
     pub(crate) table: &'a Table,
 }
 
-/// A row under evaluation: one row id per source. Exposed crate-wide so the
-/// aggregate module can evaluate expressions per group member.
-pub struct RowCtxView<'a, 'b> {
-    sources: &'b [Source<'a>],
-    rows: &'b [usize],
-}
-
-/// Crate-internal constructor for the Volcano operators.
-pub(crate) fn row_ctx<'a, 'b>(sources: &'b [Source<'a>], rows: &'b [usize]) -> RowCtxView<'a, 'b> {
-    RowCtxView { sources, rows }
-}
-
-impl RowCtxView<'_, '_> {
-    fn resolve(&self, name: &ObjectName) -> Result<Value, ExecError> {
-        let col = name.last().normalized();
-        if let Some(qualifier) = name.qualifier().last() {
-            for (si, s) in self.sources.iter().enumerate() {
-                if s.binding.eq_ignore_ascii_case(&qualifier.value)
-                    || s.table.name.eq_ignore_ascii_case(&qualifier.value)
-                {
-                    let c = s
-                        .table
-                        .column(&col)
-                        .ok_or_else(|| ExecError::UnknownColumn(name.to_string()))?;
-                    return Ok(c.data.get(self.rows[si]));
-                }
-            }
-            return Err(ExecError::UnknownColumn(name.to_string()));
-        }
-        for (si, s) in self.sources.iter().enumerate() {
-            if let Some(c) = s.table.column(&col) {
-                return Ok(c.data.get(self.rows[si]));
-            }
-        }
-        Err(ExecError::UnknownColumn(name.to_string()))
-    }
-}
-
-pub(crate) fn literal_value(lit: &Literal) -> Value {
-    match lit {
-        Literal::Number(text) => {
-            if let Ok(i) = text.parse::<i64>() {
-                Value::Int(i)
-            } else if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-                i64::from_str_radix(hex, 16).map_or(Value::Null, Value::Int)
-            } else {
-                text.parse::<f64>().map_or(Value::Null, Value::Float)
-            }
-        }
-        Literal::String(s) => Value::Str(s.clone()),
-        Literal::Null => Value::Null,
-        Literal::Boolean(b) => Value::Int(i64::from(*b)),
-    }
-}
-
-/// Scalar evaluation.
-fn eval_scalar(expr: &Expr, ctx: &RowCtxView<'_, '_>) -> Result<Value, ExecError> {
-    match expr {
-        Expr::Column(name) => ctx.resolve(name),
-        Expr::Literal(lit) => Ok(literal_value(lit)),
-        Expr::Nested(inner) => eval_scalar(inner, ctx),
-        Expr::Unary {
-            op: UnaryOp::Minus,
-            expr,
-        } => match eval_scalar(expr, ctx)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(f) => Ok(Value::Float(-f)),
-            _ => Ok(Value::Null),
-        },
-        Expr::Unary {
-            op: UnaryOp::Plus,
-            expr,
-        } => eval_scalar(expr, ctx),
-        Expr::Binary { left, op, right }
-            if matches!(op, BinaryOp::BitAnd | BinaryOp::BitOr | BinaryOp::BitXor) =>
-        {
-            let (a, b) = (eval_scalar(left, ctx)?, eval_scalar(right, ctx)?);
-            match (a, b) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(match op {
-                    BinaryOp::BitAnd => a & b,
-                    BinaryOp::BitOr => a | b,
-                    _ => a ^ b,
-                })),
-                _ => Ok(Value::Null),
-            }
-        }
-        Expr::Binary { left, op, right }
-            if matches!(
-                op,
-                BinaryOp::Plus | BinaryOp::Minus | BinaryOp::Multiply | BinaryOp::Divide
-            ) =>
-        {
-            let (a, b) = (eval_scalar(left, ctx)?, eval_scalar(right, ctx)?);
-            let (a, b) = match (a, b) {
-                (Value::Int(a), Value::Int(b)) => (a as f64, b as f64),
-                (Value::Float(a), Value::Float(b)) => (a, b),
-                (Value::Int(a), Value::Float(b)) => (a as f64, b),
-                (Value::Float(a), Value::Int(b)) => (a, b as f64),
-                _ => return Ok(Value::Null),
-            };
-            let r = match op {
-                BinaryOp::Plus => a + b,
-                BinaryOp::Minus => a - b,
-                BinaryOp::Multiply => a * b,
-                _ => {
-                    if b == 0.0 {
-                        return Ok(Value::Null);
-                    }
-                    a / b
-                }
-            };
-            Ok(Value::Float(r))
-        }
-        Expr::Function {
-            name,
-            args,
-            distinct: false,
-        } => {
-            let fname = name.last().normalized();
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_scalar(a, ctx)?);
-            }
-            scalar_function(&fname, &vals)
-        }
-        other => Err(ExecError::Unsupported(format!(
-            "scalar expression {other:?}"
-        ))),
-    }
-}
-
-/// Built-in scalar functions: the numeric/string helpers that show up in
-/// logged SkyServer queries (`abs`, `floor`, `ceiling`, `sqrt`, `power`,
-/// `round`, `str`, `upper`, `lower`, `len`).
-fn scalar_function(name: &str, args: &[Value]) -> Result<Value, ExecError> {
-    let num = |v: &Value| -> Option<f64> {
-        match v {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    };
-    let unary_num = |f: fn(f64) -> f64| -> Result<Value, ExecError> {
-        match args {
-            [v] => Ok(num(v).map_or(Value::Null, |x| Value::Float(f(x)))),
-            _ => Err(ExecError::Unsupported(format!("{name} takes one argument"))),
-        }
-    };
-    match name {
-        "abs" => match args {
-            [Value::Int(i)] => Ok(Value::Int(i.abs())),
-            [v] => Ok(num(v).map_or(Value::Null, |x| Value::Float(x.abs()))),
-            _ => Err(ExecError::Unsupported("abs takes one argument".into())),
-        },
-        "floor" => unary_num(f64::floor),
-        "ceiling" | "ceil" => unary_num(f64::ceil),
-        "sqrt" => unary_num(f64::sqrt),
-        "round" => match args {
-            [v] => Ok(num(v).map_or(Value::Null, |x| Value::Float(x.round()))),
-            [v, d] => {
-                let (Some(x), Some(d)) = (num(v), num(d)) else {
-                    return Ok(Value::Null);
-                };
-                let m = 10f64.powi(d as i32);
-                Ok(Value::Float((x * m).round() / m))
-            }
-            _ => Err(ExecError::Unsupported("round takes 1–2 arguments".into())),
-        },
-        "power" => match args {
-            [a, b] => match (num(a), num(b)) {
-                (Some(x), Some(y)) => Ok(Value::Float(x.powf(y))),
-                _ => Ok(Value::Null),
-            },
-            _ => Err(ExecError::Unsupported("power takes two arguments".into())),
-        },
-        // SQL Server's `str(float [, length [, decimals]])`.
-        "str" => match args {
-            [] => Err(ExecError::Unsupported("str takes 1–3 arguments".into())),
-            [v, rest @ ..] if rest.len() <= 2 => {
-                let Some(x) = num(v) else {
-                    return Ok(Value::Null);
-                };
-                let decimals = rest.get(1).and_then(num).unwrap_or(0.0) as usize;
-                Ok(Value::Str(format!("{x:.decimals$}")))
-            }
-            _ => Err(ExecError::Unsupported("str takes 1–3 arguments".into())),
-        },
-        "upper" => match args {
-            [Value::Str(s)] => Ok(Value::Str(s.to_uppercase())),
-            [Value::Null] => Ok(Value::Null),
-            _ => Err(ExecError::Unsupported("upper takes one string".into())),
-        },
-        "lower" => match args {
-            [Value::Str(s)] => Ok(Value::Str(s.to_lowercase())),
-            [Value::Null] => Ok(Value::Null),
-            _ => Err(ExecError::Unsupported("lower takes one string".into())),
-        },
-        "len" | "length" => match args {
-            [Value::Str(s)] => Ok(Value::Int(s.chars().count() as i64)),
-            [Value::Null] => Ok(Value::Null),
-            _ => Err(ExecError::Unsupported("len takes one string".into())),
-        },
-        other => Err(ExecError::Unsupported(format!("function {other}"))),
-    }
-}
-
-/// Crate-internal re-export of scalar evaluation for the aggregate module.
-pub(crate) fn eval_scalar_pub(expr: &Expr, ctx: &RowCtxView<'_, '_>) -> Result<Value, ExecError> {
-    eval_scalar(expr, ctx)
-}
-
-/// Crate-internal re-export of predicate evaluation for the Volcano filter.
-pub(crate) fn eval_pred_pub(
-    expr: &Expr,
-    ctx: &RowCtxView<'_, '_>,
-) -> Result<Option<bool>, ExecError> {
-    eval_pred(expr, ctx)
-}
-
-/// SQL LIKE with `%` and `_`.
-fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[u8], p: &[u8]) -> bool {
-        match p.first() {
-            None => t.is_empty(),
-            Some(b'%') => (0..=t.len()).any(|k| rec(&t[k..], &p[1..])),
-            Some(b'_') => !t.is_empty() && rec(&t[1..], &p[1..]),
-            Some(&c) => !t.is_empty() && t[0].eq_ignore_ascii_case(&c) && rec(&t[1..], &p[1..]),
-        }
-    }
-    rec(text.as_bytes(), pattern.as_bytes())
-}
-
-/// Three-valued predicate evaluation (`None` = unknown).
-fn eval_pred(expr: &Expr, ctx: &RowCtxView<'_, '_>) -> Result<Option<bool>, ExecError> {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            let (a, b) = (eval_pred(left, ctx)?, eval_pred(right, ctx)?);
-            Ok(match (a, b) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            })
-        }
-        Expr::Binary {
-            left,
-            op: BinaryOp::Or,
-            right,
-        } => {
-            let (a, b) = (eval_pred(left, ctx)?, eval_pred(right, ctx)?);
-            Ok(match (a, b) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            })
-        }
-        Expr::Unary {
-            op: UnaryOp::Not,
-            expr,
-        } => Ok(eval_pred(expr, ctx)?.map(|b| !b)),
-        Expr::Binary { left, op, right } if op.is_comparison() => {
-            let (a, b) = (eval_scalar(left, ctx)?, eval_scalar(right, ctx)?);
-            let Some(ord) = a.compare(&b) else {
-                return Ok(None);
-            };
-            Ok(Some(match op {
-                BinaryOp::Eq => ord.is_eq(),
-                BinaryOp::NotEq => !ord.is_eq(),
-                BinaryOp::Lt => ord.is_lt(),
-                BinaryOp::LtEq => ord.is_le(),
-                BinaryOp::Gt => ord.is_gt(),
-                BinaryOp::GtEq => ord.is_ge(),
-                _ => unreachable!(),
-            }))
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_scalar(expr, ctx)?;
-            let (lo, hi) = (eval_scalar(low, ctx)?, eval_scalar(high, ctx)?);
-            let (Some(a), Some(b)) = (v.compare(&lo), v.compare(&hi)) else {
-                return Ok(None);
-            };
-            let inside = a.is_ge() && b.is_le();
-            Ok(Some(inside != *negated))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_scalar(expr, ctx)?;
-            if v.is_null() {
-                return Ok(None);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let w = eval_scalar(item, ctx)?;
-                if w.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&w) {
-                    return Ok(Some(!*negated));
-                }
-            }
-            if saw_null {
-                Ok(None)
-            } else {
-                Ok(Some(*negated))
-            }
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_scalar(expr, ctx)?;
-            Ok(Some(v.is_null() != *negated))
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let (v, p) = (eval_scalar(expr, ctx)?, eval_scalar(pattern, ctx)?);
-            match (v, p) {
-                (Value::Str(t), Value::Str(p)) => Ok(Some(like_match(&t, &p) != *negated)),
-                (Value::Null, _) | (_, Value::Null) => Ok(None),
-                _ => Ok(Some(*negated)),
-            }
-        }
-        Expr::Nested(inner) => eval_pred(inner, ctx),
-        other => Err(ExecError::Unsupported(format!("predicate {other:?}"))),
-    }
-}
-
 /// Index probe extracted from a WHERE clause: an equality or IN on a column.
 struct Probe {
     binding: String,
@@ -415,7 +81,7 @@ enum ProbePlan {
 
 /// Finds integer bounds on a range-indexed column among the conjuncts
 /// (`h >= a AND h <= b`, `h BETWEEN a AND b`, one-sided comparisons).
-fn find_range_probe(selection: &Expr, sources: &[Source<'_>]) -> Option<RangeProbe> {
+fn find_range_probe(conjuncts: &[&Expr], sources: &[Source<'_>]) -> Option<RangeProbe> {
     fn int_lit(e: &Expr) -> Option<i64> {
         match e {
             Expr::Literal(Literal::Number(n)) => n.parse().ok(),
@@ -447,7 +113,7 @@ fn find_range_probe(selection: &Expr, sources: &[Source<'_>]) -> Option<RangePro
             e.1 = Some(e.1.map_or(hi, |old: i64| old.min(hi)));
         }
     };
-    for conj in selection.conjuncts() {
+    for &conj in conjuncts {
         match conj {
             Expr::Binary { left, op, right } if op.is_comparison() => {
                 // Normalize to column-on-the-left.
@@ -520,8 +186,8 @@ fn find_range_probe(selection: &Expr, sources: &[Source<'_>]) -> Option<RangePro
 }
 
 /// Finds an indexable conjunct for any of the sources.
-fn find_probe(selection: &Expr, sources: &[Source<'_>]) -> Option<Probe> {
-    for conj in selection.conjuncts() {
+fn find_probe(conjuncts: &[&Expr], sources: &[Source<'_>]) -> Option<Probe> {
+    for &conj in conjuncts {
         let (name, values) = match conj {
             Expr::Binary {
                 left,
@@ -600,7 +266,7 @@ pub fn execute_naive(
 
     // Bind the FROM clause.
     let mut sources: Vec<Source<'_>> = Vec::new();
-    let mut join_on: Vec<Expr> = Vec::new();
+    let mut join_on: Vec<&Expr> = Vec::new();
     let mut derived_cursor = 0usize;
     for t in &body.from {
         bind_table_ref(
@@ -620,49 +286,49 @@ pub fn execute_naive(
     if sources.len() > 2 {
         return Err(ExecError::Unsupported(">2-way joins".into()));
     }
+    let bound = BoundQuery::bind(query, &sources, &join_on);
 
-    // Combined predicate: WHERE plus any JOIN ... ON conditions.
-    let mut predicate = body.selection.clone();
-    for on in join_on {
-        predicate = Some(match predicate {
-            Some(p) => Expr::and(p, on),
-            None => on,
-        });
-    }
+    // The conjuncts of WHERE and of any JOIN ... ON conditions.
+    let mut conjuncts: Vec<&Expr> = body.selection.iter().flat_map(Expr::conjuncts).collect();
+    conjuncts.extend(join_on.iter().flat_map(|on| on.conjuncts()));
 
     // Candidate rows via an index probe: point (hash) first, else range
     // (ordered) — the access paths behind the §6.3 cost asymmetry.
-    let plan = predicate.as_ref().and_then(|p| {
-        find_probe(p, &sources)
-            .map(ProbePlan::Point)
-            .or_else(|| find_range_probe(p, &sources).map(ProbePlan::Range))
-    });
+    let plan = find_probe(&conjuncts, &sources)
+        .map(ProbePlan::Point)
+        .or_else(|| find_range_probe(&conjuncts, &sources).map(ProbePlan::Range));
     let mut scanned = 0usize;
     let used_index;
 
     // Enumerate candidate row combinations.
-    #[allow(unused_mut)]
-    let mut matches: Vec<Vec<usize>> = Vec::new();
-    let enumerate_rows = |s: &Source<'_>, plan: &Option<ProbePlan>| -> (Vec<usize>, bool) {
+    let mut matches: Vec<RowIds> = Vec::new();
+    let keep = |ids: &RowIds| -> Result<bool, ExecError> {
+        Ok(match &bound.filter {
+            Some(p) => p.eval(&|s| s.eval(ids))? == Some(true),
+            None => true,
+        })
+    };
+    let enumerate_rows = |s: &Source<'_>, plan: &Option<ProbePlan>| -> (Candidates<'_>, bool) {
+        let all = Candidates::All(s.table.rows());
         match plan {
             Some(ProbePlan::Point(p)) if p.binding == s.binding => {
                 let mut rows = Vec::new();
                 for v in &p.values {
                     if let Some(ids) = s.table.index_lookup(&p.column, v) {
-                        rows.extend(ids.iter().map(|&r| r as usize));
+                        rows.extend_from_slice(ids);
                     }
                 }
                 rows.sort_unstable();
                 rows.dedup();
-                (rows, true)
+                (Candidates::Rows(rows), true)
             }
             Some(ProbePlan::Range(p)) if p.binding == s.binding => {
                 match s.table.range_lookup(&p.column, p.lo, p.hi) {
-                    Some(rows) => (rows.into_iter().map(|r| r as usize).collect(), true),
-                    None => ((0..s.table.rows()).collect(), false),
+                    Some(rows) => (Candidates::Rows(rows), true),
+                    None => (all, false),
                 }
             }
-            _ => ((0..s.table.rows()).collect(), false),
+            _ => (all, false),
         }
     };
 
@@ -671,17 +337,9 @@ pub fn execute_naive(
             let (rows, via_index) = enumerate_rows(&sources[0], &plan);
             used_index = via_index;
             scanned += rows.len();
-            for r in rows {
-                let ctx = RowCtxView {
-                    sources: &sources,
-                    rows: &[r],
-                };
-                let keep = match &predicate {
-                    Some(p) => eval_pred(p, &ctx)? == Some(true),
-                    None => true,
-                };
-                if keep {
-                    matches.push(vec![r]);
+            for r in rows.iter() {
+                if keep(&[r, 0])? {
+                    matches.push([r, 0]);
                 }
             }
         }
@@ -691,63 +349,49 @@ pub fn execute_naive(
             used_index = left_idx;
             // Try to accelerate the inner side with an equi-join index:
             // find `a.col = b.col` in the predicate.
-            let join_cols = predicate
-                .as_ref()
-                .map(|p| find_equi_join(p, &sources))
-                .unwrap_or_default();
-            for lr in left_rows {
+            let join_cols = find_equi_join(&conjuncts, &sources);
+            let inner_table = sources[1].table;
+            for lr in left_rows.iter() {
                 scanned += 1;
-                let inner: Vec<usize> = if let Some((lcol, rcol)) = &join_cols {
+                let probed = join_cols.as_ref().and_then(|(lcol, rcol)| {
                     let lval = sources[0]
                         .table
                         .column(lcol)
-                        .map(|c| c.data.get(lr))
-                        .unwrap_or(Value::Null);
-                    match sources[1].table.index_lookup(rcol, &lval) {
-                        Some(ids) => ids.iter().map(|&r| r as usize).collect(),
-                        None => (0..sources[1].table.rows()).collect(),
-                    }
-                } else {
-                    (0..sources[1].table.rows()).collect()
-                };
-                for rr in inner {
+                        .map_or(Value::Null, |c| c.data.get(lr));
+                    inner_table.index_lookup(rcol, &lval)
+                });
+                let inner =
+                    probed.map_or_else(|| Candidates::All(inner_table.rows()), Candidates::Index);
+                for rr in inner.iter() {
                     scanned += 1;
-                    let ctx = RowCtxView {
-                        sources: &sources,
-                        rows: &[lr, rr],
-                    };
-                    let keep = match &predicate {
-                        Some(p) => eval_pred(p, &ctx)? == Some(true),
-                        None => true,
-                    };
-                    if keep {
-                        matches.push(vec![lr, rr]);
+                    if keep(&[lr, rr])? {
+                        matches.push([lr, rr]);
                     }
                 }
             }
         }
     }
 
-    finish_rows(query, &sources, matches, scanned, used_index).map(|(r, _)| r)
+    finish_rows(query, &bound, &sources, matches, scanned, used_index).map(|(r, _)| r)
+}
+
+/// The name of a projected expression's output column.
+fn output_name(expr: &Expr, alias: &Option<Ident>) -> String {
+    alias
+        .as_ref()
+        .map_or_else(|| expr.to_string(), |a| a.value.clone())
 }
 
 /// Evaluates a FROM-less projection (`SELECT 1`). Shared by both executors.
 pub(crate) fn constant_result(body: &Select) -> Result<ExecResult, ExecError> {
-    let ctx = RowCtxView {
-        sources: &[],
-        rows: &[],
-    };
+    let binder = Binder { sources: &[] };
     let mut row = Vec::new();
     let mut names = Vec::new();
     for item in &body.projection {
         match item {
             SelectItem::Expr { expr, alias } => {
-                row.push(eval_scalar(expr, &ctx)?);
-                names.push(
-                    alias
-                        .as_ref()
-                        .map_or_else(|| expr.to_string(), |a| a.value.clone()),
-                );
+                row.push(binder.scalar(expr).eval(&[0, 0])?.into_value());
+                names.push(output_name(expr, alias));
             }
             _ => return Err(ExecError::Unsupported("wildcard without FROM".into())),
         }
@@ -758,6 +402,136 @@ pub(crate) fn constant_result(body: &Select) -> Result<ExecResult, ExecError> {
         scanned_rows: 0,
         used_index: false,
     })
+}
+
+/// A query's expressions bound to its sources, once, for both executors
+/// (see [`crate::eval`]).
+pub(crate) struct BoundQuery<'a> {
+    /// WHERE AND-ed with the JOIN ... ON conditions, in that order.
+    pub(crate) filter: Option<Pred<Scalar<'a>>>,
+    /// ORDER BY over matched rows, projection aliases resolved.
+    sort_keys: Vec<Scalar<'a>>,
+    output: Output<'a>,
+}
+
+/// How matched rows become result rows.
+enum Output<'a> {
+    /// One result row per match.
+    Rows(Vec<Item<'a>>),
+    /// GROUP BY, HAVING or an aggregate projection.
+    Groups(Box<Grouping<'a>>),
+}
+
+/// One bound projection item of an ungrouped query.
+enum Item<'a> {
+    /// `*`: every column of every source.
+    All,
+    /// `q.*`: every column of one source.
+    Source(usize),
+    Expr(Scalar<'a>),
+    /// `q.*` naming no source.
+    Fail(ExecError),
+}
+
+/// The bound parts of a grouped query.
+struct Grouping<'a> {
+    /// GROUP BY, over matched rows.
+    keys: Vec<Scalar<'a>>,
+    having: Option<Pred<GroupScalar<'a>>>,
+    /// `None` when the projection has a wildcard, which is an error once
+    /// the groups are formed.
+    projection: Option<Vec<GroupScalar<'a>>>,
+    /// ORDER BY over groups.
+    sort_keys: Vec<GroupScalar<'a>>,
+}
+
+impl<'a> BoundQuery<'a> {
+    /// Binds every expression of `query` the executors evaluate.
+    pub(crate) fn bind(query: &Query, sources: &[Source<'a>], join_on: &[&Expr]) -> Self {
+        let b = Binder { sources };
+        let body = &query.body;
+        let mut filter = body.selection.as_ref().map(|e| b.pred(e));
+        for on in join_on {
+            let on = b.pred(on);
+            filter = Some(match filter {
+                Some(p) => Pred::junction(false, p, on),
+                None => on,
+            });
+        }
+
+        // Projection aliases are resolved to their expressions
+        // (`SELECT u - g AS ug ... ORDER BY ug`), so non-projected columns
+        // and aliases alike are valid sort keys.
+        let alias_of = |name: &ObjectName| -> Option<&Expr> {
+            if !name.qualifier().is_empty() {
+                return None;
+            }
+            body.projection.iter().find_map(|item| match item {
+                SelectItem::Expr {
+                    expr,
+                    alias: Some(a),
+                } if a == name.last() => Some(expr),
+                _ => None,
+            })
+        };
+        let sort_keys = query
+            .order_by
+            .iter()
+            .map(|item| {
+                b.scalar(match &item.expr {
+                    Expr::Column(name) => alias_of(name).unwrap_or(&item.expr),
+                    other => other,
+                })
+            })
+            .collect();
+
+        let grouped = !body.group_by.is_empty()
+            || body.having.is_some()
+            || crate::aggregate::projection_has_aggregate(&body.projection);
+        let output = if grouped {
+            let group = |e: &Expr| GroupScalar::bind(&b, e);
+            Output::Groups(Box::new(Grouping {
+                keys: body.group_by.iter().map(|e| b.scalar(e)).collect(),
+                having: body
+                    .having
+                    .as_ref()
+                    .map(|h| Pred::bind(h, &group, Level::Group)),
+                projection: body
+                    .projection
+                    .iter()
+                    .map(|item| match item {
+                        SelectItem::Expr { expr, .. } => Some(group(expr)),
+                        _ => None,
+                    })
+                    .collect(),
+                sort_keys: query.order_by.iter().map(|o| group(&o.expr)).collect(),
+            }))
+        } else {
+            Output::Rows(
+                body.projection
+                    .iter()
+                    .map(|item| match item {
+                        SelectItem::Wildcard => Item::All,
+                        SelectItem::QualifiedWildcard(q) => {
+                            let binding = q.last().normalized();
+                            match sources.iter().position(|s| {
+                                s.binding.eq_ignore_ascii_case(&binding) || s.table.name == binding
+                            }) {
+                                Some(si) => Item::Source(si),
+                                None => Item::Fail(ExecError::UnknownTable(binding)),
+                            }
+                        }
+                        SelectItem::Expr { expr, .. } => Item::Expr(b.scalar(expr)),
+                    })
+                    .collect(),
+            )
+        };
+        BoundQuery {
+            filter,
+            sort_keys,
+            output,
+        }
+    }
 }
 
 /// Row counts through the result tail, for operator-level reporting:
@@ -775,144 +549,35 @@ pub(crate) struct TailCounts {
 /// makes their result rows comparable bit-for-bit.
 pub(crate) fn finish_rows(
     query: &Query,
+    bound: &BoundQuery<'_>,
     sources: &[Source<'_>],
-    mut matches: Vec<Vec<usize>>,
+    mut matches: Vec<RowIds>,
     scanned: usize,
     used_index: bool,
 ) -> Result<(ExecResult, TailCounts), ExecError> {
     let body = &query.body;
 
-    // ORDER BY: sort the matched source rows, so non-projected columns are
-    // valid sort keys. Projection aliases are resolved to their expressions
-    // (`SELECT u - g AS ug ... ORDER BY ug`).
-    if !query.order_by.is_empty() {
-        let alias_of = |name: &ObjectName| -> Option<&Expr> {
-            if !name.qualifier().is_empty() {
-                return None;
-            }
-            body.projection.iter().find_map(|item| match item {
-                SelectItem::Expr {
-                    expr,
-                    alias: Some(a),
-                } if a == name.last() => Some(expr),
-                _ => None,
-            })
-        };
-        let sort_exprs: Vec<&Expr> = query
-            .order_by
-            .iter()
-            .map(|item| match &item.expr {
-                Expr::Column(name) => alias_of(name).unwrap_or(&item.expr),
-                other => other,
-            })
-            .collect();
-        let mut keyed: Vec<(Vec<Value>, Vec<usize>)> = Vec::with_capacity(matches.len());
-        for m in matches {
-            let ctx = RowCtxView { sources, rows: &m };
-            let mut keys = Vec::with_capacity(sort_exprs.len());
-            for expr in &sort_exprs {
-                keys.push(eval_scalar(expr, &ctx)?);
-            }
-            keyed.push((keys, m));
-        }
-        let dirs: Vec<bool> = query
-            .order_by
-            .iter()
-            .map(|o| o.asc.unwrap_or(true))
-            .collect();
-        keyed.sort_by(|a, b| {
-            for (i, &asc) in dirs.iter().enumerate() {
-                let ord = a.0[i].compare(&b.0[i]).unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if asc { ord } else { ord.reverse() };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        matches = keyed.into_iter().map(|(_, m)| m).collect();
-    }
-
-    // Grouped / aggregate path (GROUP BY, HAVING, or aggregate projection).
-    if !body.group_by.is_empty()
-        || body.having.is_some()
-        || crate::aggregate::projection_has_aggregate(&body.projection)
-    {
-        return execute_grouped(query, sources, &matches, scanned, used_index);
-    }
-
-    // Projection.
-    let mut columns: Vec<String> = Vec::new();
-    let mut projected: Vec<Vec<Value>> = Vec::with_capacity(matches.len());
-    for (mi, m) in matches.iter().enumerate() {
-        let ctx = RowCtxView { sources, rows: m };
-        let mut row = Vec::new();
-        for item in &body.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for (si, s) in sources.iter().enumerate() {
-                        for c in &s.table.columns {
-                            if mi == 0 {
-                                columns.push(c.name.clone());
-                            }
-                            row.push(c.data.get(m[si]));
-                        }
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let binding = q.last().normalized();
-                    let Some((si, s)) = sources.iter().enumerate().find(|(_, s)| {
-                        s.binding.eq_ignore_ascii_case(&binding) || s.table.name == binding
-                    }) else {
-                        return Err(ExecError::UnknownTable(binding));
-                    };
-                    for c in &s.table.columns {
-                        if mi == 0 {
-                            columns.push(c.name.clone());
-                        }
-                        row.push(c.data.get(m[si]));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    if mi == 0 {
-                        columns.push(
-                            alias
-                                .as_ref()
-                                .map_or_else(|| expr.to_string(), |a| a.value.clone()),
-                        );
-                    }
-                    row.push(eval_scalar(expr, &ctx)?);
-                }
+    // ORDER BY: sort the matched source rows (stably, by key tuple).
+    if !bound.sort_keys.is_empty() {
+        let k = bound.sort_keys.len();
+        let mut keys: Vec<Cell<'_>> = Vec::with_capacity(matches.len() * k);
+        for m in &matches {
+            for e in &bound.sort_keys {
+                keys.push(e.eval(m)?);
             }
         }
-        projected.push(row);
-    }
-    if matches.is_empty() {
-        // Still produce column names for an empty result.
-        for item in &body.projection {
-            match item {
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                    for s in sources {
-                        for c in &s.table.columns {
-                            columns.push(c.name.clone());
-                        }
-                    }
-                }
-                SelectItem::Expr { expr, alias } => columns.push(
-                    alias
-                        .as_ref()
-                        .map_or_else(|| expr.to_string(), |a| a.value.clone()),
-                ),
-            }
-        }
+        let asc = sort_directions(query);
+        let mut order: Vec<usize> = (0..matches.len()).collect();
+        order.sort_by(|&a, &b| cmp_keys(&keys[a * k..][..k], &keys[b * k..][..k], &asc));
+        matches = order.into_iter().map(|i| matches[i]).collect();
     }
 
-    // DISTINCT: drop later duplicates, keeping (sorted) order.
-    let pre_distinct = projected.len();
-    if body.distinct {
-        dedup_rows(&mut projected);
-    }
-    let pre_limit = projected.len();
+    let items = match &bound.output {
+        Output::Groups(grouping) => {
+            return execute_grouped(query, grouping, &matches, scanned, used_index)
+        }
+        Output::Rows(items) => items,
+    };
 
     // TOP / LIMIT.
     let limit = body
@@ -927,6 +592,65 @@ pub(crate) fn finish_rows(
             },
             _ => None,
         });
+
+    // Column names; a `q.*` of an empty result lists every source's columns.
+    let mut columns: Vec<String> = Vec::new();
+    let every_column = sources
+        .iter()
+        .flat_map(|s| s.table.columns.iter().map(|c| c.name.clone()));
+    for (item, select) in items.iter().zip(&body.projection) {
+        match (item, select) {
+            (_, SelectItem::Expr { expr, alias }) => columns.push(output_name(expr, alias)),
+            (Item::Source(si), _) if !matches.is_empty() => {
+                columns.extend(sources[*si].table.columns.iter().map(|c| c.name.clone()))
+            }
+            _ => columns.extend(every_column.clone()),
+        }
+    }
+
+    // Projection. Matches past the limit are projected only where DISTINCT
+    // needs them or where projecting them could fail: the error must surface.
+    let infallible = items.iter().all(|item| match item {
+        Item::Expr(e) => !e.can_fail(),
+        Item::Fail(_) => false,
+        Item::All | Item::Source(_) => true,
+    });
+    let needed = match limit {
+        Some(n) if !body.distinct && infallible => n.min(matches.len()),
+        _ => matches.len(),
+    };
+    let mut projected: Vec<Vec<Value>> = Vec::with_capacity(needed);
+    for m in &matches[..needed] {
+        let mut row = Vec::with_capacity(columns.len());
+        for item in items {
+            match item {
+                Item::All => {
+                    for (si, s) in sources.iter().enumerate() {
+                        row.extend(s.table.columns.iter().map(|c| c.data.get(m[si])));
+                    }
+                }
+                Item::Source(si) => row.extend(
+                    sources[*si]
+                        .table
+                        .columns
+                        .iter()
+                        .map(|c| c.data.get(m[*si])),
+                ),
+                Item::Expr(e) => row.push(e.eval(m)?.into_value()),
+                Item::Fail(e) => return Err(e.clone()),
+            }
+        }
+        projected.push(row);
+    }
+
+    // DISTINCT: drop later duplicates, keeping (sorted) order.
+    let pre_distinct = matches.len();
+    let pre_limit = if body.distinct {
+        dedup_rows(&mut projected);
+        projected.len()
+    } else {
+        matches.len()
+    };
     if let Some(n) = limit {
         projected.truncate(n);
     }
@@ -945,12 +669,21 @@ pub(crate) fn finish_rows(
     ))
 }
 
+/// ORDER BY directions, true for ascending.
+fn sort_directions(query: &Query) -> Vec<bool> {
+    query
+        .order_by
+        .iter()
+        .map(|o| o.asc.unwrap_or(true))
+        .collect()
+}
+
 /// Finds an `a.col = b.col` equi-join conjunct where `b`'s column is indexed.
-fn find_equi_join(predicate: &Expr, sources: &[Source<'_>]) -> Option<(String, String)> {
+fn find_equi_join(conjuncts: &[&Expr], sources: &[Source<'_>]) -> Option<(String, String)> {
     if sources.len() != 2 {
         return None;
     }
-    for conj in predicate.conjuncts() {
+    for &conj in conjuncts {
         if let Expr::Binary {
             left,
             op: BinaryOp::Eq,
@@ -984,13 +717,13 @@ fn find_equi_join(predicate: &Expr, sources: &[Source<'_>]) -> Option<(String, S
     None
 }
 
-pub(crate) fn bind_table_ref<'a>(
-    t: &TableRef,
+pub(crate) fn bind_table_ref<'a, 'q>(
+    t: &'q TableRef,
     tables: &'a HashMap<String, Table>,
     arena: &'a [Table],
     derived_cursor: &mut usize,
     sources: &mut Vec<Source<'a>>,
-    join_on: &mut Vec<Expr>,
+    join_on: &mut Vec<&'q Expr>,
 ) -> Result<(), ExecError> {
     match t {
         TableRef::Table { name, alias } => {
@@ -1015,7 +748,7 @@ pub(crate) fn bind_table_ref<'a>(
             bind_table_ref(left, tables, arena, derived_cursor, sources, join_on)?;
             bind_table_ref(right, tables, arena, derived_cursor, sources, join_on)?;
             if let Some(on) = constraint {
-                join_on.push(on.clone());
+                join_on.push(on);
             }
             Ok(())
         }
@@ -1130,78 +863,66 @@ pub(crate) fn materialize(name: &str, result: &ExecResult) -> Table {
 /// Executes the grouped / aggregate path over the matched rows.
 fn execute_grouped(
     query: &Query,
-    sources: &[Source<'_>],
-    matches: &[Vec<usize>],
+    grouping: &Grouping<'_>,
+    matches: &[RowIds],
     scanned: usize,
     used_index: bool,
 ) -> Result<(ExecResult, TailCounts), ExecError> {
-    use crate::aggregate::{eval_group_pred, eval_group_scalar};
     let body = &query.body;
-
-    // Per-match row contexts.
-    let ctxs: Vec<RowCtxView<'_, '_>> = matches
-        .iter()
-        .map(|m| RowCtxView { sources, rows: m })
-        .collect();
 
     // Partition into groups by the rendered GROUP BY key (empty GROUP BY →
     // one global group, present even with zero input rows, so that
     // `SELECT count(*) ...` over an empty match set yields a single 0 row).
     let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, Vec<&RowCtxView<'_, '_>>> = HashMap::new();
-    if body.group_by.is_empty() {
+    let mut groups: HashMap<String, Vec<&RowIds>> = HashMap::new();
+    if grouping.keys.is_empty() {
         order.push(String::new());
-        groups.insert(String::new(), ctxs.iter().collect());
+        groups.insert(String::new(), matches.iter().collect());
     } else {
-        for ctx in &ctxs {
+        for m in matches {
             let mut key = String::new();
-            for e in &body.group_by {
+            for e in &grouping.keys {
                 use std::fmt::Write as _;
-                let _ = write!(key, "{}\u{1f}", eval_scalar(e, ctx)?);
+                let _ = write!(key, "{}\u{1f}", e.eval(m)?);
             }
             if !groups.contains_key(&key) {
                 order.push(key.clone());
             }
-            groups.entry(key).or_default().push(ctx);
+            groups.entry(key).or_default().push(m);
         }
     }
 
     // Project each surviving group.
-    let mut columns: Vec<String> = Vec::new();
-    for item in &body.projection {
-        match item {
-            SelectItem::Expr { expr, alias } => columns.push(
-                alias
-                    .as_ref()
-                    .map_or_else(|| expr.to_string(), |a| a.value.clone()),
-            ),
-            _ => {
-                return Err(ExecError::Unsupported(
-                    "wildcard projection in a grouped query".into(),
-                ))
-            }
-        }
-    }
+    let Some(projection) = &grouping.projection else {
+        return Err(ExecError::Unsupported(
+            "wildcard projection in a grouped query".into(),
+        ));
+    };
+    let columns: Vec<String> = body
+        .projection
+        .iter()
+        .filter_map(|item| match item {
+            SelectItem::Expr { expr, alias } => Some(output_name(expr, alias)),
+            _ => None,
+        })
+        .collect();
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(order.len());
-    let mut sort_keys: Vec<Vec<Value>> = Vec::new();
+    let mut sort_keys: Vec<Vec<Cell<'_>>> = Vec::new();
     for key in &order {
-        let group = &groups[key];
-        if let Some(h) = &body.having {
-            if eval_group_pred(h, group)? != Some(true) {
+        let group = groups[key].as_slice();
+        if let Some(h) = &grouping.having {
+            if h.eval(&|e| e.eval(group))? != Some(true) {
                 continue;
             }
         }
-        let mut row = Vec::with_capacity(body.projection.len());
-        for item in &body.projection {
-            let SelectItem::Expr { expr, .. } = item else {
-                unreachable!()
-            };
-            row.push(eval_group_scalar(expr, group)?);
+        let mut row = Vec::with_capacity(projection.len());
+        for e in projection {
+            row.push(e.eval(group)?.into_value());
         }
-        if !query.order_by.is_empty() {
-            let mut keys = Vec::with_capacity(query.order_by.len());
-            for o in &query.order_by {
-                keys.push(eval_group_scalar(&o.expr, group)?);
+        if !grouping.sort_keys.is_empty() {
+            let mut keys = Vec::with_capacity(grouping.sort_keys.len());
+            for e in &grouping.sort_keys {
+                keys.push(e.eval(group)?);
             }
             sort_keys.push(keys);
         }
@@ -1209,23 +930,10 @@ fn execute_grouped(
     }
 
     // ORDER BY over group-level keys.
-    if !query.order_by.is_empty() {
-        let dirs: Vec<bool> = query
-            .order_by
-            .iter()
-            .map(|o| o.asc.unwrap_or(true))
-            .collect();
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = sort_keys.into_iter().zip(rows).collect();
-        keyed.sort_by(|a, b| {
-            for (i, &asc) in dirs.iter().enumerate() {
-                let ord = a.0[i].compare(&b.0[i]).unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if asc { ord } else { ord.reverse() };
-                if !ord.is_eq() {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+    if !grouping.sort_keys.is_empty() {
+        let asc = sort_directions(query);
+        let mut keyed: Vec<(Vec<Cell<'_>>, Vec<Value>)> = sort_keys.into_iter().zip(rows).collect();
+        keyed.sort_by(|a, b| cmp_keys(&a.0, &b.0, &asc));
         rows = keyed.into_iter().map(|(_, r)| r).collect();
     }
 

@@ -23,6 +23,7 @@ pub mod aggregate;
 pub mod cost;
 pub mod datagen;
 pub mod engine;
+mod eval;
 pub mod exec;
 pub mod ops;
 pub mod plan;

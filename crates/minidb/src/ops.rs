@@ -15,14 +15,13 @@
 //! actually examined — the quantity the cost model bills (a seek touching 3
 //! rows of a million-row table is billed as 3, not 1 000 000).
 
+use crate::eval::{Pred, RowIds, Scalar};
 use crate::exec::{
-    bind_table_ref, constant_result, eval_pred_pub, materialize, row_ctx, ExecError, ExecResult,
-    Source,
+    bind_table_ref, constant_result, materialize, BoundQuery, ExecError, ExecResult, Source,
 };
 use crate::plan::{plan_query, Access, PlanNode, QueryPlan, ScanPlan};
 use crate::stats::{analyze, TableStats};
-use crate::table::Table;
-use crate::value::Value;
+use crate::table::{index_on, ColumnData, IndexKey, Table};
 use sqlog_obs::Json;
 use sqlog_sql::ast::{Expr, Query, TableRef};
 use std::collections::HashMap;
@@ -148,9 +147,9 @@ pub fn execute_planned_with_stats(
         collect_derived_planned(t, tables, stats, &mut arena)?;
     }
 
-    // Bind the FROM clause.
+    // Bind the FROM clause, then every expression against it.
     let mut sources: Vec<Source<'_>> = Vec::new();
-    let mut join_on: Vec<Expr> = Vec::new();
+    let mut join_on: Vec<&Expr> = Vec::new();
     let mut derived_cursor = 0usize;
     for t in &body.from {
         bind_table_ref(
@@ -181,15 +180,7 @@ pub fn execute_planned_with_stats(
         };
         return Ok(PlannedExec { result, plan, ops });
     }
-
-    // Combined predicate, exactly as the naive executor builds it.
-    let mut predicate = body.selection.clone();
-    for on in join_on {
-        predicate = Some(match predicate {
-            Some(p) => Expr::and(p, on),
-            None => on,
-        });
-    }
+    let bound = BoundQuery::bind(query, &sources, &join_on);
 
     // Assemble the pipeline from the plan's scan topology and drain it.
     let counters;
@@ -213,42 +204,41 @@ pub fn execute_planned_with_stats(
                     return Err(ExecError::Unsupported("join of non-scans".into()));
                 };
                 used_index = osp.access.is_seek() || probe.is_some() || isp.access.is_seek();
+                let (outer_table, inner_table) = (sources[0].table, sources[1].table);
+                // With no equi-join probe the inner side re-walks its (fixed)
+                // best access path per outer row. It starts exhausted, so
+                // the first outer row rewinds it.
+                let mut inner = ScanOp::new(match probe {
+                    Some(_) => Candidates::All(0),
+                    None => scan_candidates(inner_table, &isp.access),
+                });
+                inner.pos = inner.ids.len();
                 BaseOp::Join {
-                    outer: ScanOp::new(scan_candidates(sources[0].table, &osp.access)),
-                    outer_table: sources[0].table,
-                    inner_table: sources[1].table,
-                    probe: probe.as_ref(),
-                    // With no equi-join probe the inner side re-enumerates
-                    // its (fixed) best access path per outer row.
-                    inner_base: if probe.is_none() {
-                        Some(scan_candidates(sources[1].table, &isp.access))
-                    } else {
-                        None
-                    },
+                    outer: ScanOp::new(scan_candidates(outer_table, &osp.access)),
+                    inner,
+                    probe: probe.as_ref().map(|(ocol, icol)| JoinProbe {
+                        outer: outer_table.column(ocol).map(|c| &c.data),
+                        index: index_on(&inner_table.indexes, icol),
+                        inner_rows: inner_table.rows(),
+                    }),
                     cur_outer: 0,
-                    inner: Vec::new().into_iter(),
-                    inner_count: 0,
-                    produced: 0,
                 }
             }
             _ => return Err(ExecError::Unsupported("plan without a scan".into())),
         };
         let mut filter = FilterOp {
             input,
-            predicate: predicate.as_ref(),
-            sources: &sources,
+            filter: bound.filter.as_ref(),
             consumed: 0,
             produced: 0,
         };
-        let mut out: Vec<Vec<usize>> = Vec::new();
+        let mut out: Vec<RowIds> = Vec::new();
         while let Some(m) = filter.next()? {
             out.push(m);
         }
         let (outer_scanned, inner_scanned, tuples) = match filter.input {
             BaseOp::Single(s) => (s.count, 0, filter.consumed),
-            BaseOp::Join {
-                outer, inner_count, ..
-            } => (outer.count, inner_count, filter.consumed),
+            BaseOp::Join { outer, inner, .. } => (outer.count, inner.count, filter.consumed),
         };
         counters = Counters {
             outer_scanned,
@@ -263,7 +253,8 @@ pub fn execute_planned_with_stats(
     }
 
     let scanned = (counters.outer_scanned + counters.inner_scanned) as usize;
-    let (result, tail) = crate::exec::finish_rows(query, &sources, matches, scanned, used_index)?;
+    let (result, tail) =
+        crate::exec::finish_rows(query, &bound, &sources, matches, scanned, used_index)?;
     let counters = Counters {
         pre_distinct: tail.pre_distinct as u64,
         pre_limit: tail.pre_limit as u64,
@@ -310,111 +301,160 @@ fn base_of(root: &PlanNode) -> &PlanNode {
     }
 }
 
-/// Candidate row ids for an access path, in ascending row-id order — the
-/// same order every naive access path produces, which keeps planned and
-/// naive result rows identical even without ORDER BY.
-fn scan_candidates(table: &Table, access: &Access) -> Vec<usize> {
-    match access {
-        Access::PkSeek { column, keys } | Access::IndexSeek { column, keys } => {
-            let mut rows = Vec::new();
-            for v in keys {
-                if let Some(ids) = table.index_lookup(column, v) {
-                    rows.extend(ids.iter().map(|&r| r as usize));
-                }
-            }
-            rows.sort_unstable();
-            rows.dedup();
-            rows
+/// Candidate row ids of one scan, ascending.
+pub(crate) enum Candidates<'a> {
+    /// Every row of a table with this many rows.
+    All(usize),
+    /// One hash-index entry, read in place.
+    Index(&'a [u32]),
+    /// Collected ids.
+    Rows(Vec<u32>),
+}
+
+impl Candidates<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Candidates::All(n) => *n,
+            Candidates::Index(ids) => ids.len(),
+            Candidates::Rows(ids) => ids.len(),
         }
-        Access::IndexRangeSeek { column, lo, hi } => match table.range_lookup(column, *lo, *hi) {
-            Some(rows) => rows.into_iter().map(|r| r as usize).collect(),
-            None => (0..table.rows()).collect(),
-        },
-        Access::FullScan => (0..table.rows()).collect(),
+    }
+
+    /// The `i`-th candidate.
+    fn get(&self, i: usize) -> usize {
+        match self {
+            Candidates::All(_) => i,
+            Candidates::Index(ids) => ids[i] as usize,
+            Candidates::Rows(ids) => ids[i] as usize,
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).map(|i| self.get(i))
     }
 }
 
-/// Leaf scan operator: yields precomputed candidate row ids, counting them.
-struct ScanOp {
-    ids: std::vec::IntoIter<usize>,
+/// Candidate row ids for an access path, in ascending row-id order — the
+/// same order every naive access path produces, which keeps planned and
+/// naive result rows identical even without ORDER BY.
+fn scan_candidates<'a>(table: &'a Table, access: &Access) -> Candidates<'a> {
+    match access {
+        Access::PkSeek { column, keys } | Access::IndexSeek { column, keys } => match &keys[..] {
+            // One index entry is already ascending and duplicate-free.
+            [key] => Candidates::Index(table.index_lookup(column, key).unwrap_or_default()),
+            keys => {
+                let mut rows = Vec::new();
+                for v in keys {
+                    if let Some(ids) = table.index_lookup(column, v) {
+                        rows.extend_from_slice(ids);
+                    }
+                }
+                rows.sort_unstable();
+                rows.dedup();
+                Candidates::Rows(rows)
+            }
+        },
+        Access::IndexRangeSeek { column, lo, hi } => match table.range_lookup(column, *lo, *hi) {
+            Some(rows) => Candidates::Rows(rows),
+            None => Candidates::All(table.rows()),
+        },
+        Access::FullScan => Candidates::All(table.rows()),
+    }
+}
+
+/// Leaf scan operator: yields candidate row ids, counting them.
+struct ScanOp<'a> {
+    ids: Candidates<'a>,
+    pos: usize,
     count: u64,
 }
 
-impl ScanOp {
-    fn new(ids: Vec<usize>) -> Self {
+impl<'a> ScanOp<'a> {
+    fn new(ids: Candidates<'a>) -> Self {
         ScanOp {
-            ids: ids.into_iter(),
+            ids,
+            pos: 0,
             count: 0,
         }
     }
 
+    /// Restarts the scan over `ids`, keeping the count.
+    fn rewind(&mut self, ids: Candidates<'a>) {
+        self.ids = ids;
+        self.pos = 0;
+    }
+
     fn next(&mut self) -> Option<usize> {
-        let r = self.ids.next();
-        if r.is_some() {
-            self.count += 1;
+        if self.pos == self.ids.len() {
+            return None;
         }
-        r
+        let r = self.ids.get(self.pos);
+        self.pos += 1;
+        self.count += 1;
+        Some(r)
+    }
+}
+
+/// `outer.col = inner.col` probed through the inner hash index, resolved
+/// once per query.
+struct JoinProbe<'a> {
+    /// The outer column (`None`: the outer table lacks it).
+    outer: Option<&'a ColumnData>,
+    /// The inner index (`None`: the inner table has none on the column).
+    index: Option<&'a HashMap<IndexKey, Vec<u32>>>,
+    inner_rows: usize,
+}
+
+impl<'a> JoinProbe<'a> {
+    /// Inner candidates for one outer row. A value the index cannot hold
+    /// (NULL, a float), or a missing index, falls back to a full pass,
+    /// exactly as the naive join does.
+    fn inner(&self, outer_row: usize) -> Candidates<'a> {
+        let key = self
+            .outer
+            .and_then(|c| IndexKey::of_cell(&c.cell(outer_row)));
+        match (self.index, key) {
+            (Some(index), Some(key)) => {
+                Candidates::Index(index.get(&key).map_or(&[][..], Vec::as_slice))
+            }
+            _ => Candidates::All(self.inner_rows),
+        }
     }
 }
 
 /// The enumeration half of the pipeline: a single scan or a two-way
-/// nested-loop join. Emits fixed-arity row-id tuples.
-enum BaseOp<'a, 'p> {
-    Single(ScanOp),
+/// nested-loop join. Emits row-id tuples.
+enum BaseOp<'a> {
+    Single(ScanOp<'a>),
     Join {
-        outer: ScanOp,
-        outer_table: &'a Table,
-        inner_table: &'a Table,
-        /// `outer.col = inner.col` probed through the inner hash index.
-        probe: Option<&'p (String, String)>,
-        /// Fixed inner candidate list when there is no probe.
-        inner_base: Option<Vec<usize>>,
+        outer: ScanOp<'a>,
+        /// The inner scan: re-pointed at the probed index entry, or
+        /// rewound over its fixed candidates, for each outer row.
+        inner: ScanOp<'a>,
+        probe: Option<JoinProbe<'a>>,
         cur_outer: usize,
-        inner: std::vec::IntoIter<usize>,
-        inner_count: u64,
-        produced: u64,
     },
 }
 
-impl BaseOp<'_, '_> {
-    /// Next row-id tuple: `([ids; 2], arity)`.
-    fn next(&mut self) -> Option<([usize; 2], usize)> {
+impl BaseOp<'_> {
+    fn next(&mut self) -> Option<RowIds> {
         match self {
-            BaseOp::Single(s) => s.next().map(|r| ([r, 0], 1)),
+            BaseOp::Single(s) => s.next().map(|r| [r, 0]),
             BaseOp::Join {
                 outer,
-                outer_table,
-                inner_table,
-                probe,
-                inner_base,
-                cur_outer,
                 inner,
-                inner_count,
-                produced,
+                probe,
+                cur_outer,
             } => loop {
                 if let Some(rr) = inner.next() {
-                    *inner_count += 1;
-                    *produced += 1;
-                    return Some(([*cur_outer, rr], 2));
+                    return Some([*cur_outer, rr]);
                 }
                 let lr = outer.next()?;
                 *cur_outer = lr;
-                let ids: Vec<usize> = if let Some((lcol, rcol)) = probe {
-                    // Probe the inner hash index with the outer row's value;
-                    // an unindexable value (NULL) falls back to a full pass,
-                    // exactly as the naive join does.
-                    let lval = outer_table
-                        .column(lcol)
-                        .map(|c| c.data.get(lr))
-                        .unwrap_or(Value::Null);
-                    match inner_table.index_lookup(rcol, &lval) {
-                        Some(ids) => ids.iter().map(|&r| r as usize).collect(),
-                        None => (0..inner_table.rows()).collect(),
-                    }
-                } else {
-                    inner_base.clone().unwrap_or_default()
-                };
-                *inner = ids.into_iter();
+                match probe {
+                    Some(p) => inner.rewind(p.inner(lr)),
+                    None => inner.pos = 0,
+                }
             },
         }
     }
@@ -422,27 +462,26 @@ impl BaseOp<'_, '_> {
 
 /// Residual-predicate filter over row-id tuples.
 struct FilterOp<'a, 'b> {
-    input: BaseOp<'a, 'b>,
-    predicate: Option<&'b Expr>,
-    sources: &'b [Source<'a>],
+    input: BaseOp<'a>,
+    filter: Option<&'b Pred<Scalar<'a>>>,
     consumed: u64,
     produced: u64,
 }
 
 impl FilterOp<'_, '_> {
-    fn next(&mut self) -> Result<Option<Vec<usize>>, ExecError> {
+    fn next(&mut self) -> Result<Option<RowIds>, ExecError> {
         loop {
-            let Some((ids, arity)) = self.input.next() else {
+            let Some(ids) = self.input.next() else {
                 return Ok(None);
             };
             self.consumed += 1;
-            let keep = match self.predicate {
-                Some(p) => eval_pred_pub(p, &row_ctx(self.sources, &ids[..arity]))? == Some(true),
+            let keep = match self.filter {
+                Some(p) => p.eval(&|s| s.eval(&ids))? == Some(true),
                 None => true,
             };
             if keep {
                 self.produced += 1;
-                return Ok(Some(ids[..arity].to_vec()));
+                return Ok(Some(ids));
             }
         }
     }

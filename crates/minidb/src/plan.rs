@@ -833,7 +833,7 @@ fn point_candidates(
                 right,
             } => match (left.as_ref(), right.as_ref()) {
                 (Expr::Column(c), Expr::Literal(l)) | (Expr::Literal(l), Expr::Column(c)) => {
-                    (c, vec![crate::exec::literal_value(l)])
+                    (c, vec![crate::eval::literal_value(l)])
                 }
                 _ => continue,
             },
@@ -846,7 +846,7 @@ fn point_candidates(
                     c,
                     list.iter()
                         .filter_map(|e| match e {
-                            Expr::Literal(l) => Some(crate::exec::literal_value(l)),
+                            Expr::Literal(l) => Some(crate::eval::literal_value(l)),
                             _ => None,
                         })
                         .collect(),

@@ -1,6 +1,7 @@
 //! Columnar in-memory tables with optional hash indexes.
 
-use crate::value::Value;
+use crate::value::{Cell, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Typed column storage.
@@ -31,12 +32,17 @@ impl ColumnData {
 
     /// Value at a row.
     pub fn get(&self, row: usize) -> Value {
+        self.cell(row).into_value()
+    }
+
+    /// Value at a row, its text borrowed in place.
+    pub(crate) fn cell(&self, row: usize) -> Cell<'_> {
         match self {
-            ColumnData::Int(v) => v[row].map_or(Value::Null, Value::Int),
-            ColumnData::Float(v) => v[row].map_or(Value::Null, Value::Float),
+            ColumnData::Int(v) => v[row].map_or(Cell::Null, Cell::Int),
+            ColumnData::Float(v) => v[row].map_or(Cell::Null, Cell::Float),
             ColumnData::Str(v) => v[row]
-                .as_ref()
-                .map_or(Value::Null, |s| Value::Str(s.clone())),
+                .as_deref()
+                .map_or(Cell::Null, |s| Cell::Str(Cow::Borrowed(s))),
         }
     }
 }
@@ -62,11 +68,25 @@ pub enum IndexKey {
 impl IndexKey {
     /// Builds an index key from a value (floats and NULLs are not indexable).
     pub fn of_value(v: &Value) -> Option<IndexKey> {
+        IndexKey::of_cell(&Cell::of(v))
+    }
+
+    pub(crate) fn of_cell(v: &Cell<'_>) -> Option<IndexKey> {
         match v {
-            Value::Int(i) => Some(IndexKey::Int(*i)),
-            Value::Str(s) => Some(IndexKey::Str(s.clone())),
+            Cell::Int(i) => Some(IndexKey::Int(*i)),
+            Cell::Str(s) => Some(IndexKey::Str(s.to_string())),
             _ => None,
         }
+    }
+}
+
+/// The index on `column` in `indexes`, which are keyed by lower-cased
+/// column name; lower-cases `column` only when it is not already.
+pub(crate) fn index_on<'t, I>(indexes: &'t HashMap<String, I>, column: &str) -> Option<&'t I> {
+    if column.bytes().any(|b| b.is_ascii_uppercase()) {
+        indexes.get(&column.to_ascii_lowercase())
+    } else {
+        indexes.get(column)
     }
 }
 
@@ -128,7 +148,7 @@ impl Table {
         };
         let mut index: HashMap<IndexKey, Vec<u32>> = HashMap::new();
         for row in 0..col.data.len() {
-            if let Some(key) = IndexKey::of_value(&col.data.get(row)) {
+            if let Some(key) = IndexKey::of_cell(&col.data.cell(row)) {
                 index.entry(key).or_default().push(row as u32);
             }
         }
@@ -164,7 +184,7 @@ impl Table {
     /// Rows whose indexed integer value lies in `[lo, hi]` (either bound
     /// optional), if a range index exists on the column.
     pub fn range_lookup(&self, column: &str, lo: Option<i64>, hi: Option<i64>) -> Option<Vec<u32>> {
-        let index = self.range_indexes.get(&column.to_ascii_lowercase())?;
+        let index = index_on(&self.range_indexes, column)?;
         use std::ops::Bound;
         let lower = lo.map_or(Bound::Unbounded, Bound::Included);
         let upper = hi.map_or(Bound::Unbounded, Bound::Included);
@@ -178,7 +198,7 @@ impl Table {
 
     /// Looks up rows by an indexed key, if an index exists.
     pub fn index_lookup(&self, column: &str, value: &Value) -> Option<&[u32]> {
-        let index = self.indexes.get(&column.to_ascii_lowercase())?;
+        let index = index_on(&self.indexes, column)?;
         let key = IndexKey::of_value(value)?;
         Some(index.get(&key).map_or(&[][..], Vec::as_slice))
     }

@@ -1,5 +1,6 @@
 //! Runtime values.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -20,15 +21,7 @@ impl Value {
     /// Three-valued-logic comparison: `None` when either side is NULL or the
     /// types are incomparable.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            _ => None,
-        }
+        Cell::of(self).compare(&Cell::of(other))
     }
 
     /// SQL equality (NULL never equals anything).
@@ -44,11 +37,74 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Cell::of(self).fmt(f)
+    }
+}
+
+/// A value as the evaluator sees it: text is borrowed from the table cell
+/// or the bound constant it came from, and owned only when a function
+/// computed it. Comparison and rendering are [`Value`]'s.
+#[derive(Debug)]
+pub(crate) enum Cell<'a> {
+    Int(i64),
+    Float(f64),
+    Str(Cow<'a, str>),
+    Null,
+}
+
+impl<'a> Cell<'a> {
+    /// Borrows a value.
+    pub(crate) fn of(v: &'a Value) -> Cell<'a> {
+        match v {
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Str(s) => Cell::Str(Cow::Borrowed(s)),
+            Value::Null => Cell::Null,
+        }
+    }
+
+    /// The owned value.
+    pub(crate) fn into_value(self) -> Value {
         match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v}"),
-            Value::Null => write!(f, "NULL"),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(s.into_owned()),
+            Cell::Null => Value::Null,
+        }
+    }
+
+    /// Three-valued-logic comparison: `None` when either side is NULL or the
+    /// types are incomparable.
+    pub(crate) fn compare(&self, other: &Cell<'_>) -> Option<Ordering> {
+        match (self, other) {
+            (Cell::Null, _) | (_, Cell::Null) => None,
+            (Cell::Int(a), Cell::Int(b)) => Some(a.cmp(b)),
+            (Cell::Float(a), Cell::Float(b)) => a.partial_cmp(b),
+            (Cell::Int(a), Cell::Float(b)) => (*a as f64).partial_cmp(b),
+            (Cell::Float(a), Cell::Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Cell::Str(a), Cell::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
+            _ => None,
+        }
+    }
+
+    /// SQL equality (NULL never equals anything).
+    pub(crate) fn sql_eq(&self, other: &Cell<'_>) -> bool {
+        self.compare(other) == Some(Ordering::Equal)
+    }
+
+    /// True when NULL.
+    pub(crate) fn is_null(&self) -> bool {
+        matches!(self, Cell::Null)
+    }
+}
+
+impl fmt::Display for Cell<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Int(v) => write!(f, "{v}"),
+            Cell::Float(v) => write!(f, "{v}"),
+            Cell::Str(v) => write!(f, "{v}"),
+            Cell::Null => write!(f, "NULL"),
         }
     }
 }

@@ -12,7 +12,7 @@ use sqlog_catalog::skyserver_catalog;
 use sqlog_core::Pipeline;
 use sqlog_gen::{generate, GenConfig};
 use sqlog_minidb::datagen::skyserver_db;
-use sqlog_minidb::{ExecError, ExecResult, MiniDb};
+use sqlog_minidb::{ExecError, ExecResult, MiniDb, Value};
 use sqlog_sql::ast::Query;
 
 #[test]
@@ -163,4 +163,120 @@ fn self_join_alias_qualifier_seeks_on_that_binding() {
         self_join_scans("b.id = 1"),
         [("a".to_string(), "FullScan"), ("b".to_string(), "PkSeek")]
     );
+}
+
+/// `t(id pk, v int, s str)` and `u(id pk, d int)`, three rows each.
+fn small_db() -> MiniDb {
+    use sqlog_minidb::table::{ColumnData, Table};
+    let mut t = Table::new("t");
+    t.add_column("id", ColumnData::Int(vec![Some(1), Some(2), Some(3)]));
+    t.add_column("v", ColumnData::Int(vec![Some(10), Some(20), None]));
+    t.add_column(
+        "s",
+        ColumnData::Str(vec![Some("ab".into()), None, Some("cd".into())]),
+    );
+    t.build_pk("id");
+    let mut u = Table::new("u");
+    u.add_column("id", ColumnData::Int(vec![Some(1), Some(2), Some(3)]));
+    u.add_column("d", ColumnData::Int(vec![Some(7), Some(8), Some(9)]));
+    u.build_pk("id");
+    let mut db = MiniDb::new();
+    db.add_table(t);
+    db.add_table(u);
+    db
+}
+
+/// Runs `sql` through both executors, asserts they agree (rows and error
+/// text alike), and returns the planned outcome.
+fn run_both(db: &MiniDb, sql: &str) -> Result<ExecResult, String> {
+    let q = parse_select(sql).expect("test statement parses");
+    let planned = db
+        .execute_query_planned(&q)
+        .map(|p| p.result)
+        .map_err(|e| e.to_string());
+    let naive = db.execute_query_naive(&q).map_err(|e| e.to_string());
+    assert_eq!(
+        planned.as_ref().map(|r| (&r.columns, &r.rows)),
+        naive.as_ref().map(|r| (&r.columns, &r.rows)),
+        "executors diverge on {sql:?}"
+    );
+    planned
+}
+
+#[test]
+fn bad_expressions_no_row_reaches_do_not_fail() {
+    let db = small_db();
+    for sql in [
+        // Full scan, no row passes the filter.
+        "SELECT nosuch FROM t WHERE v > 1000000",
+        "SELECT upper(v) FROM t WHERE v > 1000000",
+        // Primary-key seek that finds no key: no candidate row at all.
+        "SELECT nosuch FROM t WHERE id = 99",
+        "SELECT id FROM t WHERE id = 99 AND nosuch = 1",
+    ] {
+        let r = run_both(&db, sql).unwrap_or_else(|e| panic!("{sql:?} failed: {e}"));
+        assert!(r.rows.is_empty(), "{sql:?} returned rows");
+    }
+    let q = parse_select("SELECT nosuch FROM t WHERE id = 99").unwrap();
+    let plan = db.plan(&q).unwrap();
+    assert_eq!(plan.scans()[0].access.variant(), "PkSeek");
+}
+
+#[test]
+fn bad_expressions_a_row_reaches_fail_with_the_same_error() {
+    let db = small_db();
+    for (sql, error) in [
+        ("SELECT nosuch FROM t WHERE v > 0", "unknown column nosuch"),
+        ("SELECT nosuch FROM t WHERE id = 2", "unknown column nosuch"),
+        ("SELECT id FROM t WHERE nosuch = 1", "unknown column nosuch"),
+        (
+            "SELECT upper(v) FROM t WHERE id = 1",
+            "unsupported query shape: upper takes one string",
+        ),
+        (
+            "SELECT id FROM t WHERE frob(v) = 1",
+            "unsupported query shape: function frob",
+        ),
+        // A qualifier binds to the first source it names; the column must
+        // be there even when a later source (`u`, aliased `t`) has it.
+        (
+            "SELECT t.d FROM t AS x JOIN u AS t ON x.id = t.id",
+            "unknown column t.d",
+        ),
+        (
+            "SELECT a.nosuch FROM t AS a JOIN t AS b ON a.id = b.id",
+            "unknown column a.nosuch",
+        ),
+    ] {
+        assert_eq!(run_both(&db, sql).err().as_deref(), Some(error), "{sql:?}");
+    }
+    // `upper` of an integer fails only for a row that reaches it: NULL `v`
+    // (row 3) and string columns are fine.
+    assert!(run_both(&db, "SELECT upper(v) FROM t WHERE id = 3").is_ok());
+    let r = run_both(&db, "SELECT upper(s) FROM t WHERE id IN (1, 2)").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::from("AB")], vec![Value::Null]]);
+}
+
+#[test]
+fn derived_columns_and_self_join_qualifiers_resolve() {
+    let db = small_db();
+    let r = run_both(
+        &db,
+        "SELECT d.v, w FROM (SELECT v, v + 1 AS w FROM t WHERE v > 0) AS d WHERE d.v > 10",
+    )
+    .unwrap();
+    assert_eq!(r.columns, ["d.v", "w"]);
+    assert_eq!(r.rows, vec![vec![Value::Int(20), Value::Float(21.0)]]);
+    let r = run_both(
+        &db,
+        "SELECT a.v, b.v FROM t AS a JOIN t AS b ON a.id = b.id WHERE t.id = 2",
+    )
+    .unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(20), Value::Int(20)]]);
+    let r = run_both(
+        &db,
+        "SELECT t.v, d FROM t AS x JOIN u AS t ON x.id = t.id WHERE x.id = 1",
+    )
+    .unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(10), Value::Int(7)]]);
 }
