@@ -89,10 +89,6 @@ impl ConformanceReport {
                     ("mismatches", strings(&oracle.mismatches)),
                     ("plan_checked", Json::U64(oracle.plan_checked as u64)),
                     ("plan_seeks", Json::U64(oracle.plan_seeks as u64)),
-                    (
-                        "plan_full_scan_originals",
-                        Json::U64(oracle.plan_full_scan_originals as u64),
-                    ),
                     ("plan_failures", strings(&oracle.plan_failures)),
                 ]),
             ));
@@ -169,11 +165,9 @@ impl ConformanceReport {
                 ));
                 if o.plan_checked > 0 || !o.plan_failures.is_empty() {
                     out.push_str(&format!(
-                        "  oracle plans: {} checked, {} seeks, {} originals \
-                         full-scanned naively, {} failures\n",
+                        "  oracle plans: {} checked, {} seeks, {} failures\n",
                         o.plan_checked,
                         o.plan_seeks,
-                        o.plan_full_scan_originals,
                         o.plan_failures.len()
                     ));
                 }

@@ -36,53 +36,61 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Simulated time of one executed statement, in milliseconds, billing
-    /// scanned rows from the flat [`ExecResult::scanned_rows`] counter.
-    pub fn simulated_ms(&self, result: &ExecResult) -> f64 {
-        self.ms_for(result.scanned_rows, result.rows.len())
-    }
-
-    /// Simulated time of one executed statement, in milliseconds, billing
     /// scanned rows from the operator tree: only rows touched by storage
     /// operators (`SeqScan` / `IndexScan`) count, so an index seek is charged
     /// for the rows it probed rather than the table it avoided.
     pub fn simulated_ms_ops(&self, result: &ExecResult, ops: &OpStats) -> f64 {
-        self.ms_for(ops.storage_scanned() as usize, result.rows.len())
-    }
-
-    fn ms_for(&self, scanned: usize, produced: usize) -> f64 {
         self.per_statement_ms
-            + (scanned as f64 * self.per_scanned_row_us + produced as f64 * self.per_result_row_us)
+            + (ops.storage_scanned() as f64 * self.per_scanned_row_us
+                + result.rows.len() as f64 * self.per_result_row_us)
                 / 1_000.0
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::value::Value;
+    use crate::table::{ColumnData, Table};
+    use crate::MiniDb;
 
-    fn result(scanned: usize, rows: usize) -> ExecResult {
-        ExecResult {
-            columns: vec!["a".into()],
-            rows: vec![vec![Value::Int(0)]; rows],
-            scanned_rows: scanned,
-            used_index: true,
-        }
+    /// `t(id pk)` with 1 000 rows.
+    fn db() -> MiniDb {
+        let mut t = Table::new("t");
+        t.add_column("id", ColumnData::Int((0..1_000).map(Some).collect()));
+        t.build_pk("id");
+        let mut db = MiniDb::new();
+        db.add_table(t);
+        db
     }
 
     #[test]
     fn overhead_dominates_point_queries() {
-        let m = CostModel::default();
-        let point = m.simulated_ms(&result(1, 1));
+        let db = db();
+        let (planned, point) = db
+            .execute_sql_planned("SELECT id FROM t WHERE id = 7")
+            .unwrap();
+        assert_eq!(planned.ops.storage_scanned(), 1);
         assert!((point - 400.0).abs() < 1.0);
     }
 
     #[test]
     fn merged_query_amortizes_overhead() {
-        let m = CostModel::default();
-        // 40 point queries vs one merged query scanning 40 rows.
-        let points = 40.0 * m.simulated_ms(&result(1, 1));
-        let merged = m.simulated_ms(&result(40, 40));
+        let db = db();
+        // 40 point queries vs one merged query seeking 40 rows.
+        let keys: Vec<String> = (0..40).map(|k| k.to_string()).collect();
+        let mut points = 0.0;
+        for k in &keys {
+            points += db
+                .execute_sql(&format!("SELECT id FROM t WHERE id = {k}"))
+                .unwrap()
+                .1;
+        }
+        let (planned, merged) = db
+            .execute_sql_planned(&format!(
+                "SELECT id FROM t WHERE id IN ({})",
+                keys.join(", ")
+            ))
+            .unwrap();
+        assert_eq!(planned.ops.storage_scanned(), 40);
         assert!(points / merged > 25.0, "ratio = {}", points / merged);
     }
 }

@@ -280,13 +280,14 @@ mod tests {
     fn point_query_hits_a_dense_objid() {
         let db = skyserver_db(100, 7);
         let objid = OBJID_BASE + 5_000; // row 5
-        let (r, _) = db
-            .execute_sql(&format!(
+        let (p, _) = db
+            .execute_sql_planned(&format!(
                 "SELECT rowc_g, colc_g FROM photoprimary WHERE objid = {objid}"
             ))
             .unwrap();
-        assert_eq!(r.rows.len(), 1);
-        assert!(r.used_index);
+        assert_eq!(p.result.rows.len(), 1);
+        assert_eq!(p.plan.scans()[0].access.variant(), "PkSeek");
+        assert_eq!(p.ops.storage_scanned(), 1);
     }
 
     #[test]

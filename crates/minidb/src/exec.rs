@@ -1,14 +1,17 @@
-//! Query execution.
+//! Query execution: the naive reference executor, a nested-loop full scan
+//! of every source, and the result tail (ORDER BY, projection or grouping,
+//! DISTINCT, TOP/LIMIT) it shares with the planned executor in
+//! [`crate::ops`].
 //!
-//! The executor covers the query shapes the experiments run: single-table
-//! scans and index seeks with conjunctive predicates, `IN` lists, `BETWEEN`,
-//! `LIKE`, `IS NULL`, inner equi-joins of base tables, `count(*)`, `TOP`/
-//! `LIMIT` and `ORDER BY` on plain columns. Anything else returns
+//! The executors cover the query shapes the experiments run: single-table
+//! queries with conjunctive predicates, `IN` lists, `BETWEEN`, `LIKE`,
+//! `IS NULL`, inner equi-joins of base tables, `count(*)`, `TOP`/`LIMIT`
+//! and `ORDER BY` on plain columns. Anything else returns
 //! [`ExecError::Unsupported`] — honest refusal beats silent wrong answers.
 
-use crate::aggregate::GroupScalar;
-use crate::eval::{cmp_keys, literal_value, Binder, Level, Operand, Pred, RowIds, Scalar};
-use crate::ops::Candidates;
+use crate::aggregate::{contains_aggregate, GroupScalar};
+use crate::eval::{cmp_keys, Binder, Level, Operand, Pred, RowIds, Scalar};
+use crate::plan::limit_literal;
 use crate::table::Table;
 use crate::value::{Cell, Value};
 use sqlog_sql::ast::*;
@@ -45,10 +48,6 @@ pub struct ExecResult {
     pub columns: Vec<String>,
     /// Result rows.
     pub rows: Vec<Vec<Value>>,
-    /// Rows examined (candidate rows after index pruning).
-    pub scanned_rows: usize,
-    /// Whether an index pruned the scan.
-    pub used_index: bool,
 }
 
 /// One bound source in the FROM clause.
@@ -58,198 +57,13 @@ pub(crate) struct Source<'a> {
     pub(crate) table: &'a Table,
 }
 
-/// Index probe extracted from a WHERE clause: an equality or IN on a column.
-struct Probe {
-    binding: String,
-    column: String,
-    values: Vec<Value>,
-}
-
-/// Range probe: integer bounds on a range-indexed column.
-struct RangeProbe {
-    binding: String,
-    column: String,
-    lo: Option<i64>,
-    hi: Option<i64>,
-}
-
-/// Either kind of index access plan.
-enum ProbePlan {
-    Point(Probe),
-    Range(RangeProbe),
-}
-
-/// Finds integer bounds on a range-indexed column among the conjuncts
-/// (`h >= a AND h <= b`, `h BETWEEN a AND b`, one-sided comparisons).
-fn find_range_probe(conjuncts: &[&Expr], sources: &[Source<'_>]) -> Option<RangeProbe> {
-    fn int_lit(e: &Expr) -> Option<i64> {
-        match e {
-            Expr::Literal(Literal::Number(n)) => n.parse().ok(),
-            Expr::Nested(inner) => int_lit(inner),
-            _ => None,
-        }
-    }
-    // (source index, column) → bounds, merged across conjuncts.
-    let mut bounds: HashMap<(usize, String), (Option<i64>, Option<i64>)> = HashMap::new();
-    let resolve = |name: &ObjectName| -> Option<(usize, String)> {
-        let col = name.last().normalized();
-        let qualifier = name.qualifier().last().map(|q| q.normalized());
-        sources
-            .iter()
-            .position(|s| {
-                qualifier
-                    .as_deref()
-                    .is_none_or(|q| s.binding.eq_ignore_ascii_case(q) || s.table.name == q)
-                    && s.table.range_indexes.contains_key(&col)
-            })
-            .map(|si| (si, col))
-    };
-    let mut tighten = |key: (usize, String), lo: Option<i64>, hi: Option<i64>| {
-        let e = bounds.entry(key).or_insert((None, None));
-        if let Some(lo) = lo {
-            e.0 = Some(e.0.map_or(lo, |old: i64| old.max(lo)));
-        }
-        if let Some(hi) = hi {
-            e.1 = Some(e.1.map_or(hi, |old: i64| old.min(hi)));
-        }
-    };
-    for &conj in conjuncts {
-        match conj {
-            Expr::Binary { left, op, right } if op.is_comparison() => {
-                // Normalize to column-on-the-left.
-                let (col, v, op) = match (left.as_ref(), right.as_ref()) {
-                    (Expr::Column(c), e) => match int_lit(e) {
-                        Some(v) => (c, v, *op),
-                        None => continue,
-                    },
-                    (e, Expr::Column(c)) => match int_lit(e) {
-                        Some(v) => (
-                            c,
-                            v,
-                            match op {
-                                BinaryOp::Lt => BinaryOp::Gt,
-                                BinaryOp::LtEq => BinaryOp::GtEq,
-                                BinaryOp::Gt => BinaryOp::Lt,
-                                BinaryOp::GtEq => BinaryOp::LtEq,
-                                other => *other,
-                            },
-                        ),
-                        None => continue,
-                    },
-                    _ => continue,
-                };
-                let Some(key) = resolve(col) else { continue };
-                match op {
-                    BinaryOp::GtEq => tighten(key, Some(v), None),
-                    BinaryOp::Gt => tighten(key, Some(v.saturating_add(1)), None),
-                    BinaryOp::LtEq => tighten(key, None, Some(v)),
-                    BinaryOp::Lt => tighten(key, None, Some(v.saturating_sub(1))),
-                    _ => {}
-                }
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated: false,
-            } => {
-                let Expr::Column(c) = expr.as_ref() else {
-                    continue;
-                };
-                let (Some(lo), Some(hi)) = (int_lit(low), int_lit(high)) else {
-                    continue;
-                };
-                let Some(key) = resolve(c) else { continue };
-                tighten(key, Some(lo), Some(hi));
-            }
-            _ => {}
-        }
-    }
-    // Prefer the tightest two-sided range; any bounded column qualifies.
-    type Bounds = (Option<i64>, Option<i64>);
-    let mut best: Option<((usize, String), Bounds)> = None;
-    for (key, b) in bounds {
-        let score = usize::from(b.0.is_some()) + usize::from(b.1.is_some());
-        let best_score = best.as_ref().map_or(0, |(_, b)| {
-            usize::from(b.0.is_some()) + usize::from(b.1.is_some())
-        });
-        if score > best_score {
-            best = Some((key, b));
-        }
-    }
-    best.map(|((si, column), (lo, hi))| RangeProbe {
-        binding: sources[si].binding.clone(),
-        column,
-        lo,
-        hi,
-    })
-}
-
-/// Finds an indexable conjunct for any of the sources.
-fn find_probe(conjuncts: &[&Expr], sources: &[Source<'_>]) -> Option<Probe> {
-    for &conj in conjuncts {
-        let (name, values) = match conj {
-            Expr::Binary {
-                left,
-                op: BinaryOp::Eq,
-                right,
-            } => match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(c), Expr::Literal(l)) | (Expr::Literal(l), Expr::Column(c)) => {
-                    (c, vec![literal_value(l)])
-                }
-                _ => continue,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated: false,
-            } => match expr.as_ref() {
-                Expr::Column(c) if list.iter().all(|e| matches!(e, Expr::Literal(_))) => (
-                    c,
-                    list.iter()
-                        .map(|e| match e {
-                            Expr::Literal(l) => literal_value(l),
-                            _ => unreachable!(),
-                        })
-                        .collect(),
-                ),
-                _ => continue,
-            },
-            _ => continue,
-        };
-        let col = name.last().normalized();
-        let qualifier = name.qualifier().last().map(|q| q.normalized());
-        for s in sources {
-            let matches_binding = qualifier
-                .as_deref()
-                .is_none_or(|q| s.binding.eq_ignore_ascii_case(q) || s.table.name == q);
-            if matches_binding && s.table.indexes.contains_key(&col) {
-                return Some(Probe {
-                    binding: s.binding.clone(),
-                    column: col,
-                    values,
-                });
-            }
-        }
-    }
-    None
-}
-
-/// Executes a query against a set of tables through the cost-based planner
-/// and the Volcano executor (see [`crate::plan`] and [`crate::ops`]). Table
-/// statistics are computed on the fly; callers that execute repeatedly
-/// against the same tables should go through [`crate::MiniDb`], which caches
-/// them.
-pub fn execute(query: &Query, tables: &HashMap<String, Table>) -> Result<ExecResult, ExecError> {
-    crate::ops::execute_planned(query, tables).map(|p| p.result)
-}
-
-/// Executes a query with the retained naive reference executor: one pass,
-/// first-indexable-conjunct access choice, no planner. This is the
+/// Executes a query with the naive reference executor: a nested-loop full
+/// scan of every source, no planner and no index. This is the
 /// differential-testing baseline the Volcano executor is checked against —
-/// both paths share the projection/aggregation/ordering tails, so result
-/// rows must match bit-for-bit.
-pub fn execute_naive(
+/// access paths are chosen by the planner alone, and both paths share the
+/// projection/aggregation/ordering tails, so result rows must match
+/// bit-for-bit.
+pub(crate) fn execute_naive(
     query: &Query,
     tables: &HashMap<String, Table>,
 ) -> Result<ExecResult, ExecError> {
@@ -288,91 +102,24 @@ pub fn execute_naive(
     }
     let bound = BoundQuery::bind(query, &sources, &join_on);
 
-    // The conjuncts of WHERE and of any JOIN ... ON conditions.
-    let mut conjuncts: Vec<&Expr> = body.selection.iter().flat_map(Expr::conjuncts).collect();
-    conjuncts.extend(join_on.iter().flat_map(|on| on.conjuncts()));
-
-    // Candidate rows via an index probe: point (hash) first, else range
-    // (ordered) — the access paths behind the §6.3 cost asymmetry.
-    let plan = find_probe(&conjuncts, &sources)
-        .map(ProbePlan::Point)
-        .or_else(|| find_range_probe(&conjuncts, &sources).map(ProbePlan::Range));
-    let mut scanned = 0usize;
-    let used_index;
-
-    // Enumerate candidate row combinations.
-    let mut matches: Vec<RowIds> = Vec::new();
+    // Every row combination, in row-id order, outer source major.
     let keep = |ids: &RowIds| -> Result<bool, ExecError> {
         Ok(match &bound.filter {
             Some(p) => p.eval(&|s| s.eval(ids))? == Some(true),
             None => true,
         })
     };
-    let enumerate_rows = |s: &Source<'_>, plan: &Option<ProbePlan>| -> (Candidates<'_>, bool) {
-        let all = Candidates::All(s.table.rows());
-        match plan {
-            Some(ProbePlan::Point(p)) if p.binding == s.binding => {
-                let mut rows = Vec::new();
-                for v in &p.values {
-                    if let Some(ids) = s.table.index_lookup(&p.column, v) {
-                        rows.extend_from_slice(ids);
-                    }
-                }
-                rows.sort_unstable();
-                rows.dedup();
-                (Candidates::Rows(rows), true)
-            }
-            Some(ProbePlan::Range(p)) if p.binding == s.binding => {
-                match s.table.range_lookup(&p.column, p.lo, p.hi) {
-                    Some(rows) => (Candidates::Rows(rows), true),
-                    None => (all, false),
-                }
-            }
-            _ => (all, false),
-        }
-    };
-
-    match sources.len() {
-        1 => {
-            let (rows, via_index) = enumerate_rows(&sources[0], &plan);
-            used_index = via_index;
-            scanned += rows.len();
-            for r in rows.iter() {
-                if keep(&[r, 0])? {
-                    matches.push([r, 0]);
-                }
-            }
-        }
-        _ => {
-            // Two-way nested-loop join with index probing on either side.
-            let (left_rows, left_idx) = enumerate_rows(&sources[0], &plan);
-            used_index = left_idx;
-            // Try to accelerate the inner side with an equi-join index:
-            // find `a.col = b.col` in the predicate.
-            let join_cols = find_equi_join(&conjuncts, &sources);
-            let inner_table = sources[1].table;
-            for lr in left_rows.iter() {
-                scanned += 1;
-                let probed = join_cols.as_ref().and_then(|(lcol, rcol)| {
-                    let lval = sources[0]
-                        .table
-                        .column(lcol)
-                        .map_or(Value::Null, |c| c.data.get(lr));
-                    inner_table.index_lookup(rcol, &lval)
-                });
-                let inner =
-                    probed.map_or_else(|| Candidates::All(inner_table.rows()), Candidates::Index);
-                for rr in inner.iter() {
-                    scanned += 1;
-                    if keep(&[lr, rr])? {
-                        matches.push([lr, rr]);
-                    }
-                }
+    let inner_rows = sources.get(1).map_or(1, |s| s.table.rows());
+    let mut matches: Vec<RowIds> = Vec::new();
+    for lr in 0..sources[0].table.rows() {
+        for rr in 0..inner_rows {
+            if keep(&[lr, rr])? {
+                matches.push([lr, rr]);
             }
         }
     }
 
-    finish_rows(query, &bound, &sources, matches, scanned, used_index).map(|(r, _)| r)
+    finish_rows(query, &bound, &sources, matches).map(|(r, _)| r)
 }
 
 /// The name of a projected expression's output column.
@@ -399,8 +146,6 @@ pub(crate) fn constant_result(body: &Select) -> Result<ExecResult, ExecError> {
     Ok(ExecResult {
         columns: names,
         rows: vec![row],
-        scanned_rows: 0,
-        used_index: false,
     })
 }
 
@@ -409,7 +154,8 @@ pub(crate) fn constant_result(body: &Select) -> Result<ExecResult, ExecError> {
 pub(crate) struct BoundQuery<'a> {
     /// WHERE AND-ed with the JOIN ... ON conditions, in that order.
     pub(crate) filter: Option<Pred<Scalar<'a>>>,
-    /// ORDER BY over matched rows, projection aliases resolved.
+    /// ORDER BY over matched rows, projection aliases resolved; empty when
+    /// a grouped query orders by an aggregate.
     sort_keys: Vec<Scalar<'a>>,
     output: Output<'a>,
 }
@@ -474,20 +220,26 @@ impl<'a> BoundQuery<'a> {
                 _ => None,
             })
         };
-        let sort_keys = query
+        let order_by: Vec<&Expr> = query
             .order_by
             .iter()
-            .map(|item| {
-                b.scalar(match &item.expr {
-                    Expr::Column(name) => alias_of(name).unwrap_or(&item.expr),
-                    other => other,
-                })
+            .map(|item| match &item.expr {
+                Expr::Column(name) => alias_of(name).unwrap_or(&item.expr),
+                other => other,
             })
             .collect();
 
         let grouped = !body.group_by.is_empty()
             || body.having.is_some()
             || crate::aggregate::projection_has_aggregate(&body.projection);
+        // An aggregate key (`ORDER BY count(*)`, or an alias of one) has no
+        // value on a single row: such a query sorts its groups only.
+        let by_aggregate = |e: &&Expr| contains_aggregate(e);
+        let sort_keys = if grouped && order_by.iter().any(by_aggregate) {
+            Vec::new()
+        } else {
+            order_by.iter().map(|e| b.scalar(e)).collect()
+        };
         let output = if grouped {
             let group = |e: &Expr| GroupScalar::bind(&b, e);
             Output::Groups(Box::new(Grouping {
@@ -504,7 +256,14 @@ impl<'a> BoundQuery<'a> {
                         _ => None,
                     })
                     .collect(),
-                sort_keys: query.order_by.iter().map(|o| group(&o.expr)).collect(),
+                // Keys bind as written, except an alias of an aggregate,
+                // which names no column.
+                sort_keys: query
+                    .order_by
+                    .iter()
+                    .zip(&order_by)
+                    .map(|(o, e)| group(if by_aggregate(e) { e } else { &o.expr }))
+                    .collect(),
             }))
         } else {
             Output::Rows(
@@ -552,8 +311,6 @@ pub(crate) fn finish_rows(
     bound: &BoundQuery<'_>,
     sources: &[Source<'_>],
     mut matches: Vec<RowIds>,
-    scanned: usize,
-    used_index: bool,
 ) -> Result<(ExecResult, TailCounts), ExecError> {
     let body = &query.body;
 
@@ -573,25 +330,11 @@ pub(crate) fn finish_rows(
     }
 
     let items = match &bound.output {
-        Output::Groups(grouping) => {
-            return execute_grouped(query, grouping, &matches, scanned, used_index)
-        }
+        Output::Groups(grouping) => return execute_grouped(query, grouping, &matches),
         Output::Rows(items) => items,
     };
 
-    // TOP / LIMIT.
-    let limit = body
-        .top
-        .as_ref()
-        .or(query.limit.as_ref())
-        .and_then(|e| match e {
-            Expr::Literal(Literal::Number(n)) => n.parse::<usize>().ok(),
-            Expr::Nested(inner) => match inner.as_ref() {
-                Expr::Literal(Literal::Number(n)) => n.parse::<usize>().ok(),
-                _ => None,
-            },
-            _ => None,
-        });
+    let limit = limit_of(query);
 
     // Column names; a `q.*` of an empty result lists every source's columns.
     let mut columns: Vec<String> = Vec::new();
@@ -659,14 +402,22 @@ pub(crate) fn finish_rows(
         ExecResult {
             columns,
             rows: projected,
-            scanned_rows: scanned,
-            used_index,
         },
         TailCounts {
             pre_distinct,
             pre_limit,
         },
     ))
+}
+
+/// The literal TOP/LIMIT row cap, read as the planner reads it.
+fn limit_of(query: &Query) -> Option<usize> {
+    query
+        .body
+        .top
+        .as_ref()
+        .or(query.limit.as_ref())
+        .and_then(limit_literal)
 }
 
 /// ORDER BY directions, true for ascending.
@@ -676,45 +427,6 @@ fn sort_directions(query: &Query) -> Vec<bool> {
         .iter()
         .map(|o| o.asc.unwrap_or(true))
         .collect()
-}
-
-/// Finds an `a.col = b.col` equi-join conjunct where `b`'s column is indexed.
-fn find_equi_join(conjuncts: &[&Expr], sources: &[Source<'_>]) -> Option<(String, String)> {
-    if sources.len() != 2 {
-        return None;
-    }
-    for &conj in conjuncts {
-        if let Expr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } = conj
-        {
-            if let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) {
-                let (ca, cb) = (a.last().normalized(), b.last().normalized());
-                // Either orientation; want (left source column, right source column).
-                let qa = a.qualifier().last().map(|q| q.normalized());
-                let qb = b.qualifier().last().map(|q| q.normalized());
-                let is_left = |q: &Option<String>| {
-                    q.as_deref().is_none_or(|q| {
-                        sources[0].binding.eq_ignore_ascii_case(q) || sources[0].table.name == q
-                    })
-                };
-                let is_right = |q: &Option<String>| {
-                    q.as_deref().is_some_and(|q| {
-                        sources[1].binding.eq_ignore_ascii_case(q) || sources[1].table.name == q
-                    })
-                };
-                if is_left(&qa) && is_right(&qb) && sources[1].table.indexes.contains_key(&cb) {
-                    return Some((ca, cb));
-                }
-                if is_left(&qb) && is_right(&qa) && sources[1].table.indexes.contains_key(&ca) {
-                    return Some((cb, ca));
-                }
-            }
-        }
-    }
-    None
 }
 
 pub(crate) fn bind_table_ref<'a, 'q>(
@@ -865,8 +577,6 @@ fn execute_grouped(
     query: &Query,
     grouping: &Grouping<'_>,
     matches: &[RowIds],
-    scanned: usize,
-    used_index: bool,
 ) -> Result<(ExecResult, TailCounts), ExecError> {
     let body = &query.body;
 
@@ -944,26 +654,12 @@ fn execute_grouped(
     }
     let pre_limit = rows.len();
 
-    // TOP / LIMIT.
-    let limit = body
-        .top
-        .as_ref()
-        .or(query.limit.as_ref())
-        .and_then(|e| match e {
-            Expr::Literal(Literal::Number(n)) => n.parse::<usize>().ok(),
-            _ => None,
-        });
-    if let Some(n) = limit {
+    if let Some(n) = limit_of(query) {
         rows.truncate(n);
     }
 
     Ok((
-        ExecResult {
-            columns,
-            rows,
-            scanned_rows: scanned,
-            used_index,
-        },
+        ExecResult { columns, rows },
         TailCounts {
             pre_distinct,
             pre_limit,
@@ -975,9 +671,10 @@ fn execute_grouped(
 mod tests {
     use super::*;
     use crate::table::ColumnData;
+    use crate::{MiniDb, PlannedExec};
     use sqlog_sql::parse_query;
 
-    fn db() -> HashMap<String, Table> {
+    fn db() -> MiniDb {
         let mut employee = Table::new("Employee");
         employee.add_column(
             "empid",
@@ -1006,38 +703,51 @@ mod tests {
         );
         info.build_index("empid");
 
-        let mut map = HashMap::new();
-        map.insert("employee".to_string(), employee);
-        map.insert("employeeinfo".to_string(), info);
-        map
+        let mut db = MiniDb::new();
+        db.add_table(employee);
+        db.add_table(info);
+        db
+    }
+
+    fn planned(db: &MiniDb, sql: &str) -> PlannedExec {
+        db.execute_query_planned(&parse_query(sql).unwrap())
+            .unwrap()
     }
 
     fn run(sql: &str) -> ExecResult {
-        execute(&parse_query(sql).unwrap(), &db()).unwrap()
+        planned(&db(), sql).result
+    }
+
+    /// The access path the plan chose for its first scan.
+    fn access(p: &PlannedExec) -> &'static str {
+        p.plan.scans()[0].access.variant()
     }
 
     #[test]
     fn point_lookup_uses_index() {
-        let r = run("SELECT name FROM Employee WHERE empId = 8");
-        assert!(r.used_index);
-        assert_eq!(r.scanned_rows, 1);
-        assert_eq!(r.rows, vec![vec![Value::from("joe")]]);
+        let p = planned(&db(), "SELECT name FROM Employee WHERE empId = 8");
+        assert_eq!(access(&p), "IndexSeek");
+        assert_eq!(p.ops.storage_scanned(), 1);
+        assert_eq!(p.result.rows, vec![vec![Value::from("joe")]]);
     }
 
     #[test]
     fn in_list_uses_index() {
-        let r = run("SELECT empId, name FROM Employee WHERE empId IN (8, 1)");
-        assert!(r.used_index);
-        assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.scanned_rows, 2);
+        let p = planned(
+            &db(),
+            "SELECT empId, name FROM Employee WHERE empId IN (8, 1)",
+        );
+        assert_eq!(access(&p), "IndexSeek");
+        assert_eq!(p.result.rows.len(), 2);
+        assert_eq!(p.ops.storage_scanned(), 2);
     }
 
     #[test]
     fn full_scan_on_non_indexed_column() {
-        let r = run("SELECT empId FROM Employee WHERE name = 'bob'");
-        assert!(!r.used_index);
-        assert_eq!(r.scanned_rows, 4);
-        assert_eq!(r.rows, vec![vec![Value::Int(2)]]);
+        let p = planned(&db(), "SELECT empId FROM Employee WHERE name = 'bob'");
+        assert_eq!(access(&p), "FullScan");
+        assert_eq!(p.ops.storage_scanned(), 4);
+        assert_eq!(p.result.rows, vec![vec![Value::Int(2)]]);
     }
 
     #[test]
@@ -1164,17 +874,15 @@ mod tests {
             "x",
             ColumnData::Int(vec![Some(1), Some(1), Some(2), None, None]),
         );
-        let mut map = HashMap::new();
-        map.insert("d".to_string(), t);
-        let q = parse_query("SELECT DISTINCT x FROM d").unwrap();
-        let r = execute(&q, &map).unwrap();
+        let mut db = MiniDb::new();
+        db.add_table(t);
+        let r = planned(&db, "SELECT DISTINCT x FROM d").result;
         assert_eq!(
             r.rows,
             vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Null]]
         );
         // Without DISTINCT all five rows come back.
-        let q = parse_query("SELECT x FROM d").unwrap();
-        assert_eq!(execute(&q, &map).unwrap().rows.len(), 5);
+        assert_eq!(planned(&db, "SELECT x FROM d").result.rows.len(), 5);
     }
 
     #[test]
@@ -1199,31 +907,27 @@ mod tests {
             ColumnData::Int((0..1_000).map(|i| Some(i * 2)).collect()),
         );
         t.build_range_index("h");
-        let mut map = HashMap::new();
-        map.insert("scan".to_string(), t);
+        let mut db = MiniDb::new();
+        db.add_table(t);
 
-        let q = parse_query("SELECT v FROM scan WHERE h >= 100 AND h <= 109").unwrap();
-        let r = execute(&q, &map).unwrap();
-        assert!(r.used_index);
-        assert_eq!(r.scanned_rows, 10);
-        assert_eq!(r.rows.len(), 10);
+        let p = planned(&db, "SELECT v FROM scan WHERE h >= 100 AND h <= 109");
+        assert_eq!(access(&p), "IndexRangeSeek");
+        assert_eq!(p.ops.storage_scanned(), 10);
+        assert_eq!(p.result.rows.len(), 10);
 
-        let q = parse_query("SELECT v FROM scan WHERE h BETWEEN 990 AND 2000").unwrap();
-        let r = execute(&q, &map).unwrap();
-        assert!(r.used_index);
-        assert_eq!(r.rows.len(), 10);
+        let p = planned(&db, "SELECT v FROM scan WHERE h BETWEEN 990 AND 2000");
+        assert_eq!(access(&p), "IndexRangeSeek");
+        assert_eq!(p.result.rows.len(), 10);
 
         // Strict bounds narrow correctly.
-        let q = parse_query("SELECT v FROM scan WHERE h > 997").unwrap();
-        let r = execute(&q, &map).unwrap();
-        assert!(r.used_index);
-        assert_eq!(r.rows.len(), 2);
+        let p = planned(&db, "SELECT v FROM scan WHERE h > 997");
+        assert_eq!(access(&p), "IndexRangeSeek");
+        assert_eq!(p.result.rows.len(), 2);
 
         // Without a range index the same query full-scans.
-        let q = parse_query("SELECT h FROM scan WHERE v BETWEEN 0 AND 2").unwrap();
-        let r = execute(&q, &map).unwrap();
-        assert!(!r.used_index);
-        assert_eq!(r.scanned_rows, 1_000);
+        let p = planned(&db, "SELECT h FROM scan WHERE v BETWEEN 0 AND 2");
+        assert_eq!(access(&p), "FullScan");
+        assert_eq!(p.ops.storage_scanned(), 1_000);
     }
 
     #[test]
@@ -1251,7 +955,10 @@ mod tests {
         assert_eq!(r.rows, vec![vec![Value::from("BOB"), Value::Int(3)]]);
         // Unknown functions are honest errors.
         let q = parse_query("SELECT frobnicate(1) FROM Employee").unwrap();
-        assert!(matches!(execute(&q, &db()), Err(ExecError::Unsupported(_))));
+        assert!(matches!(
+            db().execute_query(&q),
+            Err(ExecError::Unsupported(_))
+        ));
     }
 
     #[test]
@@ -1262,18 +969,22 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
+        let db = db();
         let q = parse_query("SELECT a FROM nosuch").unwrap();
         assert!(matches!(
-            execute(&q, &db()),
+            db.execute_query(&q),
             Err(ExecError::UnknownTable(_))
         ));
         let q = parse_query("SELECT nosuch FROM Employee").unwrap();
         assert!(matches!(
-            execute(&q, &db()),
+            db.execute_query(&q),
             Err(ExecError::UnknownColumn(_))
         ));
         let q = parse_query("SELECT a FROM t1 UNION SELECT a FROM t2").unwrap();
-        assert!(matches!(execute(&q, &db()), Err(ExecError::Unsupported(_))));
+        assert!(matches!(
+            db.execute_query(&q),
+            Err(ExecError::Unsupported(_))
+        ));
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! overhead explicit**, preserving the experiment's shape: per-statement
 //! overhead dominates point queries, and the merged rewrites pay it once.
 //!
+//! [`MiniDb`] is the entry point: it holds the tables and their statistics,
+//! and only its planner chooses access paths. The naive reference executor
+//! behind [`MiniDb::execute_query_naive`] full-scans every source.
+//!
 //! ```
 //! use sqlog_minidb::datagen::skyserver_db;
 //!
@@ -33,8 +37,8 @@ pub mod value;
 
 pub use cost::CostModel;
 pub use engine::MiniDb;
-pub use exec::{execute, execute_naive, ExecError, ExecResult};
-pub use ops::{execute_planned, OpStats, PlannedExec};
+pub use exec::{ExecError, ExecResult};
+pub use ops::{OpStats, PlannedExec};
 pub use plan::{plan_query, Access, PlanNode, QueryPlan};
 pub use stats::{analyze, ColumnStats, TableStats};
 pub use table::{Column, ColumnData, IndexKey, Table};

@@ -20,7 +20,7 @@ use crate::exec::{
     bind_table_ref, constant_result, materialize, BoundQuery, ExecError, ExecResult, Source,
 };
 use crate::plan::{plan_query, Access, PlanNode, QueryPlan, ScanPlan};
-use crate::stats::{analyze, TableStats};
+use crate::stats::TableStats;
 use crate::table::{index_on, ColumnData, IndexKey, Table};
 use sqlog_obs::Json;
 use sqlog_sql::ast::{Expr, Query, TableRef};
@@ -117,20 +117,6 @@ pub struct PlannedExec {
     pub ops: OpStats,
 }
 
-/// Plans and executes with freshly computed stats for every table. Use
-/// [`execute_planned_with_stats`] (or [`crate::MiniDb`], which caches) when
-/// executing repeatedly against the same tables.
-pub fn execute_planned(
-    query: &Query,
-    tables: &HashMap<String, Table>,
-) -> Result<PlannedExec, ExecError> {
-    let stats: HashMap<String, TableStats> = tables
-        .iter()
-        .map(|(name, t)| (name.clone(), analyze(t)))
-        .collect();
-    execute_planned_with_stats(query, tables, &stats)
-}
-
 /// Plans and executes a query through the Volcano pipeline.
 pub fn execute_planned_with_stats(
     query: &Query,
@@ -185,12 +171,10 @@ pub fn execute_planned_with_stats(
     // Assemble the pipeline from the plan's scan topology and drain it.
     let counters;
     let matches;
-    let used_index;
     {
         let base = base_of(&plan.root);
         let input = match base {
             PlanNode::Scan(sp) => {
-                used_index = sp.access.is_seek();
                 BaseOp::Single(ScanOp::new(scan_candidates(sources[0].table, &sp.access)))
             }
             PlanNode::NestedLoopJoin {
@@ -203,7 +187,6 @@ pub fn execute_planned_with_stats(
                 else {
                     return Err(ExecError::Unsupported("join of non-scans".into()));
                 };
-                used_index = osp.access.is_seek() || probe.is_some() || isp.access.is_seek();
                 let (outer_table, inner_table) = (sources[0].table, sources[1].table);
                 // With no equi-join probe the inner side re-walks its (fixed)
                 // best access path per outer row. It starts exhausted, so
@@ -252,9 +235,7 @@ pub fn execute_planned_with_stats(
         matches = out;
     }
 
-    let scanned = (counters.outer_scanned + counters.inner_scanned) as usize;
-    let (result, tail) =
-        crate::exec::finish_rows(query, &bound, &sources, matches, scanned, used_index)?;
+    let (result, tail) = crate::exec::finish_rows(query, &bound, &sources, matches)?;
     let counters = Counters {
         pre_distinct: tail.pre_distinct as u64,
         pre_limit: tail.pre_limit as u64,
@@ -302,7 +283,7 @@ fn base_of(root: &PlanNode) -> &PlanNode {
 }
 
 /// Candidate row ids of one scan, ascending.
-pub(crate) enum Candidates<'a> {
+enum Candidates<'a> {
     /// Every row of a table with this many rows.
     All(usize),
     /// One hash-index entry, read in place.
@@ -312,7 +293,7 @@ pub(crate) enum Candidates<'a> {
 }
 
 impl Candidates<'_> {
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             Candidates::All(n) => *n,
             Candidates::Index(ids) => ids.len(),
@@ -328,15 +309,11 @@ impl Candidates<'_> {
             Candidates::Rows(ids) => ids[i] as usize,
         }
     }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
 }
 
 /// Candidate row ids for an access path, in ascending row-id order — the
-/// same order every naive access path produces, which keeps planned and
-/// naive result rows identical even without ORDER BY.
+/// order of the naive executor's full scan, which keeps planned and naive
+/// result rows identical even without ORDER BY.
 fn scan_candidates<'a>(table: &'a Table, access: &Access) -> Candidates<'a> {
     match access {
         Access::PkSeek { column, keys } | Access::IndexSeek { column, keys } => match &keys[..] {
@@ -407,8 +384,7 @@ struct JoinProbe<'a> {
 
 impl<'a> JoinProbe<'a> {
     /// Inner candidates for one outer row. A value the index cannot hold
-    /// (NULL, a float), or a missing index, falls back to a full pass,
-    /// exactly as the naive join does.
+    /// (NULL, a float), or a missing index, falls back to a full pass.
     fn inner(&self, outer_row: usize) -> Candidates<'a> {
         let key = self
             .outer

@@ -31,8 +31,7 @@ use sqlog_sql::ast::*;
 use std::collections::HashMap;
 
 /// Cost of one hash-index probe. Cheaper than examining a single row so a
-/// selective seek beats a full scan even on tiny tables — mirroring the
-/// naive executor, which always seeks when an index matches.
+/// selective seek beats a full scan even on tiny tables.
 const COST_PROBE: f64 = 0.5;
 /// Cost of positioning a range scan (B-tree descent).
 const COST_RANGE_DESCENT: f64 = 8.0;
@@ -468,13 +467,11 @@ struct PlanSource<'a> {
 }
 
 impl PlanSource<'_> {
-    /// Does an (optionally qualified) column reference bind to this source?
-    /// Mirrors the executor's resolution: alias or table name, ASCII
-    /// case-insensitive.
-    fn binds(&self, qualifier: Option<&str>) -> bool {
-        qualifier.is_none_or(|q| {
-            self.binding.eq_ignore_ascii_case(q) || self.table_name.eq_ignore_ascii_case(q)
-        })
+    /// Does a column qualifier name this source? Mirrors the executor's
+    /// resolution: alias or table name, ASCII case-insensitive.
+    fn binds(&self, qualifier: &str) -> bool {
+        self.binding.eq_ignore_ascii_case(qualifier)
+            || self.table_name.eq_ignore_ascii_case(qualifier)
     }
 }
 
@@ -488,7 +485,7 @@ impl PlanSource<'_> {
 /// time, so the planner stays conservative and refuses the seek).
 fn resolves_to(sources: &[PlanSource<'_>], si: usize, qualifier: Option<&str>, col: &str) -> bool {
     if let Some(q) = qualifier {
-        return sources.iter().position(|s| s.binds(Some(q))) == Some(si);
+        return sources.iter().position(|s| s.binds(q)) == Some(si);
     }
     for (i, s) in sources.iter().enumerate() {
         match s.table {
@@ -697,7 +694,7 @@ fn projection_names(projection: &[SelectItem]) -> Vec<String> {
 
 /// The literal row cap, when the TOP/LIMIT expression is a plain (possibly
 /// parenthesized) number.
-fn limit_literal(e: &Expr) -> Option<usize> {
+pub(crate) fn limit_literal(e: &Expr) -> Option<usize> {
     match e {
         Expr::Literal(Literal::Number(n)) => n.parse().ok(),
         Expr::Nested(inner) => limit_literal(inner),
@@ -1030,13 +1027,15 @@ fn find_equi_probe(predicate: &Expr, sources: &[PlanSource<'_>]) -> Option<(Stri
                 let (ca, cb) = (a.last().normalized(), b.last().normalized());
                 let qa = a.qualifier().last().map(|q| q.normalized());
                 let qb = b.qualifier().last().map(|q| q.normalized());
-                let is_left = |q: &Option<String>| sources[0].binds(q.as_deref());
-                let is_right =
-                    |q: &Option<String>| q.as_deref().is_some_and(|q| sources[1].binds(Some(q)));
-                if is_left(&qa) && is_right(&qb) && inner_table.indexes.contains_key(&cb) {
+                // Each side must bind where the executor binds it: a
+                // qualifier names the first source it matches.
+                let on = |si: usize, q: &Option<String>, col: &str| {
+                    resolves_to(sources, si, q.as_deref(), col)
+                };
+                if on(0, &qa, &ca) && on(1, &qb, &cb) && inner_table.indexes.contains_key(&cb) {
                     return Some((ca, cb));
                 }
-                if is_left(&qb) && is_right(&qa) && inner_table.indexes.contains_key(&ca) {
+                if on(0, &qb, &cb) && on(1, &qa, &ca) && inner_table.indexes.contains_key(&ca) {
                     return Some((cb, ca));
                 }
             }

@@ -3,16 +3,17 @@
 //! engine never panics and never silently mis-executes an unsupported shape.
 //!
 //! The differential tests below additionally pin the cost-based
-//! planner + Volcano executor to the retained naive reference path: over
-//! the full generated log and over every statement of the solver-rewrite
-//! corpus, both executors must produce identical rows (order-normalized)
-//! or both must reject the statement.
+//! planner + Volcano executor to the naive reference path, a nested-loop
+//! full scan that uses no index: over the full generated log and over
+//! every statement of the solver-rewrite corpus, both executors must
+//! produce identical rows (order-normalized) or both must reject the
+//! statement.
 
 use sqlog_catalog::skyserver_catalog;
 use sqlog_core::Pipeline;
 use sqlog_gen::{generate, GenConfig};
 use sqlog_minidb::datagen::skyserver_db;
-use sqlog_minidb::{ExecError, ExecResult, MiniDb, Value};
+use sqlog_minidb::{ExecError, ExecResult, MiniDb, PlanNode, Value};
 use sqlog_sql::ast::Query;
 
 #[test]
@@ -212,7 +213,6 @@ fn bad_expressions_no_row_reaches_do_not_fail() {
         "SELECT upper(v) FROM t WHERE v > 1000000",
         // Primary-key seek that finds no key: no candidate row at all.
         "SELECT nosuch FROM t WHERE id = 99",
-        "SELECT id FROM t WHERE id = 99 AND nosuch = 1",
     ] {
         let r = run_both(&db, sql).unwrap_or_else(|e| panic!("{sql:?} failed: {e}"));
         assert!(r.rows.is_empty(), "{sql:?} returned rows");
@@ -220,6 +220,19 @@ fn bad_expressions_no_row_reaches_do_not_fail() {
     let q = parse_select("SELECT nosuch FROM t WHERE id = 99").unwrap();
     let plan = db.plan(&q).unwrap();
     assert_eq!(plan.scans()[0].access.variant(), "PkSeek");
+
+    // The one statement here whose outcome depends on the access path: the
+    // planned PkSeek reaches no row, so the bad conjunct is never
+    // evaluated; the naive full scan reaches every row and reports it.
+    let q = parse_select("SELECT id FROM t WHERE id = 99 AND nosuch = 1").unwrap();
+    assert_eq!(db.plan(&q).unwrap().scans()[0].access.variant(), "PkSeek");
+    let planned = db.execute_query(&q).unwrap();
+    assert_eq!(planned.columns, ["id"]);
+    assert!(planned.rows.is_empty());
+    assert_eq!(
+        db.execute_query_naive(&q).map_err(|e| e.to_string()),
+        Err("unknown column nosuch".to_string())
+    );
 }
 
 #[test]
@@ -273,10 +286,75 @@ fn derived_columns_and_self_join_qualifiers_resolve() {
     )
     .unwrap();
     assert_eq!(r.rows, vec![vec![Value::Int(20), Value::Int(20)]]);
-    let r = run_both(
+    // `t.id` names `x` (the first source called `t`), so the ON condition
+    // reads `x.id = x.id` and every `u` row joins the `x.id = 1` row. The
+    // planner must not hash-probe `u` on `u.id`, which would drop two.
+    let sql = "SELECT t.v, d FROM t AS x JOIN u AS t ON x.id = t.id WHERE x.id = 1";
+    let r = run_both(&db, sql).unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Int(10), Value::Int(7)],
+            vec![Value::Int(10), Value::Int(8)],
+            vec![Value::Int(10), Value::Int(9)],
+        ]
+    );
+    let plan = db.plan(&parse_select(sql).unwrap()).unwrap();
+    let mut join = &plan.root;
+    while let Some(input) = join.input() {
+        join = input;
+    }
+    assert!(
+        matches!(join, PlanNode::NestedLoopJoin { probe: None, .. }),
+        "{}",
+        plan.to_json().render()
+    );
+}
+
+#[test]
+fn top_reads_a_parenthesized_literal_on_every_path() {
+    let db = skyserver_db(400, 1);
+    let bare = run_both(
         &db,
-        "SELECT t.v, d FROM t AS x JOIN u AS t ON x.id = t.id WHERE x.id = 1",
+        "SELECT TOP 2 type, count(*) FROM photoprimary GROUP BY type",
     )
     .unwrap();
-    assert_eq!(r.rows, vec![vec![Value::Int(10), Value::Int(7)]]);
+    assert_eq!(bare.rows.len(), 2);
+    for sql in [
+        "SELECT TOP (2) type, count(*) FROM photoprimary GROUP BY type",
+        "SELECT TOP ((2)) type, count(*) FROM photoprimary GROUP BY type",
+    ] {
+        assert_eq!(run_both(&db, sql).unwrap().rows, bare.rows, "{sql:?}");
+    }
+    let bare = run_both(&db, "SELECT TOP 2 objid FROM photoprimary").unwrap();
+    assert_eq!(bare.rows.len(), 2);
+    for sql in [
+        "SELECT TOP (2) objid FROM photoprimary",
+        "SELECT TOP ((2)) objid FROM photoprimary",
+    ] {
+        assert_eq!(run_both(&db, sql).unwrap().rows, bare.rows, "{sql:?}");
+    }
+}
+
+#[test]
+fn grouped_order_by_an_aggregate_sorts_the_groups() {
+    let db = small_db();
+    // `t.id = k` joins k rows of `u`: v = 10, 20, NULL get counts 1, 2, 3.
+    let from = "FROM t AS a JOIN u AS b ON a.id >= b.id GROUP BY v";
+    let asc = vec![
+        vec![Value::Int(10), Value::Int(1)],
+        vec![Value::Int(20), Value::Int(2)],
+        vec![Value::Null, Value::Int(3)],
+    ];
+    let desc: Vec<_> = asc.iter().rev().cloned().collect();
+    for (sql, want) in [
+        (format!("SELECT v, count(*) {from} ORDER BY count(*)"), &asc),
+        (
+            format!("SELECT v, count(*) AS n {from} ORDER BY n DESC"),
+            &desc,
+        ),
+    ] {
+        let r = run_both(&db, &sql).unwrap_or_else(|e| panic!("{sql:?} failed: {e}"));
+        assert_eq!(&r.rows, want, "{sql:?}");
+    }
 }
