@@ -34,12 +34,8 @@ pub struct PipelineConfig {
     /// the paper's Example 10 (`SELECT empId, name ... WHERE empId IN (...)`),
     /// so result rows remain attributable to the merged constants.
     pub rewrite_adds_filter_column: bool,
-    /// Number of parser threads (0 = one per available core). Only consulted
-    /// by the standalone [`crate::parse_step::parse_log`] helper; the
-    /// pipeline itself uses [`PipelineConfig::parallelism`] for every stage.
-    pub parse_threads: usize,
-    /// Worker threads for the sharded pipeline stages (dedup, parse,
-    /// sessions, mining, detection). `0` = one per available core, `1` =
+    /// Worker threads for the sharded pipeline stages (ingest, dedup, parse,
+    /// sessions, mining, detection, solve). `0` = one per available core, `1` =
     /// fully sequential. Output is byte-identical for every value (§5
     /// stages shard by user/session and merge deterministically).
     pub parallelism: usize,
@@ -108,7 +104,6 @@ impl Default for PipelineConfig {
             cth_lookahead: 8,
             require_key_attribute: true,
             rewrite_adds_filter_column: true,
-            parse_threads: 0,
             parallelism: 0,
             max_parse_depth: sqlog_sql::ParseLimits::default().max_depth,
             max_statement_bytes: sqlog_sql::ParseLimits::default().max_statement_bytes,

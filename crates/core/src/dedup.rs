@@ -14,10 +14,7 @@
 //! — an index vector over the input — so no [`LogEntry`](sqlog_log::LogEntry) (or its statement
 //! `String`) is ever cloned on this path.
 
-use crate::fault;
-use crate::shard::{
-    balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
-};
+use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
 use sqlog_log::{LogView, QueryLog};
 use sqlog_obs::{Recorder, SpanId};
 use sqlog_skeleton::{text_fingerprint, Fingerprint, FnvHashMap};
@@ -36,14 +33,6 @@ pub struct DedupStats {
     pub poison: usize,
     /// Shards whose worker panicked and was recovered per-record.
     pub degraded_shards: usize,
-}
-
-/// Per-shard result of a dedup scan.
-struct ShardScan {
-    /// Kept view positions, in log order within the shard's users.
-    kept: Vec<u32>,
-    /// Poison records skipped (degraded re-runs only).
-    poison: usize,
 }
 
 /// Duplicate decision for one record: the user's previous statement with
@@ -71,14 +60,17 @@ fn is_dup(
 /// Sequential scan over one user-partition of the view: positions whose
 /// entry repeats the user's previous identical statement within the
 /// threshold are duplicates. `uids[i]` identifies the user of position `i`;
-/// only positions with `uid_range.contains(uids[i])` are examined.
+/// only positions with `uid_range.contains(uids[i])` are examined. The
+/// steps that run untrusted statement text (the fault hook and the
+/// fingerprint) form one [`ShardCtx::item`], so a poison record
+/// contributes neither a kept position nor a `last_seen` stamp.
 fn scan_partition(
     view: &LogView<'_>,
     uids: &[u32],
     uid_range: std::ops::Range<u32>,
     threshold_ms: Option<u64>,
-) -> ShardScan {
-    let fault = fault::armed("dedup");
+    shard: &ShardCtx,
+) -> Vec<u32> {
     let mut last_seen = FnvHashMap::default();
     let mut kept = Vec::new();
     for (i, &uid) in uids.iter().enumerate() {
@@ -86,47 +78,17 @@ fn scan_partition(
             continue;
         }
         let e = view.entry(i);
-        fault::trip(&fault, &e.statement);
-        let fp = text_fingerprint(&e.statement);
-        if !is_dup(&mut last_seen, uid, fp, e.timestamp.millis(), threshold_ms) {
-            kept.push(i as u32);
-        }
-    }
-    ShardScan { kept, poison: 0 }
-}
-
-/// Degraded re-run of [`scan_partition`] after its worker panicked: the
-/// steps that run untrusted statement text (the injected trip and the
-/// fingerprint) are wrapped in a per-record panic guard, so exactly the
-/// poison records are skipped (they contribute neither a kept position nor
-/// a `last_seen` stamp) and everything around them dedups normally.
-fn scan_partition_isolated(
-    view: &LogView<'_>,
-    uids: &[u32],
-    uid_range: std::ops::Range<u32>,
-    threshold_ms: Option<u64>,
-) -> ShardScan {
-    let fault = fault::armed("dedup");
-    let mut last_seen = FnvHashMap::default();
-    let mut kept = Vec::new();
-    let mut poison = 0usize;
-    for (i, &uid) in uids.iter().enumerate() {
-        if !uid_range.contains(&uid) {
-            continue;
-        }
-        let e = view.entry(i);
-        let Some(fp) = guarded(|| {
-            fault::trip(&fault, &e.statement);
+        let Some(fp) = shard.item(|| {
+            shard.trip(&e.statement);
             text_fingerprint(&e.statement)
         }) else {
-            poison += 1;
             continue;
         };
         if !is_dup(&mut last_seen, uid, fp, e.timestamp.millis(), threshold_ms) {
             kept.push(i as u32);
         }
     }
-    ShardScan { kept, poison }
+    kept
 }
 
 /// Removes duplicates from a log view, returning the surviving entries as a
@@ -173,48 +135,44 @@ pub fn dedup_view_traced<'a>(
         uids.push(uid);
     }
 
-    let ranges = if threads <= 1 || counts.len() <= 1 {
-        whole_range(counts.len())
-    } else {
-        balance_chunks(&counts, threads)
-    };
-    let uids = &uids;
-    let counts = &counts;
-    let (shards, degraded) = run_shards_traced(
-        ranges,
+    let run = run_shards(
+        plan_shards(threads, counts.iter().copied()),
         ShardTrace {
             rec,
             parent,
+            stage: "dedup",
             span_name: "dedup.shard",
             hist_name: "dedup.shard_us",
+            degraded_counter: Some("dedup.degraded_shards"),
         },
         // Work units = entries belonging to the shard's user range.
         |r| counts[r.clone()].iter().sum(),
-        |r| scan_partition(view, uids, r.start as u32..r.end as u32, threshold_ms),
-        |r| scan_partition_isolated(view, uids, r.start as u32..r.end as u32, threshold_ms),
+        |r, shard| {
+            scan_partition(
+                view,
+                &uids,
+                r.start as u32..r.end as u32,
+                threshold_ms,
+                shard,
+            )
+        },
     );
-    let mut poison = 0usize;
     // Per-shard survivors are disjoint view positions; sorting restores
     // global log order, making the merge independent of sharding.
-    let mut kept: Vec<u32> = Vec::new();
-    for shard in shards {
-        kept.extend(shard.kept);
-        poison += shard.poison;
-    }
+    let mut kept: Vec<u32> = run.outputs.concat();
     kept.sort_unstable();
 
     let stats = DedupStats {
         input: n,
-        removed: n - kept.len() - poison,
+        removed: n - kept.len() - run.poison,
         kept: kept.len(),
-        poison,
-        degraded_shards: degraded,
+        poison: run.poison,
+        degraded_shards: run.degraded,
     };
     rec.counter("dedup.input", stats.input as u64);
     rec.counter("dedup.removed", stats.removed as u64);
     rec.counter("dedup.kept", stats.kept as u64);
     rec.counter("dedup.poison_records", stats.poison as u64);
-    rec.counter("dedup.degraded_shards", stats.degraded_shards as u64);
     (view.select(kept), stats)
 }
 

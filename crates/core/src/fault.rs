@@ -1,6 +1,6 @@
 //! Fault injection for the resilience and chaos harnesses.
 //!
-//! The panic-isolation machinery ([`crate::shard::run_shards_isolated`])
+//! The panic isolation of the shard runner ([`crate::shard::run_shards`])
 //! only matters when something actually panics, and real poison records are
 //! rare by construction. This module gives the integration tests a
 //! deterministic way to plant one: when the environment variable
@@ -30,7 +30,11 @@
 //!
 //! The hook is compiled in unconditionally — integration tests link the
 //! non-test build — but costs one `env::var` lookup per *shard* and nothing
-//! per record while disarmed. The environment is re-read on every arm call
+//! per record while disarmed. The shard runner arms it once per shard
+//! attempt and hands the marker to the shard body through
+//! [`crate::shard::ShardCtx::trip`]; only the two hooks that are not shards
+//! (ingest's post-scan trip and the checkpoint write) call [`armed`]
+//! themselves. The environment is re-read on every arm call
 //! (never cached) so a single test process can exercise several stages in
 //! sequence.
 //!
@@ -46,7 +50,7 @@
 
 /// Returns the armed marker when fault injection targets `stage`.
 ///
-/// Call once per shard, outside the per-record loop.
+/// Called once per shard attempt, outside the per-record loop.
 pub(crate) fn armed(stage: &str) -> Option<String> {
     let marker = std::env::var("SQLOG_FAULT_MARKER").ok()?;
     if marker.is_empty() {

@@ -2,7 +2,7 @@
 //!
 //! The driver reads the whole input into memory, splits it into byte
 //! segments aligned to line boundaries ([`segment_ranges`]), scans each
-//! segment with [`scan_log_slice`] under [`run_shards_traced`], and merges
+//! segment with [`scan_log_slice`] under the shard runner, and merges
 //! the per-segment entries, quarantine bytes and statistics back **in file
 //! order** with [`merge_segments`] — so the output is byte-identical to
 //! [`sqlog_log::read_log_with`] (one segment) at any thread count, under
@@ -11,7 +11,7 @@
 //! Ingest parallelism inherits [`crate::PipelineConfig::parallelism`]; the
 //! segment count lands in the `ingest.segments` counter.
 
-use crate::shard::{resolve_threads, run_shards_traced, ShardTrace};
+use crate::shard::{resolve_threads, run_shards, ShardTrace};
 use sqlog_log::{
     merge_segments, scan_log_slice, segment_ranges, IngestPolicy, IngestStats, IoFormatError,
     QueryLog,
@@ -38,20 +38,21 @@ pub fn ingest_slice_traced(
     let ranges = segment_ranges(data, threads);
     rec.counter("ingest.segments", ranges.len() as u64);
     let want_quarantine = quarantine.is_some();
-    let (segments, degraded) = run_shards_traced(
+    let segments = run_shards(
         ranges,
         ShardTrace {
             rec,
             parent,
+            stage: "ingest",
             span_name: "ingest.shard",
             hist_name: "ingest.shard_us",
+            degraded_counter: Some("ingest.degraded_shards"),
         },
         // Work units = bytes of the segment.
         |r| (r.end - r.start) as u64,
-        |r| scan_log_slice(&data[r.clone()], policy, want_quarantine),
-        |r| scan_log_slice(&data[r.clone()], policy, want_quarantine),
-    );
-    rec.counter("ingest.degraded_shards", degraded as u64);
+        |r, _| scan_log_slice(&data[r], policy, want_quarantine),
+    )
+    .outputs;
     merge_segments(segments, quarantine)
 }
 

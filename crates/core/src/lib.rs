@@ -79,9 +79,7 @@ pub use pipeline::{DetectOutput, Pipeline, PipelineResult};
 pub use recommend::{evaluate_against_marks, RecommendationEval, Recommender};
 pub use report::{render_pattern_table, render_statistics, top_patterns, PatternRow};
 pub use run_report::{statistics_from_json, statistics_to_json, RunReport, RUN_REPORT_SCHEMA};
-pub use shard::{
-    balance_chunks, resolve_threads, run_shards_isolated, run_shards_traced, ShardTrace,
-};
+pub use shard::{balance_chunks, resolve_threads};
 pub use solve::{decide_solutions, splice_solutions, SolveDecisions, SolveOutcome, SolvedRewrite};
 pub use stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 pub use store::{TemplateId, TemplateStore};

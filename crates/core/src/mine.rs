@@ -27,11 +27,8 @@
 //! ranges and the merged counts are identical for every thread count.
 
 use crate::config::PipelineConfig;
-use crate::fault;
 use crate::parse_step::ParsedRecord;
-use crate::shard::{
-    balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
-};
+use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
 use crate::store::TemplateId;
 use sqlog_log::{LogView, QueryLog};
 use sqlog_obs::{Recorder, SpanId};
@@ -60,51 +57,31 @@ pub struct Sessions {
     pub degraded_shards: usize,
 }
 
-/// Per-shard fault state for session splitting: the armed injection marker
-/// plus whether records run under per-record panic isolation (the degraded
-/// re-run of a panicked shard).
-struct SplitGuard {
-    fault: Option<String>,
-    isolate: bool,
-}
-
 /// Splits one user's record stream into gap-separated sessions, appending
-/// them to `out`. With `guard.isolate`, every record is processed under a
-/// panic guard and poison records are skipped (counted in the return value)
-/// instead of aborting the stream.
+/// them to `out`. Each record's timestamp read is one [`ShardCtx::item`]:
+/// a poison record contributes neither a session member nor a timestamp,
+/// exactly as if it had been dropped upstream.
 fn split_user_stream(
     view: &LogView<'_>,
     records: &[ParsedRecord],
-    guard: &SplitGuard,
+    shard: &ShardCtx,
     uid: u32,
     stream: &[usize],
     gap_ms: u64,
     out: &mut Vec<Session>,
-) -> usize {
+) {
     let mut current = Session {
         user: uid,
         records: Vec::new(),
     };
-    let mut poison = 0usize;
     let mut last_ms: Option<i64> = None;
     for &ri in stream {
         let entry = view.entry(records[ri].entry_idx as usize);
-        let t = if guard.isolate {
-            // A poison record contributes neither a session member nor a
-            // timestamp, exactly as if it had been dropped upstream.
-            match guarded(|| {
-                fault::trip(&guard.fault, &entry.statement);
-                entry.timestamp.millis()
-            }) {
-                Some(t) => t,
-                None => {
-                    poison += 1;
-                    continue;
-                }
-            }
-        } else {
-            fault::trip(&guard.fault, &entry.statement);
+        let Some(t) = shard.item(|| {
+            shard.trip(&entry.statement);
             entry.timestamp.millis()
+        }) else {
+            continue;
         };
         if let Some(prev) = last_ms {
             if (t - prev) as u64 > gap_ms && !current.records.is_empty() {
@@ -123,7 +100,6 @@ fn split_user_stream(
     if !current.records.is_empty() {
         out.push(current);
     }
-    poison
 }
 
 /// Splits parsed records into per-user sessions.
@@ -159,82 +135,51 @@ pub fn build_sessions_view_traced(
         streams[uid as usize].push(ri);
     }
 
-    let threads = resolve_threads(threads).min(streams.len().max(1));
-    let ranges = if threads <= 1 || streams.len() <= 1 {
-        whole_range(streams.len())
-    } else {
-        let weights: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-        balance_chunks(&weights, threads)
-    };
-    let streams = &streams;
-    let (shards, degraded) = run_shards_traced(
-        ranges,
+    let run = run_shards(
+        plan_shards(
+            resolve_threads(threads),
+            streams.iter().map(|s| s.len() as u64),
+        ),
         ShardTrace {
             rec,
             parent,
+            stage: "sessions",
             span_name: "sessions.shard",
             hist_name: "sessions.shard_us",
+            degraded_counter: Some("sessions.degraded_shards"),
         },
         // Work units = records belonging to the shard's user range.
         |r| streams[r.clone()].iter().map(|s| s.len() as u64).sum(),
-        |r| {
-            let guard = SplitGuard {
-                fault: fault::armed("sessions"),
-                isolate: false,
-            };
+        |r, shard| {
             let mut out = Vec::new();
             for uid in r {
                 split_user_stream(
                     view,
                     records,
-                    &guard,
+                    shard,
                     uid as u32,
                     &streams[uid],
                     gap_ms,
                     &mut out,
                 );
             }
-            (out, 0usize)
-        },
-        |r| {
-            // Degraded re-run: per-record isolation inside each stream.
-            let guard = SplitGuard {
-                fault: fault::armed("sessions"),
-                isolate: true,
-            };
-            let mut out = Vec::new();
-            let mut poison = 0usize;
-            for uid in r {
-                poison += split_user_stream(
-                    view,
-                    records,
-                    &guard,
-                    uid as u32,
-                    &streams[uid],
-                    gap_ms,
-                    &mut out,
-                );
-            }
-            (out, poison)
+            out
         },
     );
     // Shards cover contiguous user ranges in order, so concatenation
     // reproduces the sequential (user, time) session order.
     let mut sessions = Vec::new();
-    let mut poison = 0usize;
-    for (shard, shard_poison) in shards {
+    for shard in run.outputs {
         sessions.extend(shard);
-        poison += shard_poison;
     }
     rec.counter("sessions.count", sessions.len() as u64);
     rec.counter("sessions.users", user_names.len() as u64);
-    rec.counter("sessions.poison_records", poison as u64);
-    rec.counter("sessions.degraded_shards", degraded as u64);
+    rec.counter("sessions.poison_records", run.poison as u64);
     Sessions {
         sessions,
         user_names,
-        poison,
-        degraded_shards: degraded,
+        poison: run.poison,
+        degraded_shards: run.degraded,
     }
 }
 
@@ -371,64 +316,32 @@ impl PatternCounter {
         }
     }
 
-    /// Mines a slice of sessions (one shard's worth).
+    /// Mines a slice of sessions into a fresh counter.
     fn mine_sessions(
         sessions: &[Session],
         records: &[ParsedRecord],
         max_ngram: usize,
+        shard: &ShardCtx,
     ) -> PatternCounter {
-        let fault = fault::armed("mine");
         let mut counter = PatternCounter::default();
         let mut templates: Vec<TemplateId> = Vec::new();
         for (stamp, session) in sessions.iter().enumerate() {
-            trip_session(&fault, session, records);
+            trip_session(shard, session, records);
             templates.clear();
             templates.extend(session.records.iter().map(|&ri| records[ri].template));
             counter.mine_session(stamp as u32, session.user, &templates, max_ngram);
         }
         counter
     }
-
-    /// Degraded re-run of [`Self::mine_sessions`]: each session is mined
-    /// into a *fresh* scratch counter under a panic guard, so a poison
-    /// session leaves no partial counts behind — its counter is simply
-    /// dropped and the session counted as poisoned. The per-session
-    /// counters merge through the same commutative [`merge_counters`] as
-    /// shard counters.
-    fn mine_sessions_isolated(
-        sessions: &[Session],
-        records: &[ParsedRecord],
-        max_ngram: usize,
-    ) -> (Vec<PatternCounter>, usize) {
-        let fault = fault::armed("mine");
-        let mut counters = Vec::new();
-        let mut poison = 0usize;
-        let mut templates: Vec<TemplateId> = Vec::new();
-        for session in sessions {
-            templates.clear();
-            let mined = guarded(|| {
-                trip_session(&fault, session, records);
-                templates.extend(session.records.iter().map(|&ri| records[ri].template));
-                let mut c = PatternCounter::default();
-                c.mine_session(0, session.user, &templates, max_ngram);
-                c
-            });
-            match mined {
-                Some(c) => counters.push(c),
-                None => poison += 1,
-            }
-        }
-        (counters, poison)
-    }
 }
 
 /// Mining sees template ids, not statement text, so the fault-injection
 /// marker is matched against each record's primary table name instead.
-fn trip_session(fault: &Option<String>, session: &Session, records: &[ParsedRecord]) {
-    if fault.is_some() {
+fn trip_session(shard: &ShardCtx, session: &Session, records: &[ParsedRecord]) {
+    if shard.armed() {
         for &ri in &session.records {
             if let Some(t) = records[ri].shape.primary_table.as_deref() {
-                fault::trip(fault, t);
+                shard.trip(t);
             }
         }
     }
@@ -484,48 +397,36 @@ pub fn mine_patterns_traced(
     parent: Option<SpanId>,
 ) -> MinedPatterns {
     let all = &sessions.sessions;
-    let threads = resolve_threads(threads).min(all.len().max(1));
-    let ranges = if threads <= 1 || all.len() < 2 {
-        whole_range(all.len())
-    } else {
-        let weights: Vec<u64> = all.iter().map(|s| s.records.len() as u64).collect();
-        balance_chunks(&weights, threads)
-    };
-    let (shards, degraded) = run_shards_traced(
-        ranges,
+    let run = run_shards(
+        plan_shards(
+            resolve_threads(threads),
+            all.iter().map(|s| s.records.len() as u64),
+        ),
         ShardTrace {
             rec,
             parent,
+            stage: "mine",
             span_name: "mine.shard",
             hist_name: "mine.shard_us",
+            degraded_counter: Some("mine.degraded_shards"),
         },
         // Work units = queries in the shard's session range.
         |r| all[r.clone()].iter().map(|s| s.records.len() as u64).sum(),
-        |r| {
-            (
-                vec![PatternCounter::mine_sessions(
-                    &all[r],
-                    records,
-                    cfg.max_ngram,
-                )],
-                0usize,
-            )
+        // A re-run mines each session into a fresh counter, so a poison
+        // session leaves no partial counts behind. Counters merge through
+        // the same commutative `merge_counters` either way.
+        |r, shard| {
+            shard.each(r, |sessions| {
+                PatternCounter::mine_sessions(&all[sessions], records, cfg.max_ngram, shard)
+            })
         },
-        |r| PatternCounter::mine_sessions_isolated(&all[r], records, cfg.max_ngram),
     );
-    let mut counters: Vec<PatternCounter> = Vec::new();
-    let mut poison = 0usize;
-    for (shard_counters, shard_poison) in shards {
-        counters.extend(shard_counters);
-        poison += shard_poison;
-    }
-    let mut mined = merge_counters(counters);
-    mined.poison_sessions = poison;
-    mined.degraded_shards = degraded;
+    let mut mined = merge_counters(run.outputs.into_iter().flatten().collect());
+    mined.poison_sessions = run.poison;
+    mined.degraded_shards = run.degraded;
     rec.counter("mine.patterns", mined.patterns.len() as u64);
     rec.counter("mine.total_queries", mined.total_queries);
-    rec.counter("mine.poison_sessions", poison as u64);
-    rec.counter("mine.degraded_shards", degraded as u64);
+    rec.counter("mine.poison_sessions", run.poison as u64);
     if rec.is_enabled() {
         // Session-length distribution: one batched merge, not a lock per
         // session.

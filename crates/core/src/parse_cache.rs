@@ -189,7 +189,6 @@ impl ShapeCache {
                     })),
                     Outcome::NonSelect(kind) => CacheEntry::NonSelect(*kind),
                     Outcome::Error { limit } => CacheEntry::Error { limit: *limit },
-                    Outcome::Poison => CacheEntry::Uncacheable,
                 };
                 self.map.insert(key, entry);
                 outcome

@@ -21,9 +21,8 @@
 //!   keys, marks, and instance identities) are identical for every thread
 //!   count.
 
-use crate::fault;
 use crate::parse_cache::ShapeCache;
-use crate::shard::{guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace};
+use crate::shard::{resolve_threads, run_shards, ShardTrace};
 use crate::store::{TemplateId, TemplateStore};
 use serde::{Deserialize, Serialize};
 use sqlog_log::{LogView, QueryLog};
@@ -175,11 +174,7 @@ pub struct ParsedLog {
 pub(crate) enum Outcome {
     Select(ParsedRecord),
     NonSelect(StatementKind),
-    Error {
-        limit: bool,
-    },
-    /// Processing this statement panicked; it was skipped during recovery.
-    Poison,
+    Error { limit: bool },
 }
 
 pub(crate) fn parse_one(
@@ -298,31 +293,36 @@ pub fn parse_view_traced(
     let threads = resolve_threads(threads).min(n.max(1));
     let preexisting = store.len();
 
+    // Equal record chunks (not weight-balanced): the parse-cache counters
+    // depend on these boundaries. An empty log still runs one empty shard.
     let chunk = n.div_ceil(threads).max(1);
-    let mut ranges: Vec<std::ops::Range<usize>> = (0..n)
+    let ranges = (0..n.max(1))
         .step_by(chunk)
         .map(|start| start..(start + chunk).min(n))
         .collect();
-    if ranges.is_empty() {
-        ranges = whole_range(0);
-    }
-    let (results, degraded) = run_shards_traced(
+    let run = run_shards(
         ranges,
         ShardTrace {
             rec,
             parent,
+            stage: "parse",
             span_name: "parse.shard",
             hist_name: "parse.shard_us",
+            degraded_counter: Some("parse.degraded_shards"),
         },
         |r| r.len() as u64,
-        |r| {
-            let fault = fault::armed("parse");
+        |r, shard| {
+            // A poison statement is dropped whole. The memo only caches
+            // fingerprint → interned id, and the shape cache inserts
+            // entries only after a successful parse, so a panic mid-record
+            // at worst wastes an entry — never corrupts one.
             let mut memo: FnvHashMap<Fingerprint, TemplateId> = FnvHashMap::default();
             let mut cache = options.cache.then(ShapeCache::default);
-            let outcomes = r
-                .map(|i| {
-                    let sql = &view.entry(i).statement;
-                    fault::trip(&fault, sql);
+            let mut outcomes = Vec::with_capacity(r.len());
+            for i in r {
+                let sql = &view.entry(i).statement;
+                outcomes.extend(shard.item(|| {
+                    shard.trip(sql);
                     parse_one_maybe_cached(
                         cache.as_mut(),
                         store,
@@ -332,45 +332,11 @@ pub fn parse_view_traced(
                         i as u32,
                         sql,
                     )
-                })
-                .collect::<Vec<_>>();
+                }));
+            }
             if rec.is_enabled() {
                 // Shard caches die at the join; account their footprint
                 // here, while they still exist (counters sum across shards).
-                if let Some(c) = &cache {
-                    rec.counter("mem.parse_cache_bytes", c.approx_bytes() as u64);
-                }
-            }
-            (outcomes, cache.map(tally).unwrap_or_default())
-        },
-        |r| {
-            // Degraded re-run: each statement under its own panic guard.
-            // The memo only caches fingerprint → interned id, and the shape
-            // cache inserts entries only after a successful parse, so a
-            // panic mid-record at worst wastes an entry — never corrupts
-            // one.
-            let fault = fault::armed("parse");
-            let mut memo: FnvHashMap<Fingerprint, TemplateId> = FnvHashMap::default();
-            let mut cache = options.cache.then(ShapeCache::default);
-            let outcomes = r
-                .map(|i| {
-                    let sql = &view.entry(i).statement;
-                    guarded(|| {
-                        fault::trip(&fault, sql);
-                        parse_one_maybe_cached(
-                            cache.as_mut(),
-                            store,
-                            &mut memo,
-                            options,
-                            view,
-                            i as u32,
-                            sql,
-                        )
-                    })
-                    .unwrap_or(Outcome::Poison)
-                })
-                .collect::<Vec<_>>();
-            if rec.is_enabled() {
                 if let Some(c) = &cache {
                     rec.counter("mem.parse_cache_bytes", c.approx_bytes() as u64);
                 }
@@ -381,7 +347,8 @@ pub fn parse_view_traced(
 
     let mut stats = ParseStats {
         total: n,
-        degraded_shards: degraded,
+        poison: run.poison,
+        degraded_shards: run.degraded,
         ..ParseStats::default()
     };
     let mut cache_stats = ParseCacheStats {
@@ -389,7 +356,7 @@ pub fn parse_view_traced(
         ..ParseCacheStats::default()
     };
     let mut records = Vec::with_capacity(n);
-    for (outcomes, shard_cache) in results {
+    for (outcomes, shard_cache) in run.outputs {
         cache_stats.hits += shard_cache.hits;
         cache_stats.misses += shard_cache.misses;
         cache_stats.fallbacks += shard_cache.fallbacks;
@@ -409,7 +376,6 @@ pub fn parse_view_traced(
                         stats.limit_exceeded += 1;
                     }
                 }
-                Outcome::Poison => stats.poison += 1,
             }
         }
     }
@@ -429,7 +395,6 @@ pub fn parse_view_traced(
     rec.counter("parse.limit_rejected", stats.limit_exceeded as u64);
     rec.counter("parse.non_select", stats.non_select_total() as u64);
     rec.counter("parse.poison_records", stats.poison as u64);
-    rec.counter("parse.degraded_shards", stats.degraded_shards as u64);
     // Interner effectiveness at stage granularity: every surviving SELECT
     // resolved a template; the ones that did not mint a fresh id hit a
     // worker memo or the shared store.

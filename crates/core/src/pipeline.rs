@@ -31,9 +31,7 @@ use crate::fault;
 use crate::ingest::ingest_slice_traced;
 use crate::mine::{build_sessions_view_traced, mine_patterns_traced, MinedPatterns, Sessions};
 use crate::parse_step::{parse_view_traced, ParsedLog, ParsedRecord};
-use crate::shard::{
-    balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
-};
+use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
 use crate::solve::{decide_solutions, splice_solutions, SolveDecisions, SolveOutcome};
 use crate::stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 use crate::store::{TemplateId, TemplateStore};
@@ -477,13 +475,11 @@ impl<'a> Pipeline<'a> {
         }
         let detect_span = rec.span("detect");
         let detect_span_id = detect_span.id();
-        let detect_shard = |sess: &[crate::mine::Session]| {
-            let fault = fault::armed("detect");
-            if fault.is_some() {
+        let detect_shard = |sess: &[crate::mine::Session], shard: &ShardCtx| {
+            if shard.armed() {
                 for session in sess {
                     for &ri in &session.records {
-                        let e = pre_clean.entry(records[ri].entry_idx as usize);
-                        fault::trip(&fault, &e.statement);
+                        shard.trip(&pre_clean.entry(records[ri].entry_idx as usize).statement);
                     }
                 }
             }
@@ -501,23 +497,18 @@ impl<'a> Pipeline<'a> {
             }
             out
         };
-        let ranges = if threads <= 1 || sessions.sessions.len() < 2 {
-            whole_range(sessions.sessions.len())
-        } else {
-            let weights: Vec<u64> = sessions
-                .sessions
-                .iter()
-                .map(|s| s.records.len() as u64)
-                .collect();
-            balance_chunks(&weights, threads)
-        };
-        let (detect_shards, detect_degraded) = run_shards_traced(
-            ranges,
+        let run = run_shards(
+            plan_shards(
+                threads,
+                sessions.sessions.iter().map(|s| s.records.len() as u64),
+            ),
             ShardTrace {
                 rec,
                 parent: detect_span_id,
+                stage: "detect",
                 span_name: "detect.shard",
                 hist_name: "detect.shard_us",
+                degraded_counter: Some("detect.degraded_shards"),
             },
             // Work units = queries in the shard's session range.
             |r| {
@@ -526,32 +517,20 @@ impl<'a> Pipeline<'a> {
                     .map(|s| s.records.len() as u64)
                     .sum()
             },
-            |r| (detect_shard(&sessions.sessions[r]), 0usize),
-            |r| {
-                // Degraded re-run: detect each session of the panicked shard
-                // on its own; the poison session contributes no instances.
-                let mut out = Vec::new();
-                let mut poison = 0usize;
-                for i in r {
-                    match guarded(|| detect_shard(&sessions.sessions[i..i + 1])) {
-                        Some(v) => out.extend(v),
-                        None => poison += 1,
-                    }
-                }
-                (out, poison)
-            },
+            // A re-run detects each session on its own; a poison session
+            // contributes no instances.
+            |r, shard| shard.each(r, |sess| detect_shard(&sessions.sessions[sess], shard)),
         );
+        rec.counter("detect.poison_sessions", run.poison as u64);
         let mut instances: Vec<AntipatternInstance> = Vec::new();
-        let mut poison_sessions = 0usize;
-        for (shard, shard_poison) in detect_shards {
-            instances.extend(shard);
-            poison_sessions += shard_poison;
+        for part in run.outputs.into_iter().flatten() {
+            instances.extend(part);
         }
         sort_instances(&mut instances);
         DetectOutput {
             instances,
-            poison_sessions,
-            degraded_shards: detect_degraded,
+            poison_sessions: run.poison,
+            degraded_shards: run.degraded,
         }
     }
 

@@ -1,175 +1,234 @@
-//! Shared helpers for the per-user sharded pipeline stages.
+//! Shared helpers for the sharded pipeline stages, and their one failure
+//! policy.
 //!
 //! Every parallel stage follows the same recipe: split its work items
-//! (users, sessions) into **contiguous** ranges of roughly equal total
-//! weight, process each range on its own scoped thread, and merge the
-//! per-range results in range order. Contiguity is what makes the merge
-//! deterministic — concatenating range outputs reproduces the sequential
-//! processing order, so the merged result is independent of the thread
-//! count.
+//! (byte segments, records, users, sessions, instances) into **contiguous**
+//! ranges of roughly equal total weight, process each range on its own
+//! scoped thread, and merge the per-range results in range order.
+//! Contiguity is what makes the merge deterministic — concatenating range
+//! outputs reproduces the sequential processing order, so the merged result
+//! is independent of the thread count.
+//!
+//! Each stage writes its shard body once, as a `Fn(Range<usize>,
+//! &ShardCtx) -> T`, and hands it to `run_shards`. The first pass runs the
+//! body plainly: no per-item `catch_unwind`. A shard whose body panics is
+//! re-run once, on the calling thread, with the same body in isolating
+//! mode, where every `ShardCtx::item` step and every `ShardCtx::each`
+//! sub-range runs under a panic guard. The item that panics again is
+//! dropped and counted as poison, and everything around it is kept. A
+//! panic outside those steps during the re-run propagates, so a body with
+//! nothing it can skip (the solve splice) fails instead of returning a
+//! partial result.
+//!
+//! Determinism note: a poison item panics wherever it lands, so *which
+//! items end up skipped* is independent of the thread count; only the
+//! degraded-shard count can vary with sharding (one poison item degrades
+//! exactly the one shard that contains it).
 
+use crate::fault;
 use sqlog_obs::{Recorder, SpanId};
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Runs `f`, converting a panic into `None`.
 ///
-/// The per-record/per-session recovery loops use this to skip exactly the
-/// poisoned work item while keeping everything around it. `AssertUnwindSafe`
-/// is sound here by convention: recovery callers either discard partially
-/// mutated scratch state outright or mutate only append-only structures
-/// whose partial updates are harmless (see each stage's recovery path).
-pub fn guarded<T>(f: impl FnOnce() -> T) -> Option<T> {
+/// `AssertUnwindSafe` is sound here by convention: a shard body either
+/// discards the state a panicking step touched or mutates it only after
+/// the step returns (see each stage's body).
+fn guarded<T>(f: impl FnOnce() -> T) -> Option<T> {
     catch_unwind(AssertUnwindSafe(f)).ok()
 }
 
-/// Runs one shard of work per range on scoped threads, isolating panics:
-/// a shard whose worker panics is re-run through `recover` on the calling
-/// thread instead of aborting the stage.
-///
-/// Returns the per-range results **in range order** (so deterministic
-/// merges keep working) plus the number of degraded (panicked-and-
-/// recovered) shards. With a single range no thread is spawned — the work
-/// runs on the calling thread under [`guarded`], so the sequential path
-/// gets the same isolation as the parallel one.
-///
-/// Determinism note: a poison record panics wherever it lands, so *which
-/// records end up skipped* is independent of the thread count; only the
-/// degraded-shard count can vary with sharding (one poison record degrades
-/// exactly the one shard that contains it).
-pub fn run_shards_isolated<T, W, Rec>(
-    ranges: Vec<Range<usize>>,
-    work: W,
-    mut recover: Rec,
-) -> (Vec<T>, usize)
-where
-    T: Send,
-    W: Fn(Range<usize>) -> T + Sync,
-    Rec: FnMut(Range<usize>) -> T,
-{
-    let mut out: Vec<T> = Vec::with_capacity(ranges.len());
-    let mut degraded = 0usize;
-    if ranges.len() <= 1 {
-        for r in ranges {
-            match guarded(|| work(r.clone())) {
-                Some(v) => out.push(v),
-                None => {
-                    degraded += 1;
-                    out.push(recover(r));
-                }
-            }
-        }
-        return (out, degraded);
-    }
-    let mut retry: Vec<(usize, Range<usize>)> = Vec::new();
-    std::thread::scope(|s| {
-        let work = &work;
-        let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .map(|r| s.spawn(move || work(r)))
-            .collect();
-        for (i, (h, r)) in handles.into_iter().zip(ranges).enumerate() {
-            match h.join() {
-                Ok(v) => out.push(v),
-                Err(_) => {
-                    degraded += 1;
-                    retry.push((i, r));
-                }
-            }
-        }
-    });
-    // Re-run panicked shards on this thread, splicing each result back into
-    // its range-order slot (ascending-slot inserts keep earlier slots valid).
-    for (slot, r) in retry {
-        out.insert(slot, recover(r));
-    }
-    (out, degraded)
+/// A shard body's view of its attempt: the stage's armed fault marker and
+/// whether this is the isolating re-run of a panicked shard.
+pub(crate) struct ShardCtx {
+    fault: Option<String>,
+    isolate: bool,
+    poison: Cell<usize>,
 }
 
-/// Where a stage's shard observations go: the recorder, the stage span to
-/// parent shard spans under, and the static names the stage publishes its
-/// shard spans and latency histogram as (convention: `"<stage>.shard"` /
-/// `"<stage>.shard_us"` — [`sqlog_obs::ObsReport`] groups on the suffix).
-pub struct ShardTrace<'a> {
-    /// The sink. Disabled → [`run_shards_traced`] degenerates to
-    /// [`run_shards_isolated`] with zero extra work.
-    pub rec: &'a Recorder,
+impl ShardCtx {
+    /// Runs one work item: a plain call on the first pass; on the re-run,
+    /// a call under a panic guard, where a panic counts one poison item
+    /// and yields `None`.
+    pub(crate) fn item<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        if !self.isolate {
+            return Some(f());
+        }
+        let out = guarded(f);
+        if out.is_none() {
+            self.poison.set(self.poison.get() + 1);
+        }
+        out
+    }
+
+    /// Runs `f` over `range`: once on the whole range on the first pass;
+    /// on the re-run, once per one-item sub-range, each as an
+    /// [`item`](Self::item), so a poison item's partial work is dropped
+    /// with it.
+    pub(crate) fn each<U>(
+        &self,
+        range: Range<usize>,
+        mut f: impl FnMut(Range<usize>) -> U,
+    ) -> Vec<U> {
+        if !self.isolate {
+            return vec![f(range)];
+        }
+        range.filter_map(|i| self.item(|| f(i..i + 1))).collect()
+    }
+
+    /// Whether fault injection targets this stage.
+    pub(crate) fn armed(&self) -> bool {
+        self.fault.is_some()
+    }
+
+    /// The fault hook: trips when `text` contains the armed marker.
+    pub(crate) fn trip(&self, text: &str) {
+        fault::trip(&self.fault, text);
+    }
+}
+
+/// The names a stage runs its shards under, and where their observations
+/// go: the recorder, the stage span to parent shard spans under, and the
+/// static names of the shard spans and latency histogram (convention:
+/// `"<stage>.shard"` / `"<stage>.shard_us"` — [`sqlog_obs::ObsReport`]
+/// groups on the suffix).
+pub(crate) struct ShardTrace<'a> {
+    /// The sink. Disabled → no span, histogram or item count is recorded.
+    pub(crate) rec: &'a Recorder,
     /// The enclosing stage span (captured on the coordinating thread before
     /// workers spawn — worker threads cannot see its thread-local stack).
-    pub parent: Option<SpanId>,
+    pub(crate) parent: Option<SpanId>,
+    /// The fault-injection stage armed once per shard attempt, e.g.
+    /// `"parse"` (see [`ShardCtx::trip`]).
+    pub(crate) stage: &'static str,
     /// Shard span name, e.g. `"parse.shard"`.
-    pub span_name: &'static str,
+    pub(crate) span_name: &'static str,
     /// Shard latency histogram name, e.g. `"parse.shard_us"`.
-    pub hist_name: &'static str,
+    pub(crate) hist_name: &'static str,
+    /// Counter the degraded-shard count lands in, e.g.
+    /// `"parse.degraded_shards"`; `None` for a pass whose re-run cannot
+    /// return (the splice).
+    pub(crate) degraded_counter: Option<&'static str>,
 }
 
-/// [`run_shards_isolated`] with per-shard observability: each shard's work
-/// runs inside a span named [`ShardTrace::span_name`] carrying `shard`
-/// (index) and `items` (work units, from `items_of`) fields, and its
-/// wall-clock lands in the [`ShardTrace::hist_name`] histogram. Degraded
-/// re-runs get their own span with a `degraded = 1` field, so recovery time
-/// stays visible in the trace. Results are bit-identical to the untraced
-/// call — instrumentation only observes.
-pub fn run_shards_traced<T, W, Rec, I>(
+/// What [`run_shards`] returns.
+pub(crate) struct Shards<T> {
+    /// The per-range outputs, in range order.
+    pub(crate) outputs: Vec<T>,
+    /// Items the re-runs skipped: panicked [`ShardCtx::item`] steps and
+    /// [`ShardCtx::each`] sub-ranges.
+    pub(crate) poison: usize,
+    /// Shards whose first pass panicked and that were re-run.
+    pub(crate) degraded: usize,
+}
+
+/// Runs `work` once per range on scoped threads (on the calling thread
+/// when there is one range), re-running a shard that panics as the module
+/// doc describes.
+///
+/// With an enabled recorder each attempt runs inside a span named
+/// [`ShardTrace::span_name`] carrying `shard` (index) and `items` (work
+/// units, from `items_of`) fields; a first pass's wall-clock lands in the
+/// [`ShardTrace::hist_name`] histogram, and a re-run's span carries
+/// `degraded = 1`, so recovery time stays visible in the trace. Results
+/// are identical with the recorder on or off — instrumentation only
+/// observes.
+pub(crate) fn run_shards<T, W, I>(
     ranges: Vec<Range<usize>>,
     trace: ShardTrace<'_>,
     items_of: I,
     work: W,
-    mut recover: Rec,
-) -> (Vec<T>, usize)
+) -> Shards<T>
 where
     T: Send,
-    W: Fn(Range<usize>) -> T + Sync,
-    Rec: FnMut(Range<usize>) -> T,
+    W: Fn(Range<usize>, &ShardCtx) -> T + Sync,
     I: Fn(&Range<usize>) -> u64 + Sync,
 {
-    if !trace.rec.is_enabled() {
-        return run_shards_isolated(ranges, work, recover);
-    }
-    // Ranges are contiguous and ordered, so a range's index is the position
-    // of its start — recoverable inside the worker without threading an
-    // index through `run_shards_isolated`'s signature.
-    let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-    let starts = &starts;
-    let items_of = &items_of;
     let rec = trace.rec;
-    run_shards_isolated(
-        ranges,
-        move |r| {
-            let shard = starts.binary_search(&r.start).unwrap_or(0) as u64;
+    let attempt = |shard: usize, r: Range<usize>, isolate: bool| {
+        let ctx = ShardCtx {
+            fault: fault::armed(trace.stage),
+            isolate,
+            poison: Cell::new(0),
+        };
+        let out = if rec.is_enabled() {
             let items = items_of(&r);
             let mut span = rec.span_in(trace.parent, trace.span_name);
-            span.field("shard", shard);
+            span.field("shard", shard as u64);
             span.field("items", items);
+            if isolate {
+                span.field("degraded", 1u64);
+            }
             let t = Instant::now();
-            let out = work(r);
-            rec.histogram(trace.hist_name, t.elapsed().as_micros() as u64);
+            let out = work(r, &ctx);
+            if !isolate {
+                rec.histogram(trace.hist_name, t.elapsed().as_micros() as u64);
+            }
             rec.stage_add_items(items);
             out
-        },
-        move |r| {
-            let shard = starts.binary_search(&r.start).unwrap_or(0) as u64;
-            let items = items_of(&r);
-            let mut span = rec.span_in(trace.parent, trace.span_name);
-            span.field("shard", shard);
-            span.field("items", items);
-            span.field("degraded", 1u64);
-            let out = recover(r);
-            rec.stage_add_items(items);
-            out
-        },
-    )
+        } else {
+            work(r, &ctx)
+        };
+        (out, ctx.poison.get())
+    };
+    let first: Vec<Option<(T, usize)>> = if ranges.len() <= 1 {
+        ranges
+            .iter()
+            .map(|r| guarded(|| attempt(0, r.clone(), false)))
+            .collect()
+    } else {
+        let attempt = &attempt;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = ranges
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, r)| s.spawn(move || attempt(i, r, false)))
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        })
+    };
+    let mut run = Shards {
+        outputs: Vec::with_capacity(ranges.len()),
+        poison: 0,
+        degraded: 0,
+    };
+    // Re-run each panicked shard on this thread, in range order, once every
+    // first pass has finished.
+    for ((i, r), done) in ranges.into_iter().enumerate().zip(first) {
+        let (out, poison) = done.unwrap_or_else(|| {
+            run.degraded += 1;
+            attempt(i, r, true)
+        });
+        run.outputs.push(out);
+        run.poison += poison;
+    }
+    if let Some(name) = trace.degraded_counter {
+        rec.counter(name, run.degraded as u64);
+    }
+    run
 }
 
-/// The single range covering `0..n` — the one-shard plan used by the
-/// sequential paths of [`run_shards_isolated`].
+/// A stage's shard plan over items weighing `weights`: one range covering
+/// everything on one thread or for fewer than two items, otherwise
+/// [`balance_chunks`] into at most `threads` ranges. The weights are read
+/// only in the second case.
 // One shard covering everything is the intent, not a misspelled
 // `(0..n).collect()`.
 #[allow(clippy::single_range_in_vec_init)]
-pub fn whole_range(n: usize) -> Vec<Range<usize>> {
-    vec![0..n]
+pub(crate) fn plan_shards(
+    threads: usize,
+    weights: impl ExactSizeIterator<Item = u64>,
+) -> Vec<Range<usize>> {
+    let n = weights.len();
+    if threads <= 1 || n < 2 {
+        vec![0..n]
+    } else {
+        balance_chunks(&weights.collect::<Vec<_>>(), threads)
+    }
 }
 
 /// Resolves a `parallelism` knob to a concrete thread count.
@@ -277,6 +336,100 @@ mod tests {
     fn zero_weights_do_not_panic() {
         let r = balance_chunks(&[0, 0, 0, 0], 3);
         covers(&r, 4);
+    }
+
+    /// The item every runner test plants a panic on.
+    const POISON: usize = 5;
+
+    fn trace(rec: &Recorder) -> ShardTrace<'_> {
+        ShardTrace {
+            rec,
+            parent: None,
+            stage: "shard-test",
+            span_name: "test.shard",
+            hist_name: "test.shard_us",
+            degraded_counter: Some("test.degraded_shards"),
+        }
+    }
+
+    /// `parts` equal ranges over `0..n`.
+    fn ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+        balance_chunks(&vec![1; n], parts)
+    }
+
+    /// A body whose items are its indices, with [`POISON`] panicking.
+    fn items_body(r: Range<usize>, ctx: &ShardCtx) -> Vec<usize> {
+        r.filter_map(|i| {
+            ctx.item(|| {
+                assert_ne!(i, POISON, "poison item");
+                i
+            })
+        })
+        .collect()
+    }
+
+    #[test]
+    fn a_poison_item_costs_itself_at_one_and_at_four_ranges() {
+        for parts in [1, 4] {
+            let rec = Recorder::new();
+            let run = run_shards(
+                ranges(12, parts),
+                trace(&rec),
+                |r| r.len() as u64,
+                items_body,
+            );
+            assert_eq!(run.outputs.len(), parts);
+            let items: Vec<usize> = run.outputs.concat();
+            let clean: Vec<usize> = (0..12).filter(|&i| i != POISON).collect();
+            assert_eq!(items, clean, "parts={parts}");
+            assert_eq!((run.poison, run.degraded), (1, 1), "parts={parts}");
+            assert_eq!(rec.counters()["test.degraded_shards"], 1);
+            let degraded: Vec<_> = rec
+                .spans()
+                .into_iter()
+                .filter(|s| s.fields.iter().any(|(k, _)| *k == "degraded"))
+                .collect();
+            assert_eq!(degraded.len(), 1, "parts={parts}");
+        }
+    }
+
+    #[test]
+    fn each_calls_once_per_range_then_once_per_item() {
+        let run = run_shards(
+            ranges(12, 4),
+            trace(&Recorder::disabled()),
+            |r| r.len() as u64,
+            |r, ctx| {
+                ctx.each(r, |sub| {
+                    assert!(!sub.contains(&POISON), "poison item");
+                    sub
+                })
+            },
+        );
+        // Ranges 0..3, 3..6, 6..9, 9..12: the second runs item by item.
+        assert_eq!(
+            run.outputs,
+            vec![vec![0..3], vec![3..4, 4..5], vec![6..9], vec![9..12]]
+        );
+        assert_eq!((run.poison, run.degraded), (1, 1));
+    }
+
+    #[test]
+    fn a_panic_outside_item_and_each_propagates_from_the_rerun() {
+        for parts in [1, 4] {
+            let result = catch_unwind(|| {
+                run_shards(
+                    ranges(12, parts),
+                    trace(&Recorder::disabled()),
+                    |r| r.len() as u64,
+                    |r, _| {
+                        assert!(!r.contains(&POISON), "whole-shard failure");
+                        r.len()
+                    },
+                )
+            });
+            assert!(result.is_err(), "parts={parts}: a partial result came back");
+        }
     }
 
     #[test]

@@ -25,11 +25,8 @@ pub mod stifle;
 
 use crate::detect::{AntipatternClass, AntipatternInstance, DetectCtx};
 use crate::ext::{Solver, SolverSet};
-use crate::fault;
 use crate::parse_step::ParsedRecord;
-use crate::shard::{
-    balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
-};
+use crate::shard::{plan_shards, resolve_threads, run_shards, ShardTrace};
 use sqlog_log::{LogEntry, LogView, QueryLog};
 use sqlog_obs::Recorder;
 use std::mem::MaybeUninit;
@@ -116,61 +113,43 @@ pub fn decide_solutions(
     let solver_of = |inst: &AntipatternInstance| -> Option<&dyn Solver> {
         solvers.for_class(&inst.class).filter(|_| inst.solvable)
     };
-    let threads = resolve_threads(ctx.config.parallelism);
-    let ranges = if threads <= 1 || instances.len() < 2 {
-        whole_range(instances.len())
-    } else {
-        let weights: Vec<u64> = instances
-            .iter()
-            .map(|inst| solver_of(inst).map_or(0, |_| inst.records.len() as u64))
-            .collect();
-        balance_chunks(&weights, threads)
-    };
-    let solve_one = |armed: &Option<String>, inst: &AntipatternInstance| {
-        if armed.is_some() {
-            for &ri in &inst.records {
-                fault::trip(armed, &ctx.record_entry(ri).statement);
-            }
-        }
-        solver_of(inst)?.solve(inst, ctx)
-    };
-    let (shards, degraded) = run_shards_traced(
-        ranges,
+    let run = run_shards(
+        plan_shards(
+            resolve_threads(ctx.config.parallelism),
+            instances
+                .iter()
+                .map(|inst| solver_of(inst).map_or(0, |_| inst.records.len() as u64)),
+        ),
         ShardTrace {
             rec,
             parent: rec.current(),
+            stage: "solve",
             span_name: "solve.shard",
             hist_name: "solve.shard_us",
+            degraded_counter: Some("solve.degraded_shards"),
         },
         |r| r.len() as u64,
-        |r| {
-            let armed = fault::armed("solve");
-            let out: Vec<_> = instances[r].iter().map(|i| solve_one(&armed, i)).collect();
-            (out, 0usize)
-        },
-        |r| {
-            // Degraded re-run: one instance at a time; a poison instance
-            // is left unsolved.
-            let armed = fault::armed("solve");
-            let mut poison = 0usize;
-            let out: Vec<_> = instances[r]
+        // A re-run solves one instance at a time; a poison instance is
+        // left unsolved.
+        |r, shard| {
+            instances[r]
                 .iter()
-                .map(|i| {
-                    guarded(|| solve_one(&armed, i)).unwrap_or_else(|| {
-                        poison += 1;
-                        None
-                    })
+                .map(|inst| {
+                    shard
+                        .item(|| {
+                            if shard.armed() {
+                                for &ri in &inst.records {
+                                    shard.trip(&ctx.record_entry(ri).statement);
+                                }
+                            }
+                            solver_of(inst)?.solve(inst, ctx)
+                        })
+                        .flatten()
                 })
-                .collect();
-            (out, poison)
+                .collect::<Vec<_>>()
         },
     );
-
-    let mut poison_instances = 0usize;
-    let rewrites = shards.into_iter().flat_map(|(out, poison)| {
-        poison_instances += poison;
-        out
-    });
+    let rewrites = run.outputs.into_iter().flatten();
     let mut consumed = vec![false; ctx.records.len()];
     let mut decisions = SolveDecisions::default();
     for (i, (inst, rewrite)) in instances.iter().zip(rewrites).enumerate() {
@@ -189,9 +168,8 @@ pub fn decide_solutions(
         }
         decisions.solved.push((i, statements));
     }
-    rec.counter("solve.poison_instances", poison_instances as u64);
-    rec.counter("solve.degraded_shards", degraded as u64);
-    (decisions, degraded)
+    rec.counter("solve.poison_instances", run.poison as u64);
+    (decisions, run.degraded)
 }
 
 /// Builds the clean log, the removal log, the counts and every
@@ -342,20 +320,23 @@ pub fn splice_solutions(
         removal.finish();
         rewrites
     };
-    let (parts, _) = run_shards_traced(
+    // No fault hook runs here: a panic is a bug, and its shard's window is
+    // gone, so the re-run panics outside any item and the splice fails
+    // rather than returning a partial log.
+    let parts = run_shards(
         (0..ranges.len()).map(|i| i..i + 1).collect(),
         ShardTrace {
             rec,
             parent: rec.current(),
+            stage: "solve.splice",
             span_name: "solve.splice.shard",
             hist_name: "solve.splice.shard_us",
+            degraded_counter: None,
         },
         |shards| ranges[shards.start].len() as u64,
-        |shards| splice_range(shards.start),
-        // No fault hook runs here: a panic is a bug, and its shard's window
-        // is gone, so the splice fails rather than returning a partial log.
-        |_| panic!("a splice shard panicked"),
-    );
+        |shards, _| splice_range(shards.start),
+    )
+    .outputs;
     drop(windows);
     // SAFETY: the windows partition the first `clean_len` (`removal_len`)
     // slots of each vector, every shard took its window and `finish`

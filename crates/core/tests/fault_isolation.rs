@@ -16,6 +16,7 @@
 use sqlog_catalog::skyserver_catalog;
 use sqlog_core::{Pipeline, PipelineConfig, PipelineResult, RunHealth};
 use sqlog_log::{read_log_with, write_log, IngestPolicy, IngestStats, QueryLog};
+use sqlog_obs::{FieldValue, Recorder};
 
 /// Marker planted in a block comment: the statement parses cleanly while
 /// disarmed (comments are stripped by the lexer) but its raw text trips the
@@ -78,9 +79,20 @@ fn ingest_lenient() -> (QueryLog, IngestStats) {
 /// Runs the pipeline and patches in the ingestion counts, the way
 /// `sqlog-clean --lenient` does.
 fn run_with(log: &QueryLog, ingest: &IngestStats, threads: usize) -> PipelineResult {
+    run_recorded(log, ingest, threads, Recorder::disabled())
+}
+
+/// [`run_with`] into `recorder`.
+fn run_recorded(
+    log: &QueryLog,
+    ingest: &IngestStats,
+    threads: usize,
+    recorder: Recorder,
+) -> PipelineResult {
     let catalog = skyserver_catalog();
     let cfg = PipelineConfig {
         parallelism: threads,
+        recorder,
         ..PipelineConfig::default()
     };
     let mut result = Pipeline::new(&catalog).with_config(cfg).run(log);
@@ -93,6 +105,49 @@ fn log_bytes(log: &QueryLog) -> Vec<u8> {
     let mut buf = Vec::new();
     write_log(log, &mut buf).expect("serializing to memory cannot fail");
     buf
+}
+
+/// Re-runs `log` with an enabled recorder and checks the trace side of the
+/// recovery `reference` went through: exactly one `<stage>.shard` span
+/// carries `degraded = 1`, the `<stage>.degraded_shards` counter equals
+/// `RunHealth::degraded_shards`, and `poison_counter` equals `poison`. The
+/// recorder only observes, so the logs match `reference`'s.
+fn assert_recovery_is_traced(
+    log: &QueryLog,
+    ingest: &IngestStats,
+    threads: usize,
+    stage: &str,
+    (poison_counter, poison): (&str, usize),
+    reference: &PipelineResult,
+) {
+    let rec = Recorder::new();
+    let run = run_recorded(log, ingest, threads, rec.clone());
+    let label = format!("stage={stage} threads={threads}");
+    let shard_span = format!("{stage}.shard");
+    let degraded_spans = rec
+        .spans()
+        .iter()
+        .filter(|s| s.name == shard_span)
+        .filter(|s| s.fields.contains(&("degraded", FieldValue::U64(1))))
+        .count();
+    assert_eq!(degraded_spans, 1, "degraded shard spans, {label}");
+    let counters = rec.counters();
+    let counter = |name: &str| counters.get(name).copied();
+    assert_eq!(
+        counter(&format!("{stage}.degraded_shards")),
+        Some(run.stats.run_health.degraded_shards as u64),
+        "degraded counter, {label}"
+    );
+    assert_eq!(
+        counter(poison_counter),
+        Some(poison as u64),
+        "{poison_counter}, {label}"
+    );
+    assert_eq!(log_bytes(&run.clean_log), log_bytes(&reference.clean_log));
+    assert_eq!(
+        log_bytes(&run.removal_log),
+        log_bytes(&reference.removal_log)
+    );
 }
 
 fn clean_contains(result: &PipelineResult, needle: &str) -> bool {
@@ -168,6 +223,7 @@ fn injected_faults_are_isolated_and_deterministic_across_thread_counts() {
         marker: &'static str,
         poison_records: usize,
         poison_sessions: usize,
+        poison_counter: &'static str,
     }
     let scenarios = [
         Scenario {
@@ -175,30 +231,35 @@ fn injected_faults_are_isolated_and_deterministic_across_thread_counts() {
             marker: CMT_MARKER,
             poison_records: 1,
             poison_sessions: 0,
+            poison_counter: "dedup.poison_records",
         },
         Scenario {
             stage: "parse",
             marker: CMT_MARKER,
             poison_records: 1,
             poison_sessions: 0,
+            poison_counter: "parse.poison_records",
         },
         Scenario {
             stage: "sessions",
             marker: CMT_MARKER,
             poison_records: 1,
             poison_sessions: 0,
+            poison_counter: "sessions.poison_records",
         },
         Scenario {
             stage: "mine",
             marker: TBL_MARKER,
             poison_records: 0,
             poison_sessions: 1,
+            poison_counter: "mine.poison_sessions",
         },
         Scenario {
             stage: "detect",
             marker: CMT_MARKER,
             poison_records: 0,
             poison_sessions: 1,
+            poison_counter: "detect.poison_sessions",
         },
     ];
 
@@ -238,6 +299,18 @@ fn injected_faults_are_isolated_and_deterministic_across_thread_counts() {
                 assert!(clean_contains(&reference, "empId = 1"));
             }
             _ => unreachable!(),
+        }
+
+        let poison = sc.poison_records + sc.poison_sessions;
+        for threads in [1usize, 8] {
+            assert_recovery_is_traced(
+                &log,
+                &ingest,
+                threads,
+                sc.stage,
+                (sc.poison_counter, poison),
+                &reference,
+            );
         }
 
         let ref_clean = log_bytes(&reference.clean_log);
@@ -328,6 +401,17 @@ fn solve_panic_leaves_the_poison_instance_unsolved() {
     }
     assert_eq!(log_bytes(&one.clean_log), log_bytes(&eight.clean_log));
     assert_eq!(log_bytes(&one.removal_log), log_bytes(&eight.removal_log));
+    // RunHealth does not count poison instances; the fixture has one.
+    for (threads, run) in [(1, &one), (8, &eight)] {
+        assert_recovery_is_traced(
+            &log,
+            &clean,
+            threads,
+            "solve",
+            ("solve.poison_instances", 1),
+            run,
+        );
+    }
     assert_eq!(
         one.stats.with_zeroed_timings(),
         eight.stats.with_zeroed_timings()

@@ -256,13 +256,25 @@ impl<'a> BoundQuery<'a> {
                         _ => None,
                     })
                     .collect(),
-                // Keys bind as written, except an alias of an aggregate,
-                // which names no column.
+                // Keys bind as written, except an alias of an aggregate and
+                // a name that resolves to no source column: those bind the
+                // aliased expression (a real column shadows an alias).
                 sort_keys: query
                     .order_by
                     .iter()
                     .zip(&order_by)
-                    .map(|(o, e)| group(if by_aggregate(e) { e } else { &o.expr }))
+                    .map(|(o, e)| {
+                        let no_column = matches!(o.expr, Expr::Column(_))
+                            && matches!(
+                                b.scalar(&o.expr),
+                                Scalar::Fail(ExecError::UnknownColumn(_))
+                            );
+                        group(if by_aggregate(e) || no_column {
+                            e
+                        } else {
+                            &o.expr
+                        })
+                    })
                     .collect(),
             }))
         } else {

@@ -358,3 +358,46 @@ fn grouped_order_by_an_aggregate_sorts_the_groups() {
         assert_eq!(&r.rows, want, "{sql:?}");
     }
 }
+
+#[test]
+fn grouped_order_by_an_alias_of_a_projected_column_sorts_the_groups() {
+    let db = skyserver_db(400, 1);
+    let by_alias = run_both(
+        &db,
+        "SELECT type AS t, count(*) FROM photoprimary GROUP BY type ORDER BY t",
+    )
+    .unwrap_or_else(|e| panic!("ORDER BY an alias failed: {e}"));
+    let by_column = run_both(
+        &db,
+        "SELECT type, count(*) FROM photoprimary GROUP BY type ORDER BY type",
+    )
+    .unwrap();
+    assert!(by_alias.rows.len() > 1);
+    assert_eq!(by_alias.rows, by_column.rows);
+
+    let db = small_db();
+    let r = run_both(&db, "SELECT -v AS w, count(*) FROM t GROUP BY v ORDER BY w").unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Int(-20), Value::Int(1)],
+            vec![Value::Int(-10), Value::Int(1)],
+            vec![Value::Null, Value::Int(1)],
+        ]
+    );
+    // An alias that shadows a real column still sorts by the column: `s`
+    // here is t.s (of each group's row), not the projected v.
+    let r = run_both(
+        &db,
+        "SELECT v AS s, count(*) FROM t GROUP BY v ORDER BY s DESC",
+    )
+    .unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Int(20), Value::Int(1)],
+            vec![Value::Null, Value::Int(1)],
+            vec![Value::Int(10), Value::Int(1)],
+        ]
+    );
+}
