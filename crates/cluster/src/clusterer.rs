@@ -8,7 +8,6 @@
 //! overlap 0 by construction, so only intra-bucket pairs are compared.
 
 use crate::region::Region;
-use sqlog_obs::Recorder;
 use std::collections::HashMap;
 
 /// One cluster of queries.
@@ -25,13 +24,6 @@ pub struct Cluster {
 pub struct Clustering {
     /// Clusters, sorted by descending size.
     pub clusters: Vec<Cluster>,
-    /// Parallel workers that panicked and were re-run row by row under
-    /// per-row isolation (always 0 on the sequential path and on healthy
-    /// runs).
-    pub degraded_shards: usize,
-    /// Pair-scan rows dropped because they panicked even under per-row
-    /// isolation; their edges are missing from the clustering.
-    pub poisoned_rows: usize,
 }
 
 impl Clustering {
@@ -96,25 +88,6 @@ fn signature(region: &Region) -> String {
     s
 }
 
-/// Emits the below-threshold edges of one pair-triangle row — `bucket[pos]`
-/// against every later bucket member. The single distance predicate shared
-/// by the sequential scan, the parallel workers, and the degraded re-run of
-/// a panicked worker, so the three paths cannot silently diverge.
-fn scan_row(
-    regions: &[Region],
-    bucket: &[usize],
-    pos: usize,
-    threshold: f64,
-    emit: &mut impl FnMut(usize, usize),
-) {
-    let i = bucket[pos];
-    for &j in &bucket[pos + 1..] {
-        if regions[i].distance(&regions[j]) < threshold {
-            emit(i, j);
-        }
-    }
-}
-
 /// Groups union-find components into weight-summed clusters, sorted by
 /// descending size (ties broken by member list) for deterministic output.
 fn assemble(uf: &mut UnionFind, weights: &[u64]) -> Vec<Cluster> {
@@ -145,138 +118,18 @@ pub fn cluster_regions(regions: &[Region], weights: &[u64], threshold: f64) -> C
         buckets.entry(signature(r)).or_default().push(i);
     }
     for bucket in buckets.values() {
-        for pos in 0..bucket.len().saturating_sub(1) {
-            scan_row(regions, bucket, pos, threshold, &mut |i, j| uf.union(i, j));
+        for (pos, &i) in bucket.iter().enumerate() {
+            for &j in &bucket[pos + 1..] {
+                if regions[i].distance(&regions[j]) < threshold {
+                    uf.union(i, j);
+                }
+            }
         }
     }
 
     Clustering {
         clusters: assemble(&mut uf, weights),
-        ..Clustering::default()
     }
-}
-
-/// Parallel variant of [`cluster_regions`]: bucket pair-scans run on a
-/// scoped thread pool, then the edges merge into one union-find. Produces
-/// exactly the same clustering as the sequential version. A worker that
-/// panics is re-run row by row under per-row isolation; the recovery is
-/// accounted in [`Clustering::degraded_shards`] / [`Clustering::poisoned_rows`]
-/// so recovered runs are never silent.
-///
-/// Observability: a `"cluster"` stage span, per-worker `"cluster.shard"`
-/// spans (with a shard-latency histogram) and outcome counters land in
-/// `rec`; pass [`Recorder::disabled`] for none. The clustering does not
-/// depend on the recorder.
-pub fn cluster_regions_traced(
-    regions: &[Region],
-    weights: &[u64],
-    threshold: f64,
-    threads: usize,
-    rec: &Recorder,
-) -> Clustering {
-    assert_eq!(regions.len(), weights.len());
-    let stage_span = rec.span("cluster");
-    let stage_id = stage_span.id();
-    let n = regions.len();
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    }
-    .clamp(1, 64);
-
-    let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, r) in regions.iter().enumerate() {
-        buckets.entry(signature(r)).or_default().push(i);
-    }
-    let buckets: Vec<Vec<usize>> = buckets.into_values().collect();
-
-    // Work unit = one *row* of a bucket's pair triangle, so a single huge
-    // bucket (common: all point lookups on one table share a signature)
-    // still splits across workers. Rows are dealt round-robin after sorting
-    // by cost, which balances the triangle's skew.
-    let mut rows: Vec<(usize, usize)> = Vec::new(); // (bucket, position)
-    for (b, bucket) in buckets.iter().enumerate() {
-        for pos in 0..bucket.len().saturating_sub(1) {
-            rows.push((b, pos));
-        }
-    }
-    rows.sort_by_key(|&(b, pos)| std::cmp::Reverse(buckets[b].len() - pos));
-    let shards: Vec<Vec<(usize, usize)>> = (0..threads)
-        .map(|t| rows.iter().copied().skip(t).step_by(threads).collect())
-        .collect();
-
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut degraded_shards = 0usize;
-    let mut poisoned_rows = 0usize;
-    std::thread::scope(|s| {
-        let buckets = &buckets;
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(t, shard)| {
-                s.spawn(move || {
-                    let mut span = rec.span_in(stage_id, "cluster.shard");
-                    span.field("shard", t as u64);
-                    span.field("items", shard.len() as u64);
-                    let started = std::time::Instant::now();
-                    let mut local = Vec::new();
-                    for &(b, pos) in shard {
-                        scan_row(regions, &buckets[b], pos, threshold, &mut |i, j| {
-                            local.push((i, j));
-                        });
-                    }
-                    rec.histogram("cluster.shard_us", started.elapsed().as_micros() as u64);
-                    local
-                })
-            })
-            .collect();
-        for (h, shard) in handles.into_iter().zip(&shards) {
-            match h.join() {
-                Ok(local) => edges.extend(local),
-                Err(_) => {
-                    // Degraded re-run of a panicked worker: each pair row
-                    // under its own panic guard, so a poison row drops only
-                    // its own edges (counted below) instead of aborting the
-                    // clustering. Edge order does not matter — union-find
-                    // is order-blind and the final cluster list is sorted.
-                    degraded_shards += 1;
-                    let mut span = rec.span_in(stage_id, "cluster.shard");
-                    span.field("items", shard.len() as u64);
-                    span.field("degraded", 1u64);
-                    for &(b, pos) in shard {
-                        let row = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut local = Vec::new();
-                            scan_row(regions, &buckets[b], pos, threshold, &mut |i, j| {
-                                local.push((i, j));
-                            });
-                            local
-                        }));
-                        match row {
-                            Ok(local) => edges.extend(local),
-                            Err(_) => poisoned_rows += 1,
-                        }
-                    }
-                }
-            }
-        }
-    });
-
-    let mut uf = UnionFind::new(n);
-    rec.counter("cluster.regions", n as u64);
-    rec.counter("cluster.edges", edges.len() as u64);
-    rec.counter("cluster.degraded_shards", degraded_shards as u64);
-    rec.counter("cluster.poisoned_rows", poisoned_rows as u64);
-    for (i, j) in edges {
-        uf.union(i, j);
-    }
-    let clustering = Clustering {
-        clusters: assemble(&mut uf, weights),
-        degraded_shards,
-        poisoned_rows,
-    };
-    rec.counter("cluster.clusters", clustering.clusters.len() as u64);
-    clustering
 }
 
 /// Convenience: dedup + cluster raw SQL statements. Unparsable statements
@@ -356,37 +209,6 @@ mod tests {
         // overlap 6/14 (distance 4/7 ≥ 0.5) — connectivity is transitive.
         let c = cluster_regions(&rs, &[1, 1, 1], 0.5);
         assert_eq!(c.count(), 1);
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        // Overlapping windows at many distances exercise the merge logic.
-        let sqls: Vec<String> = (0..60)
-            .map(|i| {
-                format!(
-                    "SELECT a FROM t{} WHERE r BETWEEN {} AND {}",
-                    i % 3,
-                    i * 3,
-                    i * 3 + 10
-                )
-            })
-            .collect();
-        let rs: Vec<Region> = sqls
-            .iter()
-            .map(|s| region_of_query(&parse_query(s).unwrap()))
-            .collect();
-        let weights: Vec<u64> = (0..rs.len() as u64).map(|i| i % 4 + 1).collect();
-        for t in [0.2, 0.6, 0.9] {
-            let seq = cluster_regions(&rs, &weights, t);
-            for threads in [1, 4, 0] {
-                let par = cluster_regions_traced(&rs, &weights, t, threads, &Recorder::disabled());
-                assert_eq!(seq.count(), par.count(), "threshold {t}");
-                assert_eq!(seq.sizes(), par.sizes(), "threshold {t}");
-                // Healthy runs never report degraded recovery.
-                assert_eq!(par.degraded_shards, 0);
-                assert_eq!(par.poisoned_rows, 0);
-            }
-        }
     }
 
     #[test]

@@ -25,7 +25,5 @@
 pub mod clusterer;
 pub mod region;
 
-pub use clusterer::{
-    cluster_regions, cluster_regions_traced, cluster_statements, Cluster, Clustering,
-};
+pub use clusterer::{cluster_regions, cluster_statements, Cluster, Clustering};
 pub use region::{region_of_query, Dim, Region};

@@ -18,7 +18,8 @@
 //! A final **resumed leg** covers the crash-recovery promise: the same
 //! input run through the checkpointing driver, interrupted after the mine
 //! stage, and resumed at a *different* thread count must still match the
-//! reference digest byte for byte.
+//! reference digest byte for byte, and leave the same stage checkpoints as
+//! an uninterrupted 1-thread run.
 
 use sqlog_catalog::Catalog;
 use sqlog_core::checkpoint::{run_checkpointed, CheckpointOptions, RunDir, Stage};
@@ -253,7 +254,9 @@ pub fn run_matrix(log: &QueryLog, catalog: &Catalog) -> (PipelineResult, Differe
 /// that boundary), then resume at a different thread count. The resumed
 /// result must match the reference digest exactly; `interruptions` is the
 /// only run-health field allowed to differ, and the digest ignores it by
-/// construction (an interruption is not a semantic outcome).
+/// construction (an interruption is not a semantic outcome). The resumed
+/// run directory's six stage checkpoints must also match, payload for
+/// payload, those of an uninterrupted 1-thread checkpointed run.
 fn run_resumed_leg(
     clean_bytes: &[u8],
     catalog: &Catalog,
@@ -287,13 +290,36 @@ fn run_resumed_leg(
         let two = Pipeline::new(catalog).with_config(pipeline_config(2, true));
         run_checkpointed(&two, &dir, &opts(false, Some(Stage::Mine)))?;
         let eight = Pipeline::new(catalog).with_config(pipeline_config(8, true));
-        run_checkpointed(&eight, &dir, &opts(true, None))?
-            .ok_or_else(|| "resumed run did not complete".to_string())
+        let outcome = run_checkpointed(&eight, &dir, &opts(true, None))?
+            .ok_or_else(|| "resumed run did not complete".to_string())?;
+        // The checkpoints an uninterrupted 1-thread run writes.
+        let reference = RunDir::create(scratch.join("reference"))?;
+        let one = Pipeline::new(catalog).with_config(pipeline_config(1, true));
+        run_checkpointed(&one, &reference, &opts(false, None))?;
+        let read = |dir: &RunDir, stage: Stage| {
+            std::fs::read(dir.checkpoint_path(stage))
+                .map_err(|e| format!("cannot read the {stage} checkpoint: {e}"))
+        };
+        let mut differing = Vec::new();
+        for stage in Stage::ALL {
+            if checkpoint_payload(stage, &read(&dir, stage)?)
+                != checkpoint_payload(stage, &read(&reference, stage)?)
+            {
+                differing.push(stage);
+            }
+        }
+        Ok((outcome, differing))
     })();
     match outcome {
         Err(e) => fail(report, e),
-        Ok(outcome) => {
+        Ok((outcome, differing)) => {
             report.legs += 1;
+            for stage in differing {
+                fail(
+                    report,
+                    format!("{stage} checkpoint differs from an uninterrupted 1-thread run's"),
+                );
+            }
             if !outcome.warnings.is_empty() {
                 fail(
                     report,
@@ -324,6 +350,25 @@ fn run_resumed_leg(
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// A checkpoint file's payload, without the header line (derived from
+/// the payload) and, for parse, without the four parse-cache counters
+/// that end its payload: each worker's hits and misses depend on the
+/// records it was handed, so they legitimately vary with sharding.
+fn checkpoint_payload(stage: Stage, file: &[u8]) -> &[u8] {
+    let payload = &file[file.iter().position(|&b| b == b'\n').map_or(0, |i| i + 1)..];
+    let mut end = payload.len();
+    if stage == Stage::Parse {
+        for _ in 0..4 {
+            // A varint's last byte has the high bit clear, the others set.
+            end = end.saturating_sub(1);
+            while end > 0 && payload[end - 1] & 0x80 != 0 {
+                end -= 1;
+            }
+        }
+    }
+    &payload[..end]
 }
 
 #[cfg(test)]

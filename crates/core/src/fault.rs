@@ -14,7 +14,9 @@
 //! * `panic` (default) — panic with a recognizable message; the shard
 //!   isolation machinery recovers and the record is quarantined as poison.
 //!   In `solve` every instance with a matching record is left unsolved
-//!   instead, its queries kept verbatim.
+//!   instead, its queries kept verbatim. The runner keeps these panics
+//!   quiet and reports each degraded stage in one stderr line that quotes
+//!   the first message (see [`crate::shard`]).
 //! * `abort` — `std::process::abort()`: the process dies instantly, with no
 //!   unwinding and no destructors, exactly like an external SIGKILL. The
 //!   chaos harness (`tests/chaos_resume.rs`) uses this to kill the CLI at a

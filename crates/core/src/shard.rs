@@ -20,6 +20,14 @@
 //! nothing it can skip (the solve splice) fails instead of returning a
 //! partial result.
 //!
+//! The runner keeps the panics it catches quiet: a process-wide panic
+//! hook, installed once, stays silent while a first-pass attempt or an
+//! isolating step runs, and defers to the hook it replaced otherwise. A
+//! stage with degraded shards instead reports one summary line — stage,
+//! degraded shards, poison items and the first panic's message — to stderr
+//! and as a recorder warning. A panic that propagates from a re-run still
+//! prints in full.
+//!
 //! Determinism note: a poison item panics wherever it lands, so *which
 //! items end up skipped* is independent of the thread count; only the
 //! degraded-shard count can vary with sharding (one poison item degrades
@@ -27,18 +35,62 @@
 
 use crate::fault;
 use sqlog_obs::{Recorder, SpanId};
+use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 use std::time::Instant;
 
-/// Runs `f`, converting a panic into `None`.
+thread_local! {
+    /// Set while a panic on this thread is caught and accounted by the
+    /// runner, so the panic hook keeps quiet about it.
+    static CAUGHT_HERE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Installs, once per process, the panic hook that is silent while
+/// [`CAUGHT_HERE`] is set and calls the hook it replaced otherwise.
+fn install_quiet_hook() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let loud = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CAUGHT_HERE.get() {
+                loud(info);
+            }
+        }));
+    });
+}
+
+/// Runs `f` with [`CAUGHT_HERE`] set, restoring it on return or unwind.
+fn quietly<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CAUGHT_HERE.set(self.0);
+        }
+    }
+    let _restore = Restore(CAUGHT_HERE.replace(true));
+    f()
+}
+
+/// Runs `f` quietly, converting a panic into its payload.
 ///
 /// `AssertUnwindSafe` is sound here by convention: a shard body either
 /// discards the state a panicking step touched or mutates it only after
 /// the step returns (see each stage's body).
-fn guarded<T>(f: impl FnOnce() -> T) -> Option<T> {
-    catch_unwind(AssertUnwindSafe(f)).ok()
+fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn Any + Send>> {
+    catch_unwind(AssertUnwindSafe(|| quietly(f)))
+}
+
+/// The message a panic payload carries (`panic!` yields `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// A shard body's view of its attempt: the stage's armed fault marker and
@@ -57,7 +109,7 @@ impl ShardCtx {
         if !self.isolate {
             return Some(f());
         }
-        let out = guarded(f);
+        let out = guarded(f).ok();
         if out.is_none() {
             self.poison.set(self.poison.get() + 1);
         }
@@ -102,7 +154,7 @@ pub(crate) struct ShardTrace<'a> {
     /// workers spawn — worker threads cannot see its thread-local stack).
     pub(crate) parent: Option<SpanId>,
     /// The fault-injection stage armed once per shard attempt, e.g.
-    /// `"parse"` (see [`ShardCtx::trip`]).
+    /// `"parse"` (see [`ShardCtx::trip`]); the recovery summary names it.
     pub(crate) stage: &'static str,
     /// Shard span name, e.g. `"parse.shard"`.
     pub(crate) span_name: &'static str,
@@ -126,8 +178,8 @@ pub(crate) struct Shards<T> {
 }
 
 /// Runs `work` once per range on scoped threads (on the calling thread
-/// when there is one range), re-running a shard that panics as the module
-/// doc describes.
+/// when there is one range), re-running a shard that panics and reporting
+/// the recovery as the module doc describes.
 ///
 /// With an enabled recorder each attempt runs inside a span named
 /// [`ShardTrace::span_name`] carrying `shard` (index) and `items` (work
@@ -147,6 +199,7 @@ where
     W: Fn(Range<usize>, &ShardCtx) -> T + Sync,
     I: Fn(&Range<usize>) -> u64 + Sync,
 {
+    install_quiet_hook();
     let rec = trace.rec;
     let attempt = |shard: usize, r: Range<usize>, isolate: bool| {
         let ctx = ShardCtx {
@@ -174,7 +227,7 @@ where
         };
         (out, ctx.poison.get())
     };
-    let first: Vec<Option<(T, usize)>> = if ranges.len() <= 1 {
+    let first: Vec<Result<(T, usize), _>> = if ranges.len() <= 1 {
         ranges
             .iter()
             .map(|r| guarded(|| attempt(0, r.clone(), false)))
@@ -186,9 +239,9 @@ where
                 .iter()
                 .cloned()
                 .enumerate()
-                .map(|(i, r)| s.spawn(move || attempt(i, r, false)))
+                .map(|(i, r)| s.spawn(move || quietly(|| attempt(i, r, false))))
                 .collect();
-            handles.into_iter().map(|h| h.join().ok()).collect()
+            handles.into_iter().map(|h| h.join()).collect()
         })
     };
     let mut run = Shards {
@@ -196,11 +249,13 @@ where
         poison: 0,
         degraded: 0,
     };
+    let mut first_panic = None;
     // Re-run each panicked shard on this thread, in range order, once every
     // first pass has finished.
     for ((i, r), done) in ranges.into_iter().enumerate().zip(first) {
-        let (out, poison) = done.unwrap_or_else(|| {
+        let (out, poison) = done.unwrap_or_else(|payload| {
             run.degraded += 1;
+            first_panic.get_or_insert(payload);
             attempt(i, r, true)
         });
         run.outputs.push(out);
@@ -208,6 +263,18 @@ where
     }
     if let Some(name) = trace.degraded_counter {
         rec.counter(name, run.degraded as u64);
+    }
+    if let Some(payload) = first_panic {
+        let summary = format!(
+            "shard runner: {}: {} degraded shard(s) re-run, {} poison item(s) skipped; \
+             first panic: {:?}",
+            trace.stage,
+            run.degraded,
+            run.poison,
+            panic_message(&*payload)
+        );
+        eprintln!("{summary}");
+        rec.warning(summary);
     }
     run
 }
@@ -390,6 +457,11 @@ mod tests {
                 .filter(|s| s.fields.iter().any(|(k, _)| *k == "degraded"))
                 .collect();
             assert_eq!(degraded.len(), 1, "parts={parts}");
+            let warnings = rec.warnings();
+            assert_eq!(warnings.len(), 1, "parts={parts}");
+            assert!(warnings[0]
+                .message
+                .starts_with("shard runner: shard-test: 1 degraded shard(s) re-run, 1 poison"));
         }
     }
 

@@ -107,11 +107,23 @@ fn log_bytes(log: &QueryLog) -> Vec<u8> {
     buf
 }
 
+/// The shard runner's one-line recovery summaries among `rec`'s warnings.
+fn runner_summaries(rec: &Recorder) -> Vec<String> {
+    rec.warnings()
+        .into_iter()
+        .map(|w| w.message)
+        .filter(|m| m.starts_with("shard runner: "))
+        .collect()
+}
+
 /// Re-runs `log` with an enabled recorder and checks the trace side of the
 /// recovery `reference` went through: exactly one `<stage>.shard` span
 /// carries `degraded = 1`, the `<stage>.degraded_shards` counter equals
-/// `RunHealth::degraded_shards`, and `poison_counter` equals `poison`. The
-/// recorder only observes, so the logs match `reference`'s.
+/// `RunHealth::degraded_shards`, `poison_counter` equals `poison`, and one
+/// runner summary warning names the stage and states `poison` — which is
+/// `RunHealth`'s poison count for every stage but solve, whose poison
+/// instances `RunHealth` does not count. The recorder only observes, so
+/// the logs match `reference`'s.
 fn assert_recovery_is_traced(
     log: &QueryLog,
     ingest: &IngestStats,
@@ -143,6 +155,22 @@ fn assert_recovery_is_traced(
         Some(poison as u64),
         "{poison_counter}, {label}"
     );
+    let health = &run.stats.run_health;
+    if stage != "solve" {
+        assert_eq!(health.poison_records + health.poison_sessions, poison);
+    }
+    let summaries = runner_summaries(&rec);
+    assert_eq!(
+        summaries.len(),
+        1,
+        "runner summaries, {label}: {summaries:?}"
+    );
+    let stated = summaries[0]
+        .strip_prefix(&format!("shard runner: {stage}: "))
+        .and_then(|rest| rest.split_once(", "))
+        .and_then(|(_, rest)| rest.split_once(" poison item(s) skipped"))
+        .and_then(|(count, _)| count.parse::<usize>().ok());
+    assert_eq!(stated, Some(poison), "summary poison count, {label}");
     assert_eq!(log_bytes(&run.clean_log), log_bytes(&reference.clean_log));
     assert_eq!(
         log_bytes(&run.removal_log),
@@ -212,6 +240,15 @@ fn injected_faults_are_isolated_and_deterministic_across_thread_counts() {
     assert!(clean_contains(&baseline, CMT_MARKER));
     assert!(clean_contains(&baseline, TBL_MARKER));
     let baseline_clean = log_bytes(&baseline.clean_log);
+    for threads in [1usize, 8] {
+        let rec = Recorder::new();
+        run_recorded(&log, &ingest, threads, rec.clone());
+        assert_eq!(
+            runner_summaries(&rec),
+            Vec::<String>::new(),
+            "threads={threads}"
+        );
+    }
 
     // One scenario per sharded stage. `poison_records` counts individually
     // skipped records (dedup/parse/sessions recover per record);
