@@ -98,34 +98,29 @@ fn main() {
         rec.histogram("guard", black_box(i));
     }
     let counter_cost = t.elapsed().as_secs_f64() / ITERS as f64;
-    // Spans (open + field + drop): per stage / per shard only.
+    // Stage spans (progress declaration, a span whose clock always runs,
+    // finish) with a field and a gauge update: a costlier superset of a
+    // shard's span and progress update, so this times both.
     let t = Instant::now();
     for i in 0..ITERS {
-        let mut g = rec.span("guard");
+        let mut g = rec.stage("guard", black_box(i));
         g.field("k", black_box(i));
-    }
-    let span_cost = t.elapsed().as_secs_f64() / ITERS as f64;
-    // Progress gauge primitives: per stage (stage_begin) / per shard
-    // (stage_add_items) only.
-    let t = Instant::now();
-    for i in 0..ITERS {
-        rec.stage_begin("guard", black_box(i));
         rec.stage_add_items(black_box(i));
+        black_box(g.finish());
     }
-    let progress_cost = t.elapsed().as_secs_f64() / ITERS as f64;
+    let stage_cost = t.elapsed().as_secs_f64() / ITERS as f64;
 
     // Bound the per-run call counts generously: four per-record counter
-    // calls (the worst stage makes at most two), a thousand spans and a
-    // thousand progress updates (a run makes a few dozen of each).
-    let bound = counter_cost * (4 * log.len()) as f64 + (span_cost + progress_cost) * 1_000.0;
+    // calls (the worst stage makes at most two), and a thousand stage
+    // spans, each standing for a span and a progress update (a run opens a
+    // dozen stage spans and a few dozen shard spans).
+    let bound = counter_cost * (4 * log.len()) as f64 + stage_cost * 1_000.0;
     let pct = 100.0 * bound / wall;
     println!("pipeline threads_1 wall time: {wall:.3} s ({scale} queries)");
     println!(
-        "disabled primitive costs: {:.2} ns per counter+histogram pair, {:.2} ns per span, \
-         {:.2} ns per progress update",
+        "disabled primitive costs: {:.2} ns per counter+histogram pair, {:.2} ns per stage span",
         counter_cost * 1e9,
-        span_cost * 1e9,
-        progress_cost * 1e9
+        stage_cost * 1e9
     );
     println!(
         "bounded overhead: {:.1} us per run -> {pct:.4}% (contract < {max_pct}%)",
@@ -140,8 +135,7 @@ fn main() {
             ("scale", Json::U64(scale as u64)),
             ("wall_us", Json::U64((wall * 1e6) as u64)),
             ("counter_pair_ns", Json::U64((counter_cost * 1e9) as u64)),
-            ("span_ns", Json::U64((span_cost * 1e9) as u64)),
-            ("progress_ns", Json::U64((progress_cost * 1e9) as u64)),
+            ("stage_ns", Json::U64((stage_cost * 1e9) as u64)),
             ("bound_us", Json::U64((bound * 1e6) as u64)),
             ("overhead_pct_e4", Json::U64((pct * 1e4) as u64)),
             ("max_pct_e4", Json::U64((max_pct * 1e4) as u64)),

@@ -68,7 +68,6 @@ use sqlog_sql::StatementKind;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Version written into every manifest.
 pub const MANIFEST_SCHEMA: u64 = 1;
@@ -1177,7 +1176,6 @@ pub(crate) fn write_checkpoint(
     ])
     .render();
     let total = (header.len() + 1 + body.len()) as u64;
-    let t = Instant::now();
     let mut span = rec.span("checkpoint.write");
     span.field("stage", stage.name());
     span.field("bytes", total);
@@ -1194,7 +1192,7 @@ pub(crate) fn write_checkpoint(
     rec.counter("checkpoint.writes", 1);
     rec.counter("checkpoint.bytes_written", total);
     rec.counter(stage.bytes_counter(), total);
-    rec.histogram("checkpoint.write_us", t.elapsed().as_micros() as u64);
+    rec.histogram("checkpoint.write_us", span.finish().as_micros() as u64);
     Ok(())
 }
 
@@ -1228,7 +1226,6 @@ fn read_checkpoint(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
     };
-    let t = Instant::now();
     let mut span = rec.span("checkpoint.load");
     span.field("stage", stage.name());
     span.field("bytes", bytes.len() as u64);
@@ -1268,7 +1265,7 @@ fn read_checkpoint(
         ));
     }
     rec.counter("checkpoint.loads", 1);
-    rec.histogram("checkpoint.load_us", t.elapsed().as_micros() as u64);
+    rec.histogram("checkpoint.load_us", span.finish().as_micros() as u64);
     Ok(Some((bytes, nl + 1)))
 }
 
@@ -1422,7 +1419,7 @@ mod tests {
         let store = TemplateStore::new();
         let view = LogView::identity(&log);
         let none = Recorder::disabled();
-        let parsed = parse_view_traced(&view, &store, &options, 1, &none, None);
+        let parsed = parse_view_traced(&view, &store, &options, 1, &none);
         let arcs = |records: &[ParsedRecord]| {
             let ptrs: FnvHashSet<*const RecordShape> =
                 records.iter().map(|r| Arc::as_ptr(&r.shape)).collect();

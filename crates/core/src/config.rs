@@ -55,9 +55,6 @@ pub struct PipelineConfig {
     /// byte-identical with the cache on or off; `--no-parse-cache`
     /// disables it for A/B runs.
     pub parse_cache: bool,
-    /// Debug builds cross-check this many parse-cache hits per worker
-    /// against a full parse (0 disables the self-check).
-    pub parse_cache_crosscheck: usize,
     /// Enable batched solver rewrites: synthesize each template's rewrite
     /// AST once and substitute literals per instance instead of re-parsing
     /// every record. Output is byte-identical on or off;
@@ -88,7 +85,6 @@ impl PipelineConfig {
         crate::parse_step::ParseOptions {
             limits: self.parse_limits(),
             cache: self.parse_cache,
-            crosscheck: self.parse_cache_crosscheck,
         }
     }
 }
@@ -109,7 +105,6 @@ impl Default for PipelineConfig {
             max_statement_bytes: sqlog_sql::ParseLimits::default().max_statement_bytes,
             max_parse_tokens: sqlog_sql::ParseLimits::default().max_tokens,
             parse_cache: true,
-            parse_cache_crosscheck: 64,
             solve_batching: true,
             recorder: sqlog_obs::Recorder::disabled(),
         }

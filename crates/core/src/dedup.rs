@@ -16,7 +16,7 @@
 
 use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
 use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::{Recorder, SpanId};
+use sqlog_obs::Recorder;
 use sqlog_skeleton::{text_fingerprint, Fingerprint, FnvHashMap};
 
 /// Outcome statistics of duplicate removal.
@@ -105,16 +105,15 @@ fn scan_partition(
 /// independent under the `(user, fingerprint)` key, the scan shards by user
 /// and the merged result is identical for every thread count.
 ///
-/// Observability: per-shard spans (`"dedup.shard"`, parented under
-/// `parent`), a shard-latency histogram and outcome counters land in `rec`;
-/// pass [`Recorder::disabled`] and `None` for none. The deduplicated view
+/// Observability: per-shard spans (`"dedup.shard"`, under the recorder's
+/// current span), a shard-latency histogram and outcome counters land in
+/// `rec`; pass [`Recorder::disabled`] for none. The deduplicated view
 /// and statistics do not depend on the recorder.
 pub fn dedup_view_traced<'a>(
     view: &LogView<'a>,
     threshold_ms: Option<u64>,
     threads: usize,
     rec: &Recorder,
-    parent: Option<SpanId>,
 ) -> (LogView<'a>, DedupStats) {
     debug_assert!(view.is_time_sorted(), "dedup requires a time-sorted log");
     let n = view.len();
@@ -139,7 +138,7 @@ pub fn dedup_view_traced<'a>(
         plan_shards(threads, counts.iter().copied()),
         ShardTrace {
             rec,
-            parent,
+            parent: rec.current(),
             stage: "dedup",
             span_name: "dedup.shard",
             hist_name: "dedup.shard_us",
@@ -183,7 +182,7 @@ pub fn dedup_view_traced<'a>(
 /// [`QueryLog`].
 pub fn dedup(log: &QueryLog, threshold_ms: Option<u64>) -> (QueryLog, DedupStats) {
     let none = Recorder::disabled();
-    let (view, stats) = dedup_view_traced(&LogView::identity(log), threshold_ms, 1, &none, None);
+    let (view, stats) = dedup_view_traced(&LogView::identity(log), threshold_ms, 1, &none);
     (view.to_log(), stats)
 }
 
@@ -303,11 +302,10 @@ mod tests {
         let mut log = QueryLog::from_entries(entries);
         log.sort_by_time();
         let view = LogView::identity(&log);
-        let (seq, seq_stats) =
-            dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled(), None);
+        let (seq, seq_stats) = dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled());
         for threads in [2, 3, 8] {
             let (par, par_stats) =
-                dedup_view_traced(&view, Some(1_000), threads, &Recorder::disabled(), None);
+                dedup_view_traced(&view, Some(1_000), threads, &Recorder::disabled());
             assert_eq!(seq_stats, par_stats, "threads {threads}");
             let a: Vec<u64> = seq.iter().map(|e| e.id).collect();
             let b: Vec<u64> = par.iter().map(|e| e.id).collect();
@@ -353,7 +351,7 @@ mod tests {
         for (threshold, survivors) in expected {
             for threads in [1usize, 4] {
                 let (clean, stats) =
-                    dedup_view_traced(&view, threshold, threads, &Recorder::disabled(), None);
+                    dedup_view_traced(&view, threshold, threads, &Recorder::disabled());
                 let ids: Vec<u64> = clean.iter().map(|e| e.id).collect();
                 assert_eq!(ids, survivors, "threshold {threshold:?} threads {threads}");
                 assert_eq!(stats.removed, 15 - survivors.len());
@@ -369,7 +367,7 @@ mod tests {
             entry(2, 5_000, "a", "SELECT 2"),
         ]);
         let view = LogView::identity(&log);
-        let (clean, stats) = dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled(), None);
+        let (clean, stats) = dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled());
         assert_eq!(stats.removed, 1);
         assert_eq!(clean.len(), 2);
         // The surviving positions map back into the original log.

@@ -31,7 +31,7 @@ use crate::parse_step::ParsedRecord;
 use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
 use crate::store::TemplateId;
 use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::{Recorder, SpanId};
+use sqlog_obs::Recorder;
 use sqlog_skeleton::FnvHashMap;
 use std::collections::{HashMap, HashSet};
 
@@ -109,16 +109,15 @@ fn split_user_stream(
 /// shards across contiguous user ranges — the result is identical for every
 /// thread count.
 ///
-/// Observability: per-shard spans (`"sessions.shard"`, parented under
-/// `parent`), a shard-latency histogram and outcome counters land in `rec`;
-/// pass [`Recorder::disabled`] and `None` for none.
+/// Observability: per-shard spans (`"sessions.shard"`, under the
+/// recorder's current span), a shard-latency histogram and outcome counters
+/// land in `rec`; pass [`Recorder::disabled`] for none.
 pub fn build_sessions_view_traced(
     view: &LogView<'_>,
     records: &[ParsedRecord],
     gap_ms: u64,
     threads: usize,
     rec: &Recorder,
-    parent: Option<SpanId>,
 ) -> Sessions {
     let mut user_ids: FnvHashMap<&str, u32> = FnvHashMap::default();
     let mut user_names: Vec<String> = Vec::new();
@@ -142,7 +141,7 @@ pub fn build_sessions_view_traced(
         ),
         ShardTrace {
             rec,
-            parent,
+            parent: rec.current(),
             stage: "sessions",
             span_name: "sessions.shard",
             hist_name: "sessions.shard_us",
@@ -189,7 +188,7 @@ pub fn build_sessions_view_traced(
 /// (single-threaded, untraced) for owned logs.
 pub fn build_sessions(log: &QueryLog, records: &[ParsedRecord], gap_ms: u64) -> Sessions {
     let view = LogView::identity(log);
-    build_sessions_view_traced(&view, records, gap_ms, 1, &Recorder::disabled(), None)
+    build_sessions_view_traced(&view, records, gap_ms, 1, &Recorder::disabled())
 }
 
 /// Statistics of one mined pattern.
@@ -374,7 +373,7 @@ pub fn mine_patterns(
     records: &[ParsedRecord],
     cfg: &PipelineConfig,
 ) -> MinedPatterns {
-    mine_patterns_traced(sessions, records, cfg, 1, &Recorder::disabled(), None)
+    mine_patterns_traced(sessions, records, cfg, 1, &Recorder::disabled())
 }
 
 /// Mines patterns from the sessions on up to `threads` threads
@@ -384,17 +383,15 @@ pub fn mine_patterns(
 /// boundaries, so sharding the session list yields exactly the sequential
 /// counts for any thread count.
 ///
-/// Observability: per-shard spans (`"mine.shard"`, parented under
-/// `parent`), a shard-latency histogram, a session-size histogram and
-/// outcome counters land in `rec`; pass [`Recorder::disabled`] and `None`
-/// for none.
+/// Observability: per-shard spans (`"mine.shard"`, under the recorder's
+/// current span), a shard-latency histogram, a session-size histogram and
+/// outcome counters land in `rec`; pass [`Recorder::disabled`] for none.
 pub fn mine_patterns_traced(
     sessions: &Sessions,
     records: &[ParsedRecord],
     cfg: &PipelineConfig,
     threads: usize,
     rec: &Recorder,
-    parent: Option<SpanId>,
 ) -> MinedPatterns {
     let all = &sessions.sessions;
     let run = run_shards(
@@ -404,7 +401,7 @@ pub fn mine_patterns_traced(
         ),
         ShardTrace {
             rec,
-            parent,
+            parent: rec.current(),
             stage: "mine",
             span_name: "mine.shard",
             hist_name: "mine.shard_us",
@@ -500,10 +497,9 @@ mod tests {
         let parsed = parse_log(&log, &store, 1);
         let view = LogView::identity(&log);
         let none = Recorder::disabled();
-        let seq = build_sessions_view_traced(&view, &parsed.records, 60_000, 1, &none, None);
+        let seq = build_sessions_view_traced(&view, &parsed.records, 60_000, 1, &none);
         for threads in [2, 3, 8] {
-            let par =
-                build_sessions_view_traced(&view, &parsed.records, 60_000, threads, &none, None);
+            let par = build_sessions_view_traced(&view, &parsed.records, 60_000, threads, &none);
             assert_eq!(seq.sessions, par.sessions, "threads {threads}");
             assert_eq!(seq.user_names, par.user_names, "threads {threads}");
         }
@@ -611,7 +607,7 @@ mod tests {
         let none = Recorder::disabled();
         let seq = mine_patterns(&sessions, &parsed.records, &cfg);
         for threads in [2, 3, 8] {
-            let par = mine_patterns_traced(&sessions, &parsed.records, &cfg, threads, &none, None);
+            let par = mine_patterns_traced(&sessions, &parsed.records, &cfg, threads, &none);
             assert_eq!(seq.total_queries, par.total_queries, "threads {threads}");
             assert_eq!(seq.patterns, par.patterns, "threads {threads}");
         }

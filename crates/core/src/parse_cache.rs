@@ -37,7 +37,7 @@
 //! statements, and uncacheable shapes all take the fallback path, so the
 //! cache can only ever *skip* work, never change an outcome. Debug builds
 //! additionally cross-check the first few hits per worker against a full
-//! parse (see [`ShapeCache`]'s `crosscheck` budget).
+//! parse (see [`CROSSCHECK_BUDGET`]).
 
 use crate::parse_step::{parse_one, Outcome, ParsedRecord, RecordShape};
 use crate::store::{TemplateId, TemplateStore};
@@ -101,6 +101,9 @@ enum CacheEntry {
     /// A cacheable SELECT shape.
     Select(Box<SelectEntry>),
 }
+
+/// Cache hits per worker that debug builds verify against a full parse.
+pub(crate) const CROSSCHECK_BUDGET: usize = 64;
 
 /// Per-worker shape cache plus its effectiveness tally.
 ///

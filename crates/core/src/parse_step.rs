@@ -21,12 +21,12 @@
 //!   keys, marks, and instance identities) are identical for every thread
 //!   count.
 
-use crate::parse_cache::ShapeCache;
+use crate::parse_cache::{ShapeCache, CROSSCHECK_BUDGET};
 use crate::shard::{resolve_threads, run_shards, ShardTrace};
 use crate::store::{TemplateId, TemplateStore};
 use serde::{Deserialize, Serialize};
 use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::{Recorder, SpanId};
+use sqlog_obs::Recorder;
 use sqlog_skeleton::{
     primary_table, Fingerprint, FnvHashMap, FnvHashSet, OutputColumns, PredicateProfile,
     QueryTemplate,
@@ -145,9 +145,6 @@ pub struct ParseOptions {
     pub limits: ParseLimits,
     /// Enable the template-aware parse cache.
     pub cache: bool,
-    /// In debug builds, cross-check this many cache hits per worker
-    /// against a full parse (panics on divergence).
-    pub crosscheck: usize,
 }
 
 impl Default for ParseOptions {
@@ -155,7 +152,6 @@ impl Default for ParseOptions {
         ParseOptions {
             limits: ParseLimits::default(),
             cache: true,
-            crosscheck: 64,
         }
     }
 }
@@ -275,19 +271,18 @@ fn canonicalize_templates(store: &TemplateStore, preexisting: usize, records: &m
 /// statement alone is counted and dropped, every other statement of the
 /// shard parses normally.
 ///
-/// Observability: per-shard spans (`"parse.shard"`, parented under
-/// `parent`), a shard-latency histogram and outcome counters — including
+/// Observability: per-shard spans (`"parse.shard"`, under the recorder's
+/// current span), a shard-latency histogram and outcome counters — including
 /// template-interner effectiveness (`parse.templates_interned` vs
 /// `parse.template_cache_hits`) and parse-cache effectiveness
 /// (`parse.cache_hits` / `parse.cache_misses` / `parse.cache_fallbacks`) —
-/// land in `rec`; pass [`Recorder::disabled`] and `None` for none.
+/// land in `rec`; pass [`Recorder::disabled`] for none.
 pub fn parse_view_traced(
     view: &LogView<'_>,
     store: &TemplateStore,
     options: &ParseOptions,
     threads: usize,
     rec: &Recorder,
-    parent: Option<SpanId>,
 ) -> ParsedLog {
     let n = view.len();
     let threads = resolve_threads(threads).min(n.max(1));
@@ -304,7 +299,7 @@ pub fn parse_view_traced(
         ranges,
         ShardTrace {
             rec,
-            parent,
+            parent: rec.current(),
             stage: "parse",
             span_name: "parse.shard",
             hist_name: "parse.shard_us",
@@ -445,7 +440,7 @@ fn parse_one_maybe_cached(
             store,
             memo,
             &options.limits,
-            options.crosscheck,
+            CROSSCHECK_BUDGET,
             entry_idx,
             sql,
             &|i| view.entry(i as usize).statement.as_str(),
@@ -473,7 +468,7 @@ fn tally(cache: ShapeCache) -> ParseCacheStats {
 pub fn parse_log(log: &QueryLog, store: &TemplateStore, threads: usize) -> ParsedLog {
     let view = LogView::identity(log);
     let none = Recorder::disabled();
-    parse_view_traced(&view, store, &ParseOptions::default(), threads, &none, None)
+    parse_view_traced(&view, store, &ParseOptions::default(), threads, &none)
 }
 
 #[cfg(test)]
@@ -561,14 +556,7 @@ mod tests {
                 ..ParseOptions::default()
             };
             let store = TemplateStore::new();
-            parse_view_traced(
-                &view,
-                &store,
-                &options,
-                threads,
-                &Recorder::disabled(),
-                None,
-            )
+            parse_view_traced(&view, &store, &options, threads, &Recorder::disabled())
         };
         let reference = parse(false, 1);
         assert_eq!(reference.records.len(), 300);

@@ -8,8 +8,10 @@
 //!
 //! Each stage is an explicit **stage operator** (`op_sort`, `op_dedup`,
 //! `op_parse`, `op_sessions`, `op_mine`, `op_detect`, `op_solve`,
-//! `assemble`), and one private driver sequences them. Every checkpointed
-//! stage passes through one step, which times it and — only when the run
+//! `assemble`), and one private driver sequences them. Every stage runs
+//! under one stage span ([`Recorder::stage`]), whose elapsed time is also
+//! its [`StageTimings`] field. Every
+//! checkpointed stage passes through one step, which — only when the run
 //! has a run directory ([`RunDir`]) — loads it from its checkpoint or
 //! stores it after computing it. [`Pipeline::run`] is that sequence over an
 //! in-memory log with no run directory; [`Pipeline::run_file`] reads and
@@ -37,9 +39,8 @@ use crate::stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
 use sqlog_log::{AtomicFile, IngestStats, LogView, QueryLog};
-use sqlog_obs::Recorder;
+use sqlog_obs::{Recorder, SpanGuard};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
 
 /// The configured pipeline.
 pub struct Pipeline<'a> {
@@ -125,14 +126,10 @@ impl<'a> Pipeline<'a> {
     /// result is identical for every thread count. Nothing is ingested, so
     /// `timings.ingest_ms` stays zero.
     pub fn run(&self, original: &QueryLog) -> PipelineResult {
+        let pipeline = self.config.recorder.timed_span("pipeline");
         let mut driver = Driver::new(&self.config.recorder, None, false, None);
-        let mut total_ms = 0;
-        let result = timed(&mut total_ms, || {
-            self.stages(original, &mut driver, StageTimings::default())
-        });
-        let mut result = result.expect("an in-memory run neither stops early nor writes");
-        result.stats.timings.total_ms = total_ms;
-        result
+        self.stages(original, &mut driver, StageTimings::default(), pipeline)
+            .expect("an in-memory run neither stops early nor writes")
     }
 
     /// Cleans the log file `opts.input`: reads it once, ingests it under
@@ -153,23 +150,12 @@ impl<'a> Pipeline<'a> {
         opts: &CheckpointOptions,
         dir: Option<&RunDir>,
     ) -> Result<Option<CheckpointOutcome>, String> {
-        let mut total_ms = 0;
-        let outcome = timed(&mut total_ms, || self.clean_file(opts, dir))?;
-        Ok(outcome.map(|mut outcome| {
-            outcome.result.stats.timings.total_ms = total_ms;
-            outcome
-        }))
-    }
-
-    fn clean_file(
-        &self,
-        opts: &CheckpointOptions,
-        dir: Option<&RunDir>,
-    ) -> Result<Option<CheckpointOutcome>, String> {
+        let pipeline = self.config.recorder.timed_span("pipeline");
         let mut timings = StageTimings::default();
+        let ingest = self.config.recorder.stage("ingest", 0);
         // One read per leg: the bytes hashed against the manifest are the
         // bytes ingested, so a file swapped mid-run cannot slip through.
-        let input = timed(&mut timings.ingest_ms, || std::fs::read(&opts.input))
+        let input = std::fs::read(&opts.input)
             .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
         let manifest = match dir {
             Some(dir) => {
@@ -177,11 +163,12 @@ impl<'a> Pipeline<'a> {
             }
             None => None,
         };
-        let (log, ingest_stats) = timed(&mut timings.ingest_ms, || self.ingest(&input, opts))?;
+        let (log, ingest_stats) = self.ingest(&input, opts)?;
         drop(input);
+        timings.ingest_ms = ingest.finish().as_millis() as u64;
 
         let mut driver = Driver::new(&self.config.recorder, dir, opts.resume, opts.stop_after);
-        let mut result = match self.stages(&log, &mut driver, timings) {
+        let mut result = match self.stages(&log, &mut driver, timings, pipeline) {
             Ok(result) => result,
             Err(Halt::Stopped) => return Ok(None),
             Err(Halt::Failed(e)) => return Err(e),
@@ -209,8 +196,6 @@ impl<'a> Pipeline<'a> {
         opts: &CheckpointOptions,
     ) -> Result<(QueryLog, IngestStats), String> {
         let rec = &self.config.recorder;
-        rec.stage_begin("ingest", 0);
-        let span = rec.span("ingest");
         let mut sidecar = match &opts.quarantine {
             Some(path) => Some(
                 AtomicFile::create(path)
@@ -224,7 +209,7 @@ impl<'a> Pipeline<'a> {
             self.config.parallelism,
             sidecar.as_mut().map(|w| w as &mut dyn std::io::Write),
             rec,
-            span.id(),
+            rec.current(),
         )
         .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
         if let Some(s) = sidecar {
@@ -260,19 +245,19 @@ impl<'a> Pipeline<'a> {
     }
 
     /// The stage sequence: sort + dedup → parse → sessions → mine → detect
-    /// → solve decisions → splice → assemble, each checkpointed stage
-    /// through [`Driver::step`]. `timings` arrives with `ingest_ms` filled;
-    /// `total_ms` is the caller's.
+    /// → solve → assemble, each checkpointed stage through the driver.
+    /// `timings` arrives with `ingest_ms` filled; the run's `pipeline` span,
+    /// open since before ingest, closes after assembly as `total_ms`.
     fn stages(
         &self,
         log: &QueryLog,
         driver: &mut Driver<'_>,
         mut timings: StageTimings,
+        mut pipeline: SpanGuard,
     ) -> Result<PipelineResult, Halt> {
         let rec = &self.config.recorder;
-        let mut pipeline_span = rec.span("pipeline");
-        pipeline_span.field("threads", resolve_threads(self.config.parallelism) as u64);
-        pipeline_span.field("input", log.len() as u64);
+        pipeline.field("threads", resolve_threads(self.config.parallelism) as u64);
+        pipeline.field("input", log.len() as u64);
         if rec.is_enabled() {
             // Route the fault-injection arming into the event stream too —
             // `fault::armed` already shouts on stderr, but machine consumers
@@ -282,23 +267,30 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        // Sort runs inside the dedup step: the dedup checkpoint stores
-        // base-log indices, so a resume past dedup never needs it.
-        let (pre_clean, dedup_stats) = driver.step(
-            Stage::Dedup,
-            &mut timings.dedup_ms,
-            |d| checkpoint::decode_dedup(d, log),
-            checkpoint::encode_dedup,
-            || {
-                let input = timed(&mut timings.sort_ms, || self.op_sort(log));
-                self.op_dedup(&input)
-            },
-        )?;
-        // The dedup step's clock also ran over the sort.
-        timings.dedup_ms = timings.dedup_ms.saturating_sub(timings.sort_ms);
+        // The sort runs only when dedup is computed, under its own guard
+        // ahead of dedup's: the dedup checkpoint stores base-log indices,
+        // so a resume past dedup never needs it.
+        let (pre_clean, dedup_stats) =
+            match driver.load(Stage::Dedup, |d| checkpoint::decode_dedup(d, log)) {
+                Some(v) => v,
+                None => {
+                    let sort = rec.stage("sort", log.len() as u64);
+                    let input = self.op_sort(log);
+                    timings.sort_ms = sort.finish().as_millis() as u64;
+                    driver.compute(
+                        Stage::Dedup,
+                        input.len() as u64,
+                        &mut timings.dedup_ms,
+                        checkpoint::encode_dedup,
+                        || self.op_dedup(&input),
+                    )?
+                }
+            };
+        driver.stop(Stage::Dedup)?;
 
         let (store, parsed) = driver.step(
             Stage::Parse,
+            pre_clean.len() as u64,
             &mut timings.parse_ms,
             |d| checkpoint::decode_parse(d, pre_clean.len(), rec),
             checkpoint::encode_parse,
@@ -312,14 +304,22 @@ impl<'a> Pipeline<'a> {
 
         let sessions = driver.step(
             Stage::Sessions,
+            records.len() as u64,
             &mut timings.sessions_ms,
             |d| checkpoint::decode_sessions(d, records.len()),
             checkpoint::encode_sessions,
             || self.op_sessions(&pre_clean, records),
         )?;
 
+        // Mining and detection shards report queries as their work unit.
+        let session_queries = sessions
+            .sessions
+            .iter()
+            .map(|s| s.records.len() as u64)
+            .sum();
         let mined = driver.step(
             Stage::Mine,
+            session_queries,
             &mut timings.mine_ms,
             |d| checkpoint::decode_mine(d, store.len()),
             checkpoint::encode_mine,
@@ -328,32 +328,34 @@ impl<'a> Pipeline<'a> {
 
         let detected = driver.step(
             Stage::Detect,
+            session_queries,
             &mut timings.detect_ms,
             |d| checkpoint::decode_detect(d, records.len(), store.len()),
             checkpoint::encode_detect,
             || self.op_detect(&pre_clean, records, &sessions, &store),
         )?;
 
-        // The solve checkpoint holds the solver pass's decisions; the
-        // splice into the two output logs runs on every path. The degraded
-        // shard count is not checkpointed: a resume that loads the solve
-        // checkpoint reports none for solve.
-        let mut solve_degraded = 0;
-        let decisions = driver.step(
-            Stage::Solve,
-            &mut timings.solve_ms,
-            |d| checkpoint::decode_solve(d, &detected.instances, records.len()),
-            checkpoint::encode_solve,
-            || {
+        // The solve stage is the solver pass and the splice into the two
+        // output logs; its checkpoint holds the pass's decisions, so the
+        // splice runs on every path. A computed stage's guard spans both
+        // (`solve.splice` nests in `solve`), and the checkpoint is stored
+        // after it. The degraded shard count is not checkpointed: a resume
+        // that loads the solve checkpoint reports none for solve.
+        let decode_solve =
+            |d: &mut Dec<'_>| checkpoint::decode_solve(d, &detected.instances, records.len());
+        let (outcome, solve_degraded) = match driver.load(Stage::Solve, decode_solve) {
+            Some(decisions) => (self.splice(&pre_clean, records, &detected, &decisions), 0),
+            None => {
+                let solve = rec.stage("solve", detected.instances.len() as u64);
                 let (decisions, degraded) =
                     self.solve_decisions(&pre_clean, records, &sessions, &store, &detected);
-                solve_degraded = degraded;
-                decisions
-            },
-        )?;
-        let outcome = timed(&mut timings.solve_ms, || {
-            self.splice(&pre_clean, records, &detected, decisions)
-        });
+                let outcome = self.splice(&pre_clean, records, &detected, &decisions);
+                timings.solve_ms = solve.finish().as_millis() as u64;
+                driver.store(Stage::Solve, checkpoint::encode_solve, &decisions)?;
+                (outcome, degraded)
+            }
+        };
+        driver.stop(Stage::Solve)?;
 
         let mut result = self.assemble(
             log.len(),
@@ -368,30 +370,24 @@ impl<'a> Pipeline<'a> {
             timings,
         );
         result.stats.run_health.degraded_shards += solve_degraded;
+        result.stats.timings.total_ms = pipeline.finish().as_millis() as u64;
         Ok(result)
     }
 
     /// Stage operator 0: order by time. A sorted *view* (index permutation)
     /// over the original entries — the log itself is never cloned.
     pub fn op_sort<'l>(&self, original: &'l QueryLog) -> LogView<'l> {
-        self.config
-            .recorder
-            .stage_begin("sort", original.len() as u64);
-        let _span = self.config.recorder.span("sort");
         LogView::sorted_by_time(original)
     }
 
     /// Stage operator 1: delete duplicates (§5.2), sharded by user.
     pub fn op_dedup<'l>(&self, input: &LogView<'l>) -> (LogView<'l>, DedupStats) {
         let rec = &self.config.recorder;
-        rec.stage_begin("dedup", input.len() as u64);
-        let span = rec.span("dedup");
         dedup_view_traced(
             input,
             self.config.duplicate_threshold_ms,
             resolve_threads(self.config.parallelism),
             rec,
-            span.id(),
         )
     }
 
@@ -401,54 +397,36 @@ impl<'a> Pipeline<'a> {
     /// per statement. `store` must be empty (a fresh store per run).
     pub fn op_parse(&self, pre_clean: &LogView<'_>, store: &TemplateStore) -> ParsedLog {
         let rec = &self.config.recorder;
-        rec.stage_begin("parse", pre_clean.len() as u64);
-        let span = rec.span("parse");
         parse_view_traced(
             pre_clean,
             store,
             &self.config.parse_options(),
             resolve_threads(self.config.parallelism),
             rec,
-            span.id(),
         )
     }
 
     /// Stage operator 3a: per-user sessions (§4.1, Def. 7).
     pub fn op_sessions(&self, pre_clean: &LogView<'_>, records: &[ParsedRecord]) -> Sessions {
         let rec = &self.config.recorder;
-        rec.stage_begin("sessions", records.len() as u64);
-        let span = rec.span("sessions");
         build_sessions_view_traced(
             pre_clean,
             records,
             self.config.session_gap_ms,
             resolve_threads(self.config.parallelism),
             rec,
-            span.id(),
         )
     }
 
     /// Stage operator 3b: pattern mining (Defs. 8–10).
     pub fn op_mine(&self, sessions: &Sessions, records: &[ParsedRecord]) -> MinedPatterns {
         let rec = &self.config.recorder;
-        if rec.is_enabled() {
-            // Shards report queries as their work unit; sum the same unit
-            // for the stage total (enabled-only: this walk is O(#sessions)).
-            let total: u64 = sessions
-                .sessions
-                .iter()
-                .map(|s| s.records.len() as u64)
-                .sum();
-            rec.stage_begin("mine", total);
-        }
-        let span = rec.span("mine");
         mine_patterns_traced(
             sessions,
             records,
             &self.config,
             resolve_threads(self.config.parallelism),
             rec,
-            span.id(),
         )
     }
 
@@ -465,16 +443,6 @@ impl<'a> Pipeline<'a> {
     ) -> DetectOutput {
         let threads = resolve_threads(self.config.parallelism);
         let rec = &self.config.recorder;
-        if rec.is_enabled() {
-            let total: u64 = sessions
-                .sessions
-                .iter()
-                .map(|s| s.records.len() as u64)
-                .sum();
-            rec.stage_begin("detect", total);
-        }
-        let detect_span = rec.span("detect");
-        let detect_span_id = detect_span.id();
         let detect_shard = |sess: &[crate::mine::Session], shard: &ShardCtx| {
             if shard.armed() {
                 for session in sess {
@@ -504,7 +472,7 @@ impl<'a> Pipeline<'a> {
             ),
             ShardTrace {
                 rec,
-                parent: detect_span_id,
+                parent: rec.current(),
                 stage: "detect",
                 span_name: "detect.shard",
                 hist_name: "detect.shard_us",
@@ -552,7 +520,7 @@ impl<'a> Pipeline<'a> {
         detected: &DetectOutput,
     ) -> SolveOutcome {
         let (decisions, _) = self.solve_decisions(pre_clean, records, sessions, store, detected);
-        self.splice(pre_clean, records, detected, decisions)
+        self.splice(pre_clean, records, detected, &decisions)
     }
 
     /// The solver pass of [`Pipeline::op_solve`], which a checkpointed run
@@ -573,24 +541,21 @@ impl<'a> Pipeline<'a> {
             catalog: self.catalog,
             config: &self.config,
         };
-        let rec = &self.config.recorder;
-        rec.stage_begin("solve", detected.instances.len() as u64);
-        let _span = rec.span("solve");
         decide_solutions(&ctx, &detected.instances, &self.extensions.solver_set())
     }
 
     /// The splice of [`Pipeline::op_solve`]: the clean and removal logs
-    /// from the solver pass's decisions.
+    /// from the solver pass's decisions, under a `solve.splice` guard of
+    /// its own.
     fn splice(
         &self,
         pre_clean: &LogView<'_>,
         records: &[ParsedRecord],
         detected: &DetectOutput,
-        decisions: SolveDecisions,
+        decisions: &SolveDecisions,
     ) -> SolveOutcome {
         let rec = &self.config.recorder;
-        rec.stage_begin("solve.splice", records.len() as u64);
-        let _span = rec.span("solve.splice");
+        let _splice = rec.stage("solve.splice", records.len() as u64);
         splice_solutions(
             pre_clean,
             records,
@@ -724,14 +689,6 @@ pub struct DetectOutput {
     pub degraded_shards: usize,
 }
 
-/// Adds the wall-clock milliseconds `f` takes to `ms`: the one stage clock.
-fn timed<T>(ms: &mut u64, f: impl FnOnce() -> T) -> T {
-    let t = Instant::now();
-    let v = f();
-    *ms += t.elapsed().as_millis() as u64;
-    v
-}
-
 /// Why the stage sequence ended without a result.
 #[derive(Debug)]
 enum Halt {
@@ -782,11 +739,12 @@ impl<'r> Driver<'r> {
     }
 
     /// Runs one stage: loads it from its checkpoint while the chain is
-    /// intact, or computes it — timed into `ms` — and, with a run
-    /// directory, checkpoints it. Loaded stages leave `ms` untouched.
+    /// intact, or computes it with [`Driver::compute`]; then ends the run
+    /// if it is the stop stage.
     fn step<T>(
         &mut self,
         stage: Stage,
+        total: u64,
         ms: &mut u64,
         decode: impl FnOnce(&mut Dec<'_>) -> Result<T, String>,
         encode: impl FnOnce(&mut Enc, &T),
@@ -794,18 +752,43 @@ impl<'r> Driver<'r> {
     ) -> Result<T, Halt> {
         let v = match self.load(stage, decode) {
             Some(v) => v,
-            None => {
-                let v = timed(ms, compute);
-                if let Some(dir) = self.dir {
-                    checkpoint::write_checkpoint(dir, self.rec, stage, |e| encode(e, &v))?;
-                }
-                v
-            }
+            None => self.compute(stage, total, ms, encode, compute)?,
         };
+        self.stop(stage)?;
+        Ok(v)
+    }
+
+    /// Computes one stage under its stage guard, whose elapsed time goes
+    /// into `ms`, and stores it. Loaded stages keep `ms` at zero.
+    fn compute<T>(
+        &self,
+        stage: Stage,
+        total: u64,
+        ms: &mut u64,
+        encode: impl FnOnce(&mut Enc, &T),
+        compute: impl FnOnce() -> T,
+    ) -> Result<T, Halt> {
+        let guard = self.rec.stage(stage.name(), total);
+        let v = compute();
+        *ms = guard.finish().as_millis() as u64;
+        self.store(stage, encode, &v)?;
+        Ok(v)
+    }
+
+    /// With a run directory, checkpoints a computed stage.
+    fn store<T>(&self, stage: Stage, encode: impl FnOnce(&mut Enc, &T), v: &T) -> Result<(), Halt> {
+        if let Some(dir) = self.dir {
+            checkpoint::write_checkpoint(dir, self.rec, stage, |e| encode(e, v))?;
+        }
+        Ok(())
+    }
+
+    /// Ends the run after [`CheckpointOptions::stop_after`]'s stage.
+    fn stop(&self, stage: Stage) -> Result<(), Halt> {
         if self.stop_after == Some(stage) {
             return Err(Halt::Stopped);
         }
-        Ok(v)
+        Ok(())
     }
 
     /// A missing, unreadable or undecodable checkpoint breaks the chain:

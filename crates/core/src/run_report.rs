@@ -318,8 +318,8 @@ mod tests {
     fn round_trips_statistics_run_health_and_obs() {
         let rec = Recorder::new();
         {
-            let stage = rec.span("parse");
-            let id = stage.id();
+            let _stage = rec.span("parse");
+            let id = rec.current();
             let mut g = rec.span_in(id, "parse.shard");
             g.field("shard", 0u64);
             g.field("items", 950u64);

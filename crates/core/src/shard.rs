@@ -40,7 +40,6 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
-use std::time::Instant;
 
 thread_local! {
     /// Set while a panic on this thread is caught and accounted by the
@@ -215,10 +214,10 @@ where
             if isolate {
                 span.field("degraded", 1u64);
             }
-            let t = Instant::now();
             let out = work(r, &ctx);
+            let elapsed = span.finish();
             if !isolate {
-                rec.histogram(trace.hist_name, t.elapsed().as_micros() as u64);
+                rec.histogram(trace.hist_name, elapsed.as_micros() as u64);
             }
             rec.stage_add_items(items);
             out

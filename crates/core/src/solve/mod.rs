@@ -185,7 +185,7 @@ pub fn splice_solutions(
     log: &LogView<'_>,
     records: &[ParsedRecord],
     instances: &[AntipatternInstance],
-    decisions: SolveDecisions,
+    decisions: &SolveDecisions,
     threads: usize,
     rec: &Recorder,
 ) -> SolveOutcome {
@@ -486,7 +486,7 @@ mod tests {
             &view,
             &parsed.records,
             &instances,
-            decisions,
+            &decisions,
             1,
             &config.recorder,
         )
@@ -560,7 +560,7 @@ mod tests {
         fn splice(
             &self,
             instances: &[AntipatternInstance],
-            decisions: SolveDecisions,
+            decisions: &SolveDecisions,
             threads: usize,
         ) -> SolveOutcome {
             let view = LogView::identity(&self.log);
@@ -658,7 +658,7 @@ mod tests {
         let solvers = SolverSet::builtin().with_custom("merge", &merge);
         let (decisions, _) = fx.decide(&instances, &solvers, 1);
         assert_eq!(decisions.solved.len(), 4);
-        let reference = fx.splice(&instances, decisions.clone(), 1);
+        let reference = fx.splice(&instances, &decisions, 1);
         let statements: Vec<&str> = reference
             .clean_log
             .entries
@@ -683,7 +683,7 @@ mod tests {
             ]
         );
         for threads in [2usize, 3, 4, 8, 16] {
-            let out = fx.splice(&instances, decisions.clone(), threads);
+            let out = fx.splice(&instances, &decisions, threads);
             assert_eq!(out.clean_log, reference.clean_log, "threads {threads}");
             assert_eq!(out.removal_log, reference.removal_log, "threads {threads}");
             assert_eq!(out.rewrites.len(), 4);

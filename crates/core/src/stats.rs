@@ -18,12 +18,17 @@ pub struct ClassCounts {
 
 /// Wall-clock spent in each pipeline stage, in milliseconds.
 ///
+/// Each field is the clock of the stage's span
+/// ([`sqlog_obs::Recorder::stage`]); a stage loaded from a checkpoint has
+/// zero and no span.
+///
 /// Timings are measurement noise, not results: two runs that clean a log
 /// identically will still differ here. Comparisons of pipeline *output*
 /// should go through [`Statistics::with_zeroed_timings`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageTimings {
-    /// Reading + quarantining the input log. Filled by
+    /// Reading (and checking against a run's manifest) + quarantining the
+    /// input log. Filled by
     /// [`crate::Pipeline::run_file`]; zero for [`crate::Pipeline::run`],
     /// which gets a log already in memory.
     pub ingest_ms: u64,
@@ -39,7 +44,7 @@ pub struct StageTimings {
     pub mine_ms: u64,
     /// Antipattern detection (Defs. 11–16 + extensions).
     pub detect_ms: u64,
-    /// Solving / rewriting (§5.5).
+    /// Solving / rewriting (§5.5): the solver pass and the splice.
     pub solve_ms: u64,
     /// Rendering the statistics report and the top-pattern table. Filled
     /// by the binary.
@@ -47,7 +52,7 @@ pub struct StageTimings {
     /// Writing the clean and removal logs. Filled by the binary; zero when
     /// it writes neither, and in reports written before it was timed.
     pub write_ms: u64,
-    /// End-to-end time: the run's own wall-clock (ingest included for
+    /// End-to-end time: the `pipeline` span (ingest included for
     /// [`crate::Pipeline::run_file`]), plus `write_ms` and `report_ms` once
     /// the binary adds them.
     pub total_ms: u64,
@@ -55,9 +60,8 @@ pub struct StageTimings {
 
 impl StageTimings {
     /// Sum of the individual stage timings (including ingest, write and
-    /// report).
-    /// `total_ms` should be ≥ this minus rounding slack; the reconciliation
-    /// test in the CLI harness checks it.
+    /// report). Stage spans never overlap, so `total_ms` is at least this;
+    /// the CLI observability tests check it.
     pub fn stage_sum_ms(&self) -> u64 {
         self.ingest_ms
             + self.sort_ms

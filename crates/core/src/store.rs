@@ -244,7 +244,7 @@ mod tests {
 
         // Reference: a healthy store.
         let healthy = TemplateStore::new();
-        let expected = parse_view_traced(&view, &healthy, &options, 2, &Recorder::disabled(), None);
+        let expected = parse_view_traced(&view, &healthy, &options, 2, &Recorder::disabled());
 
         // Poison the lock (renumber's permutation assert fires while the
         // write guard is held), then parse with the cache enabled.
@@ -255,7 +255,7 @@ mod tests {
         }));
         assert!(poisoning.is_err(), "renumber must reject a bad order");
 
-        let got = parse_view_traced(&view, &store, &options, 2, &rec, None);
+        let got = parse_view_traced(&view, &store, &options, 2, &rec);
         assert!(got.cache.enabled, "cache must be on for this test");
         assert!(
             got.cache.hits > 0,

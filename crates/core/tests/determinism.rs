@@ -156,7 +156,7 @@ fn solve_decisions_and_logs_are_identical_for_all_thread_counts() {
             &pre_clean,
             &parsed.records,
             &detected.instances,
-            decisions.clone(),
+            &decisions,
             resolve_threads(threads),
             &config.recorder,
         );

@@ -39,7 +39,6 @@ fn parse_with_cache(log: &QueryLog, cache: bool) -> (String, sqlog_core::ParseCa
         },
         1,
         &Recorder::disabled(),
-        None,
     );
     (format!("{:?}", parsed.records), parsed.cache)
 }

@@ -27,6 +27,9 @@ pub enum ExecError {
     UnknownColumn(String),
     /// The query uses a shape the executor does not implement.
     Unsupported(String),
+    /// A grouped query orders by a column that is neither grouped nor
+    /// aggregated (SQL Server's Msg 8127): its value is not one per group.
+    NotGrouped(String),
 }
 
 impl fmt::Display for ExecError {
@@ -35,6 +38,11 @@ impl fmt::Display for ExecError {
             ExecError::UnknownTable(t) => write!(f, "unknown table {t}"),
             ExecError::UnknownColumn(c) => write!(f, "unknown column {c}"),
             ExecError::Unsupported(w) => write!(f, "unsupported query shape: {w}"),
+            ExecError::NotGrouped(c) => write!(
+                f,
+                "column {c} is invalid in the ORDER BY clause because it is not contained \
+                 in either an aggregate function or the GROUP BY clause"
+            ),
         }
     }
 }
@@ -242,6 +250,10 @@ impl<'a> BoundQuery<'a> {
         };
         let output = if grouped {
             let group = |e: &Expr| GroupScalar::bind(&b, e);
+            let column = |e: &Expr| match b.scalar(e) {
+                Scalar::Column { source, data } => Some((source, std::ptr::from_ref(data))),
+                _ => None,
+            };
             Output::Groups(Box::new(Grouping {
                 keys: body.group_by.iter().map(|e| b.scalar(e)).collect(),
                 having: body
@@ -256,24 +268,25 @@ impl<'a> BoundQuery<'a> {
                         _ => None,
                     })
                     .collect(),
-                // Keys bind as written, except an alias of an aggregate and
-                // a name that resolves to no source column: those bind the
-                // aliased expression (a real column shadows an alias).
+                // Keys bind as resolved above (an alias before a column),
+                // except that a grouped column shadows an alias of its
+                // name, and a column that is neither grouped nor an alias
+                // has no one value per group.
                 sort_keys: query
                     .order_by
                     .iter()
                     .zip(&order_by)
-                    .map(|(o, e)| {
-                        let no_column = matches!(o.expr, Expr::Column(_))
-                            && matches!(
-                                b.scalar(&o.expr),
-                                Scalar::Fail(ExecError::UnknownColumn(_))
-                            );
-                        group(if by_aggregate(e) || no_column {
-                            e
-                        } else {
-                            &o.expr
-                        })
+                    .map(|(o, e)| match (&o.expr, column(&o.expr)) {
+                        (Expr::Column(name), Some(c)) if !by_aggregate(e) => {
+                            if body.group_by.iter().any(|g| column(g) == Some(c)) {
+                                group(&o.expr)
+                            } else if alias_of(name).is_some() {
+                                group(e)
+                            } else {
+                                GroupScalar::Fail(ExecError::NotGrouped(name.to_string()))
+                            }
+                        }
+                        _ => group(e),
                     })
                     .collect(),
             }))

@@ -27,7 +27,9 @@ fn every_generated_statement_executes_or_errors_honestly() {
         match db.execute_sql(&e.statement) {
             Ok(_) => executed += 1,
             Err(ExecError::Unsupported(_)) => unsupported += 1,
-            Err(ExecError::UnknownTable(_) | ExecError::UnknownColumn(_)) => rejected += 1,
+            Err(
+                ExecError::UnknownTable(_) | ExecError::UnknownColumn(_) | ExecError::NotGrouped(_),
+            ) => rejected += 1,
         }
     }
     // The point-lookup crawlers, window scans, metadata browsing and most
@@ -385,8 +387,8 @@ fn grouped_order_by_an_alias_of_a_projected_column_sorts_the_groups() {
             vec![Value::Null, Value::Int(1)],
         ]
     );
-    // An alias that shadows a real column still sorts by the column: `s`
-    // here is t.s (of each group's row), not the projected v.
+    // An alias that shadows a column that is not grouped sorts by the
+    // alias: t.s has no value per group, so `s` can only be the projected v.
     let r = run_both(
         &db,
         "SELECT v AS s, count(*) FROM t GROUP BY v ORDER BY s DESC",
@@ -396,8 +398,49 @@ fn grouped_order_by_an_alias_of_a_projected_column_sorts_the_groups() {
         r.rows,
         vec![
             vec![Value::Int(20), Value::Int(1)],
-            vec![Value::Null, Value::Int(1)],
             vec![Value::Int(10), Value::Int(1)],
+            vec![Value::Null, Value::Int(1)],
         ]
     );
+    // A grouped column still shadows an alias of the same name: the
+    // groups sort by t.v, not by the projected -v.
+    let r = run_both(&db, "SELECT -v AS v, count(*) FROM t GROUP BY v ORDER BY v").unwrap();
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Value::Int(-10), Value::Int(1)],
+            vec![Value::Int(-20), Value::Int(1)],
+            vec![Value::Null, Value::Int(1)],
+        ]
+    );
+}
+
+#[test]
+fn grouped_order_by_a_column_neither_grouped_nor_aggregated_is_an_error() {
+    let db = small_db();
+    for (sql, column) in [
+        ("SELECT v, count(*) FROM t GROUP BY v ORDER BY s", "s"),
+        (
+            "SELECT v, count(*) FROM t GROUP BY v ORDER BY t.s DESC",
+            "t.s",
+        ),
+        ("SELECT count(*) FROM t ORDER BY s", "s"),
+    ] {
+        let err = run_both(&db, sql).expect_err(sql);
+        assert_eq!(
+            err,
+            format!(
+                "column {column} is invalid in the ORDER BY clause because it is not \
+                 contained in either an aggregate function or the GROUP BY clause"
+            ),
+            "{sql}"
+        );
+    }
+    // A grouped column, however it is qualified, is a valid key.
+    let r = run_both(
+        &db,
+        "SELECT v, count(*) FROM t GROUP BY v ORDER BY t.v DESC",
+    )
+    .unwrap();
+    assert_eq!(r.rows[0], vec![Value::Int(20), Value::Int(1)]);
 }

@@ -21,8 +21,8 @@
 //!
 //! let rec = Recorder::new();
 //! {
-//!     let stage = span!(rec, "parse");
-//!     let parent = stage.id();
+//!     let _stage = span!(rec, "parse");
+//!     let parent = rec.current();
 //!     // hand `parent` to worker threads:
 //!     let _shard = rec.span_in(parent, "parse.shard");
 //! }

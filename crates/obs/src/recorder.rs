@@ -25,7 +25,7 @@ use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Identifier of a recorded span (unique within one recorder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,7 +99,7 @@ struct State {
 }
 
 /// Live gauge state of the stage currently executing (see
-/// [`Recorder::stage_begin`]). Kept under its own small mutex so a
+/// [`Recorder::stage`]). Kept under its own small mutex so a
 /// progress poller never contends with span completions.
 #[derive(Default)]
 struct ProgressState {
@@ -133,7 +133,7 @@ pub struct ProgressSnapshot {
     pub started_us: u64,
     /// When this snapshot was taken, same clock.
     pub now_us: u64,
-    /// Monotonic stage sequence number (increments per `stage_begin` /
+    /// Monotonic stage sequence number (increments per `stage` /
     /// `stage_skipped`), so pollers can detect stage transitions.
     pub seq: u64,
 }
@@ -264,7 +264,7 @@ impl Recorder {
                 prev: 0,
                 name,
                 fields: Vec::new(),
-                start_us: 0,
+                start: None,
             };
         };
         let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
@@ -276,7 +276,8 @@ impl Recorder {
             prev,
             name,
             fields: Vec::new(),
-            start_us: Self::now_us(inner),
+            // On the epoch's µs grid: exact `start_us`, children end inside.
+            start: Some(inner.epoch + Duration::from_micros(Self::now_us(inner))),
         }
     }
 
@@ -323,33 +324,43 @@ impl Recorder {
         inner.progress.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Declares that a stage has started executing, with `total` expected
-    /// items (`0` when unknown). Called once per stage — not a hot path.
-    pub fn stage_begin(&self, stage: &'static str, total: u64) {
-        let Some(inner) = &self.inner else { return };
+    /// Opens a pipeline stage: declares it to the progress gauge with
+    /// `total` expected items (`0` when unknown) and opens its
+    /// [`Recorder::timed_span`]. Called once per stage — not a hot path.
+    pub fn stage(&self, name: &'static str, total: u64) -> SpanGuard {
+        if let Some(inner) = &self.inner {
+            Self::declare(inner, name, total, false);
+        }
+        self.timed_span(name)
+    }
+
+    /// A span whose clock runs even when the recorder is disabled, so its
+    /// [`SpanGuard::finish`] always measures (a run's `pipeline` span).
+    pub fn timed_span(&self, name: &'static str) -> SpanGuard {
+        let mut span = self.span(name);
+        span.start.get_or_insert_with(Instant::now);
+        span
+    }
+
+    fn declare(inner: &Inner, stage: &'static str, total: u64, skipped: bool) {
         let now = Self::now_us(inner);
         let mut p = Self::progress_state(inner);
         p.stage = Some(stage);
         p.done = 0;
         p.total = total;
-        p.skipped = false;
+        p.skipped = skipped;
         p.started_us = now;
         p.seq += 1;
+        if skipped {
+            p.skipped_log.push(stage);
+        }
     }
 
     /// Declares that a stage was restored from a checkpoint instead of
     /// executed, so live renderers can show it as skipped.
     pub fn stage_skipped(&self, stage: &'static str) {
         let Some(inner) = &self.inner else { return };
-        let now = Self::now_us(inner);
-        let mut p = Self::progress_state(inner);
-        p.stage = Some(stage);
-        p.done = 0;
-        p.total = 0;
-        p.skipped = true;
-        p.started_us = now;
-        p.seq += 1;
-        p.skipped_log.push(stage);
+        Self::declare(inner, stage, 0, true);
     }
 
     /// Every stage declared skipped so far, in order. Empty when the
@@ -505,7 +516,7 @@ impl Recorder {
     }
 }
 
-/// RAII guard of an open span; records the span when dropped.
+/// RAII guard of an open span; records the span when finished or dropped.
 pub struct SpanGuard {
     inner: Option<Arc<Inner>>,
     id: u64,
@@ -513,7 +524,8 @@ pub struct SpanGuard {
     prev: u64,
     name: &'static str,
     fields: Vec<(&'static str, FieldValue)>,
-    start_us: u64,
+    /// Set when enabled, and for a [`Recorder::timed_span`] always.
+    start: Option<Instant>,
 }
 
 impl SpanGuard {
@@ -524,29 +536,37 @@ impl SpanGuard {
         }
     }
 
-    /// The span's id, for parenting work handed to other threads.
-    /// `None` when the recorder is disabled.
-    pub fn id(&self) -> Option<SpanId> {
-        self.inner.as_ref().map(|_| SpanId(self.id))
+    /// Closes the span and returns its wall-clock, which is its `dur_us` in
+    /// whole microseconds; zero for a plain span of a disabled recorder,
+    /// which reads no clock.
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let Some(start) = self.start.take() else {
+            return Duration::ZERO;
+        };
+        let elapsed = start.elapsed();
+        if let Some(inner) = self.inner.take() {
+            CURRENT.with(|c| c.set(self.prev));
+            let record = SpanRecord {
+                id: self.id,
+                parent: self.parent,
+                name: self.name,
+                fields: std::mem::take(&mut self.fields),
+                start_us: start.duration_since(inner.epoch).as_micros() as u64,
+                dur_us: elapsed.as_micros() as u64,
+            };
+            Recorder::state(&inner).spans.push(record);
+        }
+        elapsed
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
-            return;
-        };
-        CURRENT.with(|c| c.set(self.prev));
-        let end = Recorder::now_us(&inner);
-        let record = SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            fields: std::mem::take(&mut self.fields),
-            start_us: self.start_us,
-            dur_us: end.saturating_sub(self.start_us),
-        };
-        Recorder::state(&inner).spans.push(record);
+        self.close();
     }
 }
 
@@ -573,7 +593,7 @@ mod tests {
         {
             let mut g = span!(rec, "root", k = 1u64);
             g.field("more", "x");
-            assert_eq!(g.id(), None);
+            assert_eq!(rec.current(), None);
         }
         rec.counter("c", 5);
         rec.histogram("h", 1);
@@ -589,11 +609,11 @@ mod tests {
     fn same_thread_nesting() {
         let rec = Recorder::new();
         {
-            let root = span!(rec, "root");
-            let root_id = root.id().unwrap();
+            let _root = span!(rec, "root");
+            let root_id = rec.current().unwrap();
             {
-                let child = span!(rec, "child");
-                assert_eq!(rec.current(), child.id());
+                let _child = span!(rec, "child");
+                assert_ne!(rec.current(), Some(root_id));
                 let _grand = span!(rec, "grandchild");
             }
             assert_eq!(rec.current(), Some(root_id));
@@ -613,7 +633,7 @@ mod tests {
     fn cross_thread_parenting_via_span_in() {
         let rec = Recorder::new();
         let stage = rec.span("stage");
-        let stage_id = stage.id();
+        let stage_id = rec.current();
         std::thread::scope(|s| {
             for i in 0..3u64 {
                 let rec = rec.clone();
@@ -677,7 +697,7 @@ mod tests {
         let rec = Recorder::new();
         assert_eq!(rec.progress(), None, "no stage begun yet");
 
-        rec.stage_begin("parse", 100);
+        let _parse = rec.stage("parse", 100);
         rec.stage_add_items(30);
         rec.stage_add_items(20);
         rec.stage_add_items(0); // no-op
@@ -688,7 +708,7 @@ mod tests {
         assert!(p.now_us >= p.started_us);
 
         // A new stage resets the gauge and bumps the sequence.
-        rec.stage_begin("sessions", 0);
+        let _sessions = rec.stage("sessions", 0);
         let p = rec.progress().unwrap();
         assert_eq!((p.stage, p.done, p.total, p.seq), ("sessions", 0, 0, 2));
         assert_eq!(p.eta_secs(), None, "unknown total has no ETA");
@@ -699,16 +719,50 @@ mod tests {
         let p = rec.progress().unwrap();
         assert_eq!((p.stage, p.skipped, p.seq), ("mine", true, 3));
         rec.stage_skipped("detect");
-        rec.stage_begin("solve", 5);
+        let _solve = rec.stage("solve", 5);
         assert_eq!(rec.skipped_stages(), vec!["mine", "detect"]);
 
         // Disabled recorders expose nothing and every call is a no-op.
         let off = Recorder::disabled();
-        off.stage_begin("parse", 10);
+        let _off = off.stage("parse", 10);
         off.stage_add_items(5);
         off.stage_skipped("sort");
         assert_eq!(off.progress(), None);
         assert!(off.skipped_stages().is_empty());
+    }
+
+    #[test]
+    fn a_stage_span_is_the_stage_clock() {
+        let rec = Recorder::new();
+        let stage = rec.stage("parse", 3);
+        let stage_id = rec.current();
+        rec.span_in(stage_id, "parse.shard").field("shard", 0u64);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let elapsed = stage.finish();
+        assert!(elapsed >= std::time::Duration::from_millis(2));
+        assert_eq!(rec.current(), None, "finish closes the span");
+        let spans = rec.spans();
+        let parse = spans.iter().find(|s| s.name == "parse").unwrap();
+        assert_eq!(Some(SpanId(parse.id)), stage_id);
+        assert_eq!(parse.dur_us, elapsed.as_micros() as u64);
+        let shard = spans.iter().find(|s| s.name == "parse.shard").unwrap();
+        assert_eq!(shard.parent, Some(parse.id));
+        assert!(shard.start_us + shard.dur_us <= parse.start_us + parse.dur_us);
+        assert_eq!(
+            rec.progress().map(|p| (p.stage, p.total)),
+            Some(("parse", 3))
+        );
+
+        // A timed span declares no stage; a disabled recorder's clock still
+        // runs and records nothing.
+        let run = Recorder::new();
+        drop(run.timed_span("pipeline"));
+        assert_eq!(run.progress(), None);
+        let off = Recorder::disabled();
+        let stage = off.stage("parse", 3);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(stage.finish() >= std::time::Duration::from_millis(1));
+        assert!(off.spans().is_empty());
     }
 
     #[test]

@@ -234,8 +234,8 @@ mod tests {
     fn aggregates_shards_under_stages() {
         let rec = Recorder::new();
         {
-            let stage = rec.span("dedup");
-            let id = stage.id();
+            let _stage = rec.span("dedup");
+            let id = rec.current();
             for i in 0..4u64 {
                 let mut g = rec.span_in(id, "dedup.shard");
                 g.field("shard", i);
@@ -263,8 +263,8 @@ mod tests {
     fn json_round_trip() {
         let rec = Recorder::new();
         {
-            let stage = rec.span("parse");
-            let id = stage.id();
+            let _stage = rec.span("parse");
+            let id = rec.current();
             let mut g = rec.span_in(id, "parse.shard");
             g.field("shard", 0u64);
             g.field("items", 123u64);

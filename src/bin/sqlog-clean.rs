@@ -79,7 +79,7 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 struct Args {
     input: String,
@@ -399,10 +399,8 @@ fn main() {
 
     // The two output logs are written under the write span, before the
     // report, so the printed report carries the write's cost too.
-    let t_write = Instant::now();
     if args.output.is_some() || args.removal.is_some() {
-        rec.stage_begin("write", 0);
-        let _span = rec.span("write");
+        let write = rec.stage("write", 0);
         let outputs = [
             ("clean", &args.output, &result.clean_log),
             ("removal", &args.removal, &result.removal_log),
@@ -415,10 +413,10 @@ fn main() {
             }
             eprintln!("wrote {kind} log ({} entries) to {path}", log.len());
         }
+        let write_ms = write.finish().as_millis() as u64;
+        result.stats.timings.write_ms = write_ms;
+        result.stats.timings.total_ms += write_ms;
     }
-    let write_ms = t_write.elapsed().as_millis() as u64;
-    result.stats.timings.write_ms = write_ms;
-    result.stats.timings.total_ms += write_ms;
 
     // The pipeline is done: account the process's peak footprint before
     // the report is built, so it lands in --stats-json and the ledger.
@@ -429,14 +427,10 @@ fn main() {
     // Render once under the report span to measure its cost, fold the
     // measurement into the timings, then render again so the printed (and
     // serialized) report carries its own cost.
-    let t_report = Instant::now();
-    let rows = {
-        rec.stage_begin("report", 0);
-        let _span = rec.span("report");
-        let _ = render_statistics(&result.stats);
-        top_patterns(&result.mined, &result.marks, &result.store, args.top, 2)
-    };
-    let report_ms = t_report.elapsed().as_millis() as u64;
+    let report = rec.stage("report", 0);
+    let _ = render_statistics(&result.stats);
+    let rows = top_patterns(&result.mined, &result.marks, &result.store, args.top, 2);
+    let report_ms = report.finish().as_millis() as u64;
     result.stats.timings.report_ms = report_ms;
     result.stats.timings.total_ms += report_ms;
 

@@ -282,26 +282,27 @@ fn cmd_show(run: &LoadedRun) {
     let stats = &report.stats;
 
     println!(
-        "{:<12} {:>9} {:>11} {:>7} {:>9} {:>6} {:>9} {:>9} {:>9}",
-        "stage", "wall ms", "self us", "shards", "imbal", "eff", "p50 us", "p95 us", "p99 us"
+        "{:<12} {:>9} {:>7} {:>9} {:>6} {:>9} {:>9} {:>9}",
+        "stage", "wall ms", "shards", "imbal", "eff", "p50 us", "p95 us", "p99 us"
     );
     // The timed stages, then the sub-passes that report their own shards
-    // under a span of their own (the solve stage's `solve.splice`).
+    // under a span of their own (the solve stage's `solve.splice`, whose
+    // wall time is part of solve's and is read from its span).
     let timed = STAGES
         .iter()
-        .map(|&(name, pick)| (name, pick(&stats.timings).to_string()));
+        .map(|&(name, pick)| (name, pick(&stats.timings)));
     let sub_passes = report
         .obs
         .stages
         .iter()
         .filter(|(name, s)| !s.shards.is_empty() && !STAGES.iter().any(|(n, _)| n == name))
-        .map(|(name, _)| (name.as_str(), "-".to_string()));
+        .map(|(name, s)| (name.as_str(), s.total_us / 1000));
     for (name, wall) in timed.chain(sub_passes) {
         let summary = report.obs.stages.get(name);
         let hist = report.obs.histograms.get(&format!("{name}.shard_us"));
-        let (self_us, shards, imbalance) = summary
-            .map(|s| (s.total_us, s.shards.len(), s.imbalance))
-            .unwrap_or((0, 0, 0.0));
+        let (shards, imbalance) = summary
+            .map(|s| (s.shards.len(), s.imbalance))
+            .unwrap_or((0, 0.0));
         let (p50, p95, p99) = hist
             .filter(|h| h.count > 0)
             .map(|h| (h.p50(), h.p95(), h.p99()))
@@ -314,9 +315,7 @@ fn cmd_show(run: &LoadedRun) {
         let eff = summary
             .and_then(parallel_efficiency)
             .map_or_else(|| "-".to_string(), |e| format!("{:.0}%", e * 100.0));
-        println!(
-            "{name:<12} {wall:>9} {self_us:>11} {shards:>7} {imbal:>9} {eff:>6} {p50:>9} {p95:>9} {p99:>9}"
-        );
+        println!("{name:<12} {wall:>9} {shards:>7} {imbal:>9} {eff:>6} {p50:>9} {p95:>9} {p99:>9}");
     }
     println!(
         "{:<12} {:>9}   (stage sum {} ms)",

@@ -4,11 +4,14 @@
 //! (every line a complete JSON object of a known type), per-shard spans
 //! covering every pipeline stage plus ingest and report, and a stats JSON
 //! whose statistics render to exactly the block printed on stdout. An
-//! unwritable sink path must fail before any pipeline work.
+//! unwritable sink path must fail before any pipeline work. Each stage is
+//! timed by one clock: its `StageTimings` milliseconds are its spans'.
 
-use sqlog::core::{render_statistics, RunReport};
+use sqlog::catalog::skyserver_catalog;
+use sqlog::core::checkpoint::{run_checkpointed, CheckpointOptions, RunDir, Stage};
+use sqlog::core::{render_statistics, Pipeline, PipelineConfig, RunReport, StageTimings};
 use sqlog::gen::{generate, GenConfig};
-use sqlog::logmodel::{write_log, write_log_file};
+use sqlog::logmodel::{write_log, write_log_file, IngestPolicy};
 use sqlog::obs::Json;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -219,6 +222,128 @@ fn run_dir_and_plain_runs_report_the_same_observability() {
             assert!(
                 report.obs.stages.contains_key(*stage),
                 "{leg}: no {stage} span"
+            );
+        }
+    }
+}
+
+/// Accessor for one stage's field of [`StageTimings`].
+type Pick = fn(&StageTimings) -> u64;
+
+/// Every stage `StageTimings` names, with its field.
+const TIMED: [(&str, Pick); 10] = [
+    ("ingest", |t| t.ingest_ms),
+    ("sort", |t| t.sort_ms),
+    ("dedup", |t| t.dedup_ms),
+    ("parse", |t| t.parse_ms),
+    ("sessions", |t| t.sessions_ms),
+    ("mine", |t| t.mine_ms),
+    ("detect", |t| t.detect_ms),
+    ("solve", |t| t.solve_ms),
+    ("write", |t| t.write_ms),
+    ("report", |t| t.report_ms),
+];
+
+/// Runs `sqlog-clean` with a trace, a run report and both output logs;
+/// returns Σ ⌊`dur_us`/1000⌋ per span name and the run's timings.
+fn traced_run(
+    scratch: &Scratch,
+    label: &str,
+    args: &[&str],
+) -> (HashMap<String, u64>, StageTimings) {
+    let trace = scratch.path(&format!("{label}-trace.ndjson"));
+    let stats = scratch.path(&format!("{label}-stats.json"));
+    let out = Command::new(BIN)
+        .args(args)
+        .args([
+            "--out",
+            scratch
+                .path(&format!("{label}-clean.tsv"))
+                .to_str()
+                .unwrap(),
+        ])
+        .args([
+            "--removal",
+            scratch
+                .path(&format!("{label}-removal.tsv"))
+                .to_str()
+                .unwrap(),
+        ])
+        .args(["--trace-events", trace.to_str().unwrap()])
+        .args(["--stats-json", stats.to_str().unwrap()])
+        .output()
+        .expect("run sqlog-clean");
+    assert!(
+        out.status.success(),
+        "{label}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut span_ms: HashMap<String, u64> = HashMap::new();
+    for line in std::fs::read_to_string(&trace).expect("read trace").lines() {
+        let v = Json::parse(line).expect("trace line parses");
+        if v.get("type").and_then(Json::as_str) == Some("span") {
+            let name = v.get("name").and_then(Json::as_str).expect("span name");
+            let dur_us = v.get("dur_us").and_then(Json::as_u64).expect("dur_us");
+            *span_ms.entry(name.to_string()).or_default() += dur_us / 1000;
+        }
+    }
+    let report = RunReport::parse(&std::fs::read_to_string(&stats).expect("read stats"))
+        .expect("parse run report");
+    (span_ms, report.stats.timings)
+}
+
+/// One clock per stage: each stage's `StageTimings` milliseconds are the
+/// whole milliseconds of its spans, on a plain run at 1 and 2 threads and
+/// on a resume whose loaded stages have neither time nor span. The stage
+/// guards never overlap inside the pipeline guard, so `total_ms` is at
+/// least their sum.
+#[test]
+fn each_stage_time_is_its_span_time() {
+    let scratch = Scratch::new("one-clock");
+    let input = scratch.path("input.tsv");
+    write_log_file(&generate(&GenConfig::with_scale(3_000, 11)), &input).expect("write log");
+    let input_arg = input.to_str().unwrap();
+    let catalog = skyserver_catalog();
+
+    for threads in ["1", "2"] {
+        // A resume after a run the library stopped after detection: ingest,
+        // solve, write and report run; sort and the loaded stages do not.
+        let dir = scratch.path(&format!("run-{threads}"));
+        let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
+            parallelism: threads.parse().unwrap(),
+            ..PipelineConfig::default()
+        });
+        let opts = CheckpointOptions {
+            input: input.clone(),
+            policy: IngestPolicy::Strict,
+            quarantine: None,
+            resume: false,
+            stop_after: Some(Stage::Detect),
+        };
+        let stopped = run_checkpointed(&pipeline, &RunDir::create(&dir).unwrap(), &opts);
+        assert!(stopped.expect("cold leg").is_none(), "the cold leg stops");
+        let resume = ["--in", input_arg, "--parallelism", threads];
+        let resume = [&resume[..], &["--resume", dir.to_str().unwrap()]].concat();
+
+        let legs = [
+            ("plain", vec!["--in", input_arg, "--parallelism", threads]),
+            ("resume", resume),
+        ];
+        for (leg, args) in legs {
+            let label = format!("{leg}-{threads}");
+            let (span_ms, t) = traced_run(&scratch, &label, &args);
+            for (stage, pick) in TIMED {
+                let spans = span_ms.get(stage).copied();
+                let ran = leg == "plain" || ["ingest", "solve", "write", "report"].contains(&stage);
+                if ran {
+                    assert_eq!(spans, Some(pick(&t)), "{label}: {stage} ({t:?})");
+                } else {
+                    assert_eq!((spans, pick(&t)), (None, 0), "{label}: {stage} was loaded");
+                }
+            }
+            assert!(
+                t.total_ms >= t.stage_sum_ms(),
+                "{label}: total below the stage sum: {t:?}"
             );
         }
     }
