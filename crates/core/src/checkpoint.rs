@@ -1011,6 +1011,10 @@ pub(crate) fn decode_sessions(d: &mut Dec<'_>, n_records: usize) -> Result<Sessi
             records: d.seq(|d| d.index(n_records, "session record"))?,
         })
     })?;
+    // Mining appends each pattern's users in session order.
+    if sessions.windows(2).any(|w| w[1].user < w[0].user) {
+        return Err("session users are not in ascending order".to_string());
+    }
     Ok(Sessions {
         sessions,
         user_names,
@@ -1025,9 +1029,7 @@ pub(crate) fn encode_mine(e: &mut Enc, mined: &MinedPatterns) {
     e.seq(patterns, |e, (key, data)| {
         e.ids(key);
         e.u64(data.frequency);
-        let mut users: Vec<u32> = data.users.iter().copied().collect();
-        users.sort_unstable();
-        e.seq(users, |e, u| e.u64(u.into()));
+        e.seq(&data.users, |e, &u| e.u64(u.into()));
     });
     e.u64(mined.total_queries);
     e.usize(mined.poison_sessions);
@@ -1037,11 +1039,12 @@ pub(crate) fn encode_mine(e: &mut Enc, mined: &MinedPatterns) {
 pub(crate) fn decode_mine(d: &mut Dec<'_>, n_templates: usize) -> Result<MinedPatterns, String> {
     let patterns = d.seq(|d| {
         let key = d.ids(n_templates, "pattern template")?;
-        let data = PatternData {
-            frequency: d.u64()?,
-            users: d.seq(Dec::u32)?.into_iter().collect(),
-        };
-        Ok((key, data))
+        let frequency = d.u64()?;
+        let users = d.seq(Dec::u32)?;
+        if users.windows(2).any(|w| w[1] <= w[0]) {
+            return Err("pattern users are not strictly ascending".to_string());
+        }
+        Ok((key, PatternData { frequency, users }))
     })?;
     Ok(MinedPatterns {
         patterns: patterns.into_iter().collect(),
@@ -1439,6 +1442,61 @@ mod tests {
         .unwrap();
         assert_eq!(decoded.records, original.1.records);
         assert_eq!(arcs(&decoded.records), distinct);
+    }
+
+    #[test]
+    fn sessions_whose_users_decrease_are_rejected() {
+        let decode = |users: &[u32]| {
+            let sessions = Sessions {
+                sessions: users
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &user)| Session {
+                        user,
+                        records: vec![r],
+                    })
+                    .collect(),
+                user_names: vec!["a".to_string(), "b".to_string()],
+                ..Sessions::default()
+            };
+            let mut e = Enc::default();
+            encode_sessions(&mut e, &sessions);
+            decode_payload(&Recorder::disabled(), Stage::Sessions, &e.0, |d| {
+                decode_sessions(d, users.len())
+            })
+            .map(|got| assert_eq!(got.sessions, sessions.sessions))
+        };
+        assert_eq!(decode(&[0, 0, 1, 1]), Ok(()));
+        let err = decode(&[0, 1, 0]).unwrap_err();
+        assert!(err.contains("ascending"), "{err}");
+    }
+
+    #[test]
+    fn pattern_users_out_of_order_or_repeated_are_rejected() {
+        let decode = |users: &[u32]| {
+            let mut mined = MinedPatterns {
+                total_queries: 4,
+                ..MinedPatterns::default()
+            };
+            mined.patterns.insert(
+                vec![TemplateId(0)],
+                PatternData {
+                    frequency: 4,
+                    users: users.to_vec(),
+                },
+            );
+            let mut e = Enc::default();
+            encode_mine(&mut e, &mined);
+            decode_payload(&Recorder::disabled(), Stage::Mine, &e.0, |d| {
+                decode_mine(d, 1)
+            })
+            .map(|got| assert_eq!(got.patterns, mined.patterns))
+        };
+        assert_eq!(decode(&[0, 2, 7]), Ok(()));
+        for users in [&[2, 0][..], &[0, 2, 2]] {
+            let err = decode(users).unwrap_err();
+            assert!(err.contains("strictly ascending"), "{users:?}: {err}");
+        }
     }
 
     #[test]

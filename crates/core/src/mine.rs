@@ -23,8 +23,16 @@
 //! lookups — no `vec![t]` / `gram.to_vec()` per occurrence), tracks
 //! non-overlap ends in a stamp-versioned table instead of a per-session
 //! hash map, and resolves unigrams through a direct template-id index.
-//! Sessions partition by user, so mining shards across contiguous session
-//! ranges and the merged counts are identical for every thread count.
+//!
+//! A pattern's users are an ascending, duplicate-free `Vec<u32>`, not a
+//! set: sessions come ordered by (user, time), so a user is appended only
+//! when it differs from the pattern's last one. Mining shards across
+//! contiguous session ranges, so shard *i*'s users all precede shard
+//! *i + 1*'s except the one user whose sessions straddle the boundary.
+//! `merge_counters` folds the shard counters in shard order, moving each key
+//! and user list and dropping only that shared user, and the merged counts
+//! are identical for every thread count. Sessions in any other order still
+//! mine correctly, through an insert and a sorted union.
 
 use crate::config::PipelineConfig;
 use crate::parse_step::ParsedRecord;
@@ -33,7 +41,7 @@ use crate::store::TemplateId;
 use sqlog_log::{LogView, QueryLog};
 use sqlog_obs::Recorder;
 use sqlog_skeleton::FnvHashMap;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 
 /// One per-user session: indices into the parsed-record vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,15 +204,16 @@ pub fn build_sessions(log: &QueryLog, records: &[ParsedRecord], gap_ms: u64) -> 
 pub struct PatternData {
     /// Number of instances (Def. 9).
     pub frequency: u64,
-    /// Distinct users with at least one instance (Def. 10 is this set's size).
-    pub users: HashSet<u32>,
+    /// Distinct users with at least one instance, ascending and free of
+    /// duplicates (Def. 10 is this list's length).
+    pub users: Vec<u32>,
 }
 
 /// All mined patterns, keyed by their template sequence.
 #[derive(Debug, Default)]
 pub struct MinedPatterns {
     /// Pattern → statistics.
-    pub patterns: HashMap<Vec<TemplateId>, PatternData>,
+    pub patterns: FnvHashMap<Vec<TemplateId>, PatternData>,
     /// Total SELECT queries mined (denominator for coverage percentages).
     pub total_queries: u64,
     /// Sessions skipped because mining them panicked (isolated during a
@@ -240,10 +249,8 @@ struct PatternCounter {
     /// Pattern key → dense id. Lookups borrow the key as `&[TemplateId]`;
     /// the owned `Vec` is only allocated on a pattern's first occurrence.
     by_key: FnvHashMap<Vec<TemplateId>, u32>,
-    /// Dense id → key (for the final conversion to [`MinedPatterns`]).
-    keys: Vec<Vec<TemplateId>>,
-    freq: Vec<u64>,
-    users: Vec<HashSet<u32>>,
+    /// Dense id → statistics.
+    data: Vec<PatternData>,
     /// Template id → unigram pattern id + 1 (`0` = not yet interned):
     /// unigram counting never touches the hash map.
     uni: Vec<u32>,
@@ -257,11 +264,9 @@ struct PatternCounter {
 
 impl PatternCounter {
     fn intern_slow(&mut self, key: &[TemplateId]) -> u32 {
-        let id = self.keys.len() as u32;
+        let id = self.data.len() as u32;
         self.by_key.insert(key.to_vec(), id);
-        self.keys.push(key.to_vec());
-        self.freq.push(0);
-        self.users.push(HashSet::new());
+        self.data.push(PatternData::default());
         self.last_end.push((u32::MAX, 0));
         id
     }
@@ -279,8 +284,9 @@ impl PatternCounter {
     }
 
     fn count(&mut self, id: u32, user: u32) {
-        self.freq[id as usize] += 1;
-        self.users[id as usize].insert(user);
+        let d = &mut self.data[id as usize];
+        d.frequency += 1;
+        add_user(&mut d.users, user);
     }
 
     /// Mines one session's template sequence. `stamp` must be unique per
@@ -346,17 +352,61 @@ fn trip_session(shard: &ShardCtx, session: &Session, records: &[ParsedRecord]) {
     }
 }
 
-/// Merges per-shard counters into the final map. Addition and set union are
-/// commutative, so the result is independent of how sessions were sharded.
+/// Adds `user` to an ascending, duplicate-free list. Sessions arrive in
+/// user order, so this appends or does nothing; the insert keeps the list
+/// sorted for sessions in any other order.
+fn add_user(users: &mut Vec<u32>, user: u32) {
+    match users.last() {
+        Some(&last) if last == user => {}
+        Some(&last) if last > user => {
+            if let Err(at) = users.binary_search(&user) {
+                users.insert(at, user);
+            }
+        }
+        _ => users.push(user),
+    }
+}
+
+/// Unions the ascending, duplicate-free `src` into `dst`. A later shard's
+/// users start at or after an earlier shard's last user, so this appends
+/// and skips at most that one shared user; any other order falls back to a
+/// sort.
+fn union_users(dst: &mut Vec<u32>, mut src: Vec<u32>) {
+    match (dst.last(), src.first()) {
+        (Some(&last), Some(&first)) if last > first => {
+            dst.append(&mut src);
+            dst.sort_unstable();
+            dst.dedup();
+        }
+        (Some(&last), Some(&first)) if last == first => dst.extend_from_slice(&src[1..]),
+        _ => dst.append(&mut src),
+    }
+}
+
+/// Merges per-shard counters, in shard order, into the final map. Counts
+/// add and user lists union, so the result is independent of how sessions
+/// were sharded.
 fn merge_counters(counters: Vec<PatternCounter>) -> MinedPatterns {
-    let mut patterns: HashMap<Vec<TemplateId>, PatternData> = HashMap::new();
+    let mut patterns: FnvHashMap<Vec<TemplateId>, PatternData> = FnvHashMap::default();
     let mut total = 0u64;
     for c in counters {
         total += c.total_queries;
-        for (id, key) in c.keys.into_iter().enumerate() {
-            let d = patterns.entry(key).or_default();
-            d.frequency += c.freq[id];
-            d.users.extend(c.users[id].iter().copied());
+        let mut data = c.data;
+        // Shards share few patterns: size for all of them up front rather
+        // than rehash while growing.
+        patterns.reserve(c.by_key.len());
+        for (key, id) in c.by_key {
+            let d = std::mem::take(&mut data[id as usize]);
+            match patterns.entry(key) {
+                Entry::Occupied(mut slot) => {
+                    let merged = slot.get_mut();
+                    merged.frequency += d.frequency;
+                    union_users(&mut merged.users, d.users);
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(d);
+                }
+            }
         }
     }
     MinedPatterns {
@@ -410,8 +460,8 @@ pub fn mine_patterns_traced(
         // Work units = queries in the shard's session range.
         |r| all[r.clone()].iter().map(|s| s.records.len() as u64).sum(),
         // A re-run mines each session into a fresh counter, so a poison
-        // session leaves no partial counts behind. Counters merge through
-        // the same commutative `merge_counters` either way.
+        // session leaves no partial counts behind. Counters merge in
+        // session order through the same `merge_counters` either way.
         |r, shard| {
             shard.each(r, |sessions| {
                 PatternCounter::mine_sessions(&all[sessions], records, cfg.max_ngram, shard)

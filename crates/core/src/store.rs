@@ -102,32 +102,41 @@ impl TemplateStore {
     /// are invalidated — the parse step uses this to make ids canonical
     /// (first appearance in record order) regardless of how parser threads
     /// interleaved their interning, and remaps its records in the same pass.
+    ///
+    /// The permutation is checked before anything moves: a short, duplicate
+    /// or out-of-range order panics with the store unchanged, so
+    /// poisoned-lock recovery still finds `templates` and the fingerprint
+    /// index in step. The templates are then moved into place, not cloned,
+    /// and the index is updated in place.
     pub fn renumber(&self, order: &[TemplateId]) {
-        let mut inner = self.write();
+        let mut guard = self.write();
+        let inner = &mut *guard;
         assert_eq!(
             order.len(),
             inner.templates.len(),
             "renumber order must cover every template"
         );
-        let templates: Vec<QueryTemplate> = order
-            .iter()
-            .map(|&TemplateId(old)| inner.templates[old as usize].clone())
+        let mut seen = vec![false; order.len()];
+        for &TemplateId(old) in order {
+            let fresh = seen
+                .get_mut(old as usize)
+                .is_some_and(|s| !std::mem::replace(s, true));
+            assert!(fresh, "renumber order must be a permutation");
+        }
+        let mut old: Vec<Option<QueryTemplate>> = std::mem::take(&mut inner.templates)
+            .into_iter()
+            .map(Some)
             .collect();
-        let by_fp: FnvHashMap<Fingerprint, TemplateId> = templates
+        inner.templates = order
             .iter()
-            .enumerate()
-            .map(|(new, t)| (t.fingerprint, TemplateId(new as u32)))
+            .map(|&TemplateId(id)| old[id as usize].take().expect("order is a permutation"))
             .collect();
-        // Validate before mutating: a panic past this point would leave the
-        // two fields out of step, and poisoned-lock recovery assumes they
-        // never are.
-        assert_eq!(
-            by_fp.len(),
-            templates.len(),
-            "renumber order must be a permutation"
-        );
-        inner.by_fp = by_fp;
-        inner.templates = templates;
+        for (new, t) in inner.templates.iter().enumerate() {
+            *inner
+                .by_fp
+                .get_mut(&t.fingerprint)
+                .expect("every template is indexed") = TemplateId(new as u32);
+        }
     }
 
     /// Approximate bytes held by the store: interned templates (heap
@@ -196,6 +205,55 @@ mod tests {
             TemplateId(0)
         );
         assert_eq!(store.len(), 2);
+    }
+
+    /// Three interned templates and their fingerprints, in id order.
+    fn three() -> (TemplateStore, Vec<Fingerprint>) {
+        let store = TemplateStore::new();
+        for c in ["a", "b", "c"] {
+            store.intern(tpl(&format!("SELECT {c} FROM t WHERE x = 1")));
+        }
+        let fps = (0..3)
+            .map(|i| store.with(TemplateId(i), |t| t.fingerprint))
+            .collect();
+        (store, fps)
+    }
+
+    /// Asserts that id `i` holds `fps[i]` and that interning each template
+    /// again finds that id.
+    fn assert_ids(store: &TemplateStore, fps: &[Fingerprint]) {
+        assert_eq!(store.len(), fps.len());
+        for (i, fp) in fps.iter().enumerate() {
+            let id = TemplateId(i as u32);
+            assert_eq!(store.with(id, |t| t.fingerprint), *fp);
+            assert_eq!(store.intern(store.get(id)), id);
+        }
+    }
+
+    #[test]
+    fn renumber_identity_and_reverse() {
+        let (store, fps) = three();
+        store.renumber(&[TemplateId(0), TemplateId(1), TemplateId(2)]);
+        assert_ids(&store, &fps);
+        store.renumber(&[TemplateId(2), TemplateId(1), TemplateId(0)]);
+        assert_ids(&store, &[fps[2], fps[1], fps[0]]);
+    }
+
+    #[test]
+    fn bad_renumber_orders_panic_and_leave_the_store_unchanged() {
+        let (store, fps) = three();
+        for order in [
+            &[TemplateId(0), TemplateId(1)][..],
+            &[TemplateId(0), TemplateId(1), TemplateId(1)],
+            &[TemplateId(0), TemplateId(1), TemplateId(3)],
+            &[TemplateId(2), TemplateId(1), TemplateId(u32::MAX)],
+        ] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.renumber(order);
+            }));
+            assert!(result.is_err(), "{order:?} must be rejected");
+            assert_ids(&store, &fps);
+        }
     }
 
     #[test]

@@ -214,13 +214,12 @@ pub fn union_windows(queries: &[sqlog_sql::Query]) -> Option<sqlog_sql::Query> {
 mod tests {
     use super::*;
     use crate::mine::PatternData;
-    use std::collections::HashSet;
 
     fn mined_fixture() -> MinedPatterns {
-        let mut patterns = HashMap::new();
+        let mut patterns = sqlog_skeleton::FnvHashMap::default();
         let mk = |freq: u64, users: &[u32]| PatternData {
             frequency: freq,
-            users: users.iter().copied().collect::<HashSet<_>>(),
+            users: users.to_vec(),
         };
         // A bot pattern: 500 of 1000 queries, 1 user.
         patterns.insert(vec![TemplateId(0)], mk(500, &[0]));
