@@ -357,9 +357,10 @@ impl RunDir {
                 policy_name(opts.policy)
             ));
         }
-        m.attempts += 1;
+        // The counters come from a file: saturate rather than overflow.
+        m.attempts = m.attempts.saturating_add(1);
         if !m.completed {
-            m.interruptions += 1;
+            m.interruptions = m.interruptions.saturating_add(1);
         }
         self.store_manifest(&m)?;
         Ok(m)
@@ -947,23 +948,38 @@ pub(crate) fn decode_parse(
     if let Some(i) = shapes.iter().position(|s| !distinct.insert(s)) {
         return Err(format!("shape-table entry {i} duplicates an earlier one"));
     }
-    // One record per parsed entry, in view order.
+    // One record per parsed entry, in view order. The parse join gives
+    // template ids by first appearance in the records, so the records
+    // introduce ids 0, 1, 2, … in order and use every one.
     let mut next_entry = 0u64;
+    let mut next_template = 0u32;
     let records = d.seq(|d| {
         let entry_idx: u32 = d.index(pre_clean_len, "record entry")?;
         if u64::from(entry_idx) < next_entry {
             return Err(format!("record entry {entry_idx} is out of order"));
         }
         next_entry = u64::from(entry_idx) + 1;
+        let template: u32 = d.index(n_templates, "record template")?;
+        if template > next_template {
+            return Err(format!(
+                "record template {template} appears before template {next_template}"
+            ));
+        }
+        if template == next_template {
+            next_template += 1;
+        }
         Ok(ParsedRecord {
             entry_idx,
-            template: TemplateId(d.index(n_templates, "record template")?),
+            template: TemplateId(template),
             shape: Arc::clone(&shapes[d.index::<usize>(shapes.len(), "record shape")?]),
             profile: PredicateProfile {
                 conjuncts: d.seq(decode_predicate)?,
             },
         })
     })?;
+    if next_template as usize != n_templates {
+        return Err(format!("template {next_template} is used by no record"));
+    }
     let mut stats = ParseStats {
         total: d.usize()?,
         selects: d.usize()?,
@@ -1397,8 +1413,9 @@ mod tests {
         assert!(decode(&[1, 3, 3, 2, 1, 0, 0]).is_err());
     }
 
-    #[test]
-    fn parse_payload_round_trips_with_one_arc_per_shape() {
+    /// Thirty statements of three shapes, parsed without the parse cache
+    /// (so every record owns its own shape `Arc`).
+    fn parsed_fixture() -> (QueryLog, TemplateStore, ParsedLog) {
         use crate::parse_step::{parse_view_traced, ParseOptions};
         let statements: Vec<String> = (0..30)
             .map(|i| match i % 3 {
@@ -1414,15 +1431,32 @@ mod tests {
                 .map(|(i, s)| LogEntry::minimal(i as u64, s.as_str(), Timestamp(i as i64)))
                 .collect(),
         );
-        // Without the parse cache every record owns its own `Arc`.
         let options = ParseOptions {
             cache: false,
             ..ParseOptions::default()
         };
         let store = TemplateStore::new();
-        let view = LogView::identity(&log);
+        let parsed = parse_view_traced(
+            &LogView::identity(&log),
+            &store,
+            &options,
+            1,
+            &Recorder::disabled(),
+        );
+        (log, store, parsed)
+    }
+
+    fn decode_parsed(log: &QueryLog, payload: &[u8]) -> Result<ParsedLog, String> {
         let none = Recorder::disabled();
-        let parsed = parse_view_traced(&view, &store, &options, 1, &none);
+        decode_payload(&none, Stage::Parse, payload, |d| {
+            decode_parse(d, log.len(), &none)
+        })
+        .map(|(_, parsed)| parsed)
+    }
+
+    #[test]
+    fn parse_payload_round_trips_with_one_arc_per_shape() {
+        let (log, store, parsed) = parsed_fixture();
         let arcs = |records: &[ParsedRecord]| {
             let ptrs: FnvHashSet<*const RecordShape> =
                 records.iter().map(|r| Arc::as_ptr(&r.shape)).collect();
@@ -1436,12 +1470,40 @@ mod tests {
         let original = (store, parsed);
         let mut e = Enc::default();
         encode_parse(&mut e, &original);
-        let (_, decoded) = decode_payload(&none, Stage::Parse, &e.0, |d| {
-            decode_parse(d, log.len(), &none)
-        })
-        .unwrap();
+        let decoded = decode_parsed(&log, &e.0).unwrap();
         assert_eq!(decoded.records, original.1.records);
         assert_eq!(arcs(&decoded.records), distinct);
+    }
+
+    #[test]
+    fn parse_payloads_whose_template_ids_are_not_first_appearance_are_rejected() {
+        let encode = |store: TemplateStore, parsed: ParsedLog| {
+            let mut e = Enc::default();
+            encode_parse(&mut e, &(store, parsed));
+            e.0
+        };
+        // Templates 0 and 1 swapped: every record still names its own
+        // template, but the first record introduces id 1.
+        let (log, store, mut parsed) = parsed_fixture();
+        assert_eq!(store.len(), 3);
+        let swap = [1, 0, 2];
+        let swapped = TemplateStore::new();
+        for id in swap {
+            swapped.intern(store.get(TemplateId(id)));
+        }
+        for r in &mut parsed.records {
+            r.template = TemplateId(swap[r.template.0 as usize]);
+        }
+        let err = decode_parsed(&log, &encode(swapped, parsed)).unwrap_err();
+        assert!(err.contains("appears before template 0"), "{err}");
+
+        // A template that no record uses.
+        let (log, store, parsed) = parsed_fixture();
+        store.intern(QueryTemplate::of_query(
+            &sqlog_sql::parse_query("SELECT z FROM nowhere").unwrap(),
+        ));
+        let err = decode_parsed(&log, &encode(store, parsed)).unwrap_err();
+        assert!(err.contains("template 3 is used by no record"), "{err}");
     }
 
     #[test]

@@ -70,6 +70,7 @@ struct Subst {
 /// Cached facts for the SELECT shape behind one raw key.
 #[derive(Debug, Clone)]
 struct SelectEntry {
+    /// The template's id in the worker's own store.
     template: TemplateId,
     fingerprint: Fingerprint,
     /// The shape every record of this key shares (hits clone the `Arc`).
@@ -107,8 +108,8 @@ pub(crate) const CROSSCHECK_BUDGET: usize = 64;
 
 /// Per-worker shape cache plus its effectiveness tally.
 ///
-/// Workers own their cache (like the fingerprint→id memo) so the hot path
-/// takes no locks; the per-shard tallies are summed after the join.
+/// Workers own their cache (like their template store) so the hot path
+/// shares nothing; the per-shard tallies are summed after the join.
 #[derive(Debug, Default)]
 pub(crate) struct ShapeCache {
     map: FnvHashMap<RawKey, CacheEntry>,
@@ -152,11 +153,9 @@ impl ShapeCache {
     /// entry index back to its text (for the lazy sentinel probe);
     /// `crosscheck` is the per-worker budget of debug-build hit
     /// verifications.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn parse_one_cached<'v>(
         &mut self,
         store: &TemplateStore,
-        memo: &mut FnvHashMap<Fingerprint, TemplateId>,
         limits: &ParseLimits,
         crosscheck: usize,
         entry_idx: u32,
@@ -167,20 +166,20 @@ impl ShapeCache {
         // limit counters agree with the uncached path.
         if sql.len() > limits.max_statement_bytes {
             self.fallbacks += 1;
-            return parse_one(store, memo, limits, entry_idx, sql);
+            return parse_one(store, limits, entry_idx, sql);
         }
         self.scratch.clear();
         let mut lits = std::mem::take(&mut self.scratch);
         let Some(key) = raw_shape_scan(sql, &mut lits) else {
             self.scratch = lits;
             self.fallbacks += 1;
-            return parse_one(store, memo, limits, entry_idx, sql);
+            return parse_one(store, limits, entry_idx, sql);
         };
 
         let outcome = match self.map.get_mut(&key) {
             None => {
                 self.misses += 1;
-                let outcome = parse_one(store, memo, limits, entry_idx, sql);
+                let outcome = parse_one(store, limits, entry_idx, sql);
                 let entry = match &outcome {
                     Outcome::Select(rec) => CacheEntry::Select(Box::new(SelectEntry {
                         template: rec.template,
@@ -206,7 +205,7 @@ impl ShapeCache {
             }
             Some(CacheEntry::Uncacheable) => {
                 self.fallbacks += 1;
-                parse_one(store, memo, limits, entry_idx, sql)
+                parse_one(store, limits, entry_idx, sql)
             }
             Some(CacheEntry::Select(entry)) => {
                 // Build the recipe lazily on the first hit; a failed build
@@ -230,7 +229,7 @@ impl ShapeCache {
                         #[cfg(debug_assertions)]
                         if (self.crosschecks as usize) < crosscheck {
                             self.crosschecks += 1;
-                            match parse_one(store, memo, limits, entry_idx, sql) {
+                            match parse_one(store, limits, entry_idx, sql) {
                                 Outcome::Select(fresh) => assert_eq!(
                                     fresh, rec,
                                     "parse-cache cross-check mismatch at entry {entry_idx}",
@@ -250,7 +249,7 @@ impl ShapeCache {
                         // shape rather than trust it.
                         self.map.insert(key, CacheEntry::Uncacheable);
                         self.fallbacks += 1;
-                        parse_one(store, memo, limits, entry_idx, sql)
+                        parse_one(store, limits, entry_idx, sql)
                     }
                 }
             }
@@ -557,22 +556,15 @@ mod tests {
 
     fn cached_parse(statements: &[&str]) -> (Vec<Outcome>, ShapeCache, TemplateStore) {
         let store = TemplateStore::new();
-        let mut memo = FnvHashMap::default();
         let mut cache = ShapeCache::default();
         let limits = ParseLimits::default();
         let outcomes = statements
             .iter()
             .enumerate()
             .map(|(i, sql)| {
-                cache.parse_one_cached(
-                    &store,
-                    &mut memo,
-                    &limits,
-                    usize::MAX,
-                    i as u32,
-                    sql,
-                    &|j| statements[j as usize],
-                )
+                cache.parse_one_cached(&store, &limits, usize::MAX, i as u32, sql, &|j| {
+                    statements[j as usize]
+                })
             })
             .collect();
         (outcomes, cache, store)
@@ -580,12 +572,11 @@ mod tests {
 
     fn full_parse(statements: &[&str]) -> (Vec<Outcome>, TemplateStore) {
         let store = TemplateStore::new();
-        let mut memo = FnvHashMap::default();
         let limits = ParseLimits::default();
         let outcomes = statements
             .iter()
             .enumerate()
-            .map(|(i, sql)| parse_one(&store, &mut memo, &limits, i as u32, sql))
+            .map(|(i, sql)| parse_one(&store, &limits, i as u32, sql))
             .collect();
         (outcomes, store)
     }

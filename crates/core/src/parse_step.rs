@@ -10,16 +10,14 @@
 //! retained — records must stay small enough for multi-million-entry logs;
 //! solvers that need an AST re-parse the one statement they rewrite.
 //!
-//! Parsing is embarrassingly parallel and runs on a scoped thread pool. Two
-//! things keep the hot path cheap and the result deterministic:
-//!
-//! * each worker memoizes fingerprint → id locally, so the shared
-//!   [`TemplateStore`] lock is only taken on a worker's *first* sight of a
-//!   template, not once per record;
-//! * after the join, template ids are renumbered canonically — id order =
-//!   first appearance in record order — so the ids (which flow into pattern
-//!   keys, marks, and instance identities) are identical for every thread
-//!   count.
+//! Parsing is embarrassingly parallel and runs on a scoped thread pool.
+//! Each worker interns into a [`TemplateStore`] of its own, so its records
+//! carry shard-local template ids and no worker touches the run's store.
+//! The join walks the shard outputs in record order and interns a local
+//! template into the run's store when the first record that uses it is
+//! merged. Run ids are therefore first appearance in record order by
+//! construction, so the ids (which flow into pattern keys, marks, and
+//! instance identities) are identical for every thread count.
 
 use crate::parse_cache::{ShapeCache, CROSSCHECK_BUDGET};
 use crate::shard::{resolve_threads, run_shards, ShardTrace};
@@ -27,10 +25,7 @@ use crate::store::{TemplateId, TemplateStore};
 use serde::{Deserialize, Serialize};
 use sqlog_log::{LogView, QueryLog};
 use sqlog_obs::Recorder;
-use sqlog_skeleton::{
-    primary_table, Fingerprint, FnvHashMap, FnvHashSet, OutputColumns, PredicateProfile,
-    QueryTemplate,
-};
+use sqlog_skeleton::{primary_table, FnvHashSet, OutputColumns, PredicateProfile, QueryTemplate};
 use sqlog_sql::{parse_statements_with, ParseLimits, Statement, StatementKind};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -175,7 +170,6 @@ pub(crate) enum Outcome {
 
 pub(crate) fn parse_one(
     store: &TemplateStore,
-    memo: &mut FnvHashMap<Fingerprint, TemplateId>,
     limits: &ParseLimits,
     entry_idx: u32,
     sql: &str,
@@ -187,19 +181,9 @@ pub(crate) fn parse_one(
             // the one-row-one-query model of the SkyServer log.
             for stmt in &stmts {
                 if let Statement::Select(q) = stmt {
-                    let tpl = QueryTemplate::of_query(q);
-                    let template = match memo.get(&tpl.fingerprint) {
-                        Some(&id) => id,
-                        None => {
-                            let fp = tpl.fingerprint;
-                            let id = store.intern(tpl);
-                            memo.insert(fp, id);
-                            id
-                        }
-                    };
                     return Outcome::Select(ParsedRecord {
                         entry_idx,
-                        template,
+                        template: store.intern(QueryTemplate::of_query(q)),
                         profile: PredicateProfile::of_select(&q.body),
                         shape: Arc::new(RecordShape {
                             output: OutputColumns::of_select(&q.body),
@@ -219,57 +203,16 @@ pub(crate) fn parse_one(
     }
 }
 
-/// Renumbers template ids to first-appearance-in-record-order, making them
-/// independent of parser-thread interleaving. Ids below `preexisting` (from
-/// before this parse) keep their numbers.
-fn canonicalize_templates(store: &TemplateStore, preexisting: usize, records: &mut [ParsedRecord]) {
-    let total = store.len();
-    if total == preexisting {
-        return;
-    }
-    let mut remap: Vec<u32> = vec![u32::MAX; total];
-    let mut order: Vec<TemplateId> = (0..preexisting as u32).map(TemplateId).collect();
-    for (i, slot) in remap.iter_mut().enumerate().take(preexisting) {
-        *slot = i as u32;
-    }
-    for rec in records.iter() {
-        let old = rec.template.0 as usize;
-        if remap[old] == u32::MAX {
-            remap[old] = order.len() as u32;
-            order.push(rec.template);
-        }
-    }
-    // Templates interned but referenced by no record (cannot happen today —
-    // every intern comes from a surviving SELECT) keep relative order.
-    for (old, slot) in remap.iter_mut().enumerate().skip(preexisting) {
-        if *slot == u32::MAX {
-            *slot = order.len() as u32;
-            order.push(TemplateId(old as u32));
-        }
-    }
-    if order
-        .iter()
-        .enumerate()
-        .all(|(new, id)| id.0 as usize == new)
-    {
-        return; // Already canonical (the single-threaded case).
-    }
-    store.renumber(&order);
-    for rec in records.iter_mut() {
-        rec.template = TemplateId(remap[rec.template.0 as usize]);
-    }
-}
-
 /// Parses a log view into records, interning templates in `store`, under
 /// `options` (parser resource limits, the parse cache).
 ///
 /// `threads == 0` uses one thread per available core. Records, statistics,
-/// and template ids are identical for every thread count (ids are
-/// canonicalized to first appearance in record order), and identical
-/// whether or not the parse cache is enabled. Shards that panic (a poison
-/// statement crashing the parser) are re-run per-record: the poison
-/// statement alone is counted and dropped, every other statement of the
-/// shard parses normally.
+/// and template ids are identical for every thread count (new ids follow
+/// first appearance in record order; templates already in `store` keep
+/// theirs), and identical whether or not the parse cache is enabled.
+/// Shards that panic (a poison statement crashing the parser) are re-run
+/// per-record: the poison statement alone is counted and dropped, every
+/// other statement of the shard parses normally.
 ///
 /// Observability: per-shard spans (`"parse.shard"`, under the recorder's
 /// current span), a shard-latency histogram and outcome counters — including
@@ -307,26 +250,18 @@ pub fn parse_view_traced(
         },
         |r| r.len() as u64,
         |r, shard| {
-            // A poison statement is dropped whole. The memo only caches
-            // fingerprint → interned id, and the shape cache inserts
-            // entries only after a successful parse, so a panic mid-record
-            // at worst wastes an entry — never corrupts one.
-            let mut memo: FnvHashMap<Fingerprint, TemplateId> = FnvHashMap::default();
+            // A poison statement is dropped whole. The shard's store and
+            // shape cache insert entries only after a successful parse, so
+            // a panic mid-record at worst wastes an entry — never corrupts
+            // one; the join interns only templates that records use.
+            let local = TemplateStore::new();
             let mut cache = options.cache.then(ShapeCache::default);
             let mut outcomes = Vec::with_capacity(r.len());
             for i in r {
                 let sql = &view.entry(i).statement;
                 outcomes.extend(shard.item(|| {
                     shard.trip(sql);
-                    parse_one_maybe_cached(
-                        cache.as_mut(),
-                        store,
-                        &mut memo,
-                        options,
-                        view,
-                        i as u32,
-                        sql,
-                    )
+                    parse_one_maybe_cached(cache.as_mut(), &local, options, view, i as u32, sql)
                 }));
             }
             if rec.is_enabled() {
@@ -336,7 +271,7 @@ pub fn parse_view_traced(
                     rec.counter("mem.parse_cache_bytes", c.approx_bytes() as u64);
                 }
             }
-            (outcomes, cache.map(tally).unwrap_or_default())
+            (outcomes, cache.map(tally).unwrap_or_default(), local)
         },
     );
 
@@ -351,16 +286,25 @@ pub fn parse_view_traced(
         ..ParseCacheStats::default()
     };
     let mut records = Vec::with_capacity(n);
-    for (outcomes, shard_cache) in run.outputs {
+    for (outcomes, shard_cache, local) in run.outputs {
         cache_stats.hits += shard_cache.hits;
         cache_stats.misses += shard_cache.misses;
         cache_stats.fallbacks += shard_cache.fallbacks;
         cache_stats.crosschecks += shard_cache.crosschecks;
+        // A local template moves into the run's store when the first record
+        // that uses it is merged.
+        let mut pending: Vec<Option<QueryTemplate>> =
+            local.into_templates().into_iter().map(Some).collect();
+        let mut run_ids: Vec<Option<TemplateId>> = vec![None; pending.len()];
         for outcome in outcomes {
             match outcome {
-                Outcome::Select(rec) => {
+                Outcome::Select(mut record) => {
+                    let l = record.template.0 as usize;
+                    record.template = *run_ids[l].get_or_insert_with(|| {
+                        store.intern(pending[l].take().expect("interned once per shard"))
+                    });
                     stats.selects += 1;
-                    records.push(rec);
+                    records.push(record);
                 }
                 Outcome::NonSelect(kind) => {
                     *stats.non_select.entry(kind).or_default() += 1;
@@ -374,7 +318,6 @@ pub fn parse_view_traced(
             }
         }
     }
-    canonicalize_templates(store, preexisting, &mut records);
     if rec.is_enabled() {
         // O(#templates) and O(#records) walks — enabled runs only.
         rec.counter("mem.template_store_bytes", store.approx_bytes() as u64);
@@ -391,8 +334,8 @@ pub fn parse_view_traced(
     rec.counter("parse.non_select", stats.non_select_total() as u64);
     rec.counter("parse.poison_records", stats.poison as u64);
     // Interner effectiveness at stage granularity: every surviving SELECT
-    // resolved a template; the ones that did not mint a fresh id hit a
-    // worker memo or the shared store.
+    // resolved a template; the ones that did not mint a fresh id reused an
+    // interned one.
     let interned = (store.len() - preexisting) as u64;
     rec.counter("parse.templates_interned", interned);
     rec.counter(
@@ -429,7 +372,6 @@ fn records_heap_bytes(records: &[ParsedRecord]) -> usize {
 fn parse_one_maybe_cached(
     cache: Option<&mut ShapeCache>,
     store: &TemplateStore,
-    memo: &mut FnvHashMap<Fingerprint, TemplateId>,
     options: &ParseOptions,
     view: &LogView<'_>,
     entry_idx: u32,
@@ -438,14 +380,13 @@ fn parse_one_maybe_cached(
     match cache {
         Some(c) => c.parse_one_cached(
             store,
-            memo,
             &options.limits,
             CROSSCHECK_BUDGET,
             entry_idx,
             sql,
             &|i| view.entry(i as usize).statement.as_str(),
         ),
-        None => parse_one(store, memo, &options.limits, entry_idx, sql),
+        None => parse_one(store, &options.limits, entry_idx, sql),
     }
 }
 
@@ -475,6 +416,7 @@ pub fn parse_log(log: &QueryLog, store: &TemplateStore, threads: usize) -> Parse
 mod tests {
     use super::*;
     use sqlog_log::{LogEntry, Timestamp};
+    use sqlog_skeleton::Fingerprint;
 
     fn log(statements: &[&str]) -> QueryLog {
         QueryLog::from_entries(
@@ -525,7 +467,7 @@ mod tests {
             let store2 = TemplateStore::new();
             let par = parse_log(&log, &store2, threads);
             assert_eq!(seq.stats, par.stats);
-            // Canonical renumbering makes the ids — not just the
+            // Interning at the join makes the ids — not just the
             // fingerprints — identical across thread counts.
             assert_eq!(seq.records, par.records, "threads {threads}");
             for (a, b) in seq.records.iter().zip(&par.records) {
@@ -605,6 +547,54 @@ mod tests {
                 seen_max
             );
             seen_max = seen_max.max(rec.template.0 + 1);
+        }
+    }
+
+    #[test]
+    fn a_second_log_keeps_the_first_logs_ids_and_numbers_its_own_by_first_appearance() {
+        // Log A's templates are c0..c3; log B reuses c2 and c0 among new
+        // templates d0..d2, with its first appearances in the order d2,
+        // c2, d0, c0, d1.
+        let a_statements: Vec<String> = (0..120)
+            .map(|i| format!("SELECT c{} FROM t WHERE x = {i}", (i / 7) % 4))
+            .collect();
+        let b_order = ["d2", "c2", "d0", "c0", "d1"];
+        let b_statements: Vec<String> = (0..150)
+            .map(|i| format!("SELECT {} FROM t WHERE x = {i}", b_order[(i / 5) % 5]))
+            .collect();
+        let [log_a, log_b] = [a_statements, b_statements]
+            .map(|v| log(&v.iter().map(String::as_str).collect::<Vec<_>>()));
+        for threads in [1, 2, 8] {
+            let store = TemplateStore::new();
+            let a = parse_log(&log_a, &store, threads);
+            let a_ids: Vec<TemplateId> = a.records.iter().map(|r| r.template).collect();
+            let a_fps: Vec<Fingerprint> = (0..4)
+                .map(|i| store.with(TemplateId(i), |t| t.fingerprint))
+                .collect();
+            let b = parse_log(&log_b, &store, threads);
+            assert_eq!(store.len(), 7, "threads {threads}");
+            // A's ids keep their numbers and their templates.
+            for (i, fp) in a_fps.iter().enumerate() {
+                assert_eq!(store.with(TemplateId(i as u32), |t| t.fingerprint), *fp);
+            }
+            assert_eq!(
+                a_ids,
+                parse_log(&log_a, &store, threads)
+                    .records
+                    .iter()
+                    .map(|r| r.template)
+                    .collect::<Vec<_>>()
+            );
+            // B reuses c2 = 2 and c0 = 0; its new templates follow their
+            // first appearance in B: d2 = 4, d0 = 5, d1 = 6.
+            let expected: Vec<u32> = (0..150).map(|i| [4, 2, 5, 0, 6][(i / 5) % 5]).collect();
+            let got: Vec<u32> = b.records.iter().map(|r| r.template.0).collect();
+            assert_eq!(got, expected, "threads {threads}");
+            assert_eq!(
+                store.with(TemplateId(4), |t| t.ssc.clone()),
+                "d2",
+                "threads {threads}"
+            );
         }
     }
 

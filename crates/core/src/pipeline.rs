@@ -391,8 +391,8 @@ impl<'a> Pipeline<'a> {
         )
     }
 
-    /// Stage operator 2: parse statements (§5.3); template ids are
-    /// canonicalized to first-appearance order after the parallel phase.
+    /// Stage operator 2: parse statements (§5.3); template ids follow
+    /// first appearance in record order, whatever the thread count.
     /// The configured resource guards bound what the parser will attempt
     /// per statement. `store` must be empty (a fresh store per run).
     pub fn op_parse(&self, pre_clean: &LogView<'_>, store: &TemplateStore) -> ParsedLog {

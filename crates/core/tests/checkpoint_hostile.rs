@@ -8,11 +8,12 @@
 //! Solve decisions that decode but that the solver pass could not have made
 //! (an index out of range or out of order, an unsolvable instance, two
 //! decisions sharing a record), a parse shape table that is indexed out of
-//! range or holds one shape twice, and checkpoints left by older builds
-//! (schema 1 with a JSON payload; schema 3 with the shape facts inline in
-//! every parse record; schema 4 with eight strings and two hashes per
-//! template) are refused the same non-fatal way, and the resumed
-//! output is byte-identical to an in-memory run.
+//! range or holds one shape twice, parse template ids that the records do
+//! not introduce in first-appearance order, and checkpoints left by older
+//! builds (schema 1 with a JSON payload; schema 3 with the shape facts
+//! inline in every parse record; schema 4 with eight strings and two hashes
+//! per template) are refused the same non-fatal way, and the resumed output
+//! is byte-identical to an in-memory run.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -309,8 +310,7 @@ fn bad_parse_shape_tables_are_refused_and_rerun() {
 
     let dir = RunDir::create(scratch.path("run")).unwrap();
     run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Parse))).unwrap();
-    let ckpt = dir.checkpoint_path(Stage::Parse);
-    let pristine = std::fs::read(&ckpt).unwrap();
+    let pristine = std::fs::read(dir.checkpoint_path(Stage::Parse)).unwrap();
     let parsed = ParsePayload::split(split(&pristine).1);
     assert!(parsed.shapes.len() > 1 && parsed.records.len() > parsed.shapes.len());
     // The split is exact: joining it back gives the written payload.
@@ -324,25 +324,87 @@ fn bad_parse_shape_tables_are_refused_and_rerun() {
         ("record shape index", out_of_range.join()),
         ("duplicates an earlier one", duplicated.join()),
     ] {
-        std::fs::write(
-            &ckpt,
-            checkpoint_file(Stage::Parse, CHECKPOINT_SCHEMA, &payload),
-        )
-        .unwrap();
-        let outcome = resume(&pipeline, &dir, &input, reason);
-        assert!(
-            outcome
-                .warnings
-                .iter()
-                .any(|w| w.starts_with("checkpoint parse:") && w.contains(reason)),
-            "{reason}: expected a parse warning, got {:?}",
-            outcome.warnings
-        );
-        assert_eq!(outcome.loaded_stages, ["dedup"], "{reason}");
-        // The re-run rewrote the checkpoint.
-        assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA), "{reason}");
-        assert_matches_reference(outcome.result, &reference);
+        assert_parse_refused(&pipeline, &dir, &input, &reference, reason, &payload);
     }
+}
+
+#[test]
+fn parse_template_ids_not_in_first_appearance_order_are_refused_and_rerun() {
+    let scratch = Scratch::new("template-ids");
+    let (input, log) = fixture(&scratch, 1_000);
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(pipeline_config());
+    let reference = Pipeline::new(&catalog)
+        .with_config(pipeline_config())
+        .run(&log);
+
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+    run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Parse))).unwrap();
+    let pristine = std::fs::read(dir.checkpoint_path(Stage::Parse)).unwrap();
+    let parsed = ParsePayload::split(split(&pristine).1);
+    assert!(parsed.templates.len() > 1);
+
+    // Templates 0 and 1 swapped, and every record re-pointed at its own
+    // template: the same parse, but the first record introduces id 1.
+    let mut swapped = parsed.clone();
+    swapped.templates.swap(0, 1);
+    for r in &mut swapped.records {
+        r.1 = match r.1 {
+            0 => 1,
+            1 => 0,
+            t => t,
+        };
+    }
+    // One more template, with a fingerprint of its own, that no record uses.
+    let strings: Vec<Vec<u8>> = ["z", "nowhere", "", "SELECT z FROM nowhere"]
+        .iter()
+        .map(|s| [leb128(s.len() as u64), s.as_bytes().to_vec()].concat())
+        .collect();
+    let mut unused = parsed.clone();
+    unused
+        .templates
+        .push([&strings[0], &strings[1], &strings[2], &strings[3]]);
+    for (reason, payload) in [
+        ("appears before template 0", swapped.join()),
+        (
+            &*format!("template {} is used by no record", parsed.templates.len()),
+            unused.join(),
+        ),
+    ] {
+        assert_parse_refused(&pipeline, &dir, &input, &reference, reason, &payload);
+    }
+}
+
+/// Writes `payload` as the current-schema parse checkpoint and resumes:
+/// the parse stage must be refused with a warning naming `reason`, re-run
+/// and rewritten, and the output must match the in-memory `reference`.
+fn assert_parse_refused(
+    pipeline: &Pipeline<'_>,
+    dir: &RunDir,
+    input: &Path,
+    reference: &PipelineResult,
+    reason: &str,
+    payload: &[u8],
+) {
+    let ckpt = dir.checkpoint_path(Stage::Parse);
+    std::fs::write(
+        &ckpt,
+        checkpoint_file(Stage::Parse, CHECKPOINT_SCHEMA, payload),
+    )
+    .unwrap();
+    let outcome = resume(pipeline, dir, input, reason);
+    assert!(
+        outcome
+            .warnings
+            .iter()
+            .any(|w| w.starts_with("checkpoint parse:") && w.contains(reason)),
+        "{reason}: expected a parse warning, got {:?}",
+        outcome.warnings
+    );
+    assert_eq!(outcome.loaded_stages, ["dedup"], "{reason}");
+    // The re-run rewrote the checkpoint.
+    assert_eq!(schema_of(&ckpt), Some(CHECKPOINT_SCHEMA), "{reason}");
+    assert_matches_reference(outcome.result, reference);
 }
 
 /// A parse payload split at its shape table and records, so a test can

@@ -288,6 +288,34 @@ fn double_interruption_counts_twice() {
     assert_eq!(done.loaded_stages, ["dedup", "parse", "sessions", "mine"]);
 }
 
+/// The manifest's counters are read from a file, so a resume must not
+/// overflow them: at `u64::MAX` they stay there.
+#[test]
+fn resume_saturates_hostile_manifest_counters() {
+    let scratch = Scratch::new("counters");
+    let (input, _log) = fixture(&scratch);
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(config(1, true));
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+
+    run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Dedup))).unwrap();
+    let mut manifest = dir.load_manifest().unwrap();
+    manifest.attempts = u64::MAX;
+    manifest.interruptions = u64::MAX;
+    manifest.completed = false;
+    dir.store_manifest(&manifest).unwrap();
+    let done = run_checkpointed(&pipeline, &dir, &opts(&input, true, None))
+        .unwrap()
+        .expect("completes");
+    assert_eq!(done.loaded_stages, ["dedup"]);
+    assert_eq!(done.result.stats.run_health.interruptions as u64, u64::MAX);
+    let manifest = dir.load_manifest().unwrap();
+    assert_eq!(
+        (manifest.attempts, manifest.interruptions),
+        (u64::MAX, u64::MAX)
+    );
+}
+
 /// Every leg re-reads the input, so a lenient resume must rebuild what the
 /// ingest stage produced: the quarantine sidecar and the run-health counts.
 #[test]
