@@ -8,17 +8,32 @@
 //! tested against. The simulated cost of [`MiniDb::execute_sql`] is billed
 //! from the operator tree — an index seek is charged for the rows it
 //! actually touched, not for the table it avoided scanning.
+//!
+//! Planning is prepare-then-instantiate (see [`crate::plan`]), and `MiniDb`
+//! keeps every prepared statement shape, up to a fixed number of them: a
+//! statement whose shape (the query with its literal values masked and its
+//! identifiers as written) was planned before only has its literals filled
+//! in. [`MiniDb::plan`], [`MiniDb::explain`] and
+//! [`MiniDb::execute_query_planned`] all plan this way; `add_table` forgets
+//! every prepared shape, since its plans read the old tables and stats.
 
 use crate::cost::CostModel;
 use crate::exec::{execute_naive, ExecError, ExecResult};
-use crate::ops::{execute_planned_with_stats, PlannedExec};
-use crate::plan::{plan_query, QueryPlan};
+use crate::ops::{execute_plan, PlannedExec};
+use crate::plan::{Prepared, QueryPlan};
+use crate::shape::Shape;
 use crate::stats::{analyze, TableStats};
 use crate::table::Table;
 use sqlog_obs::Json;
 use sqlog_sql::ast::{Query, Statement};
 use sqlog_sql::parse_statement;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock};
+
+/// The most statement shapes a [`MiniDb`] keeps prepared. Statements of a
+/// shape that arrives once the memo is full are planned in full each time.
+const PREPARED_SHAPES_CAP: usize = 4096;
 
 /// An in-memory database with a round-trip cost model.
 #[derive(Debug, Default)]
@@ -26,24 +41,47 @@ pub struct MiniDb {
     tables: HashMap<String, Table>,
     /// Cached ANALYZE stats, refreshed whenever a table is (re)added.
     stats: HashMap<String, TableStats>,
+    /// Prepared plans by statement shape.
+    prepared: PlanMemo,
     /// The cost model used by [`MiniDb::execute_sql`].
     pub cost: CostModel,
+}
+
+/// Prepared plans keyed by the full shape encoding, so two shapes never
+/// share an entry; and how often planning found its shape there.
+#[derive(Debug, Default)]
+struct PlanMemo {
+    /// Written only by whole-entry inserts, so a thread that panicked
+    /// holding the lock left no half-made entry: a poisoned lock is used
+    /// as is.
+    shapes: RwLock<HashMap<Box<[u8]>, Prepared>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// How [`MiniDb`]'s planning used its prepared shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanMemoStats {
+    /// Plans whose shape was already prepared.
+    pub hits: u64,
+    /// Plans that prepared their shape.
+    pub misses: u64,
+    /// Shapes kept prepared.
+    pub shapes: usize,
 }
 
 impl MiniDb {
     /// An empty database with the default cost model.
     pub fn new() -> Self {
-        MiniDb {
-            tables: HashMap::new(),
-            stats: HashMap::new(),
-            cost: CostModel::default(),
-        }
+        MiniDb::default()
     }
 
-    /// Adds (or replaces) a table, analyzing it for the planner.
+    /// Adds (or replaces) a table, analyzing it for the planner. Every
+    /// prepared shape is forgotten.
     pub fn add_table(&mut self, table: Table) {
         self.stats.insert(table.name.clone(), analyze(&table));
         self.tables.insert(table.name.clone(), table);
+        self.prepared = PlanMemo::default();
     }
 
     /// Looks up a table.
@@ -61,9 +99,44 @@ impl MiniDb {
         self.tables.len()
     }
 
-    /// Plans a query without executing it.
+    /// Plans a query without executing it: instantiates its prepared
+    /// shape, preparing the shape first if it is new.
     pub fn plan(&self, query: &Query) -> Result<QueryPlan, ExecError> {
-        plan_query(query, &self.tables, &self.stats)
+        let shape = Shape::of(query);
+        let memo = &self.prepared;
+        {
+            let shapes = memo.shapes.read().unwrap_or_else(PoisonError::into_inner);
+            if let Some(prepared) = shapes.get(&shape.key[..]) {
+                memo.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(prepared.instantiate(&shape.literals));
+            }
+        }
+        memo.misses.fetch_add(1, Ordering::Relaxed);
+        let (prepared, reusable) =
+            Prepared::new(query, &shape.literals, &self.tables, &self.stats)?;
+        let plan = prepared.instantiate(&shape.literals);
+        if reusable {
+            let mut shapes = memo.shapes.write().unwrap_or_else(PoisonError::into_inner);
+            if shapes.len() < PREPARED_SHAPES_CAP {
+                shapes.insert(shape.key.into_boxed_slice(), prepared);
+            }
+        }
+        Ok(plan)
+    }
+
+    /// How planning has used the prepared shapes since the last
+    /// `add_table`.
+    pub fn plan_memo_stats(&self) -> PlanMemoStats {
+        let memo = &self.prepared;
+        PlanMemoStats {
+            hits: memo.hits.load(Ordering::Relaxed),
+            misses: memo.misses.load(Ordering::Relaxed),
+            shapes: memo
+                .shapes
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
+        }
     }
 
     /// The plan of a query as a stable JSON tree (`EXPLAIN`).
@@ -84,7 +157,9 @@ impl MiniDb {
     /// Executes a parsed query, returning the plan and operator counters
     /// alongside the result.
     pub fn execute_query_planned(&self, query: &Query) -> Result<PlannedExec, ExecError> {
-        execute_planned_with_stats(query, &self.tables, &self.stats)
+        let plan = self.plan(query)?;
+        let (result, ops) = execute_plan(query, &plan, &self.tables)?;
+        Ok(PlannedExec { result, plan, ops })
     }
 
     /// Executes a parsed query with the naive reference executor (the
@@ -187,6 +262,63 @@ mod tests {
             .unwrap();
         assert_eq!(planned.ops.storage_scanned(), 100);
         assert!(planned.ops.find("SeqScan").is_some());
+    }
+
+    /// Rows of `sql` on the planned path, checked against the naive
+    /// full scan.
+    fn rows(db: &MiniDb, sql: &str) -> Vec<Vec<crate::Value>> {
+        let q = parse_select(sql).unwrap();
+        let planned = db.execute_query_planned(&q).unwrap();
+        assert_eq!(planned.result, db.execute_query_naive(&q).unwrap(), "{sql}");
+        planned.result.rows
+    }
+
+    #[test]
+    fn float_keys_equal_to_integers_find_their_rows() {
+        use crate::Value::Float;
+        let db = db();
+        let q = parse_select("SELECT v FROM t WHERE id = 7.0").unwrap();
+        assert_eq!(db.plan(&q).unwrap().scans()[0].access.variant(), "PkSeek");
+        assert_eq!(rows(&db, "SELECT v FROM t WHERE id = 7.0"), [[Float(0.7)]]);
+        assert_eq!(
+            rows(&db, "SELECT v FROM t WHERE id IN (7.0, 8)"),
+            [[Float(0.7)], [Float(0.8)]]
+        );
+        assert!(rows(&db, "SELECT v FROM t WHERE id = 7.5").is_empty());
+        assert!(rows(&db, "SELECT v FROM t WHERE id IN (7.5, -0.5)").is_empty());
+        assert_eq!(rows(&db, "SELECT v FROM t WHERE id = 0.0"), [[Float(0.0)]]);
+        // From 2^53 on, a float equals several integers: every row is a
+        // candidate and the filter decides.
+        let (planned, _) = db
+            .execute_sql_planned("SELECT v FROM t WHERE id IN (9007199254740992.0, 3)")
+            .unwrap();
+        assert_eq!(planned.result.rows, [[Float(0.3)]]);
+        assert_eq!(planned.ops.storage_scanned(), 100);
+    }
+
+    #[test]
+    fn a_full_memo_plans_new_shapes_without_keeping_them() {
+        let db = db();
+        for i in 0..PREPARED_SHAPES_CAP {
+            db.plan(&parse_select(&format!("SELECT v AS c{i} FROM t WHERE id = 1")).unwrap())
+                .unwrap();
+        }
+        let full = db.plan_memo_stats();
+        assert_eq!(full.shapes, PREPARED_SHAPES_CAP);
+        // A new shape is planned, but not kept: planning it again misses.
+        for _ in 0..2 {
+            assert_eq!(
+                rows(&db, "SELECT v FROM t WHERE id = 7"),
+                [[crate::Value::Float(0.7)]]
+            );
+        }
+        let after = db.plan_memo_stats();
+        assert_eq!(after.shapes, PREPARED_SHAPES_CAP);
+        assert_eq!(after.misses, full.misses + 2);
+        // Known shapes still hit.
+        db.plan(&parse_select("SELECT v AS c7 FROM t WHERE id = 2").unwrap())
+            .unwrap();
+        assert_eq!(db.plan_memo_stats().hits, after.hits + 1);
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub(crate) fn execute_naive(
         }
     }
 
-    finish_rows(query, &bound, &sources, matches).map(|(r, _)| r)
+    finish_rows(query, &bound, &sources, None, matches).map(|(r, _)| r)
 }
 
 /// The name of a projected expression's output column.
@@ -330,11 +330,13 @@ pub(crate) struct TailCounts {
 /// The shared result tail: ORDER BY over matched source rows, then the
 /// grouped or scalar projection, DISTINCT and TOP/LIMIT. Both the naive
 /// reference executor and the Volcano executor end here, which is what
-/// makes their result rows comparable bit-for-bit.
+/// makes their result rows comparable bit-for-bit. `names`, when given,
+/// are the projection's output names as a plan rendered them.
 pub(crate) fn finish_rows(
     query: &Query,
     bound: &BoundQuery<'_>,
     sources: &[Source<'_>],
+    names: Option<&[String]>,
     mut matches: Vec<RowIds>,
 ) -> Result<(ExecResult, TailCounts), ExecError> {
     let body = &query.body;
@@ -366,9 +368,12 @@ pub(crate) fn finish_rows(
     let every_column = sources
         .iter()
         .flat_map(|s| s.table.columns.iter().map(|c| c.name.clone()));
-    for (item, select) in items.iter().zip(&body.projection) {
+    for (i, (item, select)) in items.iter().zip(&body.projection).enumerate() {
         match (item, select) {
-            (_, SelectItem::Expr { expr, alias }) => columns.push(output_name(expr, alias)),
+            (_, SelectItem::Expr { expr, alias }) => columns.push(match names {
+                Some(names) => names[i].clone(),
+                None => output_name(expr, alias),
+            }),
             (Item::Source(si), _) if !matches.is_empty() => {
                 columns.extend(sources[*si].table.columns.iter().map(|c| c.name.clone()))
             }

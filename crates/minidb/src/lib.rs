@@ -31,12 +31,13 @@ mod eval;
 pub mod exec;
 pub mod ops;
 pub mod plan;
+mod shape;
 pub mod stats;
 pub mod table;
 pub mod value;
 
 pub use cost::CostModel;
-pub use engine::MiniDb;
+pub use engine::{MiniDb, PlanMemoStats};
 pub use exec::{ExecError, ExecResult};
 pub use ops::{OpStats, PlannedExec};
 pub use plan::{plan_query, Access, PlanNode, QueryPlan};

@@ -2,8 +2,8 @@
 //! [`QueryPlan`].
 //!
 //! Each operator exposes `next()` and counts the rows it scans and
-//! produces; [`execute_planned_with_stats`] assembles the pipeline the plan
-//! describes (scan → join → filter), drains it, and hands the matched rows
+//! produces; `execute_plan` assembles the pipeline the plan describes
+//! (scan → join → filter), drains it, and hands the matched rows
 //! to the same projection/aggregation/ordering tail the naive reference
 //! executor uses (`exec::finish_rows`). Sharing the tail is deliberate: the
 //! two executors can differ in *how many rows they touch* (that is the
@@ -19,9 +19,8 @@ use crate::eval::{Pred, RowIds, Scalar};
 use crate::exec::{
     bind_table_ref, constant_result, materialize, BoundQuery, ExecError, ExecResult, Source,
 };
-use crate::plan::{plan_query, Access, PlanNode, QueryPlan, ScanPlan};
-use crate::stats::TableStats;
-use crate::table::{index_on, ColumnData, IndexKey, Table};
+use crate::plan::{Access, PlanNode, QueryPlan, ScanPlan};
+use crate::table::{index_on, ColumnData, IndexKey, Probe, Table};
 use sqlog_obs::Json;
 use sqlog_sql::ast::{Expr, Query, TableRef};
 use std::collections::HashMap;
@@ -117,20 +116,23 @@ pub struct PlannedExec {
     pub ops: OpStats,
 }
 
-/// Plans and executes a query through the Volcano pipeline.
-pub fn execute_planned_with_stats(
+/// Executes a query along a plan of it through the Volcano pipeline,
+/// returning the result and the operator counters.
+pub(crate) fn execute_plan(
     query: &Query,
+    plan: &QueryPlan,
     tables: &HashMap<String, Table>,
-    stats: &HashMap<String, TableStats>,
-) -> Result<PlannedExec, ExecError> {
-    let plan = plan_query(query, tables, stats)?;
+) -> Result<(ExecResult, OpStats), ExecError> {
     let body = &query.body;
 
-    // Materialize derived tables (planned recursively, same traversal order
-    // the binder uses).
+    // Materialize derived tables along their subplans, in the traversal
+    // order the binder uses (the order of the plan's sources).
+    let mut subplans = source_scans(&plan.root)
+        .into_iter()
+        .filter_map(|s| s.derived.as_deref());
     let mut arena: Vec<Table> = Vec::new();
     for t in &body.from {
-        collect_derived_planned(t, tables, stats, &mut arena)?;
+        collect_derived_planned(t, &mut subplans, tables, &mut arena)?;
     }
 
     // Bind the FROM clause, then every expression against it.
@@ -164,7 +166,7 @@ pub fn execute_planned_with_stats(
                 children: Vec::new(),
             }],
         };
-        return Ok(PlannedExec { result, plan, ops });
+        return Ok((result, ops));
     }
     let bound = BoundQuery::bind(query, &sources, &join_on);
 
@@ -235,7 +237,8 @@ pub fn execute_planned_with_stats(
         matches = out;
     }
 
-    let (result, tail) = crate::exec::finish_rows(query, &bound, &sources, matches)?;
+    let names = projected_names(&plan.root);
+    let (result, tail) = crate::exec::finish_rows(query, &bound, &sources, names, matches)?;
     let counters = Counters {
         pre_distinct: tail.pre_distinct as u64,
         pre_limit: tail.pre_limit as u64,
@@ -243,31 +246,61 @@ pub fn execute_planned_with_stats(
         ..counters
     };
     let ops = op_stats_tree(&plan.root, &counters);
-    Ok(PlannedExec { result, plan, ops })
+    Ok((result, ops))
 }
 
 /// Depth-first materialization of derived tables through the planned
-/// executor (mirrors `exec::collect_derived`, which stays naive-recursive).
-fn collect_derived_planned(
+/// executor, each along the next of `subplans` (mirrors
+/// `exec::collect_derived`, which stays naive-recursive).
+fn collect_derived_planned<'p>(
     t: &TableRef,
+    subplans: &mut impl Iterator<Item = &'p QueryPlan>,
     tables: &HashMap<String, Table>,
-    stats: &HashMap<String, TableStats>,
     arena: &mut Vec<Table>,
 ) -> Result<(), ExecError> {
     match t {
         TableRef::Derived { subquery, alias } => {
-            let planned = execute_planned_with_stats(subquery, tables, stats)?;
+            let plan = subplans
+                .next()
+                .ok_or_else(|| ExecError::Unsupported("derived table without a subplan".into()))?;
+            let (result, _) = execute_plan(subquery, plan, tables)?;
             let name = alias
                 .as_ref()
                 .map_or_else(|| format!("derived{}", arena.len()), |a| a.normalized());
-            arena.push(materialize(&name, &planned.result));
+            arena.push(materialize(&name, &result));
             Ok(())
         }
         TableRef::Join { left, right, .. } => {
-            collect_derived_planned(left, tables, stats, arena)?;
-            collect_derived_planned(right, tables, stats, arena)
+            collect_derived_planned(left, subplans, tables, arena)?;
+            collect_derived_planned(right, subplans, tables, arena)
         }
         _ => Ok(()),
+    }
+}
+
+/// The output names a plan's projection rendered, unless it aggregates.
+fn projected_names(root: &PlanNode) -> Option<&[String]> {
+    let mut node = root;
+    loop {
+        match node {
+            PlanNode::Project { columns, .. } => return Some(columns),
+            other => node = other.input()?,
+        }
+    }
+}
+
+/// The scans of a plan's FROM sources, outer first.
+fn source_scans(root: &PlanNode) -> Vec<&ScanPlan> {
+    match base_of(root) {
+        PlanNode::Scan(s) => vec![s],
+        PlanNode::NestedLoopJoin { outer, inner, .. } => [outer, inner]
+            .into_iter()
+            .filter_map(|n| match n.as_ref() {
+                PlanNode::Scan(s) => Some(s),
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -318,12 +351,16 @@ fn scan_candidates<'a>(table: &'a Table, access: &Access) -> Candidates<'a> {
     match access {
         Access::PkSeek { column, keys } | Access::IndexSeek { column, keys } => match &keys[..] {
             // One index entry is already ascending and duplicate-free.
-            [key] => Candidates::Index(table.index_lookup(column, key).unwrap_or_default()),
+            [key] => match table.index_probe(column, key) {
+                Probe::Rows(ids) => Candidates::Index(ids),
+                Probe::All => Candidates::All(table.rows()),
+            },
             keys => {
                 let mut rows = Vec::new();
                 for v in keys {
-                    if let Some(ids) = table.index_lookup(column, v) {
-                        rows.extend_from_slice(ids);
+                    match table.index_probe(column, v) {
+                        Probe::Rows(ids) => rows.extend_from_slice(ids),
+                        Probe::All => return Candidates::All(table.rows()),
                     }
                 }
                 rows.sort_unstable();

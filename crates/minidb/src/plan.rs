@@ -21,9 +21,22 @@
 //!
 //! Plans are purely descriptive: planning never executes a subquery and
 //! never touches row data, so `explain()` is cheap at any table size.
+//!
+//! Planning runs in two steps. *Prepare* does everything a statement's
+//! shape (the query with its literal values masked, their kinds kept)
+//! decides: it binds the sources, enumerates the candidates with their
+//! keys and bounds as literal slots, and renders the plan strings (Filter
+//! predicate, sort keys, GROUP BY, projection names) as pieces between
+//! slots. *Instantiate* fills in one statement's
+//! literals: seek keys, range bounds and the estimates that depend on them,
+//! the `TOP`/`LIMIT` cap and the strings, and picks the cheapest candidate
+//! again. [`plan_query`] runs both; [`crate::MiniDb`] keeps each prepared
+//! shape, so a statement of a known shape is only instantiated.
 
+use crate::eval::literal_value;
 use crate::exec::ExecError;
-use crate::stats::TableStats;
+use crate::shape::{Masker, Shape, Template};
+use crate::stats::{ColumnStats, TableStats};
 use crate::table::Table;
 use crate::value::Value;
 use sqlog_obs::Json;
@@ -461,9 +474,10 @@ struct PlanSource<'a> {
     /// `None` for derived tables.
     table: Option<&'a Table>,
     stats: Option<&'a TableStats>,
-    /// Row-count estimate (stats, actual table size, or subplan estimate).
+    /// Row-count estimate of a base table (stats, else its actual size). A
+    /// derived table's estimate is its subplan's, known once instantiated.
     rows: f64,
-    derived: Option<QueryPlan>,
+    derived: Option<Prepared>,
 }
 
 impl PlanSource<'_> {
@@ -500,20 +514,370 @@ fn resolves_to(sources: &[PlanSource<'_>], si: usize, qualifier: Option<&str>, c
     false
 }
 
-/// Plans a query against tables + stats. Statements outside the executor's
-/// SQL subset fail with the same [`ExecError::Unsupported`] refusals the
-/// executor raises, so planning never hides an execution error class.
+/// Plans a query against tables + stats: prepares its shape and
+/// instantiates it with its literals, keeping nothing. [`crate::MiniDb::plan`]
+/// runs the same two steps and keeps the prepared shape for the next
+/// statement of that shape. Statements outside the executor's SQL subset
+/// fail with the same [`ExecError::Unsupported`] refusals the executor
+/// raises, so planning never hides an execution error class.
 pub fn plan_query(
     query: &Query,
     tables: &HashMap<String, Table>,
     stats: &HashMap<String, TableStats>,
 ) -> Result<QueryPlan, ExecError> {
+    let shape = Shape::of(query);
+    let (prepared, _) = Prepared::new(query, &shape.literals, tables, stats)?;
+    Ok(prepared.instantiate(&shape.literals))
+}
+
+/// A query plan with its literal values left out: everything the planner
+/// decides from a statement's [shape](crate::shape::Shape), for
+/// [`Prepared::instantiate`] to complete with one statement's literals.
+/// Literals appear as slots, their indices in the statement's literal
+/// residue.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    /// FROM sources, outer first; empty for a constant query.
+    sources: Vec<PreparedSource>,
+    /// The `outer.col = inner.col` join probe.
+    probe: Option<JoinProbe>,
+    /// WHERE AND-ed with the JOIN ... ON conditions.
+    filter: Option<Template>,
+    /// ORDER BY keys with their direction.
+    sort_keys: Vec<Template>,
+    /// GROUP BY expressions and whether HAVING is present, when grouped.
+    grouping: Option<(Vec<Template>, bool)>,
+    /// Projection names of an ungrouped or constant query.
+    columns: Vec<Template>,
+    distinct: bool,
+    /// `Some` when TOP/LIMIT is present, holding the slot of its cap when
+    /// the cap is a plain (possibly parenthesized) number.
+    limit: Option<Option<usize>>,
+}
+
+#[derive(Debug)]
+struct JoinProbe {
+    outer: String,
+    inner: String,
+    /// Inner rows one probe yields.
+    rows_per_outer: f64,
+}
+
+#[derive(Debug)]
+struct PreparedSource {
+    table: String,
+    binding: String,
+    /// Row estimate of a base table.
+    rows: f64,
+    derived: Option<Box<Prepared>>,
+    /// Seek candidates in enumeration order; the full scan, always a
+    /// candidate, comes first.
+    seeks: Vec<Seek>,
+}
+
+/// A seek candidate whose keys or bounds are literal slots.
+#[derive(Debug)]
+enum Seek {
+    /// Equality / IN probe on a hash index (the primary key's when `pk`).
+    Point {
+        column: String,
+        pk: bool,
+        keys: Vec<usize>,
+        est_rows: f64,
+        est_cost: f64,
+    },
+    /// One integer key as a degenerate `[v, v]` range of an ordered index.
+    PointRange {
+        column: String,
+        key: usize,
+        est_rows: f64,
+        est_cost: f64,
+    },
+    /// Integer bounds of an ordered index, merged across conjuncts in
+    /// order; the estimate depends on the bounds.
+    Range {
+        column: String,
+        bounds: Vec<(Bound, usize)>,
+        stats: Option<ColumnStats>,
+    },
+}
+
+/// How one conjunct bounds a range: `>=`, `>`, `<=` or `<` its literal.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    AtLeast,
+    Above,
+    AtMost,
+    Below,
+}
+
+impl Prepared {
+    /// Prepares `query`, whose literal residue is `literals`. The flag is
+    /// false when the plan fits this statement only, because a plan string
+    /// could not be cut at its literals.
+    pub(crate) fn new(
+        query: &Query,
+        literals: &[&Literal],
+        tables: &HashMap<String, Table>,
+        stats: &HashMap<String, TableStats>,
+    ) -> Result<(Prepared, bool), ExecError> {
+        let mut masker = Masker::new(literals);
+        let prepared = prepare(query, tables, stats, &mut masker)?;
+        Ok((prepared, masker.reusable))
+    }
+
+    /// The plan of the statement whose literal residue is `literals`: seek
+    /// keys, range bounds and their re-costing, the row cap and the plan
+    /// strings are filled in; the cheapest candidate wins again.
+    pub(crate) fn instantiate(&self, literals: &[&Literal]) -> QueryPlan {
+        let fill = |ts: &[Template]| ts.iter().map(|t| t.fill(literals)).collect();
+        if self.sources.is_empty() {
+            return QueryPlan {
+                root: PlanNode::Project {
+                    input: Box::new(PlanNode::Values),
+                    columns: fill(&self.columns),
+                },
+                est_rows: 1.0,
+                est_cost: 0.0,
+            };
+        }
+        let mut scans = self.sources.iter().map(|s| s.instantiate(literals));
+        let outer = scans.next().expect("a source");
+        let (base, mut est_rows, mut est_cost) = match scans.next() {
+            None => {
+                let (r, c) = (outer.est_rows, outer.est_cost);
+                (PlanNode::Scan(outer), r, c)
+            }
+            Some(inner) => {
+                // Nested-loop join: outer drives; inner is probed through an
+                // equi-join hash index when one exists, else re-enumerated
+                // per outer row via its own best access path.
+                let (inner_rows_per_outer, inner_cost_per_outer) = match &self.probe {
+                    Some(p) => (p.rows_per_outer, COST_PROBE + p.rows_per_outer * COST_ROW),
+                    None => (inner.est_rows, inner.est_cost),
+                };
+                let est_rows = outer.est_rows * inner_rows_per_outer;
+                let est_cost = outer.est_cost + outer.est_rows * inner_cost_per_outer;
+                (
+                    PlanNode::NestedLoopJoin {
+                        outer: Box::new(PlanNode::Scan(outer)),
+                        inner: Box::new(PlanNode::Scan(inner)),
+                        probe: self
+                            .probe
+                            .as_ref()
+                            .map(|p| (p.outer.clone(), p.inner.clone())),
+                        est_rows,
+                        est_cost,
+                    },
+                    est_rows,
+                    est_cost,
+                )
+            }
+        };
+
+        // Residual filter.
+        let mut node = base;
+        if let Some(p) = &self.filter {
+            node = PlanNode::Filter {
+                input: Box::new(node),
+                predicate: p.fill(literals),
+            };
+            est_cost += est_rows * COST_ROW;
+        }
+
+        // Sort of matched source rows.
+        if !self.sort_keys.is_empty() {
+            node = PlanNode::Sort {
+                input: Box::new(node),
+                keys: fill(&self.sort_keys),
+            };
+        }
+
+        // Aggregate or scalar projection.
+        match &self.grouping {
+            Some((group_by, having)) => {
+                node = PlanNode::Aggregate {
+                    input: Box::new(node),
+                    group_by: fill(group_by),
+                    having: *having,
+                };
+                if !group_by.is_empty() {
+                    // Groups can't outnumber inputs; no better estimate
+                    // without multi-column distinct stats.
+                    est_rows = est_rows.max(1.0);
+                } else {
+                    est_rows = 1.0;
+                }
+            }
+            None => {
+                node = PlanNode::Project {
+                    input: Box::new(node),
+                    columns: fill(&self.columns),
+                };
+            }
+        }
+
+        if self.distinct {
+            node = PlanNode::Distinct {
+                input: Box::new(node),
+            };
+        }
+
+        if let Some(slot) = self.limit {
+            let n = slot.and_then(|s| match literals[s] {
+                Literal::Number(n) => n.parse().ok(),
+                _ => None,
+            });
+            if let Some(n) = n {
+                est_rows = est_rows.min(n as f64);
+            }
+            node = PlanNode::Limit {
+                input: Box::new(node),
+                n,
+            };
+        }
+
+        QueryPlan {
+            root: node,
+            est_rows,
+            est_cost,
+        }
+    }
+}
+
+impl PreparedSource {
+    /// The scan with every candidate costed and the cheapest chosen
+    /// (deterministically: ties go to the lower rank).
+    fn instantiate(&self, literals: &[&Literal]) -> ScanPlan {
+        let derived = self
+            .derived
+            .as_ref()
+            .map(|d| Box::new(d.instantiate(literals)));
+        let rows = derived.as_ref().map_or(self.rows, |d| d.est_rows);
+        let mut candidates = Vec::with_capacity(1 + self.seeks.len());
+        candidates.push(AccessChoice {
+            access: Access::FullScan,
+            est_rows: rows,
+            est_cost: rows * COST_ROW,
+        });
+        candidates.extend(self.seeks.iter().map(|s| s.instantiate(rows, literals)));
+        candidates.sort_by(|a, b| {
+            a.est_cost
+                .total_cmp(&b.est_cost)
+                .then(a.access.rank().cmp(&b.access.rank()))
+        });
+        // The plan keeps the losers in a buffer of their own size: none
+        // for the common lone full scan.
+        let alternatives = candidates.split_off(1);
+        let chosen = candidates.pop().expect("the full scan is a candidate");
+        ScanPlan {
+            table: self.table.clone(),
+            binding: self.binding.clone(),
+            access: chosen.access,
+            est_rows: chosen.est_rows,
+            est_cost: chosen.est_cost,
+            alternatives,
+            derived,
+        }
+    }
+}
+
+/// The integer a decimal literal holds (its kind guarantees one).
+fn int_value(lit: &Literal) -> i64 {
+    match lit {
+        Literal::Number(n) => n.parse().ok(),
+        _ => None,
+    }
+    .expect("a range bound's kind is a decimal integer")
+}
+
+impl Seek {
+    /// This candidate for one statement over a source of `rows` rows.
+    fn instantiate(&self, rows: f64, literals: &[&Literal]) -> AccessChoice {
+        match self {
+            Seek::Point {
+                column,
+                pk,
+                keys,
+                est_rows,
+                est_cost,
+            } => {
+                let column = column.clone();
+                let keys = keys.iter().map(|&k| literal_value(literals[k])).collect();
+                AccessChoice {
+                    access: if *pk {
+                        Access::PkSeek { column, keys }
+                    } else {
+                        Access::IndexSeek { column, keys }
+                    },
+                    est_rows: *est_rows,
+                    est_cost: *est_cost,
+                }
+            }
+            Seek::PointRange {
+                column,
+                key,
+                est_rows,
+                est_cost,
+            } => {
+                let Value::Int(v) = literal_value(literals[*key]) else {
+                    unreachable!("a point range's kind is an integer")
+                };
+                AccessChoice {
+                    access: Access::IndexRangeSeek {
+                        column: column.clone(),
+                        lo: Some(v),
+                        hi: Some(v),
+                    },
+                    est_rows: *est_rows,
+                    est_cost: *est_cost,
+                }
+            }
+            Seek::Range {
+                column,
+                bounds,
+                stats,
+            } => {
+                let (mut lo, mut hi) = (None, None);
+                for &(bound, slot) in bounds {
+                    let v = int_value(literals[slot]);
+                    let raise = |old: Option<i64>, v: i64| Some(old.map_or(v, |o| o.max(v)));
+                    let lower = |old: Option<i64>, v: i64| Some(old.map_or(v, |o| o.min(v)));
+                    match bound {
+                        Bound::AtLeast => lo = raise(lo, v),
+                        Bound::Above => lo = raise(lo, v.saturating_add(1)),
+                        Bound::AtMost => hi = lower(hi, v),
+                        Bound::Below => hi = lower(hi, v.saturating_sub(1)),
+                    }
+                }
+                let sel = stats.as_ref().map_or(1.0, |c| c.range_selectivity(lo, hi));
+                let est_rows = rows * sel;
+                AccessChoice {
+                    access: Access::IndexRangeSeek {
+                        column: column.clone(),
+                        lo,
+                        hi,
+                    },
+                    est_rows,
+                    est_cost: COST_RANGE_DESCENT + est_rows * COST_ROW,
+                }
+            }
+        }
+    }
+}
+
+fn prepare(
+    query: &Query,
+    tables: &HashMap<String, Table>,
+    stats: &HashMap<String, TableStats>,
+    masker: &mut Masker<'_>,
+) -> Result<Prepared, ExecError> {
     if !query.is_simple() {
         return Err(ExecError::Unsupported("set operations".into()));
     }
     let body = &query.body;
 
-    // Bind the FROM clause (planning derived subqueries recursively).
+    // Bind the FROM clause (preparing derived subqueries recursively).
     let mut sources: Vec<PlanSource<'_>> = Vec::new();
     let mut join_on: Vec<&Expr> = Vec::new();
     let mut derived_count = 0usize;
@@ -522,6 +886,7 @@ pub fn plan_query(
             t,
             tables,
             stats,
+            masker,
             &mut derived_count,
             &mut sources,
             &mut join_on,
@@ -530,14 +895,15 @@ pub fn plan_query(
 
     // Constant-only query.
     if sources.is_empty() {
-        let columns = projection_names(&body.projection);
-        return Ok(QueryPlan {
-            root: PlanNode::Project {
-                input: Box::new(PlanNode::Values),
-                columns,
-            },
-            est_rows: 1.0,
-            est_cost: 0.0,
+        return Ok(Prepared {
+            sources: Vec::new(),
+            probe: None,
+            filter: None,
+            sort_keys: Vec::new(),
+            grouping: None,
+            columns: projection_names(&body.projection, masker),
+            distinct: false,
+            limit: None,
         });
     }
     if sources.len() > 2 {
@@ -545,149 +911,100 @@ pub fn plan_query(
     }
 
     // Combined predicate: WHERE plus JOIN ... ON, exactly as executed.
-    let mut predicate = body.selection.clone();
-    for on in join_on {
-        predicate = Some(match predicate {
-            Some(p) => Expr::and(p, on.clone()),
-            None => on.clone(),
-        });
-    }
+    let parts: Vec<&Expr> = body.selection.iter().chain(join_on).collect();
+    let conjuncts: Vec<&Expr> = parts.iter().flat_map(|p| p.conjuncts()).collect();
 
-    // Access selection per source.
-    let choices: Vec<(AccessChoice, Vec<AccessChoice>)> = (0..sources.len())
-        .map(|si| choose_access(predicate.as_ref(), &sources, si))
+    // Access-path candidates per source.
+    let seeks: Vec<Vec<Seek>> = (0..sources.len())
+        .map(|si| {
+            let mut out = Vec::new();
+            if let Some(table) = sources[si].table {
+                point_seeks(&conjuncts, &sources, si, table, masker, &mut out);
+                range_seeks(&conjuncts, &sources, si, table, masker, &mut out);
+            }
+            out
+        })
         .collect();
+    let probe = find_equi_probe(&conjuncts, &sources).map(|(outer, inner)| {
+        let rows_per_outer = sources[1]
+            .stats
+            .and_then(|st| st.column(&inner))
+            .map_or(1.0, |c| c.rows_per_key(sources[1].rows as usize));
+        JoinProbe {
+            outer,
+            inner,
+            rows_per_outer,
+        }
+    });
 
-    let (base, mut est_rows, mut est_cost) = if sources.len() == 1 {
-        let (chosen, alts) = &choices[0];
-        let scan = scan_plan(&sources[0], chosen, alts);
-        let (r, c) = (scan.est_rows, scan.est_cost);
-        (PlanNode::Scan(scan), r, c)
-    } else {
-        // Nested-loop join: outer drives; inner is probed through an
-        // equi-join hash index when one exists, else re-enumerated per
-        // outer row via its own best access path.
-        let probe = predicate
-            .as_ref()
-            .and_then(|p| find_equi_probe(p, &sources));
-        let (outer_choice, outer_alts) = &choices[0];
-        let outer = scan_plan(&sources[0], outer_choice, outer_alts);
-        let (inner_choice, inner_alts) = &choices[1];
-        let inner = scan_plan(&sources[1], inner_choice, inner_alts);
-        let inner_rows_per_outer = match &probe {
-            Some((_, icol)) => sources[1]
-                .stats
-                .and_then(|st| st.column(icol))
-                .map_or(1.0, |c| c.rows_per_key(sources[1].rows as usize)),
-            None => inner.est_rows,
-        };
-        let inner_cost_per_outer = match &probe {
-            Some(_) => COST_PROBE + inner_rows_per_outer * COST_ROW,
-            None => inner.est_cost,
-        };
-        let est_rows = outer.est_rows * inner_rows_per_outer;
-        let est_cost = outer.est_cost + outer.est_rows * inner_cost_per_outer;
-        (
-            PlanNode::NestedLoopJoin {
-                outer: Box::new(PlanNode::Scan(outer)),
-                inner: Box::new(PlanNode::Scan(inner)),
-                probe,
-                est_rows,
-                est_cost,
-            },
-            est_rows,
-            est_cost,
-        )
-    };
-
-    // Residual filter.
-    let mut node = base;
-    if let Some(p) = &predicate {
-        node = PlanNode::Filter {
-            input: Box::new(node),
-            predicate: p.to_string(),
-        };
-        est_cost += est_rows * COST_ROW;
-    }
-
-    // Sort of matched source rows.
-    if !query.order_by.is_empty() {
-        let keys = query
-            .order_by
-            .iter()
-            .map(|o| {
-                format!(
-                    "{} {}",
-                    o.expr,
-                    if o.asc.unwrap_or(true) { "ASC" } else { "DESC" }
-                )
-            })
-            .collect();
-        node = PlanNode::Sort {
-            input: Box::new(node),
-            keys,
-        };
-    }
-
-    // Aggregate or scalar projection.
+    let filter = (!parts.is_empty()).then(|| {
+        masker.template(&parts, |parts| {
+            let mut parts = parts.iter().map(|&p| p.clone());
+            let first = parts.next().expect("a predicate");
+            parts.fold(first, Expr::and).to_string()
+        })
+    });
+    let sort_keys = query
+        .order_by
+        .iter()
+        .map(|o| {
+            let dir = if o.asc.unwrap_or(true) { "ASC" } else { "DESC" };
+            masker.template(&[&o.expr], |e| format!("{} {dir}", e[0]))
+        })
+        .collect();
     let grouped = !body.group_by.is_empty()
         || body.having.is_some()
         || crate::aggregate::projection_has_aggregate(&body.projection);
-    if grouped {
-        node = PlanNode::Aggregate {
-            input: Box::new(node),
-            group_by: body.group_by.iter().map(|e| e.to_string()).collect(),
-            having: body.having.is_some(),
-        };
-        if !body.group_by.is_empty() {
-            // Groups can't outnumber inputs; no better estimate without
-            // multi-column distinct stats.
-            est_rows = est_rows.max(1.0);
-        } else {
-            est_rows = 1.0;
-        }
+    let (grouping, columns) = if grouped {
+        let group_by = body
+            .group_by
+            .iter()
+            .map(|g| masker.template(&[g], |e| e[0].to_string()))
+            .collect();
+        (Some((group_by, body.having.is_some())), Vec::new())
     } else {
-        node = PlanNode::Project {
-            input: Box::new(node),
-            columns: projection_names(&body.projection),
-        };
-    }
+        (None, projection_names(&body.projection, masker))
+    };
+    let limit = body
+        .top
+        .as_ref()
+        .or(query.limit.as_ref())
+        .map(|e| limit_slot(e, masker));
 
-    if body.distinct {
-        node = PlanNode::Distinct {
-            input: Box::new(node),
-        };
-    }
-
-    if let Some(e) = body.top.as_ref().or(query.limit.as_ref()) {
-        let n = limit_literal(e);
-        if let Some(n) = n {
-            est_rows = est_rows.min(n as f64);
-        }
-        node = PlanNode::Limit {
-            input: Box::new(node),
-            n,
-        };
-    }
-
-    Ok(QueryPlan {
-        root: node,
-        est_rows,
-        est_cost,
+    Ok(Prepared {
+        sources: sources
+            .into_iter()
+            .zip(seeks)
+            .map(|(s, seeks)| PreparedSource {
+                table: s.table_name,
+                binding: s.binding,
+                rows: s.rows,
+                derived: s.derived.map(Box::new),
+                seeks,
+            })
+            .collect(),
+        probe,
+        filter,
+        sort_keys,
+        grouping,
+        columns,
+        distinct: body.distinct,
+        limit,
     })
 }
 
-/// Rendered projection column names (alias, else the printed expression) —
-/// the names `ExecResult.columns` will carry, wildcards shown as-is.
-fn projection_names(projection: &[SelectItem]) -> Vec<String> {
+/// Projection names (alias, else the printed expression) — the names
+/// `ExecResult.columns` will carry, wildcards shown as-is.
+fn projection_names(projection: &[SelectItem], masker: &mut Masker<'_>) -> Vec<Template> {
     projection
         .iter()
         .map(|item| match item {
-            SelectItem::Wildcard => "*".to_string(),
-            SelectItem::QualifiedWildcard(q) => format!("{q}.*"),
-            SelectItem::Expr { expr, alias } => alias
-                .as_ref()
-                .map_or_else(|| expr.to_string(), |a| a.value.clone()),
+            SelectItem::Wildcard => Template::fixed("*".to_string()),
+            SelectItem::QualifiedWildcard(q) => Template::fixed(format!("{q}.*")),
+            SelectItem::Expr { expr, alias } => match alias {
+                Some(a) => Template::fixed(a.value.clone()),
+                None => masker.template(&[expr], |e| e[0].to_string()),
+            },
         })
         .collect()
 }
@@ -702,19 +1019,12 @@ pub(crate) fn limit_literal(e: &Expr) -> Option<usize> {
     }
 }
 
-fn scan_plan(
-    source: &PlanSource<'_>,
-    chosen: &AccessChoice,
-    alternatives: &[AccessChoice],
-) -> ScanPlan {
-    ScanPlan {
-        table: source.table_name.clone(),
-        binding: source.binding.clone(),
-        access: chosen.access.clone(),
-        est_rows: chosen.est_rows,
-        est_cost: chosen.est_cost,
-        alternatives: alternatives.to_vec(),
-        derived: source.derived.clone().map(Box::new),
+/// The slot of the number [`limit_literal`] reads.
+fn limit_slot(e: &Expr, masker: &Masker<'_>) -> Option<usize> {
+    match e {
+        Expr::Literal(lit @ Literal::Number(_)) => Some(masker.slot(lit)),
+        Expr::Nested(inner) => limit_slot(inner, masker),
+        _ => None,
     }
 }
 
@@ -722,6 +1032,7 @@ fn bind_plan_source<'a>(
     t: &'a TableRef,
     tables: &'a HashMap<String, Table>,
     stats: &'a HashMap<String, TableStats>,
+    masker: &mut Masker<'_>,
     derived_count: &mut usize,
     sources: &mut Vec<PlanSource<'a>>,
     join_on: &mut Vec<&'a Expr>,
@@ -751,8 +1062,16 @@ fn bind_plan_source<'a>(
             kind: JoinKind::Inner,
             constraint,
         } => {
-            bind_plan_source(left, tables, stats, derived_count, sources, join_on)?;
-            bind_plan_source(right, tables, stats, derived_count, sources, join_on)?;
+            bind_plan_source(left, tables, stats, masker, derived_count, sources, join_on)?;
+            bind_plan_source(
+                right,
+                tables,
+                stats,
+                masker,
+                derived_count,
+                sources,
+                join_on,
+            )?;
             if let Some(on) = constraint {
                 join_on.push(on);
             }
@@ -763,7 +1082,7 @@ fn bind_plan_source<'a>(
             "table-valued function {name}"
         ))),
         TableRef::Derived { subquery, alias } => {
-            let sub = plan_query(subquery, tables, stats)?;
+            let sub = prepare(subquery, tables, stats, masker)?;
             // Same fallback name the executor's materializer assigns:
             // "derived<n>" counting derived tables in traversal order.
             let binding = alias
@@ -775,7 +1094,7 @@ fn bind_plan_source<'a>(
                 table_name: binding,
                 table: None,
                 stats: None,
-                rows: sub.est_rows,
+                rows: 0.0,
                 derived: Some(sub),
             });
             Ok(())
@@ -783,54 +1102,27 @@ fn bind_plan_source<'a>(
     }
 }
 
-/// Enumerates and costs every applicable access path for one source, and
-/// returns the winner plus the (cheapest-first) rejected alternatives.
-fn choose_access(
-    predicate: Option<&Expr>,
-    sources: &[PlanSource<'_>],
-    si: usize,
-) -> (AccessChoice, Vec<AccessChoice>) {
-    let source = &sources[si];
-    let rows = source.rows;
-    let mut candidates: Vec<AccessChoice> = vec![AccessChoice {
-        access: Access::FullScan,
-        est_rows: rows,
-        est_cost: rows * COST_ROW,
-    }];
-    if let (Some(table), Some(pred)) = (source.table, predicate) {
-        point_candidates(pred, sources, si, table, &mut candidates);
-        range_candidates(pred, sources, si, table, &mut candidates);
-    }
-    // Deterministic winner: cheapest, ties to the lower rank.
-    candidates.sort_by(|a, b| {
-        a.est_cost
-            .total_cmp(&b.est_cost)
-            .then(a.access.rank().cmp(&b.access.rank()))
-    });
-    let chosen = candidates.remove(0);
-    (chosen, candidates)
-}
-
 /// Equality / IN candidates over hash indexes (and degenerate point ranges
 /// over ordered indexes).
-fn point_candidates(
-    predicate: &Expr,
+fn point_seeks(
+    conjuncts: &[&Expr],
     sources: &[PlanSource<'_>],
     si: usize,
     table: &Table,
-    out: &mut Vec<AccessChoice>,
+    masker: &Masker<'_>,
+    out: &mut Vec<Seek>,
 ) {
     let source = &sources[si];
     let rows = source.rows;
-    for conj in predicate.conjuncts() {
-        let (name, values) = match conj {
+    for conj in conjuncts {
+        let (name, keys): (_, Vec<&Literal>) = match conj {
             Expr::Binary {
                 left,
                 op: BinaryOp::Eq,
                 right,
             } => match (left.as_ref(), right.as_ref()) {
                 (Expr::Column(c), Expr::Literal(l)) | (Expr::Literal(l), Expr::Column(c)) => {
-                    (c, vec![crate::eval::literal_value(l)])
+                    (c, vec![l])
                 }
                 _ => continue,
             },
@@ -843,7 +1135,7 @@ fn point_candidates(
                     c,
                     list.iter()
                         .filter_map(|e| match e {
-                            Expr::Literal(l) => Some(crate::eval::literal_value(l)),
+                            Expr::Literal(l) => Some(l),
                             _ => None,
                         })
                         .collect(),
@@ -862,39 +1154,26 @@ fn point_candidates(
             .and_then(|s| s.column(&col))
             .map_or(1.0, |c| c.rows_per_key(rows as usize));
         if table.indexes.contains_key(&col) {
-            let est_rows = values.len() as f64 * rows_per_key;
-            let est_cost = values.len() as f64 * COST_PROBE + est_rows * COST_ROW;
-            let access = if table.primary_key.as_deref() == Some(col.as_str()) {
-                Access::PkSeek {
-                    column: col.clone(),
-                    keys: values.clone(),
-                }
-            } else {
-                Access::IndexSeek {
-                    column: col.clone(),
-                    keys: values.clone(),
-                }
-            };
-            out.push(AccessChoice {
-                access,
+            let est_rows = keys.len() as f64 * rows_per_key;
+            out.push(Seek::Point {
+                column: col.clone(),
+                pk: table.primary_key.as_deref() == Some(col.as_str()),
+                keys: keys.iter().map(|l| masker.slot(l)).collect(),
                 est_rows,
-                est_cost,
+                est_cost: keys.len() as f64 * COST_PROBE + est_rows * COST_ROW,
             });
         }
         // A single integer key can also ride the ordered index as a
         // degenerate [v, v] range — this is what rescues point queries on
         // range-indexed-only columns (e.g. htmid) from full scans.
-        if values.len() == 1 && table.range_indexes.contains_key(&col) {
-            if let Value::Int(v) = values[0] {
-                let est_rows = rows_per_key;
-                out.push(AccessChoice {
-                    access: Access::IndexRangeSeek {
-                        column: col,
-                        lo: Some(v),
-                        hi: Some(v),
-                    },
-                    est_rows,
-                    est_cost: COST_RANGE_DESCENT + est_rows * COST_ROW,
+        if let [key] = keys[..] {
+            if table.range_indexes.contains_key(&col) && matches!(literal_value(key), Value::Int(_))
+            {
+                out.push(Seek::PointRange {
+                    column: col,
+                    key: masker.slot(key),
+                    est_rows: rows_per_key,
+                    est_cost: COST_RANGE_DESCENT + rows_per_key * COST_ROW,
                 });
             }
         }
@@ -902,24 +1181,23 @@ fn point_candidates(
 }
 
 /// Range candidates: integer bounds merged across conjuncts, one candidate
-/// per bounded range-indexed column.
-fn range_candidates(
-    predicate: &Expr,
+/// per bounded range-indexed column, in order of first bound.
+fn range_seeks(
+    conjuncts: &[&Expr],
     sources: &[PlanSource<'_>],
     si: usize,
     table: &Table,
-    out: &mut Vec<AccessChoice>,
+    masker: &Masker<'_>,
+    out: &mut Vec<Seek>,
 ) {
     let source = &sources[si];
-    fn int_lit(e: &Expr) -> Option<i64> {
+    fn int_lit(e: &Expr) -> Option<&Literal> {
         match e {
-            Expr::Literal(Literal::Number(n)) => n.parse().ok(),
+            Expr::Literal(lit @ Literal::Number(n)) if n.parse::<i64>().is_ok() => Some(lit),
             Expr::Nested(inner) => int_lit(inner),
             _ => None,
         }
     }
-    let mut bounds: HashMap<String, (Option<i64>, Option<i64>)> = HashMap::new();
-    let mut order: Vec<String> = Vec::new(); // deterministic candidate order
     let resolve = |name: &ObjectName| -> Option<String> {
         let col = name.last().normalized();
         let qualifier = name.qualifier().last().map(|q| q.normalized());
@@ -927,19 +1205,15 @@ fn range_candidates(
             && table.range_indexes.contains_key(&col))
         .then_some(col)
     };
-    let mut tighten = |order: &mut Vec<String>, col: String, lo: Option<i64>, hi: Option<i64>| {
-        if !bounds.contains_key(&col) {
-            order.push(col.clone());
-        }
-        let e = bounds.entry(col).or_insert((None, None));
-        if let Some(lo) = lo {
-            e.0 = Some(e.0.map_or(lo, |old: i64| old.max(lo)));
-        }
-        if let Some(hi) = hi {
-            e.1 = Some(e.1.map_or(hi, |old: i64| old.min(hi)));
+    let mut ranges: Vec<(String, Vec<(Bound, usize)>)> = Vec::new();
+    let mut bound = |col: String, b: Bound, lit: &Literal| {
+        let slot = masker.slot(lit);
+        match ranges.iter_mut().find(|(c, _)| *c == col) {
+            Some((_, bounds)) => bounds.push((b, slot)),
+            None => ranges.push((col, vec![(b, slot)])),
         }
     };
-    for conj in predicate.conjuncts() {
+    for conj in conjuncts {
         match conj {
             Expr::Binary { left, op, right } if op.is_comparison() => {
                 let (col, v, op) = match (left.as_ref(), right.as_ref()) {
@@ -965,10 +1239,10 @@ fn range_candidates(
                 };
                 let Some(col) = resolve(col) else { continue };
                 match op {
-                    BinaryOp::GtEq => tighten(&mut order, col, Some(v), None),
-                    BinaryOp::Gt => tighten(&mut order, col, Some(v.saturating_add(1)), None),
-                    BinaryOp::LtEq => tighten(&mut order, col, None, Some(v)),
-                    BinaryOp::Lt => tighten(&mut order, col, None, Some(v.saturating_sub(1))),
+                    BinaryOp::GtEq => bound(col, Bound::AtLeast, v),
+                    BinaryOp::Gt => bound(col, Bound::Above, v),
+                    BinaryOp::LtEq => bound(col, Bound::AtMost, v),
+                    BinaryOp::Lt => bound(col, Bound::Below, v),
                     _ => {}
                 }
             }
@@ -985,38 +1259,29 @@ fn range_candidates(
                     continue;
                 };
                 let Some(col) = resolve(c) else { continue };
-                tighten(&mut order, col, Some(lo), Some(hi));
+                bound(col.clone(), Bound::AtLeast, lo);
+                bound(col, Bound::AtMost, hi);
             }
             _ => {}
         }
     }
-    for col in order {
-        let (lo, hi) = bounds[&col];
-        let sel = source
-            .stats
-            .and_then(|s| s.column(&col))
-            .map_or(1.0, |c| c.range_selectivity(lo, hi));
-        let est_rows = source.rows * sel;
-        out.push(AccessChoice {
-            access: Access::IndexRangeSeek {
-                column: col,
-                lo,
-                hi,
-            },
-            est_rows,
-            est_cost: COST_RANGE_DESCENT + est_rows * COST_ROW,
+    for (col, bounds) in ranges {
+        out.push(Seek::Range {
+            stats: source.stats.and_then(|s| s.column(&col)).cloned(),
+            column: col,
+            bounds,
         });
     }
 }
 
 /// Finds an `outer.col = inner.col` equi-join conjunct where the inner
 /// side's column is hash-indexed; returns (outer column, inner column).
-fn find_equi_probe(predicate: &Expr, sources: &[PlanSource<'_>]) -> Option<(String, String)> {
+fn find_equi_probe(conjuncts: &[&Expr], sources: &[PlanSource<'_>]) -> Option<(String, String)> {
     if sources.len() != 2 {
         return None;
     }
     let inner_table = sources[1].table?;
-    for conj in predicate.conjuncts() {
+    for conj in conjuncts {
         if let Expr::Binary {
             left,
             op: BinaryOp::Eq,

@@ -185,6 +185,12 @@ impl Table {
     /// optional), if a range index exists on the column.
     pub fn range_lookup(&self, column: &str, lo: Option<i64>, hi: Option<i64>) -> Option<Vec<u32>> {
         let index = index_on(&self.range_indexes, column)?;
+        if let (Some(lo), Some(hi)) = (lo, hi) {
+            if lo > hi {
+                // Contradictory bounds (`h >= 40 AND h < 12`): no row.
+                return Some(Vec::new());
+            }
+        }
         use std::ops::Bound;
         let lower = lo.map_or(Bound::Unbounded, Bound::Included);
         let upper = hi.map_or(Bound::Unbounded, Bound::Included);
@@ -196,12 +202,35 @@ impl Table {
         Some(rows)
     }
 
-    /// Looks up rows by an indexed key, if an index exists.
-    pub fn index_lookup(&self, column: &str, value: &Value) -> Option<&[u32]> {
-        let index = index_on(&self.indexes, column)?;
-        let key = IndexKey::of_value(value)?;
-        Some(index.get(&key).map_or(&[][..], Vec::as_slice))
+    /// The rows an equality probe for `value` must examine through the
+    /// hash index on `column` (none without one). Equality is
+    /// [`Cell::compare`]'s, so an integral float probes as its integer.
+    pub(crate) fn index_probe(&self, column: &str, value: &Value) -> Probe<'_> {
+        /// 2^53: below it, an integral float equals one integer only.
+        const EXACT: f64 = 9_007_199_254_740_992.0;
+        let key = match value {
+            Value::Float(f) if f.abs() < EXACT && f.fract() == 0.0 => {
+                Some(IndexKey::Int(*f as i64))
+            }
+            Value::Float(f) if f.abs() >= EXACT => return Probe::All,
+            v => IndexKey::of_value(v),
+        };
+        Probe::Rows(match (index_on(&self.indexes, column), key) {
+            (Some(index), Some(key)) => index.get(&key).map_or(&[], Vec::as_slice),
+            _ => &[],
+        })
     }
+}
+
+/// What an equality probe reads from a hash index.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Probe<'a> {
+    /// The rows under one key: none for a value no key can equal (NULL, a
+    /// fractional float).
+    Rows(&'a [u32]),
+    /// Every row: a float of magnitude 2^53 or more equals several
+    /// integers, so the filter decides.
+    All,
 }
 
 #[cfg(test)]
@@ -235,15 +264,20 @@ mod tests {
     fn index_lookup_finds_all_matches() {
         let mut t = table();
         t.build_index("id");
-        assert_eq!(t.index_lookup("id", &Value::Int(2)).unwrap(), &[1, 2]);
-        assert_eq!(
-            t.index_lookup("id", &Value::Int(99)).unwrap(),
-            &[] as &[u32]
-        );
-        // NULLs are not indexed.
-        assert_eq!(t.index_lookup("id", &Value::Null), None);
+        assert_eq!(t.index_probe("id", &Value::Int(2)), Probe::Rows(&[1, 2]));
+        assert_eq!(t.index_probe("id", &Value::Int(99)), Probe::Rows(&[]));
+        // NULLs are not indexed, and equal nothing.
+        assert_eq!(t.index_probe("id", &Value::Null), Probe::Rows(&[]));
         // No index on name.
-        assert!(t.index_lookup("name", &Value::from("a")).is_none());
+        assert_eq!(t.index_probe("name", &Value::from("a")), Probe::Rows(&[]));
+        // A float key equal to an integer finds that integer's rows; one
+        // from 2^53 on equals several integers.
+        assert_eq!(
+            t.index_probe("id", &Value::Float(2.0)),
+            Probe::Rows(&[1, 2])
+        );
+        assert_eq!(t.index_probe("id", &Value::Float(2.5)), Probe::Rows(&[]));
+        assert_eq!(t.index_probe("id", &Value::Float(-1e300)), Probe::All);
     }
 
     #[test]
@@ -256,6 +290,10 @@ mod tests {
             t.range_lookup("id", Some(3), None).unwrap(),
             Vec::<u32>::new()
         );
+        assert_eq!(
+            t.range_lookup("id", Some(3), Some(2)).unwrap(),
+            Vec::<u32>::new()
+        );
         // No range index on strings.
         t.build_range_index("name");
         assert!(t.range_lookup("name", Some(0), None).is_none());
@@ -265,6 +303,6 @@ mod tests {
     fn string_index() {
         let mut t = table();
         t.build_index("name");
-        assert_eq!(t.index_lookup("name", &Value::from("b")).unwrap(), &[1]);
+        assert_eq!(t.index_probe("name", &Value::from("b")), Probe::Rows(&[1]));
     }
 }

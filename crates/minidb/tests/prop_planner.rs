@@ -60,20 +60,23 @@ fn k_index_strategy() -> impl Strategy<Value = KIndex> {
 }
 
 /// A random point / IN / range predicate over one of the three columns.
+/// Literals are integers, or floats with a zero or a half fraction: a
+/// float key equal to an integer must find that integer's rows.
 fn pred_strategy() -> impl Strategy<Value = String> {
     (
         prop_oneof![Just("k"), Just("h"), Just("v")],
         -10i64..210,
         -10i64..210,
         0u8..4,
+        prop_oneof![Just(""), Just(".0"), Just(".5")],
     )
-        .prop_map(|(c, a, b, op)| {
+        .prop_map(|(c, a, b, op, frac)| {
             let (lo, hi) = (a.min(b), a.max(b));
             match op {
-                0 => format!("{c} = {a}"),
-                1 => format!("{c} IN ({lo}, {hi})"),
-                2 => format!("{c} BETWEEN {lo} AND {hi}"),
-                _ => format!("{c} > {a}"),
+                0 => format!("{c} = {a}{frac}"),
+                1 => format!("{c} IN ({lo}{frac}, {hi})"),
+                2 => format!("{c} BETWEEN {lo}{frac} AND {hi}"),
+                _ => format!("{c} > {a}{frac}"),
             }
         })
 }
