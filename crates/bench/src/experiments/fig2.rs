@@ -4,7 +4,7 @@
 
 use crate::experiments::Experiment;
 use sqlog_core::{top_patterns, AntipatternClass};
-use sqlog_log::IntentKind;
+use sqlog_log::{IntentKind, UserTable};
 
 /// One point of a rank series.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,7 +117,8 @@ pub struct CthPoint {
 pub fn fig2d(exp: &Experiment) -> Vec<CthPoint> {
     use std::collections::HashMap;
     // identity → (instances, users, real votes)
-    let mut agg: HashMap<&[sqlog_core::TemplateId], (u64, std::collections::HashSet<&str>, u64)> =
+    let users = UserTable::build(&exp.log).ids;
+    let mut agg: HashMap<&[sqlog_core::TemplateId], (u64, std::collections::HashSet<u32>, u64)> =
         HashMap::new();
     for (inst, entry_ids) in exp
         .result
@@ -128,13 +129,12 @@ pub fn fig2d(exp: &Experiment) -> Vec<CthPoint> {
         if inst.class != AntipatternClass::CthCandidate {
             continue;
         }
-        let head = &exp.log.entries[entry_ids[0] as usize];
         let real = entry_ids[1..].iter().any(|&id| {
             exp.log.entries[id as usize].truth.map(|t| t.kind) == Some(IntentKind::CthFollowUp)
         });
         let e = agg.entry(inst.identity.as_slice()).or_default();
         e.0 += 1;
-        e.1.insert(head.user_key());
+        e.1.insert(users[entry_ids[0] as usize]);
         e.2 += u64::from(real);
     }
     let mut points: Vec<CthPoint> = agg

@@ -8,9 +8,12 @@
 //! `None` means "unrestricted" (Table 4's last row).
 //!
 //! Deduplication is keyed by `(user, statement fingerprint)`, so the log
-//! partitions cleanly by user: [`dedup_view_traced`] shards the scan across users
-//! and merges the per-shard survivors back into log order, producing exactly
-//! the sequential result for any thread count. The output is a [`LogView`]
+//! partitions cleanly by user: [`dedup_view_traced`] numbers the view's users
+//! by first appearance ([`LogView::dense_users`], read from the base log's
+//! one user table), shards the scan across contiguous user ranges (each
+//! shard walks every position and skips other users'), and merges the
+//! per-shard survivors back into log order, producing exactly the
+//! sequential result for any thread count. The output is a [`LogView`]
 //! — an index vector over the input — so no [`LogEntry`](sqlog_log::LogEntry) (or its statement
 //! `String`) is ever cloned on this path.
 
@@ -119,19 +122,11 @@ pub fn dedup_view_traced<'a>(
     let n = view.len();
     let threads = resolve_threads(threads).min(n.max(1));
 
-    // Partition by user: intern user keys by first appearance.
-    let mut uid_of: FnvHashMap<&str, u32> = FnvHashMap::default();
-    let mut uids: Vec<u32> = Vec::with_capacity(n);
-    let mut counts: Vec<u64> = Vec::new();
-    for i in 0..n {
-        let key = view.entry(i).user_key();
-        let next = counts.len() as u32;
-        let uid = *uid_of.entry(key).or_insert(next);
-        if uid == next {
-            counts.push(0);
-        }
+    // Partition by user, numbered by first appearance in the view.
+    let (uids, users) = view.dense_users(0..n);
+    let mut counts = vec![0u64; users.len()];
+    for &uid in &uids {
         counts[uid as usize] += 1;
-        uids.push(uid);
     }
 
     let run = run_shards(

@@ -8,7 +8,10 @@
 //! 1. the parsed records are split into per-user **sessions** (a new session
 //!    starts when the gap to the user's previous query exceeds
 //!    `session_gap_ms` — Def. 8's "no other requests in between" plus
-//!    §4.1.1's "short time between them"),
+//!    §4.1.1's "short time between them"); users are numbered by first
+//!    appearance in record order through [`LogView::dense_users`], not by
+//!    the user table's base order, which would leave gaps for users
+//!    without a SELECT,
 //! 2. within each session, every template occurrence is an instance of the
 //!    length-1 pattern `[t]`, and every *non-overlapping* n-gram occurrence
 //!    (n ≤ `max_ngram`) is an instance of the length-n pattern.
@@ -112,10 +115,10 @@ fn split_user_stream(
 
 /// Splits parsed records into per-user sessions.
 ///
-/// Users are interned by first appearance in record order; sessions come
-/// out ordered by (user id, time). With `threads > 1` the gap-splitting
-/// shards across contiguous user ranges — the result is identical for every
-/// thread count.
+/// Users are numbered by first appearance in record order
+/// ([`LogView::dense_users`]); sessions come out ordered by (user id,
+/// time). With `threads > 1` the gap-splitting shards across contiguous
+/// user ranges — the result is identical for every thread count.
 ///
 /// Observability: per-shard spans (`"sessions.shard"`, under the
 /// recorder's current span), a shard-latency histogram and outcome counters
@@ -127,18 +130,11 @@ pub fn build_sessions_view_traced(
     threads: usize,
     rec: &Recorder,
 ) -> Sessions {
-    let mut user_ids: FnvHashMap<&str, u32> = FnvHashMap::default();
-    let mut user_names: Vec<String> = Vec::new();
-    let mut streams: Vec<Vec<usize>> = Vec::new();
-
-    for (ri, rec) in records.iter().enumerate() {
-        let user_key = view.entry(rec.entry_idx as usize).user_key();
-        let next = streams.len() as u32;
-        let uid = *user_ids.entry(user_key).or_insert(next);
-        if uid == next {
-            user_names.push(user_key.to_string());
-            streams.push(Vec::new());
-        }
+    let (uids, users) = view.dense_users(records.iter().map(|r| r.entry_idx as usize));
+    let names = &view.users().names;
+    let user_names: Vec<String> = users.iter().map(|&t| names[t as usize].clone()).collect();
+    let mut streams: Vec<Vec<usize>> = vec![Vec::new(); users.len()];
+    for (ri, &uid) in uids.iter().enumerate() {
         streams[uid as usize].push(ri);
     }
 
@@ -523,6 +519,27 @@ mod tests {
         let s = build_sessions(&log, &records, 60_000);
         assert_eq!(s.sessions.len(), 3);
         assert_eq!(s.user_names.len(), 2);
+    }
+
+    #[test]
+    fn session_users_follow_record_order_not_the_user_table() {
+        // a's first entry is no SELECT, so b's SELECT is the first record:
+        // the table numbers a first, the sessions number b first.
+        let (log, records, _) = log_of(&[
+            ("INSERT INTO t VALUES (1)", 0, "a"),
+            ("SELECT a FROM t WHERE x = 1", 1, "b"),
+            ("SELECT a FROM t WHERE x = 2", 2, "a"),
+            ("SELECT a FROM t WHERE x = 3", 3, "b"),
+        ]);
+        assert_eq!(LogView::identity(&log).users().names, ["a", "b"]);
+        let s = build_sessions(&log, &records, 300_000);
+        assert_eq!(s.user_names, ["b", "a"]);
+        let users: Vec<(u32, Vec<usize>)> = s
+            .sessions
+            .iter()
+            .map(|s| (s.user, s.records.clone()))
+            .collect();
+        assert_eq!(users, [(0, vec![0, 2]), (1, vec![1])]);
     }
 
     #[test]

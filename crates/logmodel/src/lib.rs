@@ -28,4 +28,4 @@ pub use io::{
 };
 pub use log::QueryLog;
 pub use time::{Timestamp, TimestampParseError};
-pub use view::LogView;
+pub use view::{LogView, UserTable};

@@ -1,7 +1,7 @@
 //! The in-memory query log.
 
 use crate::entry::LogEntry;
-use std::collections::HashMap;
+use crate::view::UserTable;
 
 /// An ordered collection of log entries.
 ///
@@ -53,24 +53,9 @@ impl QueryLog {
             .all(|w| (w[0].timestamp, w[0].id) <= (w[1].timestamp, w[1].id))
     }
 
-    /// Groups entry indices by user key, preserving time order inside each
-    /// group. The per-user streams are the unit of pattern mining (Def. 8:
-    /// all queries of an instance come from one user).
-    pub fn user_streams(&self) -> HashMap<&str, Vec<usize>> {
-        let mut map: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            map.entry(e.user_key()).or_default().push(i);
-        }
-        map
-    }
-
     /// Number of distinct users (the empty key counts as one).
     pub fn distinct_users(&self) -> usize {
-        self.entries
-            .iter()
-            .map(LogEntry::user_key)
-            .collect::<std::collections::HashSet<_>>()
-            .len()
+        UserTable::build(self).names.len()
     }
 
     /// Drops user/session metadata, producing the "minimal input" variant
@@ -119,12 +104,9 @@ mod tests {
     }
 
     #[test]
-    fn user_streams_preserve_order() {
+    fn distinct_users_counts_user_keys() {
         let log =
             QueryLog::from_entries(vec![entry(0, 1, "a"), entry(1, 2, "b"), entry(2, 3, "a")]);
-        let streams = log.user_streams();
-        assert_eq!(streams["a"], vec![0, 2]);
-        assert_eq!(streams["b"], vec![1]);
         assert_eq!(log.distinct_users(), 2);
     }
 

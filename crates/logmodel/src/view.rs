@@ -7,9 +7,44 @@
 //! the early pipeline stages on large logs. A [`LogView`] instead keeps a
 //! borrowed base log plus an optional `u32` index vector: selecting or
 //! reordering entries costs one machine word per entry, never a clone.
+//!
+//! Dedup and sessions partition by user (§5.2, Defs. 7–8). A view hands
+//! them its base log's [`UserTable`], which hashes every user key once per
+//! base log, on first use; [`LogView::dense_users`] renumbers it for any
+//! sequence of positions without hashing.
 
 use crate::entry::LogEntry;
 use crate::log::QueryLog;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+/// The users of a base log, interned by first appearance in base order;
+/// a log without user data is one user, `""` (§4.1.1). Names are owned: a
+/// borrowed name in a view's `OnceLock` would make `LogView<'a>` invariant.
+#[derive(Debug)]
+pub struct UserTable {
+    /// The table id of each base entry's user.
+    pub ids: Vec<u32>,
+    /// The user key of each table id.
+    pub names: Vec<String>,
+}
+
+impl UserTable {
+    /// Interns the [`LogEntry::user_key`] of every entry of `base`.
+    pub fn build(base: &QueryLog) -> Self {
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        let (mut ids, mut names) = (Vec::with_capacity(base.len()), Vec::new());
+        for key in base.entries.iter().map(LogEntry::user_key) {
+            let next = names.len() as u32;
+            let id = *index.entry(key).or_insert(next);
+            if id == next {
+                names.push(key.to_string());
+            }
+            ids.push(id);
+        }
+        UserTable { ids, names }
+    }
+}
 
 /// A borrowed, possibly filtered/reordered view of a [`QueryLog`].
 ///
@@ -19,12 +54,22 @@ use crate::log::QueryLog;
 pub struct LogView<'a> {
     base: &'a QueryLog,
     idx: Option<Vec<u32>>,
+    /// Built on first use; shared with every view `select` derives.
+    users: Arc<OnceLock<UserTable>>,
 }
 
 impl<'a> LogView<'a> {
     /// The identity view: every entry of `base`, in base order.
     pub fn identity(base: &'a QueryLog) -> Self {
-        LogView { base, idx: None }
+        LogView::new(base, None)
+    }
+
+    fn new(base: &'a QueryLog, idx: Option<Vec<u32>>) -> Self {
+        LogView {
+            base,
+            idx,
+            users: Arc::default(),
+        }
     }
 
     /// A view selecting `idx[i]`-th base entries, in the given order.
@@ -37,10 +82,7 @@ impl<'a> LogView<'a> {
             idx.iter().all(|&i| (i as usize) < base.len()),
             "view index out of bounds"
         );
-        LogView {
-            base,
-            idx: Some(idx),
-        }
+        LogView::new(base, Some(idx))
     }
 
     /// The underlying log this view borrows from.
@@ -98,7 +140,31 @@ impl<'a> LogView<'a> {
         LogView {
             base: self.base,
             idx: Some(idx),
+            users: Arc::clone(&self.users),
         }
+    }
+
+    /// The base log's user table.
+    pub fn users(&self) -> &UserTable {
+        self.users.get_or_init(|| UserTable::build(self.base))
+    }
+
+    /// Numbers the users at view `positions` by first appearance in that
+    /// sequence: a dense id per position, and each dense id's table id.
+    pub fn dense_users(&self, positions: impl IntoIterator<Item = usize>) -> (Vec<u32>, Vec<u32>) {
+        let table = self.users();
+        let mut dense = vec![u32::MAX; table.names.len()];
+        let positions = positions.into_iter();
+        let (mut ids, mut table_ids) = (Vec::with_capacity(positions.size_hint().0), Vec::new());
+        for p in positions {
+            let t = table.ids[self.base_index(p)];
+            if dense[t as usize] == u32::MAX {
+                dense[t as usize] = table_ids.len() as u32;
+                table_ids.push(t);
+            }
+            ids.push(dense[t as usize]);
+        }
+        (ids, table_ids)
     }
 
     /// True if the visible entries are sorted by `(timestamp, id)`.
@@ -121,10 +187,7 @@ impl<'a> LogView<'a> {
             let e = &base.entries[i as usize];
             (e.timestamp, e.id)
         });
-        LogView {
-            base,
-            idx: Some(perm),
-        }
+        LogView::new(base, Some(perm))
     }
 
     /// Materializes the view into an owned [`QueryLog`] (clones entries).
@@ -180,6 +243,65 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2]);
         // The base log itself is untouched.
         assert_eq!(log.entries[0].id, 1);
+    }
+
+    fn user_entry(id: u64, t: i64, user: Option<&str>) -> LogEntry {
+        LogEntry {
+            user: user.map(str::to_string),
+            ..entry(id, t)
+        }
+    }
+
+    #[test]
+    fn user_ids_follow_first_appearance_in_base_order() {
+        let log = QueryLog::from_entries(vec![
+            user_entry(0, 9, Some("b")),
+            user_entry(1, 1, Some("a")),
+            user_entry(2, 5, Some("b")),
+            user_entry(3, 0, Some("c")),
+        ]);
+        // The sorted view reads c, a, b, b; the table keeps base order.
+        let v = LogView::sorted_by_time(&log);
+        assert_eq!(v.users().ids, [0, 1, 0, 2]);
+        assert_eq!(v.users().names, ["b", "a", "c"]);
+        // Dense ids follow the positions asked for, not the table.
+        let (ids, table_ids) = v.dense_users(0..v.len());
+        assert_eq!(ids, [0, 1, 2, 2]);
+        assert_eq!(table_ids, [2, 1, 0]);
+        let (ids, table_ids) = v.dense_users([3, 0, 2]);
+        assert_eq!(ids, [0, 1, 0]);
+        assert_eq!(table_ids, [0, 2]);
+    }
+
+    #[test]
+    fn a_missing_user_is_the_single_empty_user() {
+        let log = QueryLog::from_entries(vec![
+            user_entry(0, 0, None),
+            user_entry(1, 1, Some("")),
+            user_entry(2, 2, None),
+        ]);
+        let v = LogView::identity(&log);
+        assert_eq!(v.users().ids, [0, 0, 0]);
+        assert_eq!(v.users().names, [""]);
+        assert_eq!(log.distinct_users(), 1);
+    }
+
+    #[test]
+    fn selected_views_share_the_table_and_fresh_views_do_not() {
+        let log = QueryLog::from_entries(vec![
+            user_entry(0, 0, Some("a")),
+            user_entry(1, 1, Some("b")),
+        ]);
+        let v = LogView::identity(&log);
+        let w = v.select(vec![1]);
+        assert!(std::ptr::eq(v.users(), w.users()));
+        assert!(std::ptr::eq(v.users(), w.select(vec![0]).users()));
+        let (ids, table_ids) = w.dense_users(0..1);
+        assert_eq!((ids, table_ids), (vec![0], vec![1]));
+        let fresh = LogView::from_indices(&log, vec![1]);
+        assert!(fresh.users.get().is_none());
+        assert!(!std::ptr::eq(v.users(), fresh.users()));
+        assert_eq!(fresh.users().names, ["a", "b"]);
     }
 
     #[test]

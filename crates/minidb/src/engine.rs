@@ -13,9 +13,11 @@
 //! keeps every prepared statement shape, up to a fixed number of them: a
 //! statement whose shape (the query with its literal values masked and its
 //! identifiers as written) was planned before only has its literals filled
-//! in. [`MiniDb::plan`], [`MiniDb::explain`] and
-//! [`MiniDb::execute_query_planned`] all plan this way; `add_table` forgets
-//! every prepared shape, since its plans read the old tables and stats.
+//! in. A shape the planner refuses is kept with its error, which names no
+//! literal value, so it is refused again without planning. [`MiniDb::plan`],
+//! [`MiniDb::explain`] and [`MiniDb::execute_query_planned`] all plan this
+//! way; `add_table` forgets every kept shape, since its plans and refusals
+//! read the old tables and stats.
 
 use crate::cost::CostModel;
 use crate::exec::{execute_naive, ExecError, ExecResult};
@@ -31,8 +33,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
-/// The most statement shapes a [`MiniDb`] keeps prepared. Statements of a
-/// shape that arrives once the memo is full are planned in full each time.
+/// The most statement shapes a [`MiniDb`] keeps, prepared or refused.
+/// Statements of a shape that arrives once the memo is full are planned in
+/// full each time.
 const PREPARED_SHAPES_CAP: usize = 4096;
 
 /// An in-memory database with a round-trip cost model.
@@ -41,20 +44,24 @@ pub struct MiniDb {
     tables: HashMap<String, Table>,
     /// Cached ANALYZE stats, refreshed whenever a table is (re)added.
     stats: HashMap<String, TableStats>,
-    /// Prepared plans by statement shape.
+    /// Prepared plans and refusals by statement shape.
     prepared: PlanMemo,
     /// The cost model used by [`MiniDb::execute_sql`].
     pub cost: CostModel,
 }
 
-/// Prepared plans keyed by the full shape encoding, so two shapes never
-/// share an entry; and how often planning found its shape there.
+/// A shape's prepared plan, or the error the planner refused it with.
+type Planned = Result<Prepared, ExecError>;
+
+/// Prepared plans, or the planner's refusals, keyed by the full shape
+/// encoding, so two shapes never share an entry; and how often planning
+/// found its shape there.
 #[derive(Debug, Default)]
 struct PlanMemo {
     /// Written only by whole-entry inserts, so a thread that panicked
     /// holding the lock left no half-made entry: a poisoned lock is used
     /// as is.
-    shapes: RwLock<HashMap<Box<[u8]>, Prepared>>,
+    shapes: RwLock<HashMap<Box<[u8]>, Planned>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -62,12 +69,14 @@ struct PlanMemo {
 /// How [`MiniDb`]'s planning used its prepared shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanMemoStats {
-    /// Plans whose shape was already prepared.
+    /// Plans whose shape was already prepared or refused.
     pub hits: u64,
-    /// Plans that prepared their shape.
+    /// Plans that prepared their shape, or tried to.
     pub misses: u64,
     /// Shapes kept prepared.
     pub shapes: usize,
+    /// Shapes kept refused.
+    pub rejected: usize,
 }
 
 impl MiniDb {
@@ -77,7 +86,7 @@ impl MiniDb {
     }
 
     /// Adds (or replaces) a table, analyzing it for the planner. Every
-    /// prepared shape is forgotten.
+    /// prepared or refused shape is forgotten.
     pub fn add_table(&mut self, table: Table) {
         self.stats.insert(table.name.clone(), analyze(&table));
         self.tables.insert(table.name.clone(), table);
@@ -100,42 +109,49 @@ impl MiniDb {
     }
 
     /// Plans a query without executing it: instantiates its prepared
-    /// shape, preparing the shape first if it is new.
+    /// shape, preparing the shape first if it is new. A refused shape
+    /// returns its error again.
     pub fn plan(&self, query: &Query) -> Result<QueryPlan, ExecError> {
         let shape = Shape::of(query);
         let memo = &self.prepared;
+        let instantiate = |prepared: &Planned| match prepared {
+            Ok(prepared) => Ok(prepared.instantiate(&shape.literals)),
+            Err(e) => Err(e.clone()),
+        };
         {
             let shapes = memo.shapes.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(prepared) = shapes.get(&shape.key[..]) {
                 memo.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(prepared.instantiate(&shape.literals));
+                return instantiate(prepared);
             }
         }
         memo.misses.fetch_add(1, Ordering::Relaxed);
         let (prepared, reusable) =
-            Prepared::new(query, &shape.literals, &self.tables, &self.stats)?;
-        let plan = prepared.instantiate(&shape.literals);
+            match Prepared::new(query, &shape.literals, &self.tables, &self.stats) {
+                Ok((prepared, reusable)) => (Ok(prepared), reusable),
+                Err(e) => (Err(e), true),
+            };
+        let plan = instantiate(&prepared);
         if reusable {
             let mut shapes = memo.shapes.write().unwrap_or_else(PoisonError::into_inner);
             if shapes.len() < PREPARED_SHAPES_CAP {
                 shapes.insert(shape.key.into_boxed_slice(), prepared);
             }
         }
-        Ok(plan)
+        plan
     }
 
     /// How planning has used the prepared shapes since the last
     /// `add_table`.
     pub fn plan_memo_stats(&self) -> PlanMemoStats {
         let memo = &self.prepared;
+        let shapes = memo.shapes.read().unwrap_or_else(PoisonError::into_inner);
+        let rejected = shapes.values().filter(|p| p.is_err()).count();
         PlanMemoStats {
             hits: memo.hits.load(Ordering::Relaxed),
             misses: memo.misses.load(Ordering::Relaxed),
-            shapes: memo
-                .shapes
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
+            shapes: shapes.len() - rejected,
+            rejected,
         }
     }
 

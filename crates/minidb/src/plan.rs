@@ -614,7 +614,9 @@ enum Bound {
 impl Prepared {
     /// Prepares `query`, whose literal residue is `literals`. The flag is
     /// false when the plan fits this statement only, because a plan string
-    /// could not be cut at its literals.
+    /// could not be cut at its literals. An error names only the query's
+    /// structure and identifiers, never a literal value, so it is the
+    /// error of every statement of the shape.
     pub(crate) fn new(
         query: &Query,
         literals: &[&Literal],

@@ -229,6 +229,35 @@ fn grouping_joins_and_derived_tables() {
 }
 
 #[test]
+fn refused_shapes_fail_again_without_planning() {
+    let statements = [
+        "SELECT * FROM dbo.fGetNearbyObjEq(1.5, 2, 3) AS n",
+        "SELECT * FROM dbo.fGetNearbyObjEq(7.25, 8, 9) AS n",
+        "SELECT k FROM t WHERE k = 1 UNION SELECT k FROM t WHERE k = 2",
+        "SELECT k FROM t WHERE k = 3 UNION SELECT k FROM t WHERE k = 4",
+        "SELECT a.k FROM t a LEFT JOIN t b ON a.k = b.h WHERE a.k = 5",
+        "SELECT a.k FROM t a LEFT JOIN t b ON a.k = b.h WHERE a.k = 6",
+        "SELECT v FROM u WHERE k = 7",
+        "SELECT v FROM u WHERE k = 8",
+        "SELECT v FROM U WHERE k = 9",
+    ];
+    let stats = assert_warm_matches_fresh(db_t, &statements);
+    // Five refused shapes (`U` is written in another case), each planned
+    // once; every other attempt (each statement is executed and
+    // explained) finds its refusal kept.
+    assert_eq!((stats.misses, stats.hits), (5, 13));
+    assert_eq!((stats.shapes, stats.rejected), (0, 5));
+    // Adding the missing table forgets its refusal.
+    let mut warm = db_t();
+    assert!(warm.plan(&parse(statements[6])).is_err());
+    let mut u = table_t();
+    u.name = "u".to_string();
+    warm.add_table(u);
+    assert_eq!(warm.plan_memo_stats().rejected, 0);
+    assert!(warm.plan(&parse(statements[6])).is_ok());
+}
+
+#[test]
 fn replacing_a_table_forgets_its_prepared_shapes() {
     let statements = [
         "SELECT v FROM t WHERE k = 7",
@@ -352,40 +381,74 @@ const TWO_LEVELS: &str = concat!(
     r#"{"op":"Project","rows_scanned":2,"rows_produced":2,"children":[{"op":"Filter","detail":"e.k < 7","rows_scanned":3,"rows_produced":2,"children":[{"op":"SeqScan","detail":"e FullScan","rows_scanned":3,"rows_produced":3}]}]}"#,
 );
 
+/// The plan JSON of a statement, or its error text.
+fn plan_outcome(db: &MiniDb, q: &Query) -> String {
+    match db.plan(q) {
+        Ok(plan) => plan.to_json().render(),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
 /// The replay statements of a 12 000-entry log and its clean log have a
 /// few hundred shapes among thousands of texts: a first pass prepares one
-/// entry per shape, not per text.
+/// entry per shape, not per text, and keeps each refused shape with its
+/// error; a second pass prepares nothing. Every statement, on either pass,
+/// plans or fails exactly as on a database planning everything in full.
 #[test]
 fn replay_prepares_once_per_shape() {
     let log = generate(&GenConfig::with_scale(12_000, 5));
     let clean = Pipeline::new(&skyserver_catalog()).run(&log).clean_log;
     let db = skyserver_db(400, 5);
-    let mut texts = HashSet::new();
-    let (mut attempted, mut rejected) = (0u64, 0u64);
-    for entry in log.entries.iter().chain(&clean.entries) {
-        if let Ok(Statement::Select(q)) = sqlog_sql::parse_statement(&entry.statement) {
-            attempted += 1;
-            match db.plan(&q) {
-                Ok(_) => {
-                    texts.insert(entry.statement.clone());
-                }
-                Err(_) => rejected += 1,
-            }
+    // A database whose memo is full keeps no new shape, so it plans every
+    // replay statement in full.
+    let fresh = skyserver_db(400, 5);
+    for i in 0.. {
+        let kept = fresh.plan_memo_stats().shapes;
+        fresh.plan(&parse(&format!("SELECT 1 AS c{i}"))).unwrap();
+        if fresh.plan_memo_stats().shapes == kept {
+            break;
         }
     }
-    let stats = db.plan_memo_stats();
-    assert!(
-        attempted - rejected > 10_000,
-        "{attempted} attempted, {rejected} rejected"
-    );
-    assert!(texts.len() > 4_000, "{} distinct texts", texts.len());
-    assert!(
-        (400..=600).contains(&stats.shapes),
-        "{} shapes prepared for {} texts",
-        stats.shapes,
-        texts.len()
-    );
-    // A rejected statement prepares nothing, and is planned afresh.
-    assert_eq!(stats.misses, stats.shapes as u64 + rejected);
-    assert_eq!(stats.hits + stats.misses, attempted);
+    let fresh_misses = fresh.plan_memo_stats().misses;
+    let queries: Vec<(Query, &str)> = log
+        .entries
+        .iter()
+        .chain(&clean.entries)
+        .filter_map(|e| match sqlog_sql::parse_statement(&e.statement) {
+            Ok(Statement::Select(q)) => Some((*q, e.statement.as_str())),
+            _ => None,
+        })
+        .collect();
+    let attempted = queries.len() as u64;
+    let mut texts = HashSet::new();
+    let mut rejected = 0u64;
+    for pass in 0..2 {
+        for (q, sql) in &queries {
+            let outcome = plan_outcome(&db, q);
+            assert_eq!(outcome, plan_outcome(&fresh, q), "pass {pass}: {sql:?}");
+            if outcome.starts_with("error: ") {
+                rejected += u64::from(pass == 0);
+            } else {
+                texts.insert(*sql);
+            }
+        }
+        let stats = db.plan_memo_stats();
+        assert!(
+            attempted - rejected > 10_000,
+            "{attempted} attempted, {rejected} rejected"
+        );
+        assert!(texts.len() > 4_000, "{} distinct texts", texts.len());
+        assert!(
+            (400..=600).contains(&stats.shapes),
+            "{} shapes prepared for {} texts",
+            stats.shapes,
+            texts.len()
+        );
+        // One miss per kept shape, prepared or refused, and none on the
+        // second pass.
+        assert!(stats.rejected > 0 && (stats.rejected as u64) < rejected);
+        assert_eq!(stats.misses, (stats.shapes + stats.rejected) as u64);
+        assert_eq!(stats.hits + stats.misses, (pass + 1) * attempted);
+    }
+    assert_eq!(fresh.plan_memo_stats().misses, fresh_misses + 2 * attempted);
 }

@@ -1,12 +1,13 @@
 //! Process memory accounting.
 //!
-//! The bounded-memory goal (ROADMAP item 2) needs a measurement side
-//! before it can have an enforcement side. On Linux the kernel already
-//! tracks exactly what we want in `/proc/self/status`: `VmRSS` (current
-//! resident set) and `VmHWM` (the high-water mark — peak RSS since the
-//! process started, maintained by the kernel with no sampling thread on
-//! our side). Elsewhere these return `None` and callers degrade to "not
-//! measured" rather than a misleading zero.
+//! The bounded-memory goal (ROADMAP, "Bounded memory by construction")
+//! needs a measurement side before it can have an enforcement side. On
+//! Linux the kernel already tracks exactly what we want in
+//! `/proc/self/status`: `VmRSS` (current resident set) and `VmHWM` (the
+//! high-water mark — peak RSS since the process started, maintained by the
+//! kernel with no sampling thread on our side). Elsewhere these return
+//! `None` and callers degrade to "not measured" rather than a misleading
+//! zero.
 
 /// Peak resident-set size of this process in bytes (`VmHWM`), or `None`
 /// where the measurement is unavailable (non-Linux, or an unreadable or
