@@ -137,20 +137,26 @@ pub fn fig2d(exp: &Experiment) -> Vec<CthPoint> {
         e.1.insert(users[entry_ids[0] as usize]);
         e.2 += u64::from(real);
     }
-    let mut points: Vec<CthPoint> = agg
-        .into_values()
-        .map(|(freq, users, real_votes)| CthPoint {
-            rank: 0,
-            frequency: freq,
-            user_popularity: users.len(),
-            real: real_votes * 2 > freq,
+    let mut points: Vec<_> = agg
+        .into_iter()
+        .map(|(identity, (freq, users, real_votes))| {
+            let point = CthPoint {
+                rank: 0,
+                frequency: freq,
+                user_popularity: users.len(),
+                real: real_votes * 2 > freq,
+            };
+            (identity, point)
         })
         .collect();
-    points.sort_by_key(|p| std::cmp::Reverse(p.frequency));
-    for (i, p) in points.iter_mut().enumerate() {
-        p.rank = i + 1;
-    }
+    // Equal frequencies rank by identity, as `MinedPatterns::ranked` ranks
+    // equal patterns by key, so the order does not follow the map's.
+    points.sort_by(|a, b| b.1.frequency.cmp(&a.1.frequency).then_with(|| a.0.cmp(b.0)));
     points
+        .into_iter()
+        .enumerate()
+        .map(|(i, (_, p))| CthPoint { rank: i + 1, ..p })
+        .collect()
 }
 
 /// Renders a rank series.
@@ -241,5 +247,8 @@ mod tests {
         for (i, p) in points.iter().enumerate() {
             assert_eq!(p.rank, i + 1);
         }
+        // Points that tie on frequency still rank the same on every call.
+        assert!(points.windows(2).any(|w| w[0].frequency == w[1].frequency));
+        assert_eq!(points, fig2d(&exp));
     }
 }

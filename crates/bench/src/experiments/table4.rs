@@ -5,8 +5,10 @@
 //! reproduce: almost all duplicates are caught at 1 s, and going to ∞ buys
 //! well under one additional percent.
 
-use sqlog_core::dedup;
+use sqlog_catalog::Catalog;
+use sqlog_core::{Pipeline, PipelineConfig};
 use sqlog_gen::{generate, GenConfig};
+use sqlog_log::LogView;
 
 /// One row of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,10 +41,16 @@ pub fn run(scale: usize, seed: u64) -> Table4 {
         ("10 sec", Some(10_000)),
         ("unrestricted", None),
     ];
+    let catalog = Catalog::new();
+    let view = LogView::identity(&log);
     let rows = thresholds
         .iter()
         .map(|(label, t)| {
-            let (clean, _) = dedup(&log, *t);
+            let config = PipelineConfig {
+                duplicate_threshold_ms: *t,
+                ..PipelineConfig::default()
+            };
+            let (clean, _) = Pipeline::new(&catalog).with_config(config).op_dedup(&view);
             Row {
                 threshold: (*label).to_string(),
                 size: clean.len(),

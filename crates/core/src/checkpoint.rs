@@ -1416,7 +1416,7 @@ mod tests {
     /// Thirty statements of three shapes, parsed without the parse cache
     /// (so every record owns its own shape `Arc`).
     fn parsed_fixture() -> (QueryLog, TemplateStore, ParsedLog) {
-        use crate::parse_step::{parse_view_traced, ParseOptions};
+        use crate::{parse_step::parse, PipelineConfig};
         let statements: Vec<String> = (0..30)
             .map(|i| match i % 3 {
                 0 => format!("SELECT a, b FROM t WHERE x = {i}"),
@@ -1431,18 +1431,13 @@ mod tests {
                 .map(|(i, s)| LogEntry::minimal(i as u64, s.as_str(), Timestamp(i as i64)))
                 .collect(),
         );
-        let options = ParseOptions {
-            cache: false,
-            ..ParseOptions::default()
+        let cfg = PipelineConfig {
+            parse_cache: false,
+            parallelism: 1,
+            ..PipelineConfig::default()
         };
         let store = TemplateStore::new();
-        let parsed = parse_view_traced(
-            &LogView::identity(&log),
-            &store,
-            &options,
-            1,
-            &Recorder::disabled(),
-        );
+        let parsed = parse(&LogView::identity(&log), &store, &cfg);
         (log, store, parsed)
     }
 

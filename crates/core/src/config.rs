@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Tunable parameters of the cleaning pipeline.
+/// Tunable parameters of the cleaning pipeline. Each stage takes the whole
+/// config and reads its own knobs, its thread count and its recorder here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Duplicate time threshold in milliseconds (§5.2, Table 4). `None`
@@ -55,11 +56,6 @@ pub struct PipelineConfig {
     /// byte-identical with the cache on or off; `--no-parse-cache`
     /// disables it for A/B runs.
     pub parse_cache: bool,
-    /// Enable batched solver rewrites: synthesize each template's rewrite
-    /// AST once and substitute literals per instance instead of re-parsing
-    /// every record. Output is byte-identical on or off;
-    /// `--no-solve-batching` disables it for A/B runs.
-    pub solve_batching: bool,
     /// Observability sink. [`sqlog_obs::Recorder::disabled`] (the default)
     /// reduces every instrumentation point to a branch-on-a-bool no-op;
     /// an enabled recorder collects per-stage/per-shard spans, counters
@@ -77,14 +73,6 @@ impl PipelineConfig {
             max_depth: self.max_parse_depth,
             max_statement_bytes: self.max_statement_bytes,
             max_tokens: self.max_parse_tokens,
-        }
-    }
-
-    /// The parse-stage knobs as a [`crate::parse_step::ParseOptions`].
-    pub fn parse_options(&self) -> crate::parse_step::ParseOptions {
-        crate::parse_step::ParseOptions {
-            limits: self.parse_limits(),
-            cache: self.parse_cache,
         }
     }
 }
@@ -105,7 +93,6 @@ impl Default for PipelineConfig {
             max_statement_bytes: sqlog_sql::ParseLimits::default().max_statement_bytes,
             max_parse_tokens: sqlog_sql::ParseLimits::default().max_tokens,
             parse_cache: true,
-            solve_batching: true,
             recorder: sqlog_obs::Recorder::disabled(),
         }
     }

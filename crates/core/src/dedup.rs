@@ -8,7 +8,7 @@
 //! `None` means "unrestricted" (Table 4's last row).
 //!
 //! Deduplication is keyed by `(user, statement fingerprint)`, so the log
-//! partitions cleanly by user: [`dedup_view_traced`] numbers the view's users
+//! partitions cleanly by user: the stage numbers the view's users
 //! by first appearance ([`LogView::dense_users`], read from the base log's
 //! one user table), shards the scan across contiguous user ranges (each
 //! shard walks every position and skips other users'), and merges the
@@ -17,9 +17,9 @@
 //! — an index vector over the input — so no [`LogEntry`](sqlog_log::LogEntry) (or its statement
 //! `String`) is ever cloned on this path.
 
+use crate::config::PipelineConfig;
 use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
-use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::Recorder;
+use sqlog_log::LogView;
 use sqlog_skeleton::{text_fingerprint, Fingerprint, FnvHashMap};
 
 /// Outcome statistics of duplicate removal.
@@ -98,29 +98,25 @@ fn scan_partition(
 /// new view over the same base log (no entry clones) plus statistics.
 ///
 /// An entry is a duplicate when the same user issued a textually identical
-/// statement at most `threshold_ms` earlier — where "earlier" compares
-/// against the most recent occurrence, kept *or* removed, so a burst of
-/// reloads collapses to its first statement. A large number of removals can
-/// indicate an application refactoring, which is why the count is reported
-/// (§5.2).
+/// statement at most [`PipelineConfig::duplicate_threshold_ms`] earlier —
+/// where "earlier" compares against the most recent occurrence, kept *or*
+/// removed, so a burst of reloads collapses to its first statement. A large
+/// number of removals can indicate an application refactoring, which is why
+/// the count is reported (§5.2).
 ///
-/// `threads == 0` uses one thread per available core; since users are
-/// independent under the `(user, fingerprint)` key, the scan shards by user
-/// and the merged result is identical for every thread count.
+/// Users are independent under the `(user, fingerprint)` key, so the scan
+/// shards by user over [`PipelineConfig::parallelism`] threads and the
+/// merged result is identical for every thread count.
 ///
 /// Observability: per-shard spans (`"dedup.shard"`, under the recorder's
 /// current span), a shard-latency histogram and outcome counters land in
-/// `rec`; pass [`Recorder::disabled`] for none. The deduplicated view
-/// and statistics do not depend on the recorder.
-pub fn dedup_view_traced<'a>(
-    view: &LogView<'a>,
-    threshold_ms: Option<u64>,
-    threads: usize,
-    rec: &Recorder,
-) -> (LogView<'a>, DedupStats) {
+/// the config's recorder. The deduplicated view and statistics do not
+/// depend on the recorder.
+pub(crate) fn dedup<'a>(view: &LogView<'a>, cfg: &PipelineConfig) -> (LogView<'a>, DedupStats) {
     debug_assert!(view.is_time_sorted(), "dedup requires a time-sorted log");
     let n = view.len();
-    let threads = resolve_threads(threads).min(n.max(1));
+    let threads = resolve_threads(cfg.parallelism).min(n.max(1));
+    let rec = &cfg.recorder;
 
     // Partition by user, numbered by first appearance in the view.
     let (uids, users) = view.dense_users(0..n);
@@ -146,7 +142,7 @@ pub fn dedup_view_traced<'a>(
                 view,
                 &uids,
                 r.start as u32..r.end as u32,
-                threshold_ms,
+                cfg.duplicate_threshold_ms,
                 shard,
             )
         },
@@ -170,24 +166,27 @@ pub fn dedup_view_traced<'a>(
     (view.select(kept), stats)
 }
 
-/// Removes duplicates, returning the pre-cleaned log and statistics.
-///
-/// Compatibility wrapper around [`dedup_view_traced`]: runs single-threaded,
-/// untraced, and materializes the surviving entries into an owned
-/// [`QueryLog`].
-pub fn dedup(log: &QueryLog, threshold_ms: Option<u64>) -> (QueryLog, DedupStats) {
-    let none = Recorder::disabled();
-    let (view, stats) = dedup_view_traced(&LogView::identity(log), threshold_ms, 1, &none);
-    (view.to_log(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlog_log::{LogEntry, Timestamp};
+    use sqlog_log::{LogEntry, QueryLog, Timestamp};
 
     fn entry(id: u64, ms: i64, user: &str, stmt: &str) -> LogEntry {
         LogEntry::minimal(id, stmt, Timestamp::from_millis(ms)).with_user(user)
+    }
+
+    fn cfg(duplicate_threshold_ms: Option<u64>, parallelism: usize) -> PipelineConfig {
+        PipelineConfig {
+            duplicate_threshold_ms,
+            parallelism,
+            ..PipelineConfig::default()
+        }
+    }
+
+    /// Survivor ids and statistics of a one-thread dedup of `log`.
+    fn dedup_ids(log: &QueryLog, threshold_ms: Option<u64>) -> (Vec<u64>, DedupStats) {
+        let (clean, stats) = dedup(&LogView::identity(log), &cfg(threshold_ms, 1));
+        (clean.iter().map(|e| e.id).collect(), stats)
     }
 
     #[test]
@@ -197,11 +196,9 @@ mod tests {
             entry(1, 500, "a", "SELECT 1"),
             entry(2, 5_000, "a", "SELECT 1"),
         ]);
-        let (clean, stats) = dedup(&log, Some(1_000));
+        let (clean, stats) = dedup_ids(&log, Some(1_000));
         assert_eq!(stats.removed, 1);
-        assert_eq!(clean.len(), 2);
-        let ids: Vec<_> = clean.entries.iter().map(|e| e.id).collect();
-        assert_eq!(ids, vec![0, 2]);
+        assert_eq!(clean, [0, 2]);
     }
 
     #[test]
@@ -212,7 +209,7 @@ mod tests {
             entry(1, 900, "a", "SELECT 1"),
             entry(2, 1_800, "a", "SELECT 1"),
         ]);
-        let (clean, stats) = dedup(&log, Some(1_000));
+        let (clean, stats) = dedup_ids(&log, Some(1_000));
         assert_eq!(stats.removed, 2);
         assert_eq!(clean.len(), 1);
     }
@@ -223,7 +220,7 @@ mod tests {
             entry(0, 0, "a", "SELECT 1"),
             entry(1, 100, "b", "SELECT 1"),
         ]);
-        let (_, stats) = dedup(&log, Some(1_000));
+        let (_, stats) = dedup_ids(&log, Some(1_000));
         assert_eq!(stats.removed, 0);
     }
 
@@ -236,7 +233,7 @@ mod tests {
         ]);
         let mut log = log;
         log.sort_by_time();
-        let (clean, stats) = dedup(&log, None);
+        let (clean, stats) = dedup_ids(&log, None);
         assert_eq!(stats.removed, 1);
         assert_eq!(clean.len(), 2);
     }
@@ -247,7 +244,7 @@ mod tests {
             entry(0, 0, "a", "SELECT objid FROM photoprimary WHERE x = 1"),
             entry(1, 300, "a", "select  OBJID\nfrom photoprimary where x = 1"),
         ]);
-        let (_, stats) = dedup(&log, Some(1_000));
+        let (_, stats) = dedup_ids(&log, Some(1_000));
         assert_eq!(stats.removed, 1);
     }
 
@@ -257,7 +254,7 @@ mod tests {
             entry(0, 0, "a", "SELECT a FROM t WHERE x = 1"),
             entry(1, 100, "a", "SELECT a FROM t WHERE x = 2"),
         ]);
-        let (_, stats) = dedup(&log, Some(1_000));
+        let (_, stats) = dedup_ids(&log, Some(1_000));
         assert_eq!(stats.removed, 0);
     }
 
@@ -273,11 +270,11 @@ mod tests {
         log.sort_by_time();
         let mut prev_removed = 0;
         for t in [0u64, 500, 1_000, 2_000, 5_000] {
-            let (_, stats) = dedup(&log, Some(t));
+            let (_, stats) = dedup_ids(&log, Some(t));
             assert!(stats.removed >= prev_removed, "threshold {t}");
             prev_removed = stats.removed;
         }
-        let (_, unrestricted) = dedup(&log, None);
+        let (_, unrestricted) = dedup_ids(&log, None);
         assert!(unrestricted.removed >= prev_removed);
     }
 
@@ -297,10 +294,9 @@ mod tests {
         let mut log = QueryLog::from_entries(entries);
         log.sort_by_time();
         let view = LogView::identity(&log);
-        let (seq, seq_stats) = dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled());
+        let (seq, seq_stats) = dedup(&view, &cfg(Some(1_000), 1));
         for threads in [2, 3, 8] {
-            let (par, par_stats) =
-                dedup_view_traced(&view, Some(1_000), threads, &Recorder::disabled());
+            let (par, par_stats) = dedup(&view, &cfg(Some(1_000), threads));
             assert_eq!(seq_stats, par_stats, "threads {threads}");
             let a: Vec<u64> = seq.iter().map(|e| e.id).collect();
             let b: Vec<u64> = par.iter().map(|e| e.id).collect();
@@ -345,8 +341,7 @@ mod tests {
         ];
         for (threshold, survivors) in expected {
             for threads in [1usize, 4] {
-                let (clean, stats) =
-                    dedup_view_traced(&view, threshold, threads, &Recorder::disabled());
+                let (clean, stats) = dedup(&view, &cfg(threshold, threads));
                 let ids: Vec<u64> = clean.iter().map(|e| e.id).collect();
                 assert_eq!(ids, survivors, "threshold {threshold:?} threads {threads}");
                 assert_eq!(stats.removed, 15 - survivors.len());
@@ -362,7 +357,7 @@ mod tests {
             entry(2, 5_000, "a", "SELECT 2"),
         ]);
         let view = LogView::identity(&log);
-        let (clean, stats) = dedup_view_traced(&view, Some(1_000), 1, &Recorder::disabled());
+        let (clean, stats) = dedup(&view, &cfg(Some(1_000), 1));
         assert_eq!(stats.removed, 1);
         assert_eq!(clean.len(), 2);
         // The surviving positions map back into the original log.

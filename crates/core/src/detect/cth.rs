@@ -111,11 +111,8 @@ impl Detector for CthDetector {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
-    use crate::store::TemplateStore;
-    use sqlog_catalog::skyserver_catalog;
-    use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
+    use crate::testkit::with_ctx;
+    use sqlog_log::{LogEntry, QueryLog, Timestamp};
 
     fn detect_at(rows: &[(&str, i64)]) -> Vec<AntipatternInstance> {
         let log = QueryLog::from_entries(
@@ -126,21 +123,11 @@ mod tests {
                 })
                 .collect(),
         );
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 600_000);
-        let catalog = skyserver_catalog();
-        let config = PipelineConfig::default();
-        let view = LogView::identity(&log);
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
+        let config = PipelineConfig {
+            session_gap_ms: 600_000,
+            ..PipelineConfig::default()
         };
-        CthDetector.detect(&ctx)
+        with_ctx(&log, &config, |ctx| CthDetector.detect(ctx))
     }
 
     #[test]

@@ -43,36 +43,12 @@ impl Detector for SncDetector {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
-    use crate::store::TemplateStore;
-    use sqlog_catalog::skyserver_catalog;
-    use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
+    use crate::testkit::{user_log, with_ctx};
 
     fn detect(rows: &[&str]) -> Vec<AntipatternInstance> {
-        let log = QueryLog::from_entries(
-            rows.iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    LogEntry::minimal(i as u64, *s, Timestamp::from_secs(i as i64)).with_user("u")
-                })
-                .collect(),
-        );
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
-        let catalog = skyserver_catalog();
-        let config = PipelineConfig::default();
-        let view = LogView::identity(&log);
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
-        };
-        SncDetector.detect(&ctx)
+        with_ctx(&user_log(rows), &PipelineConfig::default(), |ctx| {
+            SncDetector.detect(ctx)
+        })
     }
 
     #[test]

@@ -176,41 +176,19 @@ impl Detector for StifleDetector {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
-    use crate::store::TemplateStore;
-    use sqlog_catalog::skyserver_catalog;
-    use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
+    use crate::testkit::{user_log, with_ctx};
 
-    fn detect(rows: &[&str]) -> (Vec<AntipatternInstance>, TemplateStore) {
-        let log = QueryLog::from_entries(
-            rows.iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    LogEntry::minimal(i as u64, *s, Timestamp::from_secs(i as i64)).with_user("u")
-                })
-                .collect(),
-        );
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
-        let catalog = skyserver_catalog();
-        let config = PipelineConfig::default();
-        let view = LogView::identity(&log);
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
-        };
-        (StifleDetector.detect(&ctx), store)
+    fn detect_with(config: &PipelineConfig, rows: &[&str]) -> Vec<AntipatternInstance> {
+        with_ctx(&user_log(rows), config, |ctx| StifleDetector.detect(ctx))
+    }
+
+    fn detect(rows: &[&str]) -> Vec<AntipatternInstance> {
+        detect_with(&PipelineConfig::default(), rows)
     }
 
     #[test]
     fn detects_dw_run() {
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=1",
             "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=2",
             "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=3",
@@ -226,7 +204,7 @@ mod tests {
     #[test]
     fn detects_ds_alternation_as_one_instance() {
         // Paper Example 11 shape: same FROM+WHERE, different SELECT.
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT name FROM Employee WHERE empId=8",
             "SELECT address, phone FROM Employee WHERE empId=8",
         ]);
@@ -240,7 +218,7 @@ mod tests {
     #[test]
     fn detects_df_pair() {
         // Paper Example 13: same WHERE, different tables.
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT name FROM Employee WHERE empId = 8",
             "SELECT address FROM EmployeeInfo WHERE empId = 8",
         ]);
@@ -250,7 +228,7 @@ mod tests {
 
     #[test]
     fn constant_change_breaks_a_ds_run() {
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT rowc_r, colc_r FROM photoprimary WHERE objid=1",
             "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=1",
             "SELECT rowc_r, colc_r FROM photoprimary WHERE objid=2",
@@ -268,36 +246,17 @@ mod tests {
     fn without_the_key_axiom_non_key_filters_become_stifles() {
         // The paper's discussed ablation: dropping Def. 11's third axiom
         // admits false positives like repeated magnitude filters.
-        let log = QueryLog::from_entries(
-            [
-                "SELECT objid FROM photoprimary WHERE r = 14.2",
-                "SELECT objid FROM photoprimary WHERE r = 15.1",
-            ]
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                LogEntry::minimal(i as u64, *s, Timestamp::from_secs(i as i64)).with_user("u")
-            })
-            .collect(),
-        );
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
-        let catalog = skyserver_catalog();
         let config = PipelineConfig {
             require_key_attribute: false,
             ..PipelineConfig::default()
         };
-        let view = LogView::identity(&log);
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
-        };
-        let instances = StifleDetector.detect(&ctx);
+        let instances = detect_with(
+            &config,
+            &[
+                "SELECT objid FROM photoprimary WHERE r = 14.2",
+                "SELECT objid FROM photoprimary WHERE r = 15.1",
+            ],
+        );
         assert_eq!(instances.len(), 1);
         assert_eq!(instances[0].class, AntipatternClass::DwStifle);
     }
@@ -305,7 +264,7 @@ mod tests {
     #[test]
     fn non_key_filter_is_not_a_stifle() {
         // `r` is a magnitude, not a key (Def. 11's third axiom).
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT objid FROM photoprimary WHERE r = 14.2",
             "SELECT objid FROM photoprimary WHERE r = 15.1",
         ]);
@@ -314,7 +273,7 @@ mod tests {
 
     #[test]
     fn multi_predicate_queries_are_not_stifles() {
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT a FROM photoprimary WHERE objid = 1 AND run = 2",
             "SELECT a FROM photoprimary WHERE objid = 2 AND run = 2",
         ]);
@@ -323,7 +282,7 @@ mod tests {
 
     #[test]
     fn range_predicates_are_not_stifles() {
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT a FROM photoprimary WHERE objid > 1",
             "SELECT a FROM photoprimary WHERE objid > 2",
         ]);
@@ -333,7 +292,7 @@ mod tests {
     #[test]
     fn identical_repeats_are_not_dw() {
         // Same constant twice = duplicate territory, not DW.
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT a FROM photoprimary WHERE objid = 1",
             "SELECT a FROM photoprimary WHERE objid = 1",
         ]);
@@ -343,7 +302,7 @@ mod tests {
     #[test]
     fn class_switch_starts_a_new_instance() {
         // DW DW DW then DS pair on the last constant.
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=1",
             "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=2",
             "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=3",
@@ -358,7 +317,7 @@ mod tests {
 
     #[test]
     fn dw_marker_keys_cover_ngram_shapes() {
-        let (instances, _) = detect(&[
+        let instances = detect(&[
             "SELECT a FROM photoprimary WHERE objid = 1",
             "SELECT a FROM photoprimary WHERE objid = 2",
         ]);

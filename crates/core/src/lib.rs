@@ -63,18 +63,12 @@ pub use checkpoint::{
     Stage, CHECKPOINT_SCHEMA, MANIFEST_SCHEMA,
 };
 pub use config::PipelineConfig;
-pub use dedup::{dedup, dedup_view_traced, DedupStats};
+pub use dedup::DedupStats;
 pub use detect::{AntipatternClass, AntipatternInstance, DetectCtx, Detector};
 pub use ext::{ExtensionRegistry, Solver, SolverSet};
 pub use ingest::{ingest_file_traced, ingest_slice_traced};
-pub use mine::{
-    build_sessions, build_sessions_view_traced, mine_patterns, mine_patterns_traced, MinedPatterns,
-    PatternData, Session, Sessions,
-};
-pub use parse_step::{
-    parse_log, parse_view_traced, ParseCacheStats, ParseOptions, ParseStats, ParsedLog,
-    ParsedRecord, RecordShape,
-};
+pub use mine::{MinedPatterns, PatternData, Session, Sessions};
+pub use parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord, RecordShape};
 pub use pipeline::{DetectOutput, Pipeline, PipelineResult};
 pub use recommend::{evaluate_against_marks, RecommendationEval, Recommender};
 pub use report::{render_pattern_table, render_statistics, top_patterns, PatternRow};
@@ -84,3 +78,52 @@ pub use solve::{decide_solutions, splice_solutions, SolveDecisions, SolveOutcome
 pub use stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 pub use store::{TemplateId, TemplateStore};
 pub use sws::{classify_sws, sws_grid, union_windows, SwsResult, SwsThresholds};
+
+#[cfg(test)]
+mod testkit {
+    //! Fixtures shared by the unit tests: one-user logs, and a detection
+    //! context over a parsed log.
+
+    use crate::config::PipelineConfig;
+    use crate::detect::DetectCtx;
+    use crate::mine::build_sessions;
+    use crate::parse_step::parse;
+    use crate::store::TemplateStore;
+    use sqlog_catalog::skyserver_catalog;
+    use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
+
+    /// A log of `rows` from user `u`, one statement per second.
+    pub(crate) fn user_log(rows: &[&str]) -> QueryLog {
+        QueryLog::from_entries(
+            rows.iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    LogEntry::minimal(i as u64, *s, Timestamp::from_secs(i as i64)).with_user("u")
+                })
+                .collect(),
+        )
+    }
+
+    /// Parses all of `log` and splits it into sessions under `config`, then
+    /// calls `f` with a detection context over the result and the SkyServer
+    /// catalog.
+    pub(crate) fn with_ctx<R>(
+        log: &QueryLog,
+        config: &PipelineConfig,
+        f: impl FnOnce(&DetectCtx<'_>) -> R,
+    ) -> R {
+        let view = LogView::identity(log);
+        let store = TemplateStore::new();
+        let parsed = parse(&view, &store, config);
+        let sessions = build_sessions(&view, &parsed.records, config);
+        let catalog = skyserver_catalog();
+        f(&DetectCtx {
+            log: &view,
+            records: &parsed.records,
+            sessions: &sessions.sessions,
+            store: &store,
+            catalog: &catalog,
+            config,
+        })
+    }
+}

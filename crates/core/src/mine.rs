@@ -41,8 +41,7 @@ use crate::config::PipelineConfig;
 use crate::parse_step::ParsedRecord;
 use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
 use crate::store::TemplateId;
-use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::Recorder;
+use sqlog_log::LogView;
 use sqlog_skeleton::FnvHashMap;
 use std::collections::hash_map::Entry;
 
@@ -113,23 +112,24 @@ fn split_user_stream(
     }
 }
 
-/// Splits parsed records into per-user sessions.
+/// Splits parsed records into per-user sessions, starting a new one when
+/// a user's gap exceeds [`PipelineConfig::session_gap_ms`].
 ///
 /// Users are numbered by first appearance in record order
 /// ([`LogView::dense_users`]); sessions come out ordered by (user id,
-/// time). With `threads > 1` the gap-splitting shards across contiguous
-/// user ranges — the result is identical for every thread count.
+/// time). The gap-splitting shards across contiguous user ranges over
+/// [`PipelineConfig::parallelism`] threads — the result is identical for
+/// every thread count.
 ///
 /// Observability: per-shard spans (`"sessions.shard"`, under the
 /// recorder's current span), a shard-latency histogram and outcome counters
-/// land in `rec`; pass [`Recorder::disabled`] for none.
-pub fn build_sessions_view_traced(
+/// land in the config's recorder.
+pub(crate) fn build_sessions(
     view: &LogView<'_>,
     records: &[ParsedRecord],
-    gap_ms: u64,
-    threads: usize,
-    rec: &Recorder,
+    cfg: &PipelineConfig,
 ) -> Sessions {
+    let rec = &cfg.recorder;
     let (uids, users) = view.dense_users(records.iter().map(|r| r.entry_idx as usize));
     let names = &view.users().names;
     let user_names: Vec<String> = users.iter().map(|&t| names[t as usize].clone()).collect();
@@ -140,7 +140,7 @@ pub fn build_sessions_view_traced(
 
     let run = run_shards(
         plan_shards(
-            resolve_threads(threads),
+            resolve_threads(cfg.parallelism),
             streams.iter().map(|s| s.len() as u64),
         ),
         ShardTrace {
@@ -162,7 +162,7 @@ pub fn build_sessions_view_traced(
                     shard,
                     uid as u32,
                     &streams[uid],
-                    gap_ms,
+                    cfg.session_gap_ms,
                     &mut out,
                 );
             }
@@ -184,15 +184,6 @@ pub fn build_sessions_view_traced(
         poison: run.poison,
         degraded_shards: run.degraded,
     }
-}
-
-/// Splits parsed records into per-user sessions.
-///
-/// Compatibility wrapper around [`build_sessions_view_traced`]
-/// (single-threaded, untraced) for owned logs.
-pub fn build_sessions(log: &QueryLog, records: &[ParsedRecord], gap_ms: u64) -> Sessions {
-    let view = LogView::identity(log);
-    build_sessions_view_traced(&view, records, gap_ms, 1, &Recorder::disabled())
 }
 
 /// Statistics of one mined pattern.
@@ -413,17 +404,8 @@ fn merge_counters(counters: Vec<PatternCounter>) -> MinedPatterns {
     }
 }
 
-/// Mines patterns from the sessions (single-threaded, untraced).
-pub fn mine_patterns(
-    sessions: &Sessions,
-    records: &[ParsedRecord],
-    cfg: &PipelineConfig,
-) -> MinedPatterns {
-    mine_patterns_traced(sessions, records, cfg, 1, &Recorder::disabled())
-}
-
-/// Mines patterns from the sessions on up to `threads` threads
-/// (`0` = one per available core).
+/// Mines patterns from the sessions on [`PipelineConfig::parallelism`]
+/// threads, counting n-grams up to [`PipelineConfig::max_ngram`].
 ///
 /// Sessions are user-partitioned and patterns never cross session
 /// boundaries, so sharding the session list yields exactly the sequential
@@ -431,18 +413,17 @@ pub fn mine_patterns(
 ///
 /// Observability: per-shard spans (`"mine.shard"`, under the recorder's
 /// current span), a shard-latency histogram, a session-size histogram and
-/// outcome counters land in `rec`; pass [`Recorder::disabled`] for none.
-pub fn mine_patterns_traced(
+/// outcome counters land in the config's recorder.
+pub(crate) fn mine_patterns(
     sessions: &Sessions,
     records: &[ParsedRecord],
     cfg: &PipelineConfig,
-    threads: usize,
-    rec: &Recorder,
 ) -> MinedPatterns {
+    let rec = &cfg.recorder;
     let all = &sessions.sessions;
     let run = run_shards(
         plan_shards(
-            resolve_threads(threads),
+            resolve_threads(cfg.parallelism),
             all.iter().map(|s| s.records.len() as u64),
         ),
         ShardTrace {
@@ -485,9 +466,22 @@ pub fn mine_patterns_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_step::parse_log;
+    use crate::parse_step::parse;
     use crate::store::TemplateStore;
     use sqlog_log::{LogEntry, QueryLog, Timestamp};
+
+    fn cfg(session_gap_ms: u64, parallelism: usize) -> PipelineConfig {
+        PipelineConfig {
+            session_gap_ms,
+            parallelism,
+            ..PipelineConfig::default()
+        }
+    }
+
+    /// One-thread sessions of all of `log` at a `gap_ms` session gap.
+    fn sessions_of(log: &QueryLog, records: &[ParsedRecord], gap_ms: u64) -> Sessions {
+        build_sessions(&LogView::identity(log), records, &cfg(gap_ms, 1))
+    }
 
     fn log_of(rows: &[(&str, i64, &str)]) -> (QueryLog, Vec<ParsedRecord>, TemplateStore) {
         let log = QueryLog::from_entries(
@@ -499,7 +493,7 @@ mod tests {
                 .collect(),
         );
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
+        let parsed = parse(&LogView::identity(&log), &store, &PipelineConfig::default());
         (log, parsed.records, store)
     }
 
@@ -512,11 +506,11 @@ mod tests {
             ("SELECT a FROM t WHERE x = 4", 12, "u2"),
         ]);
         // With a 20 000 s gap allowance only the user switch splits.
-        let s = build_sessions(&log, &records, 20_000_000);
+        let s = sessions_of(&log, &records, 20_000_000);
         assert_eq!(s.sessions.len(), 2);
         // With a 60 s allowance the 9 990 s pause splits u1's stream too
         // (but the 10 s gap does not).
-        let s = build_sessions(&log, &records, 60_000);
+        let s = sessions_of(&log, &records, 60_000);
         assert_eq!(s.sessions.len(), 3);
         assert_eq!(s.user_names.len(), 2);
     }
@@ -532,7 +526,7 @@ mod tests {
             ("SELECT a FROM t WHERE x = 3", 3, "b"),
         ]);
         assert_eq!(LogView::identity(&log).users().names, ["a", "b"]);
-        let s = build_sessions(&log, &records, 300_000);
+        let s = sessions_of(&log, &records, 300_000);
         assert_eq!(s.user_names, ["b", "a"]);
         let users: Vec<(u32, Vec<usize>)> = s
             .sessions
@@ -560,13 +554,11 @@ mod tests {
             .collect();
         let (mut log, _, _) = log_of(&refs);
         log.sort_by_time();
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
         let view = LogView::identity(&log);
-        let none = Recorder::disabled();
-        let seq = build_sessions_view_traced(&view, &parsed.records, 60_000, 1, &none);
+        let parsed = parse(&view, &TemplateStore::new(), &PipelineConfig::default());
+        let seq = build_sessions(&view, &parsed.records, &cfg(60_000, 1));
         for threads in [2, 3, 8] {
-            let par = build_sessions_view_traced(&view, &parsed.records, 60_000, threads, &none);
+            let par = build_sessions(&view, &parsed.records, &cfg(60_000, threads));
             assert_eq!(seq.sessions, par.sessions, "threads {threads}");
             assert_eq!(seq.user_names, par.user_names, "threads {threads}");
         }
@@ -579,7 +571,7 @@ mod tests {
             ("SELECT a FROM t WHERE x = 2", 1, "u1"),
             ("SELECT a FROM t WHERE x = 3", 2, "u2"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
+        let sessions = sessions_of(&log, &records, 300_000);
         let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
         let t = records[0].template;
         let d = &mined.patterns[&vec![t]];
@@ -597,7 +589,7 @@ mod tests {
             ("SELECT a FROM t WHERE x = 3", 2, "u1"),
             ("SELECT a FROM t WHERE x = 4", 3, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
+        let sessions = sessions_of(&log, &records, 300_000);
         let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
         let t = records[0].template;
         assert_eq!(mined.patterns[&vec![t, t]].frequency, 2);
@@ -613,7 +605,7 @@ mod tests {
             ("SELECT a FROM t WHERE x = 2", 2, "u1"),
             ("SELECT b FROM t WHERE x = 2", 3, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
+        let sessions = sessions_of(&log, &records, 300_000);
         let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
         let (a, b) = (records[0].template, records[1].template);
         assert_eq!(mined.patterns[&vec![a, b]].frequency, 2);
@@ -626,7 +618,7 @@ mod tests {
             ("SELECT a FROM t WHERE x = 1", 0, "u1"),
             ("SELECT b FROM t WHERE x = 1", 1_000_000, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
+        let sessions = sessions_of(&log, &records, 300_000);
         let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
         let (a, b) = (records[0].template, records[1].template);
         assert!(!mined.patterns.contains_key(&vec![a, b]));
@@ -639,7 +631,7 @@ mod tests {
             ("SELECT a FROM t WHERE x = 2", 1, "u1"),
             ("SELECT c FROM t WHERE x = 1", 2, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
+        let sessions = sessions_of(&log, &records, 300_000);
         let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
         let ranked = mined.ranked(1);
         assert!(ranked[0].1.frequency >= ranked.last().unwrap().1.frequency);
@@ -667,14 +659,12 @@ mod tests {
             .collect();
         let (mut log, _, _) = log_of(&refs);
         log.sort_by_time();
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 60_000);
-        let cfg = PipelineConfig::default();
-        let none = Recorder::disabled();
-        let seq = mine_patterns(&sessions, &parsed.records, &cfg);
+        let view = LogView::identity(&log);
+        let parsed = parse(&view, &TemplateStore::new(), &PipelineConfig::default());
+        let sessions = sessions_of(&log, &parsed.records, 60_000);
+        let seq = mine_patterns(&sessions, &parsed.records, &cfg(60_000, 1));
         for threads in [2, 3, 8] {
-            let par = mine_patterns_traced(&sessions, &parsed.records, &cfg, threads, &none);
+            let par = mine_patterns(&sessions, &parsed.records, &cfg(60_000, threads));
             assert_eq!(seq.total_queries, par.total_queries, "threads {threads}");
             assert_eq!(seq.patterns, par.patterns, "threads {threads}");
         }

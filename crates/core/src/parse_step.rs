@@ -19,12 +19,12 @@
 //! construction, so the ids (which flow into pattern keys, marks, and
 //! instance identities) are identical for every thread count.
 
+use crate::config::PipelineConfig;
 use crate::parse_cache::{ShapeCache, CROSSCHECK_BUDGET};
 use crate::shard::{resolve_threads, run_shards, ShardTrace};
 use crate::store::{TemplateId, TemplateStore};
 use serde::{Deserialize, Serialize};
-use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::Recorder;
+use sqlog_log::LogView;
 use sqlog_skeleton::{primary_table, FnvHashSet, OutputColumns, PredicateProfile, QueryTemplate};
 use sqlog_sql::{parse_statements_with, ParseLimits, Statement, StatementKind};
 use std::collections::HashMap;
@@ -133,24 +133,6 @@ impl ParseCacheStats {
     }
 }
 
-/// Knobs of the parse stage beyond the resource limits.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseOptions {
-    /// Parser resource guards.
-    pub limits: ParseLimits,
-    /// Enable the template-aware parse cache.
-    pub cache: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            limits: ParseLimits::default(),
-            cache: true,
-        }
-    }
-}
-
 /// The parsed log: records (in log order) plus statistics.
 #[derive(Debug)]
 pub struct ParsedLog {
@@ -204,31 +186,28 @@ pub(crate) fn parse_one(
 }
 
 /// Parses a log view into records, interning templates in `store`, under
-/// `options` (parser resource limits, the parse cache).
+/// the config's parser resource limits ([`PipelineConfig::parse_limits`])
+/// and parse cache ([`PipelineConfig::parse_cache`]).
 ///
-/// `threads == 0` uses one thread per available core. Records, statistics,
-/// and template ids are identical for every thread count (new ids follow
-/// first appearance in record order; templates already in `store` keep
-/// theirs), and identical whether or not the parse cache is enabled.
-/// Shards that panic (a poison statement crashing the parser) are re-run
-/// per-record: the poison statement alone is counted and dropped, every
-/// other statement of the shard parses normally.
+/// Records are chunked over [`PipelineConfig::parallelism`] threads.
+/// Records, statistics, and template ids are identical for every thread
+/// count (new ids follow first appearance in record order; templates
+/// already in `store` keep theirs), and identical whether or not the parse
+/// cache is enabled. Shards that panic (a poison statement crashing the
+/// parser) are re-run per-record: the poison statement alone is counted and
+/// dropped, every other statement of the shard parses normally.
 ///
 /// Observability: per-shard spans (`"parse.shard"`, under the recorder's
 /// current span), a shard-latency histogram and outcome counters — including
 /// template-interner effectiveness (`parse.templates_interned` vs
 /// `parse.template_cache_hits`) and parse-cache effectiveness
 /// (`parse.cache_hits` / `parse.cache_misses` / `parse.cache_fallbacks`) —
-/// land in `rec`; pass [`Recorder::disabled`] for none.
-pub fn parse_view_traced(
-    view: &LogView<'_>,
-    store: &TemplateStore,
-    options: &ParseOptions,
-    threads: usize,
-    rec: &Recorder,
-) -> ParsedLog {
+/// land in the config's recorder.
+pub(crate) fn parse(view: &LogView<'_>, store: &TemplateStore, cfg: &PipelineConfig) -> ParsedLog {
     let n = view.len();
-    let threads = resolve_threads(threads).min(n.max(1));
+    let threads = resolve_threads(cfg.parallelism).min(n.max(1));
+    let rec = &cfg.recorder;
+    let limits = cfg.parse_limits();
     let preexisting = store.len();
 
     // Equal record chunks (not weight-balanced): the parse-cache counters
@@ -255,13 +234,13 @@ pub fn parse_view_traced(
             // a panic mid-record at worst wastes an entry — never corrupts
             // one; the join interns only templates that records use.
             let local = TemplateStore::new();
-            let mut cache = options.cache.then(ShapeCache::default);
+            let mut cache = cfg.parse_cache.then(ShapeCache::default);
             let mut outcomes = Vec::with_capacity(r.len());
             for i in r {
                 let sql = &view.entry(i).statement;
                 outcomes.extend(shard.item(|| {
                     shard.trip(sql);
-                    parse_one_maybe_cached(cache.as_mut(), &local, options, view, i as u32, sql)
+                    parse_one_maybe_cached(cache.as_mut(), &local, &limits, view, i as u32, sql)
                 }));
             }
             if rec.is_enabled() {
@@ -282,7 +261,7 @@ pub fn parse_view_traced(
         ..ParseStats::default()
     };
     let mut cache_stats = ParseCacheStats {
-        enabled: options.cache,
+        enabled: cfg.parse_cache,
         ..ParseCacheStats::default()
     };
     let mut records = Vec::with_capacity(n);
@@ -372,21 +351,16 @@ fn records_heap_bytes(records: &[ParsedRecord]) -> usize {
 fn parse_one_maybe_cached(
     cache: Option<&mut ShapeCache>,
     store: &TemplateStore,
-    options: &ParseOptions,
+    limits: &ParseLimits,
     view: &LogView<'_>,
     entry_idx: u32,
     sql: &str,
 ) -> Outcome {
     match cache {
-        Some(c) => c.parse_one_cached(
-            store,
-            &options.limits,
-            CROSSCHECK_BUDGET,
-            entry_idx,
-            sql,
-            &|i| view.entry(i as usize).statement.as_str(),
-        ),
-        None => parse_one(store, &options.limits, entry_idx, sql),
+        Some(c) => c.parse_one_cached(store, limits, CROSSCHECK_BUDGET, entry_idx, sql, &|i| {
+            view.entry(i as usize).statement.as_str()
+        }),
+        None => parse_one(store, limits, entry_idx, sql),
     }
 }
 
@@ -401,22 +375,20 @@ fn tally(cache: ShapeCache) -> ParseCacheStats {
     }
 }
 
-/// Parses a pre-cleaned log into records, interning templates in `store`.
-///
-/// Compatibility wrapper around [`parse_view_traced`] for owned logs:
-/// default [`ParseOptions`], untraced. `threads == 0` uses one thread per
-/// available core.
-pub fn parse_log(log: &QueryLog, store: &TemplateStore, threads: usize) -> ParsedLog {
-    let view = LogView::identity(log);
-    let none = Recorder::disabled();
-    parse_view_traced(&view, store, &ParseOptions::default(), threads, &none)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlog_log::{LogEntry, Timestamp};
+    use sqlog_log::{LogEntry, QueryLog, Timestamp};
     use sqlog_skeleton::Fingerprint;
+
+    /// Parses all of `log` into `store` on `threads` threads.
+    fn parse_at(log: &QueryLog, store: &TemplateStore, threads: usize) -> ParsedLog {
+        let cfg = PipelineConfig {
+            parallelism: threads,
+            ..PipelineConfig::default()
+        };
+        parse(&LogView::identity(log), store, &cfg)
+    }
 
     fn log(statements: &[&str]) -> QueryLog {
         QueryLog::from_entries(
@@ -440,7 +412,7 @@ mod tests {
             "SELECT a FROM t WHERE x = 2",
         ]);
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
+        let parsed = parse_at(&log, &store, 1);
         assert_eq!(parsed.stats.total, 5);
         assert_eq!(parsed.stats.selects, 2);
         assert_eq!(parsed.stats.errors, 1);
@@ -462,10 +434,10 @@ mod tests {
         let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
         let log = log(&refs);
         let store1 = TemplateStore::new();
-        let seq = parse_log(&log, &store1, 1);
+        let seq = parse_at(&log, &store1, 1);
         for threads in [2, 3, 8] {
             let store2 = TemplateStore::new();
-            let par = parse_log(&log, &store2, threads);
+            let par = parse_at(&log, &store2, threads);
             assert_eq!(seq.stats, par.stats);
             // Interning at the join makes the ids — not just the
             // fingerprints — identical across thread counts.
@@ -492,19 +464,19 @@ mod tests {
         let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
         let log = log(&refs);
         let view = LogView::identity(&log);
-        let parse = |cache: bool, threads: usize| {
-            let options = ParseOptions {
-                cache,
-                ..ParseOptions::default()
+        let run = |parse_cache: bool, parallelism: usize| {
+            let cfg = PipelineConfig {
+                parse_cache,
+                parallelism,
+                ..PipelineConfig::default()
             };
-            let store = TemplateStore::new();
-            parse_view_traced(&view, &store, &options, threads, &Recorder::disabled())
+            parse(&view, &TemplateStore::new(), &cfg)
         };
-        let reference = parse(false, 1);
+        let reference = run(false, 1);
         assert_eq!(reference.records.len(), 300);
         for threads in [1, 4] {
             for cache in [false, true] {
-                let parsed = parse(cache, threads);
+                let parsed = run(cache, threads);
                 assert_eq!(
                     parsed.records, reference.records,
                     "cache {cache}, threads {threads}"
@@ -513,7 +485,7 @@ mod tests {
         }
         // One worker, cache on: the three shapes are three `Arc`s, each
         // held by every record of its shape.
-        let parsed = parse(true, 1);
+        let parsed = run(true, 1);
         let ptrs: FnvHashSet<*const RecordShape> = parsed
             .records
             .iter()
@@ -537,7 +509,7 @@ mod tests {
         let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
         let log = log(&refs);
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 8);
+        let parsed = parse_at(&log, &store, 8);
         let mut seen_max = 0u32;
         for rec in &parsed.records {
             assert!(
@@ -566,12 +538,12 @@ mod tests {
             .map(|v| log(&v.iter().map(String::as_str).collect::<Vec<_>>()));
         for threads in [1, 2, 8] {
             let store = TemplateStore::new();
-            let a = parse_log(&log_a, &store, threads);
+            let a = parse_at(&log_a, &store, threads);
             let a_ids: Vec<TemplateId> = a.records.iter().map(|r| r.template).collect();
             let a_fps: Vec<Fingerprint> = (0..4)
                 .map(|i| store.with(TemplateId(i), |t| t.fingerprint))
                 .collect();
-            let b = parse_log(&log_b, &store, threads);
+            let b = parse_at(&log_b, &store, threads);
             assert_eq!(store.len(), 7, "threads {threads}");
             // A's ids keep their numbers and their templates.
             for (i, fp) in a_fps.iter().enumerate() {
@@ -579,7 +551,7 @@ mod tests {
             }
             assert_eq!(
                 a_ids,
-                parse_log(&log_a, &store, threads)
+                parse_at(&log_a, &store, threads)
                     .records
                     .iter()
                     .map(|r| r.template)
@@ -602,7 +574,7 @@ mod tests {
     fn batch_rows_use_first_select() {
         let log = log(&["INSERT INTO t VALUES (1); SELECT a FROM t WHERE x = 1"]);
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
+        let parsed = parse_at(&log, &store, 1);
         assert_eq!(parsed.stats.selects, 1);
         assert_eq!(parsed.records[0].shape.primary_table.as_deref(), Some("t"));
     }
@@ -610,7 +582,7 @@ mod tests {
     #[test]
     fn empty_log_is_fine() {
         let store = TemplateStore::new();
-        let parsed = parse_log(&QueryLog::new(), &store, 4);
+        let parsed = parse_at(&QueryLog::new(), &store, 4);
         assert_eq!(parsed.stats.total, 0);
         assert!(parsed.records.is_empty());
     }

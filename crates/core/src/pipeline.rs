@@ -24,15 +24,15 @@ use crate::checkpoint::{
     self, config_fingerprint, CheckpointOptions, CheckpointOutcome, Dec, Enc, RunDir, Stage,
 };
 use crate::config::PipelineConfig;
-use crate::dedup::{dedup_view_traced, DedupStats};
+use crate::dedup::{dedup, DedupStats};
 use crate::detect::{
     detect_builtin, sort_instances, AntipatternClass, AntipatternInstance, DetectCtx,
 };
 use crate::ext::ExtensionRegistry;
 use crate::fault;
 use crate::ingest::ingest_slice_traced;
-use crate::mine::{build_sessions_view_traced, mine_patterns_traced, MinedPatterns, Sessions};
-use crate::parse_step::{parse_view_traced, ParsedLog, ParsedRecord};
+use crate::mine::{build_sessions, mine_patterns, MinedPatterns, Sessions};
+use crate::parse_step::{parse, ParsedLog, ParsedRecord};
 use crate::shard::{plan_shards, resolve_threads, run_shards, ShardCtx, ShardTrace};
 use crate::solve::{decide_solutions, splice_solutions, SolveDecisions, SolveOutcome};
 use crate::stats::{ClassCounts, RunHealth, StageTimings, Statistics};
@@ -382,13 +382,7 @@ impl<'a> Pipeline<'a> {
 
     /// Stage operator 1: delete duplicates (§5.2), sharded by user.
     pub fn op_dedup<'l>(&self, input: &LogView<'l>) -> (LogView<'l>, DedupStats) {
-        let rec = &self.config.recorder;
-        dedup_view_traced(
-            input,
-            self.config.duplicate_threshold_ms,
-            resolve_threads(self.config.parallelism),
-            rec,
-        )
+        dedup(input, &self.config)
     }
 
     /// Stage operator 2: parse statements (§5.3); template ids follow
@@ -396,38 +390,17 @@ impl<'a> Pipeline<'a> {
     /// The configured resource guards bound what the parser will attempt
     /// per statement. `store` must be empty (a fresh store per run).
     pub fn op_parse(&self, pre_clean: &LogView<'_>, store: &TemplateStore) -> ParsedLog {
-        let rec = &self.config.recorder;
-        parse_view_traced(
-            pre_clean,
-            store,
-            &self.config.parse_options(),
-            resolve_threads(self.config.parallelism),
-            rec,
-        )
+        parse(pre_clean, store, &self.config)
     }
 
     /// Stage operator 3a: per-user sessions (§4.1, Def. 7).
     pub fn op_sessions(&self, pre_clean: &LogView<'_>, records: &[ParsedRecord]) -> Sessions {
-        let rec = &self.config.recorder;
-        build_sessions_view_traced(
-            pre_clean,
-            records,
-            self.config.session_gap_ms,
-            resolve_threads(self.config.parallelism),
-            rec,
-        )
+        build_sessions(pre_clean, records, &self.config)
     }
 
     /// Stage operator 3b: pattern mining (Defs. 8–10).
     pub fn op_mine(&self, sessions: &Sessions, records: &[ParsedRecord]) -> MinedPatterns {
-        let rec = &self.config.recorder;
-        mine_patterns_traced(
-            sessions,
-            records,
-            &self.config,
-            resolve_threads(self.config.parallelism),
-            rec,
-        )
+        mine_patterns(sessions, records, &self.config)
     }
 
     /// Stage operator 4: antipattern detection (Defs. 11–16 + extensions),

@@ -128,23 +128,17 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
+    use crate::parse_step::parse;
     use crate::store::TemplateStore;
-    use sqlog_log::{LogEntry, QueryLog, Timestamp};
+    use crate::testkit::user_log;
+    use sqlog_log::LogView;
 
     fn setup(rows: &[&str]) -> (Recommender, Vec<TemplateId>) {
-        let log = QueryLog::from_entries(
-            rows.iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    LogEntry::minimal(i as u64, *s, Timestamp::from_secs(i as i64)).with_user("u")
-                })
-                .collect(),
-        );
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
+        let log = user_log(rows);
+        let view = LogView::identity(&log);
         let cfg = PipelineConfig::default();
-        let sessions = build_sessions(&log, &parsed.records, cfg.session_gap_ms);
+        let parsed = parse(&view, &TemplateStore::new(), &cfg);
+        let sessions = build_sessions(&view, &parsed.records, &cfg);
         let templates = parsed.records.iter().map(|r| r.template).collect();
         (Recommender::train(&sessions, &parsed.records), templates)
     }

@@ -450,46 +450,26 @@ mod tests {
     use crate::config::PipelineConfig;
     use crate::detect::detect_builtin;
     use crate::ext::SolverSet;
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
+    use crate::parse_step::parse;
     use crate::store::TemplateStore;
+    use crate::testkit::{user_log, with_ctx};
     use sqlog_catalog::skyserver_catalog;
     use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
     use sqlog_obs::Recorder;
 
     fn run(rows: &[&str]) -> SolveOutcome {
-        let log = QueryLog::from_entries(
-            rows.iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    LogEntry::minimal(i as u64, *s, Timestamp::from_secs(i as i64)).with_user("u")
-                })
-                .collect(),
-        );
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
-        let catalog = skyserver_catalog();
-        let config = PipelineConfig::default();
-        let view = LogView::identity(&log);
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
-        };
-        let instances = detect_builtin(&ctx);
-        let (decisions, _) = decide_solutions(&ctx, &instances, &SolverSet::builtin());
-        splice_solutions(
-            &view,
-            &parsed.records,
-            &instances,
-            &decisions,
-            1,
-            &config.recorder,
-        )
+        with_ctx(&user_log(rows), &PipelineConfig::default(), |ctx| {
+            let instances = detect_builtin(ctx);
+            let (decisions, _) = decide_solutions(ctx, &instances, &SolverSet::builtin());
+            splice_solutions(
+                ctx.log,
+                ctx.records,
+                &instances,
+                &decisions,
+                1,
+                &ctx.config.recorder,
+            )
+        })
     }
 
     /// A parsed log of `SELECT a FROM t WHERE x = <i>` statements, one per
@@ -514,7 +494,8 @@ mod tests {
                     .collect(),
             );
             let store = TemplateStore::new();
-            let records = parse_log(&log, &store, 1).records;
+            let records =
+                parse(&LogView::identity(&log), &store, &PipelineConfig::default()).records;
             assert_eq!(records.len(), times.len());
             Fixture {
                 log,

@@ -63,34 +63,15 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::detect::snc::SncDetector;
-    use crate::detect::{DetectCtx, Detector};
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
-    use crate::store::TemplateStore;
-    use sqlog_catalog::skyserver_catalog;
-    use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
+    use crate::detect::Detector;
+    use crate::testkit::{user_log, with_ctx};
 
     fn solve(sql: &str) -> String {
-        let log = QueryLog::from_entries(vec![
-            LogEntry::minimal(0, sql, Timestamp::from_secs(0)).with_user("u")
-        ]);
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
-        let catalog = skyserver_catalog();
-        let config = PipelineConfig::default();
-        let view = LogView::identity(&log);
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
-        };
-        let instances = SncDetector.detect(&ctx);
-        assert_eq!(instances.len(), 1, "expected one SNC in {sql:?}");
-        SncSolver.solve(&instances[0], &ctx).unwrap().remove(0)
+        with_ctx(&user_log(&[sql]), &PipelineConfig::default(), |ctx| {
+            let instances = SncDetector.detect(ctx);
+            assert_eq!(instances.len(), 1, "expected one SNC in {sql:?}");
+            SncSolver.solve(&instances[0], ctx).unwrap().remove(0)
+        })
     }
 
     #[test]

@@ -185,7 +185,8 @@ mod tests {
         // The parse join interns every template into the run's store; a
         // lock poisoned by an earlier panic must not change what a
         // cache-enabled parse produces.
-        use crate::parse_step::{parse_view_traced, ParseOptions};
+        use crate::config::PipelineConfig;
+        use crate::parse_step::parse;
         use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
 
         let log = QueryLog::from_entries(
@@ -201,21 +202,29 @@ mod tests {
                 .collect(),
         );
         let view = LogView::identity(&log);
-        let options = ParseOptions {
-            cache: true,
-            ..ParseOptions::default()
+        let cfg = PipelineConfig {
+            parse_cache: true,
+            parallelism: 2,
+            ..PipelineConfig::default()
         };
 
         // Reference: a healthy store.
         let healthy = TemplateStore::new();
-        let expected = parse_view_traced(&view, &healthy, &options, 2, &Recorder::disabled());
+        let expected = parse(&view, &healthy, &cfg);
 
         // Poison the lock, then parse with the cache enabled.
         let rec = Recorder::new();
         let store = TemplateStore::with_recorder(rec.clone());
         poison(&store);
 
-        let got = parse_view_traced(&view, &store, &options, 2, &rec);
+        let got = parse(
+            &view,
+            &store,
+            &PipelineConfig {
+                recorder: rec.clone(),
+                ..cfg
+            },
+        );
         assert!(got.cache.enabled, "cache must be on for this test");
         assert!(
             got.cache.hits > 0,

@@ -9,6 +9,7 @@
 //! hostile corpus whose quarantined lines straddle segment boundaries.
 
 use sqlog_catalog::skyserver_catalog;
+use sqlog_core::solve::batch::{parse_select, QueryCache};
 use sqlog_core::{ingest_slice_traced, Pipeline, PipelineConfig};
 use sqlog_gen::{generate, GenConfig};
 use sqlog_log::{read_log_with, write_log, IngestPolicy, QueryLog};
@@ -123,35 +124,41 @@ fn pipeline_outputs_from_segmented_ingest_are_byte_identical() {
 }
 
 #[test]
-fn solve_batching_is_invisible_in_the_output() {
-    // Batched solving is a pure optimization: toggling it must not change
-    // any pipeline output, at any thread count.
+fn solve_cache_is_invisible_in_the_output() {
+    // The Stifle solver parses through a shape-keyed `QueryCache`: every
+    // statement must come out of one shared cache exactly as a direct
+    // parse, and the pipeline output must not depend on the thread count.
     let log = generate(&GenConfig::with_scale(4_000, 4242));
+    let cache = QueryCache::default();
+    let none = Recorder::disabled();
+    for e in &log.entries {
+        assert_eq!(
+            cache.query(&e.statement, &none),
+            parse_select(&e.statement),
+            "entry {}: {}",
+            e.id,
+            e.statement
+        );
+    }
     let catalog = skyserver_catalog();
-    let run = |batching: bool, threads: usize| {
+    let run = |threads: usize| {
         let cfg = PipelineConfig {
             parallelism: threads,
-            solve_batching: batching,
             ..PipelineConfig::default()
         };
         Pipeline::new(&catalog).with_config(cfg).run(&log)
     };
-    let reference = run(false, 1);
-    for threads in [1usize, 8] {
-        for batching in [false, true] {
-            let result = run(batching, threads);
-            let label = format!("threads={threads}, batching={batching}");
-            assert_eq!(
-                result.stats.with_zeroed_timings(),
-                reference.stats.with_zeroed_timings(),
-                "stats differ: {label}"
-            );
-            assert_eq!(result.clean_log, reference.clean_log, "clean: {label}");
-            assert_eq!(
-                result.removal_log, reference.removal_log,
-                "removal: {label}"
-            );
-            assert_eq!(result.instances, reference.instances, "instances: {label}");
-        }
-    }
+    let reference = run(1);
+    let result = run(8);
+    assert_eq!(
+        result.stats.with_zeroed_timings(),
+        reference.stats.with_zeroed_timings(),
+        "stats differ"
+    );
+    assert_eq!(result.clean_log, reference.clean_log, "clean log differs");
+    assert_eq!(
+        result.removal_log, reference.removal_log,
+        "removal log differs"
+    );
+    assert_eq!(result.instances, reference.instances, "instances differ");
 }

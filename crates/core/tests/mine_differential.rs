@@ -12,12 +12,12 @@
 //! variables, so every leg lives in one test function.
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use sqlog_catalog::Catalog;
 use sqlog_core::{
-    balance_chunks, build_sessions, mine_patterns_traced, parse_log, MinedPatterns, ParsedRecord,
-    PipelineConfig, Session, Sessions, TemplateId, TemplateStore,
+    balance_chunks, MinedPatterns, ParsedRecord, Pipeline, PipelineConfig, Session, Sessions,
+    TemplateId, TemplateStore,
 };
-use sqlog_log::{LogEntry, QueryLog, Timestamp};
-use sqlog_obs::Recorder;
+use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
 use std::collections::{HashMap, HashSet};
 
 const GAP_MS: u64 = 60_000;
@@ -111,9 +111,11 @@ fn session_log(seed: u64, poison: bool) -> (Vec<ParsedRecord>, Sessions) {
     }
     let mut log = QueryLog::from_entries(entries);
     log.sort_by_time();
-    let store = TemplateStore::new();
-    let records = parse_log(&log, &store, 1).records;
-    let sessions = build_sessions(&log, &records, GAP_MS);
+    let catalog = Catalog::new();
+    let pipeline = pipeline(&catalog, 1);
+    let view = LogView::identity(&log);
+    let records = pipeline.op_parse(&view, &TemplateStore::new()).records;
+    let sessions = pipeline.op_sessions(&view, &records);
     (records, sessions)
 }
 
@@ -130,9 +132,17 @@ fn straddles(sessions: &Sessions, threads: usize) -> bool {
         .any(|w| sessions.sessions[w[0].end - 1].user == sessions.sessions[w[1].start].user)
 }
 
+/// The default pipeline at a `GAP_MS` session gap on `threads` threads.
+fn pipeline(catalog: &Catalog, threads: usize) -> Pipeline<'_> {
+    Pipeline::new(catalog).with_config(PipelineConfig {
+        session_gap_ms: GAP_MS,
+        parallelism: threads,
+        ..PipelineConfig::default()
+    })
+}
+
 fn mine(sessions: &Sessions, records: &[ParsedRecord], threads: usize) -> MinedPatterns {
-    let cfg = PipelineConfig::default();
-    mine_patterns_traced(sessions, records, &cfg, threads, &Recorder::disabled())
+    pipeline(&Catalog::new(), threads).op_mine(sessions, records)
 }
 
 #[test]

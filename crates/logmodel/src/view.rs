@@ -189,11 +189,6 @@ impl<'a> LogView<'a> {
         });
         LogView::new(base, Some(perm))
     }
-
-    /// Materializes the view into an owned [`QueryLog`] (clones entries).
-    pub fn to_log(&self) -> QueryLog {
-        QueryLog::from_entries(self.iter().cloned().collect())
-    }
 }
 
 impl<'a> From<&'a QueryLog> for LogView<'a> {
@@ -219,7 +214,7 @@ mod tests {
         assert_eq!(v.entry(1).id, 1);
         assert_eq!(v.base_index(1), 1);
         assert!(v.is_time_sorted());
-        assert_eq!(v.to_log(), log);
+        assert!(v.iter().eq(&log.entries));
     }
 
     #[test]

@@ -105,16 +105,6 @@ impl ValueKind {
             ValueKind::Number(_) | ValueKind::String(_) | ValueKind::Bool(_)
         )
     }
-
-    /// The literal this value denotes, if it is a constant.
-    pub fn as_literal(&self) -> Option<Literal> {
-        match self {
-            ValueKind::Number(n) => Some(Literal::Number(n.clone())),
-            ValueKind::String(s) => Some(Literal::String(s.clone())),
-            ValueKind::Bool(b) => Some(Literal::Boolean(*b)),
-            _ => None,
-        }
-    }
 }
 
 /// One top-level conjunct of the WHERE clause, classified.

@@ -55,11 +55,6 @@ impl Ident {
     pub fn normalized(&self) -> String {
         self.value.to_ascii_lowercase()
     }
-
-    /// Case-insensitive equality against a plain string.
-    pub fn eq_ignore_case(&self, other: &str) -> bool {
-        self.value.eq_ignore_ascii_case(other)
-    }
 }
 
 impl PartialEq for Ident {

@@ -5,17 +5,20 @@
 //! Run with `cargo run --release --example recommender -- 30000`.
 
 use sqlog::catalog::skyserver_catalog;
-use sqlog::core::{
-    build_sessions, parse_log, top_patterns, Pipeline, PipelineConfig, Recommender, TemplateStore,
-};
+use sqlog::core::{top_patterns, Pipeline, Recommender, TemplateStore};
 use sqlog::gen::{generate, GenConfig};
-use sqlog::logmodel::QueryLog;
+use sqlog::logmodel::{LogView, QueryLog};
 
-fn show_suggestions(title: &str, log: &QueryLog, anti_skeletons: &[String]) {
+fn show_suggestions(
+    title: &str,
+    pipeline: &Pipeline<'_>,
+    log: &QueryLog,
+    anti_skeletons: &[String],
+) {
     let store = TemplateStore::new();
-    let parsed = parse_log(log, &store, 0);
-    let cfg = PipelineConfig::default();
-    let sessions = build_sessions(log, &parsed.records, cfg.session_gap_ms);
+    let view = LogView::identity(log);
+    let parsed = pipeline.op_parse(&view, &store);
+    let sessions = pipeline.op_sessions(&view, &parsed.records);
     let recommender = Recommender::train(&sessions, &parsed.records);
 
     // Take the most common source templates and show their top suggestion.
@@ -60,7 +63,8 @@ fn main() {
     eprintln!("generating log and running the pipeline (scale {scale})…");
     let log = generate(&GenConfig::with_scale(scale, 11));
     let catalog = skyserver_catalog();
-    let result = Pipeline::new(&catalog).run(&log);
+    let pipeline = Pipeline::new(&catalog);
+    let result = pipeline.run(&log);
 
     // Skeletons of the antipattern-marked unigram patterns.
     let anti_skeletons: Vec<String> =
@@ -70,9 +74,10 @@ fn main() {
             .map(|r| r.skeletons[0].clone())
             .collect();
 
-    show_suggestions("trained on the RAW log:", &log, &anti_skeletons);
+    show_suggestions("trained on the RAW log:", &pipeline, &log, &anti_skeletons);
     show_suggestions(
         "trained on the CLEAN log:",
+        &pipeline,
         &result.clean_log,
         &anti_skeletons,
     );
