@@ -208,9 +208,10 @@ fn inflate_whitespace(sql: &str, literals: &[RawLiteral]) -> String {
     out
 }
 
-/// Flips the case of every ASCII letter outside string literals. Safe
-/// because a successful [`raw_shape_scan`] guarantees there are no quoted
-/// identifiers in the statement.
+/// Flips the case of every ASCII letter outside string literals, quoted
+/// identifiers included. Safe because the raw key and the skeleton (`ident`
+/// in `sqlog_skeleton`) both fold the ASCII case of every identifier,
+/// quoted or not.
 fn flip_case(sql: &str, literals: &[RawLiteral]) -> String {
     let spans = string_spans(literals);
     sql.char_indices()
@@ -368,6 +369,15 @@ mod tests {
             assert!(v.contains("'a b'"), "{v}");
         }
         assert!(lit.contains("= 7"), "{lit}"); // 8 -> 7
+    }
+
+    #[test]
+    fn quoted_identifiers_survive_every_perturbation() {
+        let sql = "SELECT [Ra], \"Dec\" FROM [PhotoPrimary] WHERE [ObjID] = 8 AND note = 'a B'";
+        let mut report = MetamorphicReport::default();
+        check_skeleton_invariance(sql, &mut report);
+        assert!(report.skeleton_checked > 0);
+        assert!(report.passed(), "{:#?}", report.failures);
     }
 
     #[test]

@@ -27,11 +27,15 @@ fn log_of(statements: &[&str]) -> QueryLog {
     )
 }
 
-fn parse_with_cache(log: &QueryLog, cache: bool) -> (String, sqlog_core::ParseCacheStats) {
+fn parse_with_cache(
+    log: &QueryLog,
+    cache: bool,
+    threads: usize,
+) -> (String, sqlog_core::ParseCacheStats) {
     let catalog = skyserver_catalog();
     let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
         parse_cache: cache,
-        parallelism: 1,
+        parallelism: threads,
         ..PipelineConfig::default()
     });
     let parsed = pipeline.op_parse(&LogView::identity(log), &TemplateStore::new());
@@ -72,8 +76,8 @@ fn cast_shapes_never_hit_the_cache() {
     let refs: Vec<&str> = statements.iter().map(|s| s.as_str()).collect();
     let log = log_of(&refs);
 
-    let (with_cache, stats) = parse_with_cache(&log, true);
-    let (without_cache, off_stats) = parse_with_cache(&log, false);
+    let (with_cache, stats) = parse_with_cache(&log, true, 1);
+    let (without_cache, off_stats) = parse_with_cache(&log, false, 1);
     assert_eq!(with_cache, without_cache, "records must be byte-identical");
     assert!(stats.enabled);
     assert!(!off_stats.enabled);
@@ -93,8 +97,8 @@ fn escaped_strings_never_serve_stale_literals() {
         "SELECT access FROM dbobjects WHERE name = 'O''Hara'",
         "SELECT access FROM dbobjects WHERE name = 'D''Arcy'",
     ]);
-    let (with_cache, _) = parse_with_cache(&log, true);
-    let (without_cache, _) = parse_with_cache(&log, false);
+    let (with_cache, _) = parse_with_cache(&log, true, 1);
+    let (without_cache, _) = parse_with_cache(&log, false, 1);
     assert_eq!(with_cache, without_cache);
     // The two records must differ from each other — the second statement's
     // profile carries its own literal, not a stale cached one.
@@ -125,4 +129,57 @@ fn pipeline_bytes_identical_across_cache_setting_on_hazard_shapes() {
         (clean, removal, format!("{:?}", result.stats.per_class))
     };
     assert_eq!(run(true), run(false));
+}
+
+#[test]
+fn lexer_hostile_statements_parse_alike_with_the_cache_on_or_off() {
+    // Pairs that scan to the same lexemes, and so share a raw key: a byte
+    // the lexer rejects at the same place in the stream, and two spellings
+    // of the same operator run.
+    let merged = [
+        (
+            "SELECT objid FROM photoprimary WHERE type = 7$ AND run = 1",
+            "SELECT objid FROM photoprimary WHERE type = 7 $AND run = 1",
+        ),
+        (
+            "SELECT objid FROM photoprimary WHERE type = ==6",
+            "SELECT objid FROM photoprimary WHERE type ===6",
+        ),
+    ];
+    for (a, b) in merged {
+        let (mut va, mut vb) = (Vec::new(), Vec::new());
+        let key = raw_shape_scan(a, &mut va);
+        assert!(key.is_some(), "{a}");
+        assert_eq!(key, raw_shape_scan(b, &mut vb), "{a} / {b}");
+    }
+    // A quoted keyword is a plain identifier, so it keeps a key of its own.
+    assert_ne!(
+        raw_shape_scan("[select] x", &mut Vec::new()),
+        raw_shape_scan("select x", &mut Vec::new())
+    );
+    let mut statements = vec![
+        "SELECT [select] FROM photoprimary WHERE objid = 1",
+        "SELECT select FROM photoprimary WHERE objid = 1",
+        // Unkeyable: unterminated string, quoted identifier and block
+        // comment, and a bare `@`.
+        "SELECT objid FROM photoprimary WHERE name = 'oops",
+        "SELECT [objid FROM photoprimary",
+        "SELECT objid FROM photoprimary /* oops",
+        "SELECT objid FROM photoprimary WHERE ra = @ AND dec = 1",
+    ];
+    statements.extend(merged.iter().flat_map(|&(a, b)| [a, b]));
+    let repeated: Vec<&str> = statements.iter().flat_map(|&s| [s, s, s]).collect();
+    let log = log_of(&repeated);
+
+    let (reference, _) = parse_with_cache(&log, false, 1);
+    for threads in [1, 2] {
+        for cache in [false, true] {
+            let (records, stats) = parse_with_cache(&log, cache, threads);
+            assert_eq!(records, reference, "cache {cache}, {threads} threads");
+            if cache {
+                // Each unkeyable statement falls back to a full parse.
+                assert!(stats.fallbacks >= 12, "{stats:?}");
+            }
+        }
+    }
 }

@@ -18,11 +18,12 @@
 //!   `String`; its caller is the §5.2 dedup scan in `sqlog-core`, which
 //!   fingerprints every entry.
 //!
-//! The one lexer-mirroring literal scanner is
-//! [`crate::rawkey::raw_shape_scan`] (parse cache and solver batching). It
-//! is deliberately *not* used for dedup: it keeps trailing semicolons,
-//! treats comments as token separators and block comments as nested — all
-//! places where the lexer and the duplicate definition disagree.
+//! The lexer's scan (`sqlog_sql::lexer::scan`) is the other way statements
+//! are read; [`crate::rawkey::raw_shape_scan`] hashes it for the parse
+//! cache and solver batching. It is deliberately *not* used for dedup: the
+//! lexer keeps trailing semicolons, treats comments as token separators and
+//! block comments as nested — all places where the lexer and the duplicate
+//! definition disagree.
 
 use crate::fingerprint::{Fingerprint, Fnv1a};
 

@@ -1,4 +1,4 @@
-//! Raw shape keys: the one lexer-mirroring literal scanner.
+//! Raw shape keys: the parse cache's key, hashed from the lexer's own scan.
 //!
 //! [`raw_shape_scan`] has two callers in `sqlog-core`, and both trust its
 //! literal spans:
@@ -13,40 +13,47 @@
 //! perturb. Dedup does not: duplicate identity is defined by
 //! [`crate::normalize`], whose scan differs from the lexer on purpose.
 //!
-//! [`raw_shape_scan`] makes one allocation-free pass over a statement's raw
-//! bytes and produces a [`RawKey`]: an FNV-1a hash of the *normalized byte
-//! stream* (whitespace and comments collapsed, words lower-cased, literals
-//! replaced by placeholder bytes) plus the stream length and the literal
-//! count. Two statements with equal keys lex to the same token sequence
-//! modulo literal text, so they parse to the same AST shape and therefore
-//! the same [`crate::QueryTemplate`] — that is the soundness property the
-//! parse cache in `sqlog-core` relies on (and property tests pin down).
+//! There is one SQL scanner, `sqlog_sql::lexer::scan`; the key is one of
+//! its two sinks (the parser's tokens are the other). The key sink hashes
+//! each lexeme into an FNV-1a stream, with no allocation:
 //!
-//! The scan mirrors the `sqlog-sql` lexer's token boundaries exactly:
+//! * an operator or punctuation token becomes one tag byte of its own, so
+//!   `!=` and `<>` hash alike, as do `==` and `=`;
+//! * a word becomes its ASCII-lower-cased bytes and an end byte, and a
+//!   variable the same after an `@`; a quoted word (`[x]` or `"x"`) is
+//!   wrapped in [`RAW_QUOTE_OPEN`] / [`RAW_QUOTE_CLOSE`] instead, so it
+//!   never collides with an unquoted one (a quoted keyword is no keyword);
+//! * a number becomes [`RAW_NUM`] and a string [`RAW_STR`], and their
+//!   source spans are recorded in `literals` so the cache can re-extract
+//!   literal-dependent facts without re-parsing;
+//! * a byte the lexer rejects (a stray `!`, `$`, `?`) becomes a marker byte
+//!   and itself, and the scan goes on.
 //!
-//! * whitespace and comments become at most one separator byte, emitted
-//!   only where the neighboring bytes could otherwise fuse into a
-//!   different token (`a b` vs `ab`, `< =` vs `<=`);
-//! * numbers (including hex, decimal and exponent forms) collapse to
-//!   [`RAW_NUM`], strings to [`RAW_STR`] — their source spans are recorded
-//!   in `literals` so the cache can re-extract literal-dependent facts
-//!   without re-parsing;
-//! * `[x]`- and `"x"`-quoted identifiers normalize to one delimiter pair
-//!   ([`RAW_QUOTE_OPEN`] / [`RAW_QUOTE_CLOSE`]) so they never collide with
-//!   unquoted words (a quoted keyword is not a keyword);
-//! * lexer-level foldings are reproduced: `==` emits `=`, both `<>` and
-//!   `!=` emit `<>`, keywords and identifiers are ASCII-lowercased.
+//! Whitespace and comments never reach the stream: the scanner has already
+//! decided where each lexeme starts and ends, and every lexeme's encoding
+//! ends where its own bytes say, so no separator is needed. The
+//! placeholder, delimiter, end and marker bytes lie in `0xF8..`, which
+//! valid UTF-8 never holds, so no input can forge them; the two-byte
+//! operators take control bytes, which no unquoted word holds and no
+//! one-byte operator is.
 //!
-//! The placeholder and delimiter bytes live in `0xF8..=0xFB`, a range that
-//! cannot occur in valid UTF-8 input, so no raw input byte can forge them.
+//! **The merge rule.** Barring a 64-bit hash collision, two statements
+//! share a key exactly when they scan to the same lexemes up to literal
+//! text and ASCII case. Such statements tokenize to the same token kinds,
+//! so they fail alike or parse to trees that differ only in their
+//! literals, which is all the parse cache relies on. So the key merges
+//! spellings that lex to the same tokens (`= ==6` and `===6`, `<>=` and
+//! `<> =`), and texts that hold a rejected byte at the same place in the
+//! lexeme stream (`7$ AND` and `7 $AND`), which both fail to tokenize.
 //!
-//! Inputs the lexer would reject in a *position-dependent* way (unterminated
-//! strings, block comments or quoted identifiers, a bare `@`) return `None`:
-//! the caller falls back to a full parse. Other lexer errors (stray `!`, an
-//! unexpected character) are fine to key — the offending byte is emitted
-//! verbatim, so equal streams fail identically.
+//! When the scan itself fails (an unterminated string, block comment or
+//! quoted identifier, or a bare `@`) the key is `None` and the caller
+//! falls back to a full parse.
 
 use crate::fingerprint::Fnv1a;
+use sqlog_sql::lexer::{scan, Lexeme, Sink};
+use sqlog_sql::Token;
+use std::ops::Range;
 
 /// Placeholder byte for a numeric literal.
 pub const RAW_NUM: u8 = 0xF8;
@@ -56,6 +63,10 @@ pub const RAW_STR: u8 = 0xF9;
 pub const RAW_QUOTE_OPEN: u8 = 0xFA;
 /// Delimiter byte closing a quoted identifier.
 pub const RAW_QUOTE_CLOSE: u8 = 0xFB;
+/// Ends a word or a variable.
+const RAW_END: u8 = 0xFC;
+/// Precedes a byte the lexer rejects.
+const RAW_STRAY: u8 = 0xFD;
 
 /// The literal-normalized shape key of one statement.
 ///
@@ -107,338 +118,127 @@ impl RawLiteral {
     }
 }
 
-/// True for bytes that continue a word token in the lexer (and therefore
-/// need a separator when whitespace keeps two of them apart). The emitted
-/// placeholder range `0xF8..` is excluded: a placeholder never fuses.
-fn word_byte(b: u8) -> bool {
-    b == b'_' || b == b'#' || b == b'$' || b.is_ascii_alphanumeric() || (0x80..0xF8).contains(&b)
+/// The tag byte of an operator or punctuation token: the token's own byte
+/// when it is one byte long, a control byte for the two-byte ones.
+fn punct_tag(token: &Token<'_>) -> u8 {
+    match token {
+        Token::Comma => b',',
+        Token::Dot => b'.',
+        Token::LParen => b'(',
+        Token::RParen => b')',
+        Token::Semicolon => b';',
+        Token::Star => b'*',
+        Token::Plus => b'+',
+        Token::Minus => b'-',
+        Token::Slash => b'/',
+        Token::Percent => b'%',
+        Token::Ampersand => b'&',
+        Token::Pipe => b'|',
+        Token::Caret => b'^',
+        Token::Eq => b'=',
+        Token::Lt => b'<',
+        Token::Gt => b'>',
+        Token::Neq => 0x01,
+        Token::LtEq => 0x02,
+        Token::GtEq => 0x03,
+        // The scanner reports these as their own lexemes, never as
+        // punctuation.
+        Token::Word { .. } | Token::Number(_) | Token::String(_) | Token::Variable(_) => 0,
+    }
 }
 
-/// True when dropping the whitespace between `prev` and `next` would change
-/// how the lexer tokenizes: two word bytes would merge into one word, and
-/// the listed operator pairs would merge into a different operator (or a
-/// comment opener).
-fn fusable(prev: u8, next: u8) -> bool {
-    (word_byte(prev) && word_byte(next))
-        || matches!(
-            (prev, next),
-            (b'<', b'=')
-                | (b'<', b'>')
-                | (b'>', b'=')
-                | (b'=', b'=')
-                | (b'!', b'=')
-                | (b'-', b'-')
-                | (b'/', b'*')
-        )
-}
-
-struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The sink that hashes the key and records the literal spans.
+struct KeySink<'a> {
+    sql: &'a [u8],
     hash: Fnv1a,
     len: u32,
-    /// Last emitted byte (0 before the first emission).
-    prev: u8,
-    /// Whitespace or a comment was skipped since the last emission.
-    pending_sep: bool,
+    literals: &'a mut Vec<RawLiteral>,
 }
 
-impl Scan<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.bytes.get(self.pos + 1).copied()
-    }
-
-    fn emit(&mut self, b: u8) {
-        if self.pending_sep && fusable(self.prev, b) {
-            self.hash.update(b" ");
-            self.len += 1;
-        }
-        self.pending_sep = false;
+impl KeySink<'_> {
+    fn put(&mut self, b: u8) {
         self.hash.update(&[b]);
-        self.prev = b;
         self.len += 1;
     }
 
-    fn skip_line_comment(&mut self) {
-        while let Some(b) = self.peek() {
-            self.pos += 1;
-            if b == b'\n' {
-                break;
-            }
+    /// Hashes `text` with ASCII letters lower-cased, as keywords fold and
+    /// skeletons render.
+    fn folded(&mut self, text: Range<usize>) {
+        for i in text {
+            self.put(self.sql[i].to_ascii_lowercase());
         }
     }
 
-    /// Mirrors the lexer's nested block comments; `false` = unterminated.
-    fn skip_block_comment(&mut self) -> bool {
-        self.pos += 2;
-        let mut depth = 1usize;
-        while depth > 0 {
-            match self.peek() {
-                Some(b'*') if self.peek2() == Some(b'/') => {
-                    self.pos += 2;
-                    depth -= 1;
-                }
-                Some(b'/') if self.peek2() == Some(b'*') => {
-                    self.pos += 2;
-                    depth += 1;
-                }
-                Some(_) => self.pos += 1,
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Mirrors `lex_string`; `false` = unterminated.
-    fn scan_string(&mut self, literals: &mut Vec<RawLiteral>) -> bool {
-        self.pos += 1; // opening quote
-        let content_start = self.pos;
-        let mut has_escape = false;
-        loop {
-            match self.peek() {
-                Some(b'\'') => {
-                    if self.peek2() == Some(b'\'') {
-                        has_escape = true;
-                        self.pos += 2;
-                    } else {
-                        literals.push(RawLiteral {
-                            start: content_start as u32,
-                            end: self.pos as u32,
-                            kind: RawLiteralKind::String { has_escape },
-                        });
-                        self.pos += 1;
-                        self.emit(RAW_STR);
-                        return true;
-                    }
-                }
-                Some(_) => self.pos += 1,
-                None => return false,
-            }
-        }
-    }
-
-    /// Mirrors `lex_quoted_ident` for either quoting style; both styles emit
-    /// the same delimiter pair (their tokens are identical). `false` =
-    /// unterminated.
-    fn scan_quoted_ident(&mut self, close: u8) -> bool {
-        self.pos += 1; // opening quote
-        self.emit(RAW_QUOTE_OPEN);
-        loop {
-            match self.peek() {
-                Some(b) if b == close => {
-                    self.pos += 1;
-                    self.emit(RAW_QUOTE_CLOSE);
-                    return true;
-                }
-                Some(b) => {
-                    self.pos += 1;
-                    self.emit(b.to_ascii_lowercase());
-                }
-                None => return false,
-            }
-        }
-    }
-
-    /// Mirrors `lex_variable` (`@name` / `@@global`); `false` = a bare `@`,
-    /// which the lexer rejects with a position-dependent error.
-    fn scan_variable(&mut self) -> bool {
-        self.emit(b'@');
-        self.pos += 1;
-        if self.peek() == Some(b'@') {
-            self.emit(b'@');
-            self.pos += 1;
-        }
-        let name_start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'_' || b.is_ascii_alphanumeric() {
-                self.emit(b.to_ascii_lowercase());
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        self.pos != name_start
-    }
-
-    /// Mirrors `lex_number` (hex, decimal, trailing-dot, exponent forms).
-    fn scan_number(&mut self, literals: &mut Vec<RawLiteral>) {
-        let start = self.pos;
-        if self.peek() == Some(b'0')
-            && matches!(self.peek2(), Some(b'x') | Some(b'X'))
-            && self
-                .bytes
-                .get(self.pos + 2)
-                .is_some_and(|b| b.is_ascii_hexdigit())
-        {
-            self.pos += 2;
-            while self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
-                self.pos += 1;
-            }
-        } else {
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.peek() == Some(b'.') && self.peek2().is_none_or(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-                let mut look = self.pos + 1;
-                if matches!(self.bytes.get(look), Some(b'+') | Some(b'-')) {
-                    look += 1;
-                }
-                if self.bytes.get(look).is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos = look;
-                    while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                        self.pos += 1;
-                    }
-                }
-            }
-        }
-        literals.push(RawLiteral {
-            start: start as u32,
-            end: self.pos as u32,
-            kind: RawLiteralKind::Number,
+    fn literal(&mut self, placeholder: u8, text: Range<usize>, kind: RawLiteralKind) {
+        self.literals.push(RawLiteral {
+            start: text.start as u32,
+            end: text.end as u32,
+            kind,
         });
-        self.emit(RAW_NUM);
+        self.put(placeholder);
+    }
+}
+
+impl Sink for KeySink<'_> {
+    // Inlined at each of the scan's call sites, like the token sink.
+    #[inline(always)]
+    fn lexeme(
+        &mut self,
+        lexeme: Lexeme,
+        _token: Range<usize>,
+        text: Range<usize>,
+    ) -> sqlog_sql::Result<()> {
+        match lexeme {
+            Lexeme::Word { quoted: false } => {
+                self.folded(text);
+                self.put(RAW_END);
+            }
+            Lexeme::Word { quoted: true } => {
+                self.put(RAW_QUOTE_OPEN);
+                self.folded(text);
+                self.put(RAW_QUOTE_CLOSE);
+            }
+            Lexeme::Variable => {
+                self.put(b'@');
+                self.folded(text);
+                self.put(RAW_END);
+            }
+            Lexeme::Number => self.literal(RAW_NUM, text, RawLiteralKind::Number),
+            Lexeme::String { has_escape } => {
+                self.literal(RAW_STR, text, RawLiteralKind::String { has_escape })
+            }
+            Lexeme::Punct(token) => self.put(punct_tag(&token)),
+        }
+        Ok(())
     }
 
-    /// Mirrors `lex_word`. Multi-byte (≥ 0x80) bytes pass through verbatim;
-    /// ASCII is lower-cased to match keyword folding and skeleton rendering.
-    fn scan_word(&mut self) {
-        while let Some(b) = self.peek() {
-            if b == b'_' || b == b'#' || b == b'$' || b.is_ascii_alphanumeric() || b >= 0x80 {
-                self.emit(if b >= 0x80 { b } else { b.to_ascii_lowercase() });
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+    fn stray(&mut self, byte: u8, _at: usize) -> sqlog_sql::Result<()> {
+        self.put(RAW_STRAY);
+        self.put(byte);
+        Ok(())
     }
 }
 
 /// Scans `sql` into a [`RawKey`], recording literal spans into `literals`
 /// (cleared first, filled in statement order).
 ///
-/// Returns `None` when the statement cannot be keyed soundly — unterminated
-/// strings / block comments / quoted identifiers and bare `@` produce lexer
-/// errors whose position the normalized stream does not determine, so such
-/// statements must take the full-parse path.
+/// Returns `None` when the scan fails — an unterminated string, block
+/// comment or quoted identifier, or a bare `@`. The lexer's error for such
+/// a statement depends on where the construct starts, which the key does
+/// not record, so it must take the full-parse path.
 pub fn raw_shape_scan(sql: &str, literals: &mut Vec<RawLiteral>) -> Option<RawKey> {
     literals.clear();
-    let mut s = Scan {
-        bytes: sql.as_bytes(),
-        pos: 0,
+    let mut sink = KeySink {
+        sql: sql.as_bytes(),
         hash: Fnv1a::new(),
         len: 0,
-        prev: 0,
-        pending_sep: false,
+        literals,
     };
-    while let Some(b) = s.peek() {
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' | 0x0b | 0x0c => {
-                s.pos += 1;
-                s.pending_sep = true;
-            }
-            b'-' if s.peek2() == Some(b'-') => {
-                s.skip_line_comment();
-                s.pending_sep = true;
-            }
-            b'/' if s.peek2() == Some(b'*') => {
-                if !s.skip_block_comment() {
-                    return None;
-                }
-                s.pending_sep = true;
-            }
-            b'\'' => {
-                if !s.scan_string(literals) {
-                    return None;
-                }
-            }
-            b'"' => {
-                if !s.scan_quoted_ident(b'"') {
-                    return None;
-                }
-            }
-            b'[' => {
-                if !s.scan_quoted_ident(b']') {
-                    return None;
-                }
-            }
-            b'@' => {
-                if !s.scan_variable() {
-                    return None;
-                }
-            }
-            b'0'..=b'9' => s.scan_number(literals),
-            b'.' if s.peek2().is_some_and(|c| c.is_ascii_digit()) => s.scan_number(literals),
-            b'=' => {
-                // The lexer folds `==` to `=`.
-                s.pos += 1;
-                if s.peek() == Some(b'=') {
-                    s.pos += 1;
-                }
-                s.emit(b'=');
-            }
-            b'<' => {
-                s.pos += 1;
-                match s.peek() {
-                    Some(b'=') => {
-                        s.pos += 1;
-                        s.emit(b'<');
-                        s.emit(b'=');
-                    }
-                    Some(b'>') => {
-                        s.pos += 1;
-                        s.emit(b'<');
-                        s.emit(b'>');
-                    }
-                    _ => s.emit(b'<'),
-                }
-            }
-            b'>' => {
-                s.pos += 1;
-                if s.peek() == Some(b'=') {
-                    s.pos += 1;
-                    s.emit(b'>');
-                    s.emit(b'=');
-                } else {
-                    s.emit(b'>');
-                }
-            }
-            b'!' => {
-                // `!=` folds to the same token as `<>`; a stray `!` is a
-                // lexer error either way, so emitting it verbatim keeps
-                // equal streams failing equally.
-                s.pos += 1;
-                if s.peek() == Some(b'=') {
-                    s.pos += 1;
-                    s.emit(b'<');
-                    s.emit(b'>');
-                } else {
-                    s.emit(b'!');
-                }
-            }
-            b'_' | b'a'..=b'z' | b'A'..=b'Z' | b'#' => s.scan_word(),
-            _ if b >= 0x80 => s.scan_word(),
-            // Single-char tokens and lexer-error characters alike: emit the
-            // byte verbatim. Equal streams tokenize (or fail) identically.
-            other => {
-                s.pos += 1;
-                s.emit(other);
-            }
-        }
-    }
+    scan(sql, &mut sink).ok()?;
     Some(RawKey {
-        hash: s.hash.finish().0,
-        len: s.len,
-        literals: literals.len() as u32,
+        hash: sink.hash.finish().0,
+        len: sink.len,
+        literals: sink.literals.len() as u32,
     })
 }
 

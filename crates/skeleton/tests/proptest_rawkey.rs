@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use sqlog_skeleton::{raw_shape_scan, QueryTemplate, RawKey, RawLiteral};
-use sqlog_sql::parse_query;
+use sqlog_sql::{parse_query, tokenize, Token};
 
 #[derive(Debug, Clone)]
 enum Shape {
@@ -140,6 +140,145 @@ proptest! {
         for i in 0..keys.len() {
             for j in (i + 1)..keys.len() {
                 prop_assert_ne!(keys[i], keys[j], "shapes {} and {} collide", i, j);
+            }
+        }
+    }
+}
+
+/// Fragments of hostile statements. The spellings of one fragment scan to
+/// the same lexemes up to literal text and ASCII case.
+const FRAGMENTS: &[&[&str]] = &[
+    &["SELECT", "select", "SeLeCt"],
+    &["FROM", "from"],
+    &["objid", "ObjID"],
+    &["a", "A"],
+    &["_x#1", "_X#1"],
+    &["größe", "GRößE"],
+    &["[select]", "\"SELECT\""],
+    &["[My Col]", "\"my col\""],
+    &["'a b'", "'it''s'", "''"],
+    &["7", "0x1F", "1e5", ".5", "2.5E-3", "12."],
+    &["42", "0"],
+    &["@ra", "@RA"],
+    &["@@rowcount", "@@ROWCOUNT"],
+    &["!=", "<>"],
+    &["==", "="],
+    &["<="],
+    &["<"],
+    &[">"],
+    &["!"],
+    &["$"],
+    &["-- note\n", "--\n"],
+    &["/* c */", "/*/* nested */*/"],
+    &["("],
+    &[")"],
+    &[","],
+    &["."],
+    &["*"],
+    &["-"],
+];
+
+/// Unterminated constructs; a statement holds at most one, at its end.
+const HAZARDS: &[&str] = &["'open", "[open", "\"open", "/* open"];
+
+/// Joins between fragments: separators, and the empty join, which lets
+/// neighbours fuse (`7` `$` → `7$`, `=` `==` → `===`).
+const JOINS: &[&str] = &[" ", "", "\n\t", "/**/", "-- c\n"];
+
+/// One fragment: its index, its spelling in the first and in the second
+/// statement, and the join before it in the second statement (the first
+/// always joins with a space).
+type Piece = (usize, usize, usize, usize);
+
+fn spelling(frag: usize, choice: usize) -> &'static str {
+    FRAGMENTS[frag][choice % FRAGMENTS[frag].len()]
+}
+
+/// Renders `pieces`, each as the join and text `piece_of` gives it, with a
+/// bare `@` before piece `bare_at` and `hazard` at the end.
+fn hostile(
+    pieces: &[Piece],
+    bare_at: Option<usize>,
+    hazard: Option<usize>,
+    piece_of: impl Fn(usize, &Piece) -> (&'static str, &'static str),
+) -> String {
+    let mut sql = String::new();
+    for (i, piece) in pieces.iter().enumerate() {
+        if bare_at == Some(i) {
+            sql.push_str(" @ ");
+        }
+        let (join, text) = piece_of(i, piece);
+        sql.push_str(join);
+        sql.push_str(text);
+    }
+    if bare_at.is_some_and(|i| i >= pieces.len()) {
+        sql.push_str(" @");
+    }
+    if let Some(h) = hazard {
+        sql.push(' ');
+        sql.push_str(HAZARDS[h]);
+    }
+    sql
+}
+
+/// A token with literal text dropped and word and variable text
+/// lower-cased: what equal raw keys promise to keep equal.
+fn token_shape(token: &Token<'_>) -> String {
+    match token {
+        Token::Word { value, keyword } => format!("word {} {keyword:?}", value.to_lowercase()),
+        Token::Variable(name) => format!("variable {}", name.to_lowercase()),
+        Token::Number(_) => "number".to_string(),
+        Token::String(_) => "string".to_string(),
+        punct => format!("{punct:?}"),
+    }
+}
+
+fn token_shapes(sql: &str) -> Option<Vec<String>> {
+    let tokens = tokenize(sql).ok()?;
+    Some(tokens.iter().map(|t| token_shape(&t.token)).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The key is refused exactly for an unterminated construct or a bare
+    /// `@`, and equal keys mean equal lexer outcomes: both statements fail
+    /// to tokenize, or both tokenize to the same token kinds, lower-cased
+    /// word and variable texts, and literal kinds.
+    #[test]
+    fn equal_keys_imply_equal_lexer_outcomes(
+        pieces in prop::collection::vec((0..FRAGMENTS.len(), 0usize..6, 0usize..6, 0..JOINS.len()), 0..12),
+        bare_at in prop_oneof![3 => Just(None), 1 => (0usize..13).prop_map(Some)],
+        hazard in prop_oneof![3 => Just(None), 1 => (0..HAZARDS.len()).prop_map(Some)],
+    ) {
+        let first = hostile(&pieces, bare_at, hazard, |_, &(f, a, _, _)| (" ", spelling(f, a)));
+        let mut lits = Vec::new();
+        let key = raw_shape_scan(&first, &mut lits);
+        prop_assert_eq!(
+            key.is_none(),
+            bare_at.is_some() || hazard.is_some(),
+            "keyability of {:?}", first
+        );
+        // The first statement respelled and rejoined, and the first
+        // statement with one fragment swapped for any other spelling of any
+        // fragment.
+        let mut others =
+            vec![hostile(&pieces, bare_at, hazard, |_, &(f, _, b, j)| (JOINS[j], spelling(f, b)))];
+        for at in 0..pieces.len() {
+            for &swap in FRAGMENTS.iter().flat_map(|spellings| spellings.iter()) {
+                others.push(hostile(&pieces, bare_at, hazard, |i, &(f, a, _, _)| {
+                    (" ", if i == at { swap } else { spelling(f, a) })
+                }));
+            }
+        }
+        let shapes = token_shapes(&first);
+        for other in &others {
+            if key.is_some() && key == raw_shape_scan(other, &mut lits) {
+                prop_assert_eq!(
+                    &shapes,
+                    &token_shapes(other),
+                    "{:?} and {:?} share a key", first, other
+                );
             }
         }
     }
